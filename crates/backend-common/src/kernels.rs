@@ -2,15 +2,17 @@
 //! element type and reduction operator).
 
 use racc_core::{AccScalar, ReduceOp};
-use racc_gpusim::{DeviceSlice, DeviceSliceMut, PhasedKernel, SharedMem, ThreadCtx};
+use racc_gpusim::{
+    DeviceSlice, DeviceSliceMut, PhasedKernel, SharedMem, ThreadCtx, TreeShape, TreeStep,
+};
 
 /// Kernel 1 of the two-kernel reduction: each thread maps one index, the
 /// block tree-reduces in shared memory, thread 0 writes the block partial.
 pub(crate) struct BlockReduceMap<'a, T: AccScalar, F, O> {
     /// Extent of the index space.
     pub n: usize,
-    /// Threads per block (a power of two).
-    pub block_size: usize,
+    /// The block's reduction tree (block size, a power of two).
+    pub tree: TreeShape,
     /// The map function.
     pub f: &'a F,
     /// The reduction operator.
@@ -28,31 +30,38 @@ where
     type State = ();
 
     fn num_phases(&self) -> usize {
-        // map + log2(block) tree steps + writeback
-        2 + self.block_size.trailing_zeros() as usize
+        self.tree.num_phases()
+    }
+
+    fn active_threads(&self, phase: usize, _block_threads: usize) -> usize {
+        self.tree.active_threads(phase)
     }
 
     fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), shared: &SharedMem) {
         let ti = ctx.thread_linear();
-        let steps = self.block_size.trailing_zeros() as usize;
-        if phase == 0 {
-            let i = ctx.global_id_x();
-            let v = if i < self.n {
-                (self.f)(i)
-            } else {
-                self.op.identity()
-            };
-            shared.set::<T>(ti, v);
-        } else if phase <= steps {
-            let half = self.block_size >> phase;
-            if ti < half {
-                let merged = self
-                    .op
-                    .combine(shared.get::<T>(ti), shared.get::<T>(ti + half));
-                shared.set::<T>(ti, merged);
+        match self.tree.step(phase) {
+            TreeStep::Map => {
+                let i = ctx.global_id_x();
+                let v = if i < self.n {
+                    (self.f)(i)
+                } else {
+                    self.op.identity()
+                };
+                shared.set::<T>(ti, v);
             }
-        } else if ti == 0 {
-            self.partials.set(ctx.block_linear(), shared.get::<T>(0));
+            TreeStep::Combine { half } => {
+                if ti < half {
+                    let merged = self
+                        .op
+                        .combine(shared.get::<T>(ti), shared.get::<T>(ti + half));
+                    shared.set::<T>(ti, merged);
+                }
+            }
+            TreeStep::WriteBack => {
+                if ti == 0 {
+                    self.partials.set(ctx.block_linear(), shared.get::<T>(0));
+                }
+            }
         }
     }
 }
@@ -63,8 +72,8 @@ where
 pub(crate) struct FinalReduce<T: AccScalar, O> {
     /// Number of partials.
     pub len: usize,
-    /// Threads in the (single) block — a power of two.
-    pub block_size: usize,
+    /// The (single) block's reduction tree (block size, a power of two).
+    pub tree: TreeShape,
     /// The reduction operator.
     pub op: O,
     /// The partials from kernel 1.
@@ -81,33 +90,41 @@ where
     type State = ();
 
     fn num_phases(&self) -> usize {
-        2 + self.block_size.trailing_zeros() as usize
+        self.tree.num_phases()
+    }
+
+    fn active_threads(&self, phase: usize, _block_threads: usize) -> usize {
+        self.tree.active_threads(phase)
     }
 
     fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), shared: &SharedMem) {
         let ti = ctx.thread_linear();
-        let steps = self.block_size.trailing_zeros() as usize;
-        if phase == 0 {
-            let mut acc = self.op.identity();
-            let mut ii = ti;
-            while ii < self.len {
-                // Checked read: `ii < self.len <= partials.len()` holds by
-                // the loop condition, and the checked accessor is what feeds
-                // the sanitizer's read tracking when it is enabled.
-                acc = self.op.combine(acc, self.partials.get(ii));
-                ii += self.block_size;
+        match self.tree.step(phase) {
+            TreeStep::Map => {
+                let mut acc = self.op.identity();
+                let mut ii = ti;
+                while ii < self.len {
+                    // Checked read: `ii < self.len <= partials.len()` holds by
+                    // the loop condition, and the checked accessor is what
+                    // feeds the sanitizer's read tracking when it is enabled.
+                    acc = self.op.combine(acc, self.partials.get(ii));
+                    ii += self.tree.block();
+                }
+                shared.set::<T>(ti, acc);
             }
-            shared.set::<T>(ti, acc);
-        } else if phase <= steps {
-            let half = self.block_size >> phase;
-            if ti < half {
-                let merged = self
-                    .op
-                    .combine(shared.get::<T>(ti), shared.get::<T>(ti + half));
-                shared.set::<T>(ti, merged);
+            TreeStep::Combine { half } => {
+                if ti < half {
+                    let merged = self
+                        .op
+                        .combine(shared.get::<T>(ti), shared.get::<T>(ti + half));
+                    shared.set::<T>(ti, merged);
+                }
             }
-        } else if ti == 0 {
-            self.out.set(0, shared.get::<T>(0));
+            TreeStep::WriteBack => {
+                if ti == 0 {
+                    self.out.set(0, shared.get::<T>(0));
+                }
+            }
         }
     }
 }

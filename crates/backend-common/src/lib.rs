@@ -32,6 +32,7 @@ use racc_core::{AccScalar, Backend, DeviceToken, KernelProfile, RaccError, Reduc
 use racc_gpusim::perf::{self, KernelCost};
 use racc_gpusim::{
     Device, FaultEvent, FaultPlan, FaultSite, LaunchConfig, RetryPolicy, SimError, SinglePhase,
+    TreeShape,
 };
 
 #[cfg(feature = "trace")]
@@ -250,6 +251,7 @@ impl SimBackend {
             return op.identity();
         }
         let block = self.reduce_block();
+        let tree = TreeShape::new(block);
         let blocks = total.div_ceil(block);
         let elem = std::mem::size_of::<T>();
 
@@ -259,7 +261,7 @@ impl SimBackend {
             .expect("partials allocation");
         let k1 = BlockReduceMap {
             n: total,
-            block_size: block,
+            tree,
             f: &f,
             op,
             partials: self.device.slice_mut(&partials).expect("own buffer"),
@@ -276,7 +278,7 @@ impl SimBackend {
             .expect("result allocation");
         let k2 = FinalReduce {
             len: blocks,
-            block_size: block,
+            tree,
             op,
             partials: self.device.slice(&partials).expect("own buffer"),
             out: self.device.slice_mut(&out).expect("own buffer"),

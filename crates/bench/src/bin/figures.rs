@@ -525,8 +525,9 @@ fn host_folded_dot(
 }
 
 /// Launch-overhead gate: **wall-clock** launches/sec through each simulated
-/// vendor API plus the threads backend, for an empty kernel (pure dispatch)
-/// and an AXPY-shaped kernel. The same workloads as the
+/// vendor API plus the threads backend, for an empty kernel (pure dispatch),
+/// an AXPY-shaped kernel, and a DOT (`reduce`, the two-kernel tree
+/// reduction through `Context`). The first two are the same workloads as the
 /// `launch_overhead` criterion bench, packaged for CI: prints a table and
 /// writes `results/BENCH_launch_overhead.json`. `RACC_BENCH_QUICK=1`
 /// shrinks shapes and iteration counts to smoke-test scale.
@@ -683,6 +684,26 @@ fn bench_launch_overhead() {
                 ctx.parallel_for(n, &KernelProfile::axpy(), move |i| {
                     xv.set(i, xv.get(i) + 2.5 * yv.get(i));
                 });
+            }),
+        ));
+    }
+
+    // The two-kernel tree reduction (DOT) through the portable front end:
+    // `check_bench.py` gates `reduce / axpy` per simulator, which holds the
+    // executor to visiting only the threads a tree phase can use.
+    for key in ["cudasim", "hipsim", "oneapisim", "threads"] {
+        let rctx = racc::builder()
+            .backend(key)
+            .build()
+            .expect("backend compiled in");
+        let x = rctx.array_from(&host_x).unwrap();
+        let y = rctx.array_from(&host_y).unwrap();
+        rows.push((
+            "reduce",
+            key,
+            axpy_shape.clone(),
+            measure(iters, || {
+                std::hint::black_box(racc_blas::portable::dot(&rctx, &x, &y));
             }),
         ));
     }

@@ -22,6 +22,45 @@ use std::cell::UnsafeCell;
 use crate::launch::ThreadCtx;
 
 /// A kernel expressed as a sequence of barrier-separated phases.
+///
+/// # Active prefix
+///
+/// Most phases of a cooperative kernel leave most of the block idle: in a
+/// 256-thread tree reduction, step `p` has work for `256 >> p` threads and
+/// the write-back for one, yet a naive executor still builds a `ThreadCtx`
+/// and enters [`phase`](PhasedKernel::phase) for all 256. A kernel states
+/// what it knows through [`active_threads`](PhasedKernel::active_threads):
+///
+/// * **Prefix, in linear order.** A return value of `k` says that in this
+///   phase only the first `k` threads of the block — by
+///   [`ThreadCtx::thread_linear`], `x` fastest, then `y`, then `z` — can do
+///   anything. Values above the block size are clamped to it; `0` means no
+///   thread runs the phase.
+/// * **No-op guarantee.** For every thread at or beyond `k`, `phase()` must
+///   be a pure no-op: no shared-memory or device-memory access, no write to
+///   its `State`, no [`ThreadCtx::barrier`] arrival. (A phase whose threads
+///   all call `barrier()` therefore has to declare the whole block.)
+/// * **Plain launches skip, tracked launches do not.** With racecheck and
+///   the sanitizer off, the cooperative executor visits only the prefix.
+///   (The single-phase, stateless, no-shared-memory fast path — every
+///   `parallel_for`-style launch — has no idle phase to skip and visits the
+///   whole block; the declaration is a permission to skip, never a promise
+///   that a thread will not run.) With racecheck or the sanitizer on, every
+///   thread of every phase is visited, exactly as if nothing were declared,
+///   so race, barrier-divergence and canary checks see the whole block.
+///   `State` slots of skipped threads are still default-constructed before
+///   the block and dropped after it.
+/// * **A wrong declaration** that is too large only costs visits. One that
+///   is too small silently drops the work of the threads it cut off in
+///   plain launches — results differ from `Device::execute_grid_reference`,
+///   which ignores the declaration and is the differential oracle. Under
+///   the sanitizer a tracked device-memory access or a `barrier()` arrival
+///   from a thread the kernel declared idle panics, naming block, phase,
+///   thread and the declared bound (shared-memory accesses are untracked,
+///   so the differential tests are the backstop for those).
+///
+/// The declaration changes which host-side visits happen, never what is
+/// modeled: `KernelCost` is analytic and charges the full launch geometry.
 pub trait PhasedKernel: Sync {
     /// Per-thread private state surviving across phases (the thread's
     /// registers).
@@ -30,8 +69,88 @@ pub trait PhasedKernel: Sync {
     /// Number of phases (barrier intervals) in the kernel.
     fn num_phases(&self) -> usize;
 
+    /// How many leading threads of a `block_threads`-thread block (linear
+    /// order) can do anything in `phase`; the rest are guaranteed no-ops.
+    /// See the trait docs for the contract. Defaults to the whole block.
+    #[inline]
+    fn active_threads(&self, _phase: usize, block_threads: usize) -> usize {
+        block_threads
+    }
+
     /// Execute one phase for one thread.
     fn phase(&self, phase: usize, ctx: &ThreadCtx, state: &mut Self::State, shared: &SharedMem);
+}
+
+/// What one phase of a [`TreeShape`] reduction does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeStep {
+    /// Phase 0: every thread stores its mapped value at `shared[ti]`.
+    Map,
+    /// Tree step: threads `ti < half` fold `shared[ti + half]` into
+    /// `shared[ti]`.
+    Combine {
+        /// Number of combining threads, `block >> phase`.
+        half: usize,
+    },
+    /// Last phase: thread 0 writes `shared[0]` out.
+    WriteBack,
+}
+
+/// The phase structure of the shared-memory tree reduction over a
+/// power-of-two block (the paper's Fig. 3): one map phase, `log2(block)`
+/// halving steps, one write-back. Every tree kernel takes both its
+/// [`PhasedKernel::active_threads`] declaration and its in-`phase()` test
+/// from here, so the shape lives in one place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeShape {
+    block: usize,
+}
+
+impl TreeShape {
+    /// Tree over `block` threads.
+    ///
+    /// # Panics
+    /// Panics unless `block` is a power of two (the halving tree needs it).
+    pub const fn new(block: usize) -> Self {
+        assert!(block.is_power_of_two(), "tree block must be a power of two");
+        TreeShape { block }
+    }
+
+    /// Threads per block.
+    pub const fn block(self) -> usize {
+        self.block
+    }
+
+    /// Map + `log2(block)` tree steps + write-back.
+    pub const fn num_phases(self) -> usize {
+        2 + self.block.trailing_zeros() as usize
+    }
+
+    /// What `phase` does.
+    #[inline]
+    pub const fn step(self, phase: usize) -> TreeStep {
+        let steps = self.block.trailing_zeros() as usize;
+        if phase == 0 {
+            TreeStep::Map
+        } else if phase <= steps {
+            TreeStep::Combine {
+                half: self.block >> phase,
+            }
+        } else {
+            TreeStep::WriteBack
+        }
+    }
+
+    /// The active prefix of `phase`: `map → block`, `step p → block >> p`,
+    /// `write-back → 1`.
+    #[inline]
+    pub const fn active_threads(self, phase: usize) -> usize {
+        match self.step(phase) {
+            TreeStep::Map => self.block,
+            TreeStep::Combine { half } => half,
+            TreeStep::WriteBack => 1,
+        }
+    }
 }
 
 /// A block's dynamic shared memory. Typed, bounds-checked accessors operate
@@ -150,6 +269,32 @@ impl<F: Fn(&ThreadCtx) + Sync> PhasedKernel for SinglePhase<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tree_shape_phases_and_prefixes() {
+        let tree = TreeShape::new(256);
+        assert_eq!(tree.block(), 256);
+        assert_eq!(tree.num_phases(), 10);
+        assert_eq!(tree.step(0), TreeStep::Map);
+        assert_eq!(tree.step(1), TreeStep::Combine { half: 128 });
+        assert_eq!(tree.step(8), TreeStep::Combine { half: 1 });
+        assert_eq!(tree.step(9), TreeStep::WriteBack);
+        let active: Vec<usize> = (0..10).map(|p| tree.active_threads(p)).collect();
+        assert_eq!(active, [256, 128, 64, 32, 16, 8, 4, 2, 1, 1]);
+        // 2 560 thread-phase slots, 512 of them active.
+        assert_eq!(active.iter().sum::<usize>(), 512);
+
+        // A one-thread block is map + write-back, no tree step.
+        let one = TreeShape::new(1);
+        assert_eq!(one.num_phases(), 2);
+        assert_eq!(one.step(1), TreeStep::WriteBack);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn tree_shape_rejects_non_power_of_two_blocks() {
+        let _ = TreeShape::new(48);
+    }
 
     #[test]
     fn shared_mem_round_trip() {

@@ -145,6 +145,7 @@ impl RaceTracker {
             // upload); not subject to the SIMT contract.
             return;
         }
+        crate::sanitizer::check_declared_active("wrote device memory");
         self.writes_tracked.fetch_add(1, Ordering::Relaxed);
         {
             let mut writes = self.writes.lock();
@@ -199,6 +200,7 @@ impl RaceTracker {
         if loc.thread == u64::MAX {
             return;
         }
+        crate::sanitizer::check_declared_active("read device memory");
         self.reads_tracked.fetch_add(1, Ordering::Relaxed);
         {
             let mut reads = self.reads.lock();

@@ -3,7 +3,7 @@
 //!
 //! Enabled per device via [`crate::Device::set_sanitizer`] (or the
 //! `RACC_SANITIZER=1` environment variable at device creation), the sanitizer
-//! layers four checks on top of the plain write-race checker:
+//! layers five checks on top of the plain write-race checker:
 //!
 //! * **read-write races** — reads through device slices are tracked alongside
 //!   writes, phase-aware: values exchanged across a phase boundary (the
@@ -13,6 +13,10 @@
 //!   [`crate::ThreadCtx::barrier`]; if only a subset of a block's threads
 //!   reaches a phase boundary, the launch panics with block/thread
 //!   coordinates;
+//! * **active-prefix declarations** — a sanitized launch visits every thread
+//!   of every phase whatever [`crate::PhasedKernel::active_threads`] says,
+//!   and panics when a thread the kernel declared idle performs a tracked
+//!   device-memory access or arrives at a barrier;
 //! * **heap instrumentation** — every allocation carries live/freed state and
 //!   64-byte `0xC5` canary regions on both sides of the payload. Bounds
 //!   failures and use-after-free through stale slices name the allocation;
@@ -90,20 +94,63 @@ thread_local! {
     /// Linear thread ids that declared barrier arrival in the current
     /// block/phase of a sanitized launch.
     static ARRIVALS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    /// Set while a sanitized launch runs a simulated thread that its kernel
+    /// declared idle for the phase.
+    static DECLARED_IDLE: Cell<Option<DeclaredIdle>> = const { Cell::new(None) };
 }
 
 /// Mark the current host thread as running (or done running) a sanitized
-/// block, resetting any stale arrivals from an unwound launch.
+/// block, resetting any stale arrivals or idle declaration from an unwound
+/// launch.
 pub(crate) fn set_active(on: bool) {
     SAN_ACTIVE.with(|c| c.set(on));
     ARRIVALS.with(|a| a.borrow_mut().clear());
+    set_declared_idle(None);
 }
 
 /// Record a barrier arrival (called by [`crate::ThreadCtx::barrier`]).
 #[inline]
 pub(crate) fn barrier_arrive(thread_linear: usize) {
     if SAN_ACTIVE.with(|c| c.get()) {
+        check_declared_active("reached ctx.barrier()");
         ARRIVALS.with(|a| a.borrow_mut().push(thread_linear));
+    }
+}
+
+/// A simulated thread its kernel declared idle for the current phase
+/// ([`crate::PhasedKernel::active_threads`] returned `declared`, and the
+/// thread's linear index is at or beyond it).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeclaredIdle {
+    pub(crate) block_idx: (u32, u32, u32),
+    pub(crate) thread_idx: (u32, u32, u32),
+    pub(crate) phase: usize,
+    pub(crate) declared: usize,
+}
+
+/// Install (or clear) the idle declaration covering the simulated thread
+/// about to run on this host thread. Only sanitized launches set it.
+pub(crate) fn set_declared_idle(idle: Option<DeclaredIdle>) {
+    DECLARED_IDLE.with(|c| c.set(idle));
+}
+
+/// Panic if the current simulated thread was declared idle: called where an
+/// observable action happens (a tracked device-memory access, a barrier
+/// arrival), which the no-op guarantee of `active_threads` forbids.
+#[inline]
+pub(crate) fn check_declared_active(action: &str) {
+    if let Some(idle) = DECLARED_IDLE.with(|c| c.get()) {
+        // Clear first: the panic unwinds past the executor's own reset, and
+        // a stale declaration must not fail this host thread's later accesses.
+        set_declared_idle(None);
+        let (bx, by, bz) = idle.block_idx;
+        let (tx, ty, tz) = idle.thread_idx;
+        panic!(
+            "simsan: active_threads under-declared: thread ({tx},{ty},{tz}) of block \
+             ({bx},{by},{bz}) {action} in phase {}, but the kernel declared only the first \
+             {} thread(s) of that phase active",
+            idle.phase, idle.declared
+        );
     }
 }
 

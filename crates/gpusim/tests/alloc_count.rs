@@ -15,7 +15,7 @@ use std::sync::Arc;
 use racc_gpusim::perf::OpKind;
 use racc_gpusim::{
     profiles, Device, DeviceSlice, DeviceSliceMut, KernelCost, LaunchConfig, PhasedKernel,
-    SharedMem, ThreadCtx,
+    SharedMem, ThreadCtx, TreeShape, TreeStep,
 };
 use racc_threadpool::ThreadPool;
 
@@ -48,10 +48,11 @@ fn allocs() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
-/// Cooperative tree-sum kernel (shared memory + multi phase): the arena path.
+/// Cooperative tree-sum kernel (shared memory + multi phase, declaring the
+/// tree's active prefix): the arena path with prefix-limited phases.
 struct TreeSum {
     n: usize,
-    block: usize,
+    tree: TreeShape,
     x: DeviceSlice<f64>,
     out: DeviceSliceMut<f64>,
 }
@@ -59,21 +60,28 @@ struct TreeSum {
 impl PhasedKernel for TreeSum {
     type State = ();
     fn num_phases(&self) -> usize {
-        2 + self.block.trailing_zeros() as usize
+        self.tree.num_phases()
+    }
+    fn active_threads(&self, phase: usize, _block_threads: usize) -> usize {
+        self.tree.active_threads(phase)
     }
     fn phase(&self, phase: usize, ctx: &ThreadCtx, _s: &mut (), sh: &SharedMem) {
         let ti = ctx.thread_linear();
-        let steps = self.block.trailing_zeros() as usize;
-        if phase == 0 {
-            let i = ctx.global_id_x();
-            sh.set::<f64>(ti, if i < self.n { self.x.get(i) } else { 0.0 });
-        } else if phase <= steps {
-            let half = self.block >> phase;
-            if ti < half {
-                sh.set::<f64>(ti, sh.get::<f64>(ti) + sh.get::<f64>(ti + half));
+        match self.tree.step(phase) {
+            TreeStep::Map => {
+                let i = ctx.global_id_x();
+                sh.set::<f64>(ti, if i < self.n { self.x.get(i) } else { 0.0 });
             }
-        } else if ti == 0 {
-            self.out.set(ctx.block_linear(), sh.get::<f64>(0));
+            TreeStep::Combine { half } => {
+                if ti < half {
+                    sh.set::<f64>(ti, sh.get::<f64>(ti) + sh.get::<f64>(ti + half));
+                }
+            }
+            TreeStep::WriteBack => {
+                if ti == 0 {
+                    self.out.set(ctx.block_linear(), sh.get::<f64>(0));
+                }
+            }
         }
     }
 }
@@ -112,7 +120,7 @@ fn execute_grid_steady_state_is_allocation_free() {
     let coop_cfg = LaunchConfig::new(4096u32, 64u32).with_shared_mem(64 * 8);
     let coop = TreeSum {
         n,
-        block: 64,
+        tree: TreeShape::new(64),
         x: dev.slice(&x).unwrap(),
         out: dev.slice_mut(&partials).unwrap(),
     };

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use racc_gpusim::{
     perf, profiles, Device, DeviceSlice, DeviceSliceMut, Dim3, KernelCost, LaunchConfig,
-    PhasedKernel, SharedMem, ThreadCtx,
+    PhasedKernel, SharedMem, ThreadCtx, TreeShape, TreeStep,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -55,28 +55,35 @@ proptest! {
     ) {
         struct TreeSum {
             n: usize,
-            block: usize,
+            tree: TreeShape,
             x: DeviceSlice<f64>,
             out: DeviceSliceMut<f64>,
         }
         impl PhasedKernel for TreeSum {
             type State = ();
             fn num_phases(&self) -> usize {
-                2 + self.block.trailing_zeros() as usize
+                self.tree.num_phases()
+            }
+            fn active_threads(&self, phase: usize, _block_threads: usize) -> usize {
+                self.tree.active_threads(phase)
             }
             fn phase(&self, phase: usize, ctx: &ThreadCtx, _s: &mut (), sh: &SharedMem) {
                 let ti = ctx.thread_linear();
-                let steps = self.block.trailing_zeros() as usize;
-                if phase == 0 {
-                    let i = ctx.global_id_x();
-                    sh.set::<f64>(ti, if i < self.n { self.x.get(i) } else { 0.0 });
-                } else if phase <= steps {
-                    let half = self.block >> phase;
-                    if ti < half {
-                        sh.set::<f64>(ti, sh.get::<f64>(ti) + sh.get::<f64>(ti + half));
+                match self.tree.step(phase) {
+                    TreeStep::Map => {
+                        let i = ctx.global_id_x();
+                        sh.set::<f64>(ti, if i < self.n { self.x.get(i) } else { 0.0 });
                     }
-                } else if ti == 0 {
-                    self.out.set(ctx.block_linear(), sh.get::<f64>(0));
+                    TreeStep::Combine { half } => {
+                        if ti < half {
+                            sh.set::<f64>(ti, sh.get::<f64>(ti) + sh.get::<f64>(ti + half));
+                        }
+                    }
+                    TreeStep::WriteBack => {
+                        if ti == 0 {
+                            self.out.set(ctx.block_linear(), sh.get::<f64>(0));
+                        }
+                    }
                 }
             }
         }
@@ -88,7 +95,7 @@ proptest! {
         let out = dev.alloc::<f64>(blocks).unwrap();
         let kernel = TreeSum {
             n,
-            block,
+            tree: TreeShape::new(block),
             x: dev.slice(&x).unwrap(),
             out: dev.slice_mut(&out).unwrap(),
         };
@@ -185,10 +192,13 @@ mod arena_vs_reference {
     }
 
     /// Cooperative shared-memory tree-reduction DOT (the paper's Fig. 3
-    /// shape): multi-phase, per-block shared memory — the arena path.
+    /// shape): multi-phase, per-block shared memory — the arena path. It
+    /// declares the tree's active prefix, so the arena executor skips the
+    /// idle threads of every step while the reference visits them all; the
+    /// block may be 1D, 2D or 3D (the tree runs over `thread_linear`).
     struct TreeDot {
         n: usize,
-        block: usize,
+        tree: TreeShape,
         x: DeviceSlice<f64>,
         y: DeviceSlice<f64>,
         partials: DeviceSliceMut<f64>,
@@ -196,26 +206,33 @@ mod arena_vs_reference {
     impl PhasedKernel for TreeDot {
         type State = ();
         fn num_phases(&self) -> usize {
-            2 + self.block.trailing_zeros() as usize
+            self.tree.num_phases()
+        }
+        fn active_threads(&self, phase: usize, _block_threads: usize) -> usize {
+            self.tree.active_threads(phase)
         }
         fn phase(&self, phase: usize, ctx: &ThreadCtx, _s: &mut (), sh: &SharedMem) {
             let ti = ctx.thread_linear();
-            let steps = self.block.trailing_zeros() as usize;
-            if phase == 0 {
-                let i = ctx.global_id_x();
-                let v = if i < self.n {
-                    self.x.get(i) * self.y.get(i)
-                } else {
-                    0.0
-                };
-                sh.set::<f64>(ti, v);
-            } else if phase <= steps {
-                let half = self.block >> phase;
-                if ti < half {
-                    sh.set::<f64>(ti, sh.get::<f64>(ti) + sh.get::<f64>(ti + half));
+            match self.tree.step(phase) {
+                TreeStep::Map => {
+                    let i = ctx.global_linear();
+                    let v = if i < self.n {
+                        self.x.get(i) * self.y.get(i)
+                    } else {
+                        0.0
+                    };
+                    sh.set::<f64>(ti, v);
                 }
-            } else if ti == 0 {
-                self.partials.set(ctx.block_linear(), sh.get::<f64>(0));
+                TreeStep::Combine { half } => {
+                    if ti < half {
+                        sh.set::<f64>(ti, sh.get::<f64>(ti) + sh.get::<f64>(ti + half));
+                    }
+                }
+                TreeStep::WriteBack => {
+                    if ti == 0 {
+                        self.partials.set(ctx.block_linear(), sh.get::<f64>(0));
+                    }
+                }
             }
         }
     }
@@ -281,25 +298,30 @@ mod arena_vs_reference {
             prop_assert_eq!(bits(&dev, &out_fast), bits(&dev, &out_ref));
         }
 
-        /// Cooperative DOT vs reference: same block partials, bit for bit.
+        /// Cooperative DOT vs reference: same block partials, bit for bit,
+        /// over random power-of-two block sizes laid out as 1D, 2D or 3D
+        /// blocks (the declared prefix is in `x`-fastest linear order, so it
+        /// ends mid-row and mid-plane) with a partial last block.
         #[test]
         fn cooperative_dot_bit_identical(
             data in prop::collection::vec(-1e3f64..1e3, 1..1200),
-            block_pow in 2u32..7,
+            x_pow in 0u32..7, y_pow in 0u32..4, z_pow in 0u32..3,
         ) {
+            prop_assume!(x_pow + y_pow + z_pow <= 6); // test device: 64 threads
             let dev = test_device();
             let n = data.len();
-            let block = 1usize << block_pow; // 4..=64, includes partial blocks
+            let shape = Dim3::xyz(1 << x_pow, 1 << y_pow, 1 << z_pow);
+            let block = shape.count(); // 1..=64, includes partial blocks
             let blocks = n.div_ceil(block);
             let x = dev.alloc_from(&data).unwrap();
             let y = dev.alloc_from(&data).unwrap();
             let out_fast = dev.alloc::<f64>(blocks).unwrap();
             let out_ref = dev.alloc::<f64>(blocks).unwrap();
-            let cfg = LaunchConfig::new(blocks as u32, block as u32)
+            let cfg = LaunchConfig::new(Dim3::x(blocks as u32), shape)
                 .with_shared_mem(block * 8);
             let mk = |out: &racc_gpusim::DeviceBuffer<f64>| TreeDot {
                 n,
-                block,
+                tree: TreeShape::new(block),
                 x: dev.slice(&x).unwrap(),
                 y: dev.slice(&y).unwrap(),
                 partials: dev.slice_mut(out).unwrap(),

@@ -3,11 +3,22 @@
 //! The latch spins briefly before parking: the pool's broadcasts are
 //! microsecond-scale (one chunk of a `parallel_for` per worker), and the
 //! caller going through a futex sleep/wake per construct used to dominate
-//! the fused-launch benchmarks. The count lives in an atomic so both the
-//! spin phase and `count_down` stay lock-free; the mutex + condvar pair is
-//! only the parking fallback for long-running jobs. Wake-ups cannot be
-//! missed: waiters re-check the count *while holding the lock*, and the
-//! final decrementer notifies under that same lock.
+//! the fused-launch benchmarks. The count lives in an atomic so the spin
+//! phase polls it without the lock; the mutex + condvar pair is the parking
+//! fallback for long-running jobs. Wake-ups cannot be missed: waiters
+//! re-check the count *while holding the lock*, and decrements happen under
+//! that same lock.
+//!
+//! # Lifetime
+//!
+//! The pool keeps its latches in the issuing caller's stack frame, so a
+//! released waiter may pop the frame at once. `wait` therefore returns only
+//! after it has held the lock at a point where the count was zero: every
+//! `count_down` runs wholly inside the lock, so by then the last decrementer
+//! has finished touching the latch. (Decrementing first and locking after —
+//! the original design — let a spinning waiter return while a worker was
+//! still about to write the lock word of a frame the caller had already
+//! reused; see `tests/latch_lifetime.rs`.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -65,24 +76,28 @@ impl CountLatch {
 
     /// Decrement the count, waking waiters if it reaches zero.
     ///
+    /// The decrement happens under the lock, so a waiter that has seen zero
+    /// and then taken the lock knows this call no longer touches the latch.
+    ///
     /// # Panics
     /// Panics if decremented below zero — that is always a bookkeeping bug.
     pub fn count_down(&self) {
+        let _guard = self.lock.lock();
         let old = self.remaining.fetch_sub(1, Ordering::AcqRel);
         assert!(old > 0, "CountLatch decremented below zero");
         if old == 1 {
-            // Take the lock so the notify cannot slip between a parked
-            // waiter's predicate check and its wait.
-            let _guard = self.lock.lock();
             self.cond.notify_all();
         }
     }
 
     /// Block until the count reaches zero: bounded spin first, then park.
+    /// Either way the lock is held once after the count read zero, so no
+    /// `count_down` is still inside the latch when this returns (see the
+    /// module docs).
     pub fn wait(&self) {
         for _ in 0..spin_iters() {
             if self.remaining.load(Ordering::Acquire) == 0 {
-                return;
+                break;
             }
             std::hint::spin_loop();
         }

@@ -22,6 +22,14 @@ this before any quick-mode smoke regenerates them):
      * prim: every particle-binning row must be bit-identical to the
        serial reference (histogram, scans, and sort_by_key included —
        the primitives' cross-backend contract).
+     * launch_overhead: on each simulator the ``reduce`` row (DOT through
+       ``Context``, the two-kernel tree reduction) may cost at most
+       ``REDUCE_OVER_AXPY`` (3.0) times the ``axpy`` row of the same
+       shape. Both rows come from one run on one host, so the ratio does
+       not depend on the host's speed: it is ~1.6 while the executor
+       visits only the threads a tree phase can use
+       (``PhasedKernel::active_threads``) and ~7 when every phase visits
+       the whole block.
 
 2. Baseline drift — every ``results/baselines/BENCH_*.json`` is compared
    row-by-row against its committed counterpart. A row regresses when it
@@ -43,6 +51,8 @@ REPO = Path(__file__).resolve().parent.parent
 RESULTS = REPO / "results"
 BASELINES = RESULTS / "baselines"
 TOLERANCE = 1.05
+REDUCE_OVER_AXPY = 3.0
+SIMS = ("cudasim", "hipsim", "oneapisim")
 
 failures = []
 
@@ -96,6 +106,19 @@ def gate_absolute(name, doc):
                 check(s >= 1.7, f"{name} {fmt(key)}: modeled_speedup {s} >= 1.7")
                 g = row["overlap_gain"]
                 check(g >= 1.0, f"{name} {fmt(key)}: overlap_gain {g} >= 1.0")
+    elif doc["bench"] == "launch_overhead":
+        ns = {key: row["ns_per_launch"] for key, row in rows(doc)}
+        for backend in SIMS:
+            shapes = [s for (w, b, s) in ns if w == "reduce" and b == backend]
+            check(bool(shapes), f"{name}: has a reduce row for {backend}")
+            for shape in shapes:
+                axpy = ns.get(("axpy", backend, shape))
+                r = ns["reduce", backend, shape] / axpy if axpy else float("inf")
+                check(
+                    r <= REDUCE_OVER_AXPY,
+                    f"{name} {backend}/{shape}: reduce/axpy ns_per_launch "
+                    f"{r:.2f} <= {REDUCE_OVER_AXPY}",
+                )
     elif doc["bench"] == "prim":
         for key, row in rows(doc):
             check(
