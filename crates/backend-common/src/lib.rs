@@ -1,11 +1,14 @@
 //! # racc-backend-common
 //!
-//! The shared implementation of [`racc_core::Backend`] over the
-//! [`racc_gpusim`] simulator. Each vendor backend crate
-//! (`racc-backend-cuda`, `racc-backend-hip`, `racc-backend-oneapi`) wraps a
-//! [`SimBackend`] with its vendor's device profile and launch-geometry
-//! [`SimBackendConfig`] — the pieces that genuinely differ between the
-//! paper's CUDA.jl / AMDGPU.jl / oneAPI.jl back ends (Figs. 6 and 7).
+//! The one implementation of [`racc_core::Backend`] over the
+//! [`racc_gpusim`] simulator. A vendor is a value, not a type: each vendor
+//! crate (`racc-backend-cuda`, `racc-backend-hip`, `racc-backend-oneapi`)
+//! is a `const` [`Vendor`] — stock device profile, launch geometry, two
+//! modeled overheads, the pieces that genuinely differ between the paper's
+//! CUDA.jl / AMDGPU.jl / oneAPI.jl back ends (Figs. 6 and 7) — and
+//! [`SimBackend`] reads it once per launch. Nothing branches on the vendor
+//! at compile time, so there is no type parameter and every kernel closure
+//! is instantiated once whichever vendor runs it.
 //!
 //! Faithfulness notes:
 //!
@@ -18,7 +21,7 @@
 //!   device-to-host readback. Its extra cost relative to `parallel_for` is
 //!   what makes small GPU DOTs lose to the CPU in Fig. 8.
 //! * The portability layer charges a small per-construct overhead
-//!   ([`SimBackendConfig::racc_launch_extra_ns`]) modeling JACC's extra
+//!   ([`Vendor::racc_launch_extra_ns`]) modeling JACC's extra
 //!   allocations/argument packing, and a vendor-specific reduction factor
 //!   (`reduce_time_factor`, 1.35 on the Intel back end per the paper's
 //!   observed ≈35% DOT overhead).
@@ -31,8 +34,8 @@ use std::sync::Arc;
 use racc_core::{AccScalar, Backend, DeviceToken, KernelProfile, RaccError, ReduceOp, Timeline};
 use racc_gpusim::perf::{self, KernelCost};
 use racc_gpusim::{
-    Device, FaultEvent, FaultPlan, FaultSite, LaunchConfig, RetryPolicy, SimError, SinglePhase,
-    TreeShape,
+    Device, DeviceSpec, FaultEvent, FaultPlan, FaultSite, LaunchConfig, RetryPolicy, SimError,
+    SinglePhase, ThreadCtx, TreeShape,
 };
 
 #[cfg(feature = "trace")]
@@ -40,11 +43,15 @@ use racc_core::trace::{ConstructKind, Span};
 
 use kernels::{BlockReduceMap, FinalReduce};
 
-/// Vendor-specific launch parameters and overheads.
-#[derive(Debug, Clone)]
-pub struct SimBackendConfig {
+/// What distinguishes one vendor back end from another: its stock device,
+/// launch parameters and overheads. Plain data, read once per launch.
+#[derive(Debug, Clone, Copy)]
+pub struct Vendor {
     /// Backend key exposed through [`Backend::key`] (e.g. `"cudasim"`).
     pub key: &'static str,
+    /// The device profile [`SimBackend::stock`] simulates (e.g.
+    /// `racc_gpusim::profiles::nvidia_a100`).
+    pub stock_device: fn() -> DeviceSpec,
     /// Thread tile for 2D `parallel_for` (the paper uses 16×16 everywhere).
     pub tile_2d: (u32, u32),
     /// Thread tile for 3D `parallel_for`.
@@ -59,10 +66,13 @@ pub struct SimBackendConfig {
     pub reduce_time_factor: f64,
 }
 
-impl Default for SimBackendConfig {
+impl Default for Vendor {
+    /// The paper's launch geometry over the small test device, for tests
+    /// and custom devices that belong to no vendor.
     fn default() -> Self {
-        SimBackendConfig {
+        Vendor {
             key: "gpusim",
+            stock_device: racc_gpusim::profiles::test_device,
             tile_2d: (16, 16),
             tile_3d: (8, 8, 4),
             reduce_block: 512,
@@ -75,7 +85,7 @@ impl Default for SimBackendConfig {
 /// A [`racc_core::Backend`] running on one simulated GPU.
 pub struct SimBackend {
     device: Arc<Device>,
-    config: SimBackendConfig,
+    vendor: Vendor,
     timeline: Timeline,
     /// Recovery policy for transient device faults (injected faults, OOM).
     /// Only read on the error path: a successful first attempt never locks,
@@ -84,14 +94,20 @@ pub struct SimBackend {
 }
 
 impl SimBackend {
-    /// Wrap a simulator device.
-    pub fn new(device: Arc<Device>, config: SimBackendConfig) -> Self {
+    /// A backend over `device` (possibly shared with device-specific code,
+    /// so both accumulate on one clock) launching the way `vendor` does.
+    pub fn new(device: Arc<Device>, vendor: &Vendor) -> Self {
         SimBackend {
             device,
-            config,
+            vendor: *vendor,
             timeline: Timeline::new(),
             retry: std::sync::Mutex::new(RetryPolicy::none()),
         }
+    }
+
+    /// A backend on a fresh instance of the vendor's stock device.
+    pub fn stock(vendor: &Vendor) -> Self {
+        Self::new(Arc::new(Device::new((vendor.stock_device)())), vendor)
     }
 
     /// The simulator device (vendor clock, op log, racecheck toggle).
@@ -99,9 +115,9 @@ impl SimBackend {
         &self.device
     }
 
-    /// The vendor configuration.
-    pub fn config(&self) -> &SimBackendConfig {
-        &self.config
+    /// The vendor description.
+    pub fn vendor(&self) -> &Vendor {
+        &self.vendor
     }
 
     fn cost_from_profile(profile: &KernelProfile) -> KernelCost {
@@ -124,7 +140,7 @@ impl SimBackend {
     /// rounded down to a power of two (the tree requires it).
     fn reduce_block(&self) -> usize {
         let max = self.device.spec().max_threads_per_block;
-        let b = self.config.reduce_block.min(max).max(1);
+        let b = self.vendor.reduce_block.min(max).max(1);
         1usize << (31 - b.leading_zeros())
     }
 
@@ -173,7 +189,7 @@ impl SimBackend {
             self.timeline.add_ns(backoff);
             #[cfg(feature = "trace")]
             self.timeline.record_span(|| {
-                Span::new(self.config.key, ConstructKind::Fault, _site)
+                Span::new(self.vendor.key, ConstructKind::Fault, _site)
                     .dims(retry_no as u64, 0, 0)
                     .modeled(Timeline::quantize(backoff))
             });
@@ -203,7 +219,7 @@ impl SimBackend {
             } else {
                 ConstructKind::for_rank(rank)
             };
-            let mut span = Span::new(self.config.key, kind, profile.name)
+            let mut span = Span::new(self.vendor.key, kind, profile.name)
                 .dims(dims[0], dims[1], dims[2])
                 .profile(profile.flops_per_iter, profile.bytes_per_iter())
                 .modeled(Timeline::quantize(ns));
@@ -212,6 +228,47 @@ impl SimBackend {
             }
             span
         });
+    }
+
+    /// The body the three `parallel_for` ranks share: an empty index space
+    /// is charged the portability overhead alone; otherwise one covering
+    /// launch of `kernel` under the retry policy, `charge_launch`, and the
+    /// span. `extent` is padded with 1s past the rank, `cfg` covers it.
+    fn launch_for<K>(
+        &self,
+        _rank: usize,
+        extent: [usize; 3],
+        profile: &KernelProfile,
+        cfg: LaunchConfig,
+        kernel: K,
+    ) where
+        K: Fn(&ThreadCtx) + Sync,
+    {
+        let extra_ns = self.vendor.racc_launch_extra_ns;
+        if extent.contains(&0) {
+            self.timeline.charge_launch(extra_ns);
+            #[cfg(feature = "trace")]
+            self.record_for_span(_rank, profile, [0, 0, 0], None, extra_ns);
+            return;
+        }
+        // Launched by reference (`launch_phased` + `SinglePhase`) so the
+        // retry path can re-run the kernel; `Device::launch` would consume
+        // the closure.
+        let kernel = SinglePhase(kernel);
+        let ns = Self::unwrap_launch(self.with_retry("launch", || {
+            self.device
+                .launch_phased(cfg, Self::cost_from_profile(profile), &kernel)
+        }));
+        let total_ns = ns as f64 + extra_ns;
+        self.timeline.charge_launch(total_ns);
+        #[cfg(feature = "trace")]
+        self.record_for_span(
+            _rank,
+            profile,
+            extent.map(|d| d as u64),
+            Some(cfg),
+            total_ns,
+        );
     }
 
     /// Shared implementation of the two-kernel reduction over a linear
@@ -240,13 +297,13 @@ impl SimBackend {
         };
         if total == 0 {
             self.timeline
-                .charge_reduction(self.config.racc_launch_extra_ns);
+                .charge_reduction(self.vendor.racc_launch_extra_ns);
             #[cfg(feature = "trace")]
             self.timeline.record_span(|| {
-                Span::new(self.config.key, reduce_kind, profile.name)
+                Span::new(self.vendor.key, reduce_kind, profile.name)
                     .dims(_dims[0], _dims[1], _dims[2])
                     .profile(profile.flops_per_iter, profile.bytes_per_iter())
-                    .modeled(Timeline::quantize(self.config.racc_launch_extra_ns))
+                    .modeled(Timeline::quantize(self.vendor.racc_launch_extra_ns))
             });
             return op.identity();
         }
@@ -297,9 +354,9 @@ impl SimBackend {
         let spec = self.device.spec();
         let sync_ns =
             spec.link_latency_ns * spec.reduce_sync_penalty + perf::transfer_time_ns(spec, elem);
-        let reduce_ns = (ns1 + ns2) as f64 * self.config.reduce_time_factor
+        let reduce_ns = (ns1 + ns2) as f64 * self.vendor.reduce_time_factor
             + sync_ns
-            + self.config.racc_launch_extra_ns;
+            + self.vendor.racc_launch_extra_ns;
         self.timeline.charge_reduction(reduce_ns);
         self.timeline.charge_d2h(elem as u64, 0.0);
         #[cfg(feature = "trace")]
@@ -307,14 +364,14 @@ impl SimBackend {
             // One span for the whole two-kernel sequence, one for the scalar
             // readback — matching the two timeline charges above.
             self.timeline.record_span(|| {
-                Span::new(self.config.key, reduce_kind, profile.name)
+                Span::new(self.vendor.key, reduce_kind, profile.name)
                     .dims(_dims[0], _dims[1], _dims[2])
                     .geometry(blocks as u64, block as u64)
                     .profile(profile.flops_per_iter, profile.bytes_per_iter())
                     .modeled(Timeline::quantize(reduce_ns))
             });
             self.timeline.record_span(|| {
-                Span::new(self.config.key, ConstructKind::D2h, "reduce_result")
+                Span::new(self.vendor.key, ConstructKind::D2h, "reduce_result")
                     .dims(0, 0, 0)
                     .payload(elem as u64)
             });
@@ -325,11 +382,11 @@ impl SimBackend {
 
 impl Backend for SimBackend {
     fn name(&self) -> String {
-        format!("RACC {} ({})", self.config.key, self.device.spec().name)
+        format!("RACC {} ({})", self.vendor.key, self.device.spec().name)
     }
 
     fn key(&self) -> &'static str {
-        self.config.key
+        self.vendor.key
     }
 
     fn is_accelerator(&self) -> bool {
@@ -349,7 +406,7 @@ impl Backend for SimBackend {
         let report = self.device.sanitizer_report()?;
         #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
-            Span::new(self.config.key, ConstructKind::Sanitizer, "sancheck")
+            Span::new(self.vendor.key, ConstructKind::Sanitizer, "sancheck")
                 .dims(report.allocations_tracked, 0, 0)
                 .payload(report.bytes_outstanding as u64)
         });
@@ -379,7 +436,7 @@ impl Backend for SimBackend {
         // active fault schedule and retry policy — the probe behind the
         // graceful-degradation decision in `racc::builder().fallback(true)`.
         let buf = self.with_retry("alloc", || self.device.alloc::<f64>(1))?;
-        let probe = SinglePhase(|_t: &racc_gpusim::ThreadCtx| {});
+        let probe = SinglePhase(|_t: &ThreadCtx| {});
         self.with_retry("launch", || {
             self.device
                 .launch_phased(LaunchConfig::new(1u32, 1u32), KernelCost::default(), &probe)
@@ -396,7 +453,7 @@ impl Backend for SimBackend {
             .map_err(|e| RaccError::Allocation(e.to_string()))?;
         #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
-            Span::new(self.config.key, ConstructKind::Alloc, "alloc")
+            Span::new(self.vendor.key, ConstructKind::Alloc, "alloc")
                 .dims(0, 0, 0)
                 .payload(bytes as u64)
         });
@@ -412,7 +469,7 @@ impl Backend for SimBackend {
             self.timeline.charge_h2d(bytes as u64, ns);
             #[cfg(feature = "trace")]
             self.timeline.record_span(|| {
-                Span::new(self.config.key, ConstructKind::H2d, "upload")
+                Span::new(self.vendor.key, ConstructKind::H2d, "upload")
                     .dims(0, 0, 0)
                     .payload(bytes as u64)
                     .modeled(Timeline::quantize(ns))
@@ -436,7 +493,7 @@ impl Backend for SimBackend {
         self.timeline.charge_d2h(bytes as u64, ns);
         #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
-            Span::new(self.config.key, ConstructKind::D2h, "download")
+            Span::new(self.vendor.key, ConstructKind::D2h, "download")
                 .dims(0, 0, 0)
                 .payload(bytes as u64)
                 .modeled(Timeline::quantize(ns))
@@ -447,114 +504,41 @@ impl Backend for SimBackend {
     where
         F: Fn(usize) + Sync,
     {
-        if n == 0 {
-            self.timeline
-                .charge_launch(self.config.racc_launch_extra_ns);
-            #[cfg(feature = "trace")]
-            self.record_for_span(
-                1,
-                profile,
-                [0, 0, 0],
-                None,
-                self.config.racc_launch_extra_ns,
-            );
-            return;
-        }
-        let block = self.block_1d(n);
-        let cfg = LaunchConfig::linear(n, block);
-        // Launched by reference (`launch_phased` + `SinglePhase`) so the
-        // retry path can re-run the kernel; `Device::launch` would consume
-        // the closure.
-        let kernel = SinglePhase(|t: &racc_gpusim::ThreadCtx| {
+        let cfg = LaunchConfig::linear(n, self.block_1d(n));
+        self.launch_for(1, [n, 1, 1], profile, cfg, |t| {
             let i = t.global_id_x();
             if i < n {
                 f(i);
             }
         });
-        let ns = Self::unwrap_launch(self.with_retry("launch", || {
-            self.device
-                .launch_phased(cfg, Self::cost_from_profile(profile), &kernel)
-        }));
-        let total_ns = ns as f64 + self.config.racc_launch_extra_ns;
-        self.timeline.charge_launch(total_ns);
-        #[cfg(feature = "trace")]
-        self.record_for_span(1, profile, [n as u64, 1, 1], Some(cfg), total_ns);
     }
 
     fn parallel_for_2d<F>(&self, m: usize, n: usize, profile: &KernelProfile, f: F)
     where
         F: Fn(usize, usize) + Sync,
     {
-        if m == 0 || n == 0 {
-            self.timeline
-                .charge_launch(self.config.racc_launch_extra_ns);
-            #[cfg(feature = "trace")]
-            self.record_for_span(
-                2,
-                profile,
-                [0, 0, 0],
-                None,
-                self.config.racc_launch_extra_ns,
-            );
-            return;
-        }
-        let (tx, ty) = self.config.tile_2d;
+        let (tx, ty) = self.vendor.tile_2d;
         let cfg = LaunchConfig::tiled_2d(m, n, tx, ty);
-        let kernel = SinglePhase(|t: &racc_gpusim::ThreadCtx| {
+        self.launch_for(2, [m, n, 1], profile, cfg, |t| {
             let (i, j) = (t.global_id_x(), t.global_id_y());
             if i < m && j < n {
                 f(i, j);
             }
         });
-        let ns = Self::unwrap_launch(self.with_retry("launch", || {
-            self.device
-                .launch_phased(cfg, Self::cost_from_profile(profile), &kernel)
-        }));
-        let total_ns = ns as f64 + self.config.racc_launch_extra_ns;
-        self.timeline.charge_launch(total_ns);
-        #[cfg(feature = "trace")]
-        self.record_for_span(2, profile, [m as u64, n as u64, 1], Some(cfg), total_ns);
     }
 
     fn parallel_for_3d<F>(&self, m: usize, n: usize, l: usize, profile: &KernelProfile, f: F)
     where
         F: Fn(usize, usize, usize) + Sync,
     {
-        if m == 0 || n == 0 || l == 0 {
-            self.timeline
-                .charge_launch(self.config.racc_launch_extra_ns);
-            #[cfg(feature = "trace")]
-            self.record_for_span(
-                3,
-                profile,
-                [0, 0, 0],
-                None,
-                self.config.racc_launch_extra_ns,
-            );
-            return;
-        }
-        let (tx, ty, tz) = self.config.tile_3d;
+        let (tx, ty, tz) = self.vendor.tile_3d;
         let cfg = LaunchConfig::tiled_3d(m, n, l, tx, ty, tz);
-        let kernel = SinglePhase(|t: &racc_gpusim::ThreadCtx| {
+        self.launch_for(3, [m, n, l], profile, cfg, |t| {
             let (i, j, k) = (t.global_id_x(), t.global_id_y(), t.global_id_z());
             if i < m && j < n && k < l {
                 f(i, j, k);
             }
         });
-        let ns = Self::unwrap_launch(self.with_retry("launch", || {
-            self.device
-                .launch_phased(cfg, Self::cost_from_profile(profile), &kernel)
-        }));
-        let total_ns = ns as f64 + self.config.racc_launch_extra_ns;
-        self.timeline.charge_launch(total_ns);
-        #[cfg(feature = "trace")]
-        self.record_for_span(
-            3,
-            profile,
-            [m as u64, n as u64, l as u64],
-            Some(cfg),
-            total_ns,
-        );
     }
 
     fn parallel_reduce_1d<T, F, O>(&self, n: usize, profile: &KernelProfile, f: F, op: O) -> T
@@ -673,19 +657,16 @@ mod tests {
     use racc_gpusim::profiles;
 
     fn backend() -> SimBackend {
-        SimBackend::new(
-            Arc::new(Device::new(profiles::test_device())),
-            SimBackendConfig {
-                key: "testsim",
-                ..SimBackendConfig::default()
-            },
-        )
+        SimBackend::stock(&Vendor {
+            key: "testsim",
+            ..Vendor::default()
+        })
     }
 
     fn a100_backend() -> SimBackend {
         SimBackend::new(
             Arc::new(Device::new(profiles::nvidia_a100())),
-            SimBackendConfig::default(),
+            &Vendor::default(),
         )
     }
 
@@ -830,9 +811,9 @@ mod tests {
         assert_eq!(b.reduce_block(), 64);
         let b2 = SimBackend::new(
             Arc::new(Device::new(profiles::nvidia_a100())),
-            SimBackendConfig {
+            &Vendor {
                 reduce_block: 500, // not a power of two
-                ..SimBackendConfig::default()
+                ..Vendor::default()
             },
         );
         assert_eq!(b2.reduce_block(), 256);

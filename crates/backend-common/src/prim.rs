@@ -435,11 +435,11 @@ impl SimBackend {
         _geometry: (u64, u64),
         kernels_ns: f64,
     ) {
-        let total = kernels_ns * self.config.reduce_time_factor + self.config.racc_launch_extra_ns;
+        let total = kernels_ns * self.vendor.reduce_time_factor + self.vendor.racc_launch_extra_ns;
         self.timeline.charge_launch(total);
         #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
-            Span::new(self.config.key, ConstructKind::Prim, _profile.name)
+            Span::new(self.vendor.key, ConstructKind::Prim, _profile.name)
                 .dims(_dims[0], _dims[1], _dims[2])
                 .geometry(_geometry.0, _geometry.1)
                 .profile(_profile.flops_per_iter, _profile.bytes_per_iter())

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use racc_backend_common::{SimBackend, SimBackendConfig};
+use racc_backend_common::{SimBackend, Vendor};
 use racc_core::{Backend, KernelProfile, Max, Min, Sum};
 use racc_gpusim::{profiles, Device, DeviceSpec};
 
@@ -59,9 +59,9 @@ fn parallel_reduce_bits_match_the_full_visit_executor() {
         let dev = Arc::new(Device::new(spec));
         let b = SimBackend::new(
             dev,
-            SimBackendConfig {
+            &Vendor {
                 key,
-                ..SimBackendConfig::default()
+                ..Vendor::default()
             },
         );
         for (n, want) in SIZES.iter().zip(EXPECT) {
@@ -80,9 +80,9 @@ fn tree_kernels_are_clean_under_the_sanitizer() {
         dev.set_sanitizer(true);
         let b = SimBackend::new(
             Arc::clone(&dev),
-            SimBackendConfig {
+            &Vendor {
                 key,
-                ..SimBackendConfig::default()
+                ..Vendor::default()
             },
         );
         for (n, want) in SIZES.iter().zip(EXPECT).take(4) {

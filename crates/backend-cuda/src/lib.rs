@@ -1,237 +1,37 @@
 //! # racc-backend-cuda
 //!
 //! The RACC back end for (simulated) NVIDIA GPUs — the analog of JACC's
-//! CUDA.jl back end (paper Fig. 6). A thin wrapper around
-//! [`racc_backend_common::SimBackend`] configured with:
+//! CUDA.jl back end (paper Fig. 6). A vendor is data: this crate is the
+//! [`CUDA`] description the shared [`racc_backend_common::SimBackend`]
+//! launches by —
 //!
 //! * the A100 device profile (Perlmutter's accelerator),
 //! * the paper's launch geometry: 1D blocks of
 //!   `min(N, maxPossibleThreads)` threads, 16x16 2D tiles,
 //! * 512-thread two-kernel reductions (Fig. 3).
+//!
+//! To share a device with CUDA-flavored code (device-specific benchmark
+//! kernels and RACC constructs then accumulate on one clock), build with
+//! `SimBackend::new(cuda.device_arc(), &CUDA)`.
 
-use std::sync::Arc;
+use racc_backend_common::{SimBackend, Vendor};
+use racc_gpusim::profiles;
 
-use racc_backend_common::{SimBackend, SimBackendConfig};
-use racc_core::{
-    AccScalar, Backend, DeviceToken, FaultEvent, FaultPlan, KernelProfile, RaccError, ReduceOp,
-    RetryPolicy, Timeline,
+/// The CUDA vendor description.
+pub const CUDA: Vendor = Vendor {
+    key: "cudasim",
+    stock_device: profiles::nvidia_a100,
+    tile_2d: (16, 16),
+    tile_3d: (8, 8, 4),
+    reduce_block: 512,
+    racc_launch_extra_ns: 1_200.0,
+    reduce_time_factor: 1.0,
 };
-use racc_cudasim::Cuda;
-use racc_gpusim::Device;
 
-/// The CUDA-flavored RACC back end.
-pub struct CudaBackend {
-    inner: SimBackend,
-}
+/// The CUDA-flavored RACC back end: a [`SimBackend`] launching by [`CUDA`].
+pub type CudaBackend = SimBackend;
 
-impl Default for CudaBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CudaBackend {
-    /// A backend on a fresh simulated A100.
-    pub fn new() -> Self {
-        Self::from_cuda(&Cuda::new())
-    }
-
-    /// Share a device with existing CUDA-flavored code (device-specific
-    /// benchmark kernels and RACC constructs then accumulate on one clock).
-    pub fn from_cuda(cuda: &Cuda) -> Self {
-        Self::from_device(cuda.device_arc())
-    }
-
-    /// Wrap an arbitrary simulator device.
-    pub fn from_device(device: Arc<Device>) -> Self {
-        CudaBackend {
-            inner: SimBackend::new(device, Self::config()),
-        }
-    }
-
-    /// The CUDA back-end configuration.
-    pub fn config() -> SimBackendConfig {
-        SimBackendConfig {
-            key: "cudasim",
-            tile_2d: (16, 16),
-            tile_3d: (8, 8, 4),
-            reduce_block: 512,
-            racc_launch_extra_ns: 1_200.0,
-            reduce_time_factor: 1.0,
-        }
-    }
-
-    /// The underlying simulator device.
-    pub fn device(&self) -> &Arc<Device> {
-        self.inner.device()
-    }
-}
-
-impl Backend for CudaBackend {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn key(&self) -> &'static str {
-        self.inner.key()
-    }
-    fn is_accelerator(&self) -> bool {
-        true
-    }
-    fn timeline(&self) -> &Timeline {
-        self.inner.timeline()
-    }
-    fn set_sanitizer(&self, enabled: bool) -> bool {
-        self.inner.set_sanitizer(enabled)
-    }
-    fn sanitizer_report(&self) -> Option<String> {
-        self.inner.sanitizer_report()
-    }
-    fn steal_stats(&self) -> Option<racc_core::StealStats> {
-        self.inner.steal_stats()
-    }
-    fn set_chaos(&self, plan: FaultPlan) -> bool {
-        self.inner.set_chaos(plan)
-    }
-    fn set_retry(&self, policy: RetryPolicy) -> bool {
-        self.inner.set_retry(policy)
-    }
-    fn fault_log(&self) -> Vec<FaultEvent> {
-        self.inner.fault_log()
-    }
-    fn self_check(&self) -> Result<(), RaccError> {
-        self.inner.self_check()
-    }
-    fn on_alloc(&self, bytes: usize, upload: bool) -> Result<DeviceToken, RaccError> {
-        self.inner.on_alloc(bytes, upload)
-    }
-    fn on_download(&self, bytes: usize) {
-        self.inner.on_download(bytes)
-    }
-    fn parallel_for_1d<F: Fn(usize) + Sync>(&self, n: usize, p: &KernelProfile, f: F) {
-        self.inner.parallel_for_1d(n, p, f)
-    }
-    fn parallel_for_2d<F: Fn(usize, usize) + Sync>(
-        &self,
-        m: usize,
-        n: usize,
-        p: &KernelProfile,
-        f: F,
-    ) {
-        self.inner.parallel_for_2d(m, n, p, f)
-    }
-    fn parallel_for_3d<F: Fn(usize, usize, usize) + Sync>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        p: &KernelProfile,
-        f: F,
-    ) {
-        self.inner.parallel_for_3d(m, n, l, p, f)
-    }
-    fn parallel_reduce_1d<T, F, O>(&self, n: usize, p: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_1d(n, p, f, op)
-    }
-    fn parallel_reduce_2d<T, F, O>(&self, m: usize, n: usize, p: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_2d(m, n, p, f, op)
-    }
-    fn parallel_reduce_3d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        p: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_3d(m, n, l, p, f, op)
-    }
-    fn prim_scan_1d<T, F, W, O>(
-        &self,
-        n: usize,
-        inclusive: bool,
-        p: &KernelProfile,
-        read: F,
-        write: W,
-        op: O,
-    ) where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        W: Fn(usize, T) + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.prim_scan_1d(n, inclusive, p, read, write, op)
-    }
-    fn prim_histogram_1d<F, W>(&self, n: usize, bins: usize, p: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> usize + Sync,
-        W: Fn(usize, u64) + Sync,
-    {
-        self.inner.prim_histogram_1d(n, bins, p, key, write)
-    }
-    fn prim_sort_pairs_1d<F, W>(&self, n: usize, key_bits: u32, p: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> u64 + Sync,
-        W: Fn(usize, usize) + Sync,
-    {
-        self.inner.prim_sort_pairs_1d(n, key_bits, p, key, write)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use racc_core::Context;
-
-    #[test]
-    fn identity() {
-        let b = CudaBackend::new();
-        assert_eq!(b.key(), "cudasim");
-        assert!(b.is_accelerator());
-        assert!(b.name().contains("A100"));
-    }
-
-    #[test]
-    fn axpy_dot_through_context() {
-        let ctx = Context::new(CudaBackend::new());
-        let n = 50_000usize;
-        let x = ctx.array_from_fn(n, |i| i as f64).unwrap();
-        let y = ctx.array_from_fn(n, |_| 2.0f64).unwrap();
-        let (xv, yv) = (x.view_mut(), y.view());
-        ctx.parallel_for(n, &KernelProfile::axpy(), move |i| {
-            xv.set(i, xv.get(i) + 0.5 * yv.get(i));
-        });
-        let xv = x.view();
-        let total: f64 = ctx.parallel_reduce(n, &KernelProfile::dot(), move |i| xv.get(i));
-        let expect = (0..n).map(|i| i as f64 + 1.0).sum::<f64>();
-        assert!((total - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn shares_device_with_vendor_api() {
-        let cuda = Cuda::new();
-        let b = CudaBackend::from_cuda(&cuda);
-        let clock0 = cuda.clock_ns();
-        let ctx = Context::new(b);
-        ctx.parallel_for(1024, &KernelProfile::axpy(), |_| {});
-        assert!(
-            cuda.clock_ns() > clock0,
-            "RACC launch advances the shared vendor clock"
-        );
-    }
+/// A backend on a fresh simulated A100.
+pub fn cuda_backend() -> CudaBackend {
+    SimBackend::stock(&CUDA)
 }

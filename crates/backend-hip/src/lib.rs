@@ -1,242 +1,35 @@
 //! # racc-backend-hip
 //!
 //! The RACC back end for (simulated) AMD GPUs — the analog of JACC's
-//! AMDGPU.jl back end. A thin wrapper around
-//! [`racc_backend_common::SimBackend`] configured with:
+//! AMDGPU.jl back end. A vendor is data: this crate is the [`HIP`]
+//! description the shared [`racc_backend_common::SimBackend`] launches by —
 //!
 //! * the MI100 device profile (the paper's AMD accelerator),
 //! * wavefront-64 friendly launch geometry (the reduction block of 512 is
 //!   eight full wavefronts),
 //! * the paper's 16x16 2D tiles and two-kernel reductions.
+//!
+//! To share a device with HIP-flavored code, build with
+//! `SimBackend::new(hip.device_arc(), &HIP)`.
 
-use std::sync::Arc;
+use racc_backend_common::{SimBackend, Vendor};
+use racc_gpusim::profiles;
 
-use racc_backend_common::{SimBackend, SimBackendConfig};
-use racc_core::{
-    AccScalar, Backend, DeviceToken, FaultEvent, FaultPlan, KernelProfile, RaccError, ReduceOp,
-    RetryPolicy, Timeline,
+/// The HIP vendor description.
+pub const HIP: Vendor = Vendor {
+    key: "hipsim",
+    stock_device: profiles::amd_mi100,
+    tile_2d: (16, 16),
+    tile_3d: (8, 8, 4),
+    reduce_block: 512,
+    racc_launch_extra_ns: 1_500.0,
+    reduce_time_factor: 1.0,
 };
-use racc_gpusim::Device;
-use racc_hipsim::Hip;
 
-/// The HIP-flavored RACC back end.
-pub struct HipBackend {
-    inner: SimBackend,
-}
+/// The HIP-flavored RACC back end: a [`SimBackend`] launching by [`HIP`].
+pub type HipBackend = SimBackend;
 
-impl Default for HipBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HipBackend {
-    /// A backend on a fresh simulated MI100.
-    pub fn new() -> Self {
-        Self::from_hip(&Hip::new())
-    }
-
-    /// Share a device with existing HIP-flavored code.
-    pub fn from_hip(hip: &Hip) -> Self {
-        Self::from_device(hip.device_arc())
-    }
-
-    /// Wrap an arbitrary simulator device.
-    pub fn from_device(device: Arc<Device>) -> Self {
-        HipBackend {
-            inner: SimBackend::new(device, Self::config()),
-        }
-    }
-
-    /// The HIP back-end configuration.
-    pub fn config() -> SimBackendConfig {
-        SimBackendConfig {
-            key: "hipsim",
-            tile_2d: (16, 16),
-            tile_3d: (8, 8, 4),
-            reduce_block: 512,
-            racc_launch_extra_ns: 1_500.0,
-            reduce_time_factor: 1.0,
-        }
-    }
-
-    /// The underlying simulator device.
-    pub fn device(&self) -> &Arc<Device> {
-        self.inner.device()
-    }
-}
-
-impl Backend for HipBackend {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn key(&self) -> &'static str {
-        self.inner.key()
-    }
-    fn is_accelerator(&self) -> bool {
-        true
-    }
-    fn timeline(&self) -> &Timeline {
-        self.inner.timeline()
-    }
-    fn set_sanitizer(&self, enabled: bool) -> bool {
-        self.inner.set_sanitizer(enabled)
-    }
-    fn sanitizer_report(&self) -> Option<String> {
-        self.inner.sanitizer_report()
-    }
-    fn steal_stats(&self) -> Option<racc_core::StealStats> {
-        self.inner.steal_stats()
-    }
-    fn set_chaos(&self, plan: FaultPlan) -> bool {
-        self.inner.set_chaos(plan)
-    }
-    fn set_retry(&self, policy: RetryPolicy) -> bool {
-        self.inner.set_retry(policy)
-    }
-    fn fault_log(&self) -> Vec<FaultEvent> {
-        self.inner.fault_log()
-    }
-    fn self_check(&self) -> Result<(), RaccError> {
-        self.inner.self_check()
-    }
-    fn on_alloc(&self, bytes: usize, upload: bool) -> Result<DeviceToken, RaccError> {
-        self.inner.on_alloc(bytes, upload)
-    }
-    fn on_download(&self, bytes: usize) {
-        self.inner.on_download(bytes)
-    }
-    fn parallel_for_1d<F: Fn(usize) + Sync>(&self, n: usize, p: &KernelProfile, f: F) {
-        self.inner.parallel_for_1d(n, p, f)
-    }
-    fn parallel_for_2d<F: Fn(usize, usize) + Sync>(
-        &self,
-        m: usize,
-        n: usize,
-        p: &KernelProfile,
-        f: F,
-    ) {
-        self.inner.parallel_for_2d(m, n, p, f)
-    }
-    fn parallel_for_3d<F: Fn(usize, usize, usize) + Sync>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        p: &KernelProfile,
-        f: F,
-    ) {
-        self.inner.parallel_for_3d(m, n, l, p, f)
-    }
-    fn parallel_reduce_1d<T, F, O>(&self, n: usize, p: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_1d(n, p, f, op)
-    }
-    fn parallel_reduce_2d<T, F, O>(&self, m: usize, n: usize, p: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_2d(m, n, p, f, op)
-    }
-    fn parallel_reduce_3d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        p: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_3d(m, n, l, p, f, op)
-    }
-    fn prim_scan_1d<T, F, W, O>(
-        &self,
-        n: usize,
-        inclusive: bool,
-        p: &KernelProfile,
-        read: F,
-        write: W,
-        op: O,
-    ) where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        W: Fn(usize, T) + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.prim_scan_1d(n, inclusive, p, read, write, op)
-    }
-    fn prim_histogram_1d<F, W>(&self, n: usize, bins: usize, p: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> usize + Sync,
-        W: Fn(usize, u64) + Sync,
-    {
-        self.inner.prim_histogram_1d(n, bins, p, key, write)
-    }
-    fn prim_sort_pairs_1d<F, W>(&self, n: usize, key_bits: u32, p: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> u64 + Sync,
-        W: Fn(usize, usize) + Sync,
-    {
-        self.inner.prim_sort_pairs_1d(n, key_bits, p, key, write)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use racc_core::Context;
-
-    #[test]
-    fn identity() {
-        let b = HipBackend::new();
-        assert_eq!(b.key(), "hipsim");
-        assert!(b.is_accelerator());
-        assert!(b.name().contains("MI100"));
-    }
-
-    #[test]
-    fn lbm_style_2d_stencil_runs() {
-        // A guard-heavy 2D kernel like the paper's LBM: interior update.
-        let ctx = Context::new(HipBackend::new());
-        let s = 64usize;
-        let f = ctx.array2_from_fn(s, s, |i, j| (i + j) as f64).unwrap();
-        let out = ctx.zeros2::<f64>(s, s).unwrap();
-        let (fv, ov) = (f.view(), out.view_mut());
-        ctx.parallel_for_2d((s, s), &KernelProfile::unknown(), move |x, y| {
-            if x > 0 && x < s - 1 && y > 0 && y < s - 1 {
-                let avg =
-                    (fv.get(x - 1, y) + fv.get(x + 1, y) + fv.get(x, y - 1) + fv.get(x, y + 1))
-                        / 4.0;
-                ov.set(x, y, avg);
-            }
-        });
-        let host = ctx.to_host2(&out).unwrap();
-        // interior (1,1): neighbors sum = (0+1)+(2+1)+(1+0)+(1+2) = wait,
-        // compute directly: f(i,j) = i+j, so avg of 4 neighbors of (1,1) is
-        // ((0+1)+(2+1)+(1+0)+(1+2))/4 = 2.0 = f(1,1).
-        assert_eq!(host[s + 1], 2.0);
-        assert_eq!(host[0], 0.0, "boundary untouched");
-    }
-
-    #[test]
-    fn reduce_on_wavefront_device() {
-        let ctx = Context::new(HipBackend::new());
-        let n = 12_345usize;
-        let x = ctx.array_from_fn(n, |i| (i % 3) as f64).unwrap();
-        let xv = x.view();
-        let s: f64 = ctx.parallel_reduce(n, &KernelProfile::dot(), move |i| xv.get(i));
-        let expect: f64 = (0..n).map(|i| (i % 3) as f64).sum();
-        assert_eq!(s, expect);
-    }
+/// A backend on a fresh simulated MI100.
+pub fn hip_backend() -> HipBackend {
+    SimBackend::stock(&HIP)
 }

@@ -1,8 +1,9 @@
 //! # racc-backend-oneapi
 //!
 //! The RACC back end for (simulated) Intel GPUs — the analog of JACC's
-//! oneAPI.jl back end (paper Fig. 7). A thin wrapper around
-//! [`racc_backend_common::SimBackend`] configured with:
+//! oneAPI.jl back end (paper Fig. 7). A vendor is data: this crate is the
+//! [`ONEAPI`] description the shared [`racc_backend_common::SimBackend`]
+//! launches by —
 //!
 //! * the Data Center Max 1550 device profile (Aurora's accelerator),
 //! * items/groups geometry with `maxTotalGroupSize`-bounded 1D launches and
@@ -12,249 +13,29 @@
 //!   ends, which is the whole point of the portability layer),
 //! * a 1.35x modeled penalty on reductions, reproducing the ~35% overhead
 //!   the paper reports for JACC DOT on the Intel GPU (section V-A).
+//!
+//! To share a device with oneAPI-flavored code, build with
+//! `SimBackend::new(one.device_arc(), &ONEAPI)`.
 
-use std::sync::Arc;
+use racc_backend_common::{SimBackend, Vendor};
+use racc_gpusim::profiles;
 
-use racc_backend_common::{SimBackend, SimBackendConfig};
-use racc_core::{
-    AccScalar, Backend, DeviceToken, FaultEvent, FaultPlan, KernelProfile, RaccError, ReduceOp,
-    RetryPolicy, Timeline,
+/// The oneAPI vendor description.
+pub const ONEAPI: Vendor = Vendor {
+    key: "oneapisim",
+    stock_device: profiles::intel_max1550,
+    tile_2d: (16, 16),
+    tile_3d: (8, 8, 4),
+    reduce_block: 512,
+    racc_launch_extra_ns: 1_500.0,
+    reduce_time_factor: 1.35,
 };
-use racc_gpusim::Device;
-use racc_oneapisim::OneApi;
 
-/// The oneAPI-flavored RACC back end.
-pub struct OneApiBackend {
-    inner: SimBackend,
-}
+/// The oneAPI-flavored RACC back end: a [`SimBackend`] launching by
+/// [`ONEAPI`].
+pub type OneApiBackend = SimBackend;
 
-impl Default for OneApiBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OneApiBackend {
-    /// A backend on a fresh simulated Max 1550.
-    pub fn new() -> Self {
-        Self::from_oneapi(&OneApi::new())
-    }
-
-    /// Share a device with existing oneAPI-flavored code.
-    pub fn from_oneapi(one: &OneApi) -> Self {
-        Self::from_device(one.device_arc())
-    }
-
-    /// Wrap an arbitrary simulator device.
-    pub fn from_device(device: Arc<Device>) -> Self {
-        OneApiBackend {
-            inner: SimBackend::new(device, Self::config()),
-        }
-    }
-
-    /// The oneAPI back-end configuration.
-    pub fn config() -> SimBackendConfig {
-        SimBackendConfig {
-            key: "oneapisim",
-            tile_2d: (16, 16),
-            tile_3d: (8, 8, 4),
-            reduce_block: 512,
-            racc_launch_extra_ns: 1_500.0,
-            reduce_time_factor: 1.35,
-        }
-    }
-
-    /// The underlying simulator device.
-    pub fn device(&self) -> &Arc<Device> {
-        self.inner.device()
-    }
-}
-
-impl Backend for OneApiBackend {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn key(&self) -> &'static str {
-        self.inner.key()
-    }
-    fn is_accelerator(&self) -> bool {
-        true
-    }
-    fn timeline(&self) -> &Timeline {
-        self.inner.timeline()
-    }
-    fn set_sanitizer(&self, enabled: bool) -> bool {
-        self.inner.set_sanitizer(enabled)
-    }
-    fn sanitizer_report(&self) -> Option<String> {
-        self.inner.sanitizer_report()
-    }
-    fn steal_stats(&self) -> Option<racc_core::StealStats> {
-        self.inner.steal_stats()
-    }
-    fn set_chaos(&self, plan: FaultPlan) -> bool {
-        self.inner.set_chaos(plan)
-    }
-    fn set_retry(&self, policy: RetryPolicy) -> bool {
-        self.inner.set_retry(policy)
-    }
-    fn fault_log(&self) -> Vec<FaultEvent> {
-        self.inner.fault_log()
-    }
-    fn self_check(&self) -> Result<(), RaccError> {
-        self.inner.self_check()
-    }
-    fn on_alloc(&self, bytes: usize, upload: bool) -> Result<DeviceToken, RaccError> {
-        self.inner.on_alloc(bytes, upload)
-    }
-    fn on_download(&self, bytes: usize) {
-        self.inner.on_download(bytes)
-    }
-    fn parallel_for_1d<F: Fn(usize) + Sync>(&self, n: usize, p: &KernelProfile, f: F) {
-        self.inner.parallel_for_1d(n, p, f)
-    }
-    fn parallel_for_2d<F: Fn(usize, usize) + Sync>(
-        &self,
-        m: usize,
-        n: usize,
-        p: &KernelProfile,
-        f: F,
-    ) {
-        self.inner.parallel_for_2d(m, n, p, f)
-    }
-    fn parallel_for_3d<F: Fn(usize, usize, usize) + Sync>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        p: &KernelProfile,
-        f: F,
-    ) {
-        self.inner.parallel_for_3d(m, n, l, p, f)
-    }
-    fn parallel_reduce_1d<T, F, O>(&self, n: usize, p: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_1d(n, p, f, op)
-    }
-    fn parallel_reduce_2d<T, F, O>(&self, m: usize, n: usize, p: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_2d(m, n, p, f, op)
-    }
-    fn parallel_reduce_3d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        p: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.parallel_reduce_3d(m, n, l, p, f, op)
-    }
-    fn prim_scan_1d<T, F, W, O>(
-        &self,
-        n: usize,
-        inclusive: bool,
-        p: &KernelProfile,
-        read: F,
-        write: W,
-        op: O,
-    ) where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        W: Fn(usize, T) + Sync,
-        O: ReduceOp<T>,
-    {
-        self.inner.prim_scan_1d(n, inclusive, p, read, write, op)
-    }
-    fn prim_histogram_1d<F, W>(&self, n: usize, bins: usize, p: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> usize + Sync,
-        W: Fn(usize, u64) + Sync,
-    {
-        self.inner.prim_histogram_1d(n, bins, p, key, write)
-    }
-    fn prim_sort_pairs_1d<F, W>(&self, n: usize, key_bits: u32, p: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> u64 + Sync,
-        W: Fn(usize, usize) + Sync,
-    {
-        self.inner.prim_sort_pairs_1d(n, key_bits, p, key, write)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use racc_core::Context;
-
-    #[test]
-    fn identity() {
-        let b = OneApiBackend::new();
-        assert_eq!(b.key(), "oneapisim");
-        assert!(b.is_accelerator());
-        assert!(b.name().contains("Max 1550"));
-    }
-
-    #[test]
-    fn same_racc_code_runs_unchanged() {
-        // Portability: the identical closure used on other back ends.
-        let ctx = Context::new(OneApiBackend::new());
-        let n = 10_000usize;
-        let x = ctx.array_from_fn(n, |i| i as f64).unwrap();
-        let y = ctx.array_from_fn(n, |_| 1.0f64).unwrap();
-        let (xv, yv) = (x.view_mut(), y.view());
-        ctx.parallel_for(n, &KernelProfile::axpy(), move |i| {
-            xv.set(i, xv.get(i) + 2.0 * yv.get(i));
-        });
-        let host = ctx.to_host(&x).unwrap();
-        assert_eq!(host[10], 12.0);
-    }
-
-    #[test]
-    fn reduce_penalty_is_modeled() {
-        // The Intel back end charges 1.35x on the reduction kernels; for the
-        // same size, its modeled DOT must cost more relative to its AXPY
-        // than on the CUDA back end.
-        let one = Context::new(OneApiBackend::new());
-        let cuda = Context::new(racc_backend_cuda::CudaBackend::new());
-        let n = 1 << 20;
-        let ratio = |ctx: &dyn Fn() -> (u64, u64)| ctx();
-        let measure = |key: &str| -> f64 {
-            let (ctx_for, ctx_red) = match key {
-                "one" => {
-                    one.reset_timeline();
-                    one.parallel_for(n, &KernelProfile::axpy(), |_| {});
-                    let t_for = one.modeled_ns();
-                    one.reset_timeline();
-                    let _: f64 = one.parallel_reduce(n, &KernelProfile::dot(), |_| 1.0);
-                    (t_for, one.modeled_ns())
-                }
-                _ => {
-                    cuda.reset_timeline();
-                    cuda.parallel_for(n, &KernelProfile::axpy(), |_| {});
-                    let t_for = cuda.modeled_ns();
-                    cuda.reset_timeline();
-                    let _: f64 = cuda.parallel_reduce(n, &KernelProfile::dot(), |_| 1.0);
-                    (t_for, cuda.modeled_ns())
-                }
-            };
-            let _ = ratio;
-            ctx_red as f64 / ctx_for as f64
-        };
-        assert!(measure("one") > measure("cuda"));
-    }
+/// A backend on a fresh simulated Max 1550.
+pub fn oneapi_backend() -> OneApiBackend {
+    SimBackend::stock(&ONEAPI)
 }

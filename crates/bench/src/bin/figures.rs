@@ -1563,7 +1563,7 @@ fn bench_shard() {
 /// admission and batching counters). `RACC_BENCH_QUICK=1` shrinks the
 /// load; `RACC_SERVE_LOAD=<k>` scales the job counts.
 fn bench_serve() {
-    use racc_backend_cuda::CudaBackend;
+    use racc_backend_cuda::{cuda_backend, CudaBackend};
     use racc_core::{Backend, Context, RaccError, RetryPolicy};
     use racc_fuse::{lit, load, LazyExt};
     use racc_serve::{job_fn, JobCtx, Server, ServerOptions, TenantConfig};
@@ -1657,7 +1657,7 @@ fn bench_serve() {
     let reference: Vec<u64> = mix
         .iter()
         .map(|&(_, _, n, alpha, _, _, _)| {
-            let ctx = Context::new(CudaBackend::new());
+            let ctx = Context::new(cuda_backend());
             cg_value(&ctx, None, n, alpha)
                 .expect("solo reference")
                 .to_bits()
@@ -1702,7 +1702,7 @@ fn bench_serve() {
                 },
             );
         }
-        let server = Server::start(options, |_device| Context::new(CudaBackend::new()));
+        let server = Server::start(options, |_device| Context::new(cuda_backend()));
 
         let mut handles = Vec::new();
         for (kind, &(tenant, _, n, alpha, shape, jobs, rate_ns)) in mix.iter().enumerate() {

@@ -291,7 +291,7 @@ impl FaultPlan {
     /// behavior silently, but it must not abort a run either.
     pub fn from_env() -> Option<FaultPlan> {
         let raw = std::env::var("RACC_CHAOS").ok()?;
-        if matches!(raw.trim(), "" | "0" | "false" | "off") {
+        if !truthy(Some(&raw)) {
             return None;
         }
         match FaultPlan::parse(&raw) {
@@ -453,16 +453,21 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Unified truthy env-flag parsing: a flag is **on** iff the variable is
-/// set to anything other than `""`, `"0"`, `"false"`, or `"off"`
-/// (match is exact after trimming; unset and non-UTF-8 are off). Used by
+/// The one truthy rule every `RACC_*` flag shares: a value is **on** iff
+/// it is set to anything other than `""`, `"0"`, `"false"`, or `"off"`
+/// (match is exact after trimming; unset is off).
+pub fn truthy(value: Option<&str>) -> bool {
+    match value {
+        Some(v) => !matches!(v.trim(), "" | "0" | "false" | "off"),
+        None => false,
+    }
+}
+
+/// [`truthy`] of an environment variable (non-UTF-8 is off). Used by
 /// `RACC_FUSION`, `RACC_SANITIZER`, and `RACC_CHAOS` so the knobs agree
 /// on what "on" means.
 pub fn env_flag(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "" | "0" | "false" | "off"),
-        Err(_) => false,
-    }
+    truthy(std::env::var(name).ok().as_deref())
 }
 
 #[cfg(test)]

@@ -7,9 +7,12 @@
 //! |---|---|---|
 //! | [`crate::SerialBackend`]  | racc-core | (baseline) |
 //! | [`crate::ThreadsBackend`] | racc-core | `Base.Threads` |
-//! | `CudaBackend`             | racc-backend-cuda | `CUDA.jl` |
-//! | `HipBackend`              | racc-backend-hip | `AMDGPU.jl` |
-//! | `OneApiBackend`           | racc-backend-oneapi | `oneAPI.jl` |
+//! | `SimBackend` by `CUDA`    | racc-backend-common, described by racc-backend-cuda | `CUDA.jl` |
+//! | `SimBackend` by `HIP`     | racc-backend-common, described by racc-backend-hip | `AMDGPU.jl` |
+//! | `SimBackend` by `ONEAPI`  | racc-backend-common, described by racc-backend-oneapi | `oneAPI.jl` |
+//!
+//! The three simulated-GPU rows are one type: a vendor is a value the
+//! simulator back end reads per launch, not a `Backend` implementation.
 //!
 //! The trait's kernel methods are generic (monomorphized per kernel), so the
 //! portability layer adds no virtual dispatch on the hot path — the property

@@ -1,25 +1,21 @@
 //! Typed runtime configuration, parsed from the environment **once** per
 //! [`Context`](crate::Context) construction.
 //!
-//! Before this module each subsystem consulted its own knob ad hoc —
-//! `racc_chaos::env_flag("RACC_FUSION")` in the context, a second
-//! `RACC_SANITIZER` probe inside the simulator device, a third
-//! `FaultPlan::from_env()` call for chaos — which made it easy for a new
-//! knob to invent its own truthiness rules. [`RuntimeConfig::from_env`]
-//! now parses every `RACC_*` knob in one place with one shared falsy set
-//! (`""`, `"0"`, `"false"`, `"off"`, the [`racc_chaos::env_flag`]
-//! semantics), and `Context::new` consumes the result.
-//!
-//! One knob is deliberately *not applied* here: `RACC_SANITIZER` is
-//! honored by the simulator devices at device-creation time (before the
-//! `Context` exists), and [`ContextBuilder::sanitizer`] overrides run
-//! before `Context::new` too. The parsed value is still carried in
-//! [`RuntimeConfig::sanitizer`] so callers (e.g. `ctx.stats()` consumers)
-//! can see what the environment requested without re-probing.
-//!
-//! [`ContextBuilder::sanitizer`]: crate::ContextBuilder::sanitizer
+//! [`RuntimeConfig`] holds the knobs a [`Context`](crate::Context)
+//! consumes — `RACC_FUSION`, `RACC_CHAOS`, `RACC_PLAN_CACHE` — and nothing
+//! else: a knob belongs to the layer that acts on it. The thread pool
+//! reads `RACC_GRAIN` and `RACC_NUM_THREADS`, the simulator device reads
+//! `RACC_SANITIZER` when it is created (before any `Context` exists),
+//! `racc-shard` and `racc-serve` read their own `RACC_SHARD*` /
+//! `RACC_SERVE_*` defaults. What they share is the parsing rule, exported
+//! from here so no layer invents its own truthiness: [`truthy`] (the
+//! [`racc_chaos::env_flag`] falsy set `""`, `"0"`, `"false"`, `"off"`) and
+//! [`parse_positive`]. The README lists every variable, its reader and
+//! its default.
 
 use racc_chaos::FaultPlan;
+
+pub use racc_chaos::truthy;
 
 /// Default number of compiled fused programs retained per context when
 /// `RACC_PLAN_CACHE` is unset.
@@ -57,47 +53,17 @@ impl Default for PlanCacheMode {
     }
 }
 
-/// Every environment knob the runtime honors, parsed once.
+/// Every environment knob a [`Context`](crate::Context) honors, parsed
+/// once.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
     /// `RACC_FUSION` — advisory fused fast paths (see
     /// [`Context::fusion_enabled`](crate::Context::fusion_enabled)).
     pub fusion: bool,
-    /// `RACC_SANITIZER` — what the environment requested. Applied by the
-    /// simulator devices at creation, **not** re-applied by the context
-    /// (see the module docs).
-    pub sanitizer: bool,
     /// `RACC_CHAOS` — the fault plan, when armed with a valid spec.
     pub chaos: Option<FaultPlan>,
     /// `RACC_PLAN_CACHE` — plan-cache capacity or off.
     pub plan_cache: PlanCacheMode,
-    /// `RACC_GRAIN` — work-stealing tile grain override for
-    /// `Schedule::Dynamic { chunk: 0 }` launches (iterations per tile).
-    /// `None` when unset or unparsable; the thread pool reads the same
-    /// knob itself (`racc_threadpool::parse_grain`), this copy is for
-    /// introspection.
-    pub grain: Option<usize>,
-    /// `RACC_SHARDS` — default simulated-device count for the sharded
-    /// runner (`racc-shard`) when the caller does not pick one. `None`
-    /// when unset, zero, or unparsable.
-    pub shards: Option<usize>,
-    /// `RACC_SHARD_OVERLAP` — whether the sharded runner overlaps halo
-    /// exchange with interior compute on the modeled clock. `None` when
-    /// unset (the runner defaults to overlapping); `Some(false)` is the
-    /// A/B switch the scaling tables use.
-    pub shard_overlap: Option<bool>,
-    /// `RACC_SERVE_DEVICES` — default pool width for the serving layer
-    /// (`racc-serve`) when the caller does not pick one. `None` when
-    /// unset, zero, or unparsable.
-    pub serve_devices: Option<usize>,
-    /// `RACC_SERVE_BATCH` — cap on how many queued same-shape jobs the
-    /// server dispatches as one group. `None` when unset, zero, or
-    /// unparsable (the server defaults to 8).
-    pub serve_batch: Option<usize>,
-    /// `RACC_SERVE_QUEUE` — global submission-queue bound for the serving
-    /// layer's admission control. `None` when unset, zero, or unparsable
-    /// (the server defaults to 256).
-    pub serve_queue: Option<usize>,
 }
 
 impl RuntimeConfig {
@@ -112,39 +78,21 @@ impl RuntimeConfig {
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         RuntimeConfig {
             fusion: truthy(lookup("RACC_FUSION").as_deref()),
-            sanitizer: truthy(lookup("RACC_SANITIZER").as_deref()),
             chaos: lookup("RACC_CHAOS")
                 .as_deref()
                 .filter(|raw| truthy(Some(raw)))
                 .and_then(|raw| FaultPlan::parse(raw).ok()),
             plan_cache: parse_plan_cache(lookup("RACC_PLAN_CACHE").as_deref()),
-            grain: racc_threadpool::parse_grain(lookup("RACC_GRAIN").as_deref()),
-            shards: parse_positive(lookup("RACC_SHARDS").as_deref()),
-            shard_overlap: lookup("RACC_SHARD_OVERLAP")
-                .as_deref()
-                .map(|v| truthy(Some(v))),
-            serve_devices: parse_positive(lookup("RACC_SERVE_DEVICES").as_deref()),
-            serve_batch: parse_positive(lookup("RACC_SERVE_BATCH").as_deref()),
-            serve_queue: parse_positive(lookup("RACC_SERVE_QUEUE").as_deref()),
         }
     }
 }
 
-/// A positive integer, or `None` for unset/zero/garbage (a bad knob must
-/// never panic a working program).
-fn parse_positive(value: Option<&str>) -> Option<usize> {
+/// The shared positive-integer rule for count knobs: `None` for
+/// unset/zero/garbage (a bad knob must never panic a working program).
+pub fn parse_positive(value: Option<&str>) -> Option<usize> {
     value
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
-}
-
-/// The shared truthy rule: set and not one of the falsy strings. Matches
-/// [`racc_chaos::env_flag`] exactly.
-fn truthy(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !matches!(v.trim(), "" | "0" | "false" | "off"),
-        None => false,
-    }
 }
 
 /// `RACC_PLAN_CACHE`: unset → the default capacity; a falsy string or
@@ -179,7 +127,6 @@ mod tests {
     fn unset_environment_is_all_defaults() {
         let c = cfg(&[]);
         assert!(!c.fusion);
-        assert!(!c.sanitizer);
         assert!(c.chaos.is_none());
         assert_eq!(
             c.plan_cache,
@@ -192,12 +139,10 @@ mod tests {
         for falsy in ["", "0", "false", "off", " off ", " 0 "] {
             let c = cfg(&[
                 ("RACC_FUSION", falsy),
-                ("RACC_SANITIZER", falsy),
                 ("RACC_CHAOS", falsy),
                 ("RACC_PLAN_CACHE", falsy),
             ]);
             assert!(!c.fusion, "RACC_FUSION={falsy:?}");
-            assert!(!c.sanitizer, "RACC_SANITIZER={falsy:?}");
             assert!(c.chaos.is_none(), "RACC_CHAOS={falsy:?}");
             assert_eq!(
                 c.plan_cache,
@@ -210,62 +155,19 @@ mod tests {
     #[test]
     fn truthy_strings_enable_the_flags() {
         for on in ["1", "true", "on", "yes"] {
-            let c = cfg(&[("RACC_FUSION", on), ("RACC_SANITIZER", on)]);
+            let c = cfg(&[("RACC_FUSION", on)]);
             assert!(c.fusion, "RACC_FUSION={on:?}");
-            assert!(c.sanitizer, "RACC_SANITIZER={on:?}");
         }
     }
 
     #[test]
-    fn grain_parses_positive_integers_only() {
-        assert_eq!(cfg(&[]).grain, None);
-        assert_eq!(cfg(&[("RACC_GRAIN", "64")]).grain, Some(64));
-        assert_eq!(cfg(&[("RACC_GRAIN", " 8 ")]).grain, Some(8));
-        assert_eq!(cfg(&[("RACC_GRAIN", "0")]).grain, None);
-        assert_eq!(cfg(&[("RACC_GRAIN", "-3")]).grain, None);
-        assert_eq!(cfg(&[("RACC_GRAIN", "coarse")]).grain, None);
-    }
-
-    #[test]
-    fn shard_knobs_parse_counts_and_tristate_overlap() {
-        assert_eq!(cfg(&[]).shards, None);
-        assert_eq!(cfg(&[("RACC_SHARDS", "4")]).shards, Some(4));
-        assert_eq!(cfg(&[("RACC_SHARDS", " 8 ")]).shards, Some(8));
-        assert_eq!(cfg(&[("RACC_SHARDS", "0")]).shards, None);
-        assert_eq!(cfg(&[("RACC_SHARDS", "lots")]).shards, None);
-        assert_eq!(cfg(&[]).shard_overlap, None);
-        assert_eq!(
-            cfg(&[("RACC_SHARD_OVERLAP", "1")]).shard_overlap,
-            Some(true)
-        );
-        assert_eq!(
-            cfg(&[("RACC_SHARD_OVERLAP", "off")]).shard_overlap,
-            Some(false)
-        );
-    }
-
-    #[test]
-    fn serve_knobs_parse_positive_integers_only() {
-        let c = cfg(&[]);
-        assert_eq!(c.serve_devices, None);
-        assert_eq!(c.serve_batch, None);
-        assert_eq!(c.serve_queue, None);
-        let c = cfg(&[
-            ("RACC_SERVE_DEVICES", "4"),
-            ("RACC_SERVE_BATCH", " 16 "),
-            ("RACC_SERVE_QUEUE", "512"),
-        ]);
-        assert_eq!(c.serve_devices, Some(4));
-        assert_eq!(c.serve_batch, Some(16));
-        assert_eq!(c.serve_queue, Some(512));
-        let c = cfg(&[
-            ("RACC_SERVE_DEVICES", "0"),
-            ("RACC_SERVE_BATCH", "-2"),
-            ("RACC_SERVE_QUEUE", "plenty"),
-        ]);
-        assert_eq!(c.serve_devices, None);
-        assert_eq!(c.serve_batch, None);
-        assert_eq!(c.serve_queue, None);
+    fn positive_integers_only() {
+        assert_eq!(parse_positive(None), None);
+        assert_eq!(parse_positive(Some("64")), Some(64));
+        assert_eq!(parse_positive(Some(" 8 ")), Some(8));
+        assert_eq!(parse_positive(Some("0")), None);
+        assert_eq!(parse_positive(Some("-3")), None);
+        assert_eq!(parse_positive(Some("coarse")), None);
     }
 
     #[test]

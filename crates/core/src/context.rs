@@ -67,15 +67,14 @@ impl<B: Backend> Context<B> {
     pub fn new(backend: B) -> Self {
         // Direct construction honors the environment knobs so harnesses
         // (the CI `RACC_FUSION=1` and `RACC_CHAOS=<seed>` steps) reach
-        // every code path. All `RACC_*` knobs are parsed in one place —
-        // `racc::config` — exactly once per construction.
+        // every code path. The knobs a context consumes are parsed in one
+        // place — `racc_core::config` — exactly once per construction.
         Self::with_config(backend, RuntimeConfig::from_env())
     }
 
-    /// Construct from an already-parsed [`RuntimeConfig`]. Note that
-    /// `config.sanitizer` is *not* applied here: the simulator devices
-    /// honor `RACC_SANITIZER` at device creation, and builder overrides
-    /// run before this point (see `racc_core::config` docs).
+    /// Construct from an already-parsed [`RuntimeConfig`]. `RACC_SANITIZER`
+    /// is not in it: the simulator devices honor that knob at device
+    /// creation, and builder overrides run before this point.
     fn with_config(backend: B, config: RuntimeConfig) -> Self {
         // Env-armed chaos always comes with the default retry policy: the
         // env knob is a whole-suite soak, and without retries every
@@ -566,129 +565,45 @@ impl<B: Backend> Context<B> {
     }
 }
 
-/// Builder for a [`Context`] with construction-time observability options.
-/// Obtained from [`Context::builder`]; `build()` is infallible.
-///
-/// Options behind cargo features degrade to documented no-ops when the
-/// feature is off, so application code using the builder compiles under any
-/// feature set.
-pub struct ContextBuilder<B: Backend> {
-    backend: B,
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    trace: bool,
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    trace_capacity: usize,
-    #[cfg_attr(not(feature = "racecheck"), allow(dead_code))]
-    racecheck: Option<bool>,
-    sanitizer: Option<bool>,
-    fusion: Option<bool>,
-    plan_cache: Option<PlanCacheMode>,
-    chaos: Option<racc_chaos::FaultPlan>,
-    retry: Option<racc_chaos::RetryPolicy>,
+/// Everything [`ContextBuilder`] can set, as plain data: front ends that
+/// choose the backend at run time (`racc::ContextBuilder`) collect these
+/// before a backend exists and hand them over whole with
+/// [`ContextOptions::build`]. A `None` leaves the backend's (or the
+/// environment's) default in place; see the builder method of the same
+/// name for what each field does.
+#[derive(Debug, Clone, Default)]
+pub struct ContextOptions {
+    /// [`ContextBuilder::trace`].
+    pub trace: bool,
+    /// [`ContextBuilder::trace_capacity`]; `None` is
+    /// `racc_trace::DEFAULT_CAPACITY`.
+    pub trace_capacity: Option<usize>,
+    /// [`ContextBuilder::racecheck`].
+    pub racecheck: Option<bool>,
+    /// [`ContextBuilder::sanitizer`].
+    pub sanitizer: Option<bool>,
+    /// [`ContextBuilder::fusion`].
+    pub fusion: Option<bool>,
+    /// [`ContextBuilder::plan_cache`].
+    pub plan_cache: Option<PlanCacheMode>,
+    /// [`ContextBuilder::chaos`].
+    pub chaos: Option<racc_chaos::FaultPlan>,
+    /// [`ContextBuilder::retry`].
+    pub retry: Option<racc_chaos::RetryPolicy>,
 }
 
-impl<B: Backend> ContextBuilder<B> {
-    fn new(backend: B) -> Self {
-        ContextBuilder {
-            backend,
-            trace: false,
-            #[cfg(feature = "trace")]
-            trace_capacity: racc_trace::DEFAULT_CAPACITY,
-            #[cfg(not(feature = "trace"))]
-            trace_capacity: 0,
-            racecheck: None,
-            sanitizer: None,
-            fusion: None,
-            plan_cache: None,
-            chaos: None,
-            retry: None,
-        }
-    }
-
-    /// Attach a span recorder to the backend so every construct deposits
-    /// one `racc-trace` span. No-op unless the `trace` feature is compiled
-    /// in.
-    pub fn trace(mut self, enabled: bool) -> Self {
-        self.trace = enabled;
-        self
-    }
-
-    /// Ring capacity (spans retained) of the recorder created by
-    /// [`ContextBuilder::trace`]. Implies nothing on its own; the default
-    /// is `racc_trace::DEFAULT_CAPACITY`.
-    pub fn trace_capacity(mut self, spans: usize) -> Self {
-        self.trace_capacity = spans;
-        self
-    }
-
-    /// Switch the data-race checker on or off (process-global, like the
-    /// checker itself). Leaving it unset keeps the current state. No-op
-    /// unless the `racecheck` feature is compiled in.
-    pub fn racecheck(mut self, enabled: bool) -> Self {
-        self.racecheck = Some(enabled);
-        self
-    }
-
-    /// Switch the backend's dynamic sanitizer (`simsan`) on or off:
-    /// out-of-bounds, use-after-free, read-write race, barrier-divergence,
-    /// and leak checking. Leaving it unset keeps the backend's default
-    /// (simulator back ends also honor `RACC_SANITIZER=1`). A documented
-    /// no-op on back ends without sanitizer support — see
-    /// [`Backend::set_sanitizer`].
-    pub fn sanitizer(mut self, enabled: bool) -> Self {
-        self.sanitizer = Some(enabled);
-        self
-    }
-
-    /// Request (or veto) the fused fast paths of the expression layer
-    /// (`racc-fuse`) and its users. Leaving it unset defers to the
-    /// `RACC_FUSION` environment variable; off by default.
-    pub fn fusion(mut self, enabled: bool) -> Self {
-        self.fusion = Some(enabled);
-        self
-    }
-
-    /// Override the fused-plan cache mode (capacity or
-    /// [`PlanCacheMode::Off`]). Leaving it unset defers to the
-    /// `RACC_PLAN_CACHE` environment variable; the default retains
-    /// [`crate::config::DEFAULT_PLAN_CACHE_CAPACITY`] compiled programs.
-    pub fn plan_cache(mut self, mode: PlanCacheMode) -> Self {
-        self.plan_cache = Some(mode);
-        self
-    }
-
-    /// Arm deterministic fault injection (`racc-chaos`) on the backend
-    /// with `plan`. An explicit plan replaces whatever `RACC_CHAOS` armed
-    /// (fresh engine, fresh fault log) and does **not** imply a retry
-    /// policy — pair it with [`ContextBuilder::retry`] for recovery. A
-    /// documented no-op on back ends without injection support — see
-    /// [`Backend::set_chaos`].
-    pub fn chaos(mut self, plan: racc_chaos::FaultPlan) -> Self {
-        self.chaos = Some(plan);
-        self
-    }
-
-    /// Set the retry policy the backend applies to transient device faults
-    /// (injected faults, out-of-memory): bounded attempts with exponential
-    /// *modeled* backoff. Leaving it unset keeps the backend's default
-    /// (retries on when `RACC_CHAOS` armed the chaos engine, off
-    /// otherwise). No-op on back ends without retry support.
-    pub fn retry(mut self, policy: racc_chaos::RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Build the context, applying the selected options.
-    pub fn build(self) -> Context<B> {
+impl ContextOptions {
+    /// Build a context over `backend`, applying the selected options.
+    pub fn build<B: Backend>(self, backend: B) -> Context<B> {
         #[cfg(feature = "racecheck")]
         if let Some(enabled) = self.racecheck {
             crate::racecheck::set_enabled(enabled);
         }
         if let Some(enabled) = self.sanitizer {
-            self.backend.set_sanitizer(enabled);
+            backend.set_sanitizer(enabled);
         }
         #[allow(unused_mut)]
-        let mut ctx = Context::new(self.backend);
+        let mut ctx = Context::new(backend);
         // After Context::new, so an explicit plan overrides the env-armed
         // engine with a fresh one.
         if let Some(plan) = self.chaos {
@@ -708,11 +623,110 @@ impl<B: Backend> ContextBuilder<B> {
         }
         #[cfg(feature = "trace")]
         if self.trace {
-            let recorder = Arc::new(racc_trace::TraceRecorder::new(self.trace_capacity));
+            let capacity = self.trace_capacity.unwrap_or(racc_trace::DEFAULT_CAPACITY);
+            let recorder = Arc::new(racc_trace::TraceRecorder::new(capacity));
             ctx.backend.attach_tracer(&recorder);
             ctx.tracer = Some(recorder);
         }
         ctx
+    }
+}
+
+/// Builder for a [`Context`] with construction-time observability options.
+/// Obtained from [`Context::builder`]; `build()` is infallible.
+///
+/// Options behind cargo features degrade to documented no-ops when the
+/// feature is off, so application code using the builder compiles under any
+/// feature set.
+pub struct ContextBuilder<B: Backend> {
+    backend: B,
+    options: ContextOptions,
+}
+
+impl<B: Backend> ContextBuilder<B> {
+    fn new(backend: B) -> Self {
+        ContextBuilder {
+            backend,
+            options: ContextOptions::default(),
+        }
+    }
+
+    /// Attach a span recorder to the backend so every construct deposits
+    /// one `racc-trace` span. No-op unless the `trace` feature is compiled
+    /// in.
+    pub fn trace(mut self, enabled: bool) -> Self {
+        self.options.trace = enabled;
+        self
+    }
+
+    /// Ring capacity (spans retained) of the recorder created by
+    /// [`ContextBuilder::trace`]. Implies nothing on its own; the default
+    /// is `racc_trace::DEFAULT_CAPACITY`.
+    pub fn trace_capacity(mut self, spans: usize) -> Self {
+        self.options.trace_capacity = Some(spans);
+        self
+    }
+
+    /// Switch the data-race checker on or off (process-global, like the
+    /// checker itself). Leaving it unset keeps the current state. No-op
+    /// unless the `racecheck` feature is compiled in.
+    pub fn racecheck(mut self, enabled: bool) -> Self {
+        self.options.racecheck = Some(enabled);
+        self
+    }
+
+    /// Switch the backend's dynamic sanitizer (`simsan`) on or off:
+    /// out-of-bounds, use-after-free, read-write race, barrier-divergence,
+    /// and leak checking. Leaving it unset keeps the backend's default
+    /// (simulator back ends also honor `RACC_SANITIZER=1`). A documented
+    /// no-op on back ends without sanitizer support — see
+    /// [`Backend::set_sanitizer`].
+    pub fn sanitizer(mut self, enabled: bool) -> Self {
+        self.options.sanitizer = Some(enabled);
+        self
+    }
+
+    /// Request (or veto) the fused fast paths of the expression layer
+    /// (`racc-fuse`) and its users. Leaving it unset defers to the
+    /// `RACC_FUSION` environment variable; off by default.
+    pub fn fusion(mut self, enabled: bool) -> Self {
+        self.options.fusion = Some(enabled);
+        self
+    }
+
+    /// Override the fused-plan cache mode (capacity or
+    /// [`PlanCacheMode::Off`]). Leaving it unset defers to the
+    /// `RACC_PLAN_CACHE` environment variable; the default retains
+    /// [`crate::config::DEFAULT_PLAN_CACHE_CAPACITY`] compiled programs.
+    pub fn plan_cache(mut self, mode: PlanCacheMode) -> Self {
+        self.options.plan_cache = Some(mode);
+        self
+    }
+
+    /// Arm deterministic fault injection (`racc-chaos`) on the backend
+    /// with `plan`. An explicit plan replaces whatever `RACC_CHAOS` armed
+    /// (fresh engine, fresh fault log) and does **not** imply a retry
+    /// policy — pair it with [`ContextBuilder::retry`] for recovery. A
+    /// documented no-op on back ends without injection support — see
+    /// [`Backend::set_chaos`].
+    pub fn chaos(mut self, plan: racc_chaos::FaultPlan) -> Self {
+        self.options.chaos = Some(plan);
+        self
+    }
+
+    /// Set the retry policy the backend applies to transient device faults
+    /// (injected faults, out-of-memory): bounded attempts with exponential
+    /// *modeled* backoff. Leaving it unset keeps the backend's default
+    /// (retries on when `RACC_CHAOS` armed the chaos engine, off
+    /// otherwise). No-op on back ends without retry support.
+    pub fn retry(mut self, policy: racc_chaos::RetryPolicy) -> Self {
+        self.options.retry = Some(policy);
+        self
+    }
+
+    /// Build the context, applying the selected options.
+    pub fn build(self) -> Context<B> {
+        self.options.build(self.backend)
     }
 }
 

@@ -71,7 +71,7 @@ pub use backend::{Backend, DeviceToken};
 pub use config::{PlanCacheMode, RuntimeConfig};
 // Fault-injection vocabulary, re-exported so the portability layer and
 // applications can arm chaos without naming the substrate crate.
-pub use context::{Context, ContextBuilder};
+pub use context::{Context, ContextBuilder, ContextOptions};
 pub use cpumodel::CpuSpec;
 pub use error::RaccError;
 pub use profile::KernelProfile;

@@ -171,7 +171,7 @@ pub(crate) enum ENode {
     Unary(UnOp, crate::Expr),
     Binary(BinOp, crate::Expr, crate::Expr),
     /// The value stored by program statement `stmt` (what
-    /// [`Fused::assign`](crate::Fused::assign) returns). Inside the group
+    /// [`Lazy::assign`](crate::Lazy::assign) returns). Inside the group
     /// that executes `stmt` this *forwards* the in-register value; in any
     /// later group it degrades to a reload of the materialized
     /// destination.

@@ -432,24 +432,6 @@ impl<B: Backend> LazyExt<B> for Context<B> {
     }
 }
 
-/// The pre-0.2 name of [`Lazy`].
-#[deprecated(note = "renamed to `Lazy`; obtain one with `ctx.lazy()`")]
-pub type Fused<'c, B> = Lazy<'c, B>;
-
-/// The pre-0.2 spelling of [`LazyExt`]: `ctx.fused()`.
-#[deprecated(note = "use `LazyExt::lazy` (`ctx.lazy()`) instead")]
-pub trait FusedExt<B: Backend> {
-    /// Starts an empty fused program over this context.
-    fn fused(&self) -> Lazy<'_, B>;
-}
-
-#[allow(deprecated)]
-impl<B: Backend> FusedExt<B> for Context<B> {
-    fn fused(&self) -> Lazy<'_, B> {
-        Lazy::new(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,16 +732,5 @@ mod tests {
         let pc = ctx.stats().plan_cache;
         assert!(!pc.enabled);
         assert_eq!((pc.hits, pc.misses, pc.entries), (0, 2, 0), "{pc:?}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_fused_spelling_still_works() {
-        let ctx = ctx();
-        let x = ctx.array_from_fn(16, |i| i as f64).unwrap();
-        let mut f = ctx.fused();
-        let xv = f.assign(&x, load(&x) + 1.0);
-        let s = f.sum(xv);
-        assert_eq!(s, (0..16).map(|i| i as f64 + 1.0).sum::<f64>());
     }
 }

@@ -4,7 +4,7 @@
 //! *fusion group* — a run of statements that one launch may execute. A
 //! group is closed (its destinations materialize) at:
 //!
-//! * an explicit [`Fused::barrier`](crate::Fused::barrier);
+//! * an explicit [`Lazy::barrier`](crate::Lazy::barrier);
 //! * an **extent change** — statements launch together only over the
 //!   exact same iteration space (rank and dims);
 //! * a **read-after-write hazard**: a statement *reloads* (raw

@@ -166,11 +166,11 @@ fn execute_grid_steady_state_is_allocation_free() {
     assert_eq!(dev.read_scalar(&partials, 0).unwrap(), 64.0);
 
     // The portable-front-end fast path with the fusion knob off: a
-    // `Context<CudaBackend>` `parallel_for` must also be allocation-free in
+    // `Context<SimBackend>` `parallel_for` must also be allocation-free in
     // steady state — the knob is consulted outside the launch path, so
     // turning fusion machinery into the tree must not cost the eager path
     // anything.
-    let ctx = racc_core::Context::builder(racc_backend_cuda::CudaBackend::new())
+    let ctx = racc_core::Context::builder(racc_backend_cuda::cuda_backend())
         .sanitizer(false)
         .fusion(false)
         .build();

@@ -35,7 +35,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
-use racc_core::{Backend, Context, RaccError, RetryPolicy, RuntimeConfig, ServeStats};
+use racc_core::config::parse_positive;
+use racc_core::{Backend, Context, RaccError, RetryPolicy, ServeStats};
 use racc_prefs::{Preferences, TenantPrefs};
 
 use crate::engine::Engine;
@@ -85,8 +86,8 @@ impl TenantConfig {
     }
 }
 
-/// Server construction knobs. `Default` honors the `RACC_SERVE_*`
-/// environment knobs parsed by [`RuntimeConfig`].
+/// Server construction knobs. `Default` honors the `RACC_SERVE_DEVICES`,
+/// `RACC_SERVE_QUEUE` and `RACC_SERVE_BATCH` environment knobs.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Pool width: how many contexts the factory is asked for.
@@ -117,11 +118,21 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        let cfg = RuntimeConfig::from_env();
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+}
+
+impl ServerOptions {
+    /// The testable core of `Default`: the three environment knobs
+    /// (positive integers; anything else keeps the default of 1 device, a
+    /// 256-deep queue, batches of 8) through an arbitrary lookup, so tests
+    /// never touch process-global state.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let count = |name: &str| parse_positive(lookup(name).as_deref());
         ServerOptions {
-            devices: cfg.serve_devices.unwrap_or(1),
-            global_queue_depth: cfg.serve_queue.unwrap_or(256),
-            batch_limit: cfg.serve_batch.unwrap_or(8),
+            devices: count("RACC_SERVE_DEVICES").unwrap_or(1),
+            global_queue_depth: count("RACC_SERVE_QUEUE").unwrap_or(256),
+            batch_limit: count("RACC_SERVE_BATCH").unwrap_or(8),
             overlap: true,
             retry: RetryPolicy::none(),
             fallback: false,
@@ -130,9 +141,7 @@ impl Default for ServerOptions {
             hold: false,
         }
     }
-}
 
-impl ServerOptions {
     /// Set the pool width.
     pub fn devices(mut self, n: usize) -> Self {
         self.devices = n.max(1);
@@ -930,5 +939,45 @@ fn render_panic(panic: Box<dyn std::any::Any + Send>) -> String {
         format!("panicked: {s}")
     } else {
         "panicked".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(vars: &[(&str, &str)]) -> ServerOptions {
+        ServerOptions::from_lookup(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn serve_knobs_parse_positive_integers_only() {
+        let o = opts(&[]);
+        assert_eq!(
+            (o.devices, o.batch_limit, o.global_queue_depth),
+            (1, 8, 256)
+        );
+        let o = opts(&[
+            ("RACC_SERVE_DEVICES", "4"),
+            ("RACC_SERVE_BATCH", " 16 "),
+            ("RACC_SERVE_QUEUE", "512"),
+        ]);
+        assert_eq!(
+            (o.devices, o.batch_limit, o.global_queue_depth),
+            (4, 16, 512)
+        );
+        let o = opts(&[
+            ("RACC_SERVE_DEVICES", "0"),
+            ("RACC_SERVE_BATCH", "-2"),
+            ("RACC_SERVE_QUEUE", "plenty"),
+        ]);
+        assert_eq!(
+            (o.devices, o.batch_limit, o.global_queue_depth),
+            (1, 8, 256)
+        );
     }
 }

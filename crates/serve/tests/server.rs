@@ -2,7 +2,7 @@
 //! fairness, admission shed, cross-tenant batching over one cached plan,
 //! the chaos degradation ladder, and modeled multi-device speedup.
 
-use racc_backend_cuda::CudaBackend;
+use racc_backend_cuda::{cuda_backend, CudaBackend};
 use racc_core::{
     Backend, Context, FaultPlan, KernelProfile, RaccError, RetryPolicy, SerialBackend,
 };
@@ -252,14 +252,14 @@ fn retry_rescues_a_transient_fault_bit_identically() {
             multiplier: 2,
         }),
         |_d| {
-            Context::builder(CudaBackend::new())
+            Context::builder(cuda_backend())
                 .chaos(FaultPlan::parse("launch:nth-1").unwrap())
                 .retry(RetryPolicy::none())
                 .build()
         },
     );
     let clean = {
-        let ctx = Context::new(CudaBackend::new());
+        let ctx = Context::new(cuda_backend());
         let x = ctx.array_from_fn(256, |i| (i % 7) as f64).unwrap();
         let xs = x.view();
         ctx.parallel_reduce(256, &KernelProfile::dot(), move |i| xs.get(i) * 2.0)
@@ -301,12 +301,12 @@ fn fallback_context_rescues_a_persistently_faulting_device() {
             .fallback(true),
         |device| {
             if device == 0 {
-                Context::builder(CudaBackend::new())
+                Context::builder(cuda_backend())
                     .chaos(FaultPlan::parse("launch:always").unwrap())
                     .retry(RetryPolicy::none())
                     .build()
             } else {
-                Context::new(CudaBackend::new())
+                Context::new(cuda_backend())
             }
         },
     );
@@ -371,7 +371,7 @@ fn a_failing_job_resolves_alone_and_never_poisons_the_pool() {
 fn four_devices_beat_one_on_modeled_makespan() {
     let run = |devices: usize| {
         let server = Server::start(ServerOptions::default().devices(devices).hold(true), |_d| {
-            Context::new(CudaBackend::new())
+            Context::new(cuda_backend())
         });
         let handles: Vec<_> = (0..32)
             .map(|_| {
@@ -406,7 +406,7 @@ fn overlap_shortens_the_modeled_makespan_on_one_device() {
                 .devices(1)
                 .overlap(overlap)
                 .hold(true),
-            |_d| Context::new(CudaBackend::new()),
+            |_d| Context::new(cuda_backend()),
         );
         let handles: Vec<_> = (0..16)
             .map(|_| {

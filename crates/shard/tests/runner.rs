@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use racc_backend_cuda::CudaBackend;
+use racc_backend_cuda::cuda_backend;
 use racc_core::{
     Backend, Context, FaultPlan, KernelProfile, RetryPolicy, SerialBackend, ThreadsBackend,
 };
@@ -171,7 +171,7 @@ fn sharded_runs_are_bit_identical_across_backends() {
             steps: 10,
         }),
         ShardOptions::devices(3).checkpoint_every(3),
-        |_rank| Context::new(CudaBackend::new()),
+        |_rank| Context::new(cuda_backend()),
     );
     assert_eq!(serial.field, threads.field);
     assert_eq!(serial.field, cuda.field);
@@ -194,7 +194,7 @@ fn overlap_shortens_the_modeled_makespan_but_not_the_values() {
             steps: 8,
         })
     };
-    let factory = |_rank: usize| Context::new(CudaBackend::new());
+    let factory = |_rank: usize| Context::new(cuda_backend());
     let on = run_sharded(app(), ShardOptions::devices(4).overlap(true), factory);
     let off = run_sharded(app(), ShardOptions::devices(4).overlap(false), factory);
     assert_eq!(on.field, off.field);
@@ -226,7 +226,7 @@ fn rank_death_reshards_replays_and_stays_bit_identical() {
     let fault_free = run_sharded(
         app(),
         ShardOptions::devices(4).checkpoint_every(3),
-        |_rank| Context::new(CudaBackend::new()),
+        |_rank| Context::new(cuda_backend()),
     );
 
     // Rank 2's device dies at its 6th kernel launch (step 5, past the
@@ -238,12 +238,12 @@ fn rank_death_reshards_replays_and_stays_bit_identical() {
         ShardOptions::devices(4).checkpoint_every(3),
         move |rank| {
             if rank == doomed {
-                Context::builder(CudaBackend::new())
+                Context::builder(cuda_backend())
                     .chaos(FaultPlan::parse("launch:nth-6").unwrap())
                     .retry(RetryPolicy::none())
                     .build()
             } else {
-                Context::new(CudaBackend::new())
+                Context::new(cuda_backend())
             }
         },
     );
@@ -278,19 +278,19 @@ fn death_before_any_checkpoint_replays_from_the_initial_state() {
     let fault_free = run_sharded(
         app(),
         ShardOptions::devices(3).checkpoint_every(0),
-        |_rank| Context::new(CudaBackend::new()),
+        |_rank| Context::new(cuda_backend()),
     );
     let chaotic = run_sharded(
         app(),
         ShardOptions::devices(3).checkpoint_every(0),
         move |rank| {
             if rank == 0 {
-                Context::builder(CudaBackend::new())
+                Context::builder(cuda_backend())
                     .chaos(FaultPlan::parse("launch:nth-4").unwrap())
                     .retry(RetryPolicy::none())
                     .build()
             } else {
-                Context::new(CudaBackend::new())
+                Context::new(cuda_backend())
             }
         },
     );

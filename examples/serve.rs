@@ -8,7 +8,7 @@
 //! ```
 
 use racc::serve::{job_fn, JobCtx, Server, ServerOptions, TenantConfig};
-use racc::{fuse::lit, fuse::load, fuse::LazyExt, Context, CudaBackend, RaccError};
+use racc::{cuda_backend, fuse::lit, fuse::load, fuse::LazyExt, Context, CudaBackend, RaccError};
 
 fn cg_update(job: &JobCtx<'_, CudaBackend>, n: usize, alpha: f64) -> Result<f64, RaccError> {
     let ctx = job.ctx();
@@ -45,7 +45,7 @@ fn main() {
                 ..TenantConfig::default()
             },
         );
-    let server = Server::start(options, |_device| Context::new(CudaBackend::new()));
+    let server = Server::start(options, |_device| Context::new(cuda_backend()));
 
     // An open-loop schedule: tenants submit at their own modeled rates;
     // same-shape jobs (keyed "cg-64k") may batch onto one device.

@@ -13,9 +13,13 @@
 //! |---|---|---|---|
 //! | `serial`    | [`SerialBackend`]  | — | reference |
 //! | `threads`   | [`ThreadsBackend`] | `Base.Threads` | CPU (default) |
-//! | `cudasim`   | `CudaBackend`      | `CUDA.jl` | simulated NVIDIA A100 |
-//! | `hipsim`    | `HipBackend`       | `AMDGPU.jl` | simulated AMD MI100 |
-//! | `oneapisim` | `OneApiBackend`    | `oneAPI.jl` | simulated Intel Max 1550 |
+//! | `cudasim`   | [`SimBackend`] by `CUDA`   | `CUDA.jl` | simulated NVIDIA A100 |
+//! | `hipsim`    | [`SimBackend`] by `HIP`    | `AMDGPU.jl` | simulated AMD MI100 |
+//! | `oneapisim` | [`SimBackend`] by `ONEAPI` | `oneAPI.jl` | simulated Intel Max 1550 |
+//!
+//! The three GPU rows are one type: a vendor is a [`Vendor`] value the
+//! simulator back end reads per launch (`CudaBackend`, `HipBackend` and
+//! `OneApiBackend` are aliases of [`SimBackend`]).
 //!
 //! Back-end selection mirrors JACC's `Preferences.jl` flow: the default
 //! context consults the `RACC_BACKEND` environment variable, then the
@@ -115,12 +119,20 @@ pub use racc_serve::{ServeJob, Server, ServerOptions, TenantConfig};
 pub use racc_prim as prim;
 pub use racc_prim::{PrimError, PrimExt, SortKey};
 
+/// The simulated-GPU back end and the vendor description it launches by;
+/// one type for all three vendors. Present when any `backend-*` feature is.
+#[cfg(any(
+    feature = "backend-cuda",
+    feature = "backend-hip",
+    feature = "backend-oneapi"
+))]
+pub use racc_backend_common::{SimBackend, Vendor};
 #[cfg(feature = "backend-cuda")]
-pub use racc_backend_cuda::CudaBackend;
+pub use racc_backend_cuda::{cuda_backend, CudaBackend, CUDA};
 #[cfg(feature = "backend-hip")]
-pub use racc_backend_hip::HipBackend;
+pub use racc_backend_hip::{hip_backend, HipBackend, HIP};
 #[cfg(feature = "backend-oneapi")]
-pub use racc_backend_oneapi::OneApiBackend;
+pub use racc_backend_oneapi::{oneapi_backend, OneApiBackend, ONEAPI};
 
 /// Convenience prelude: the curated surface application code typically
 /// needs, and nothing else.
@@ -158,9 +170,6 @@ pub mod prelude {
 
     pub use racc_fuse::{lit, load, Expr, Lazy, LazyExt, ReduceKind};
     pub use racc_prim::{PrimError, PrimExt, SortKey};
-    // The pre-plan-cache spellings, kept importable for one release.
-    #[allow(deprecated)]
-    pub use racc_fuse::{Fused, FusedExt};
 
     #[cfg(feature = "trace")]
     pub use racc_core::trace::{Span, TraceRecorder};
@@ -177,15 +186,15 @@ pub enum AnyBackend {
     Serial(SerialBackend),
     /// `Base.Threads`-analog CPU backend (the default).
     Threads(ThreadsBackend),
-    /// Simulated NVIDIA back end.
-    #[cfg(feature = "backend-cuda")]
-    Cuda(CudaBackend),
-    /// Simulated AMD back end.
-    #[cfg(feature = "backend-hip")]
-    Hip(HipBackend),
-    /// Simulated Intel back end.
-    #[cfg(feature = "backend-oneapi")]
-    OneApi(OneApiBackend),
+    /// Simulated GPU back end of whichever vendor the key named: `cudasim`,
+    /// `hipsim` and `oneapisim` differ in the [`Vendor`] the value carries,
+    /// not in type, so a kernel closure is instantiated once for all three.
+    #[cfg(any(
+        feature = "backend-cuda",
+        feature = "backend-hip",
+        feature = "backend-oneapi"
+    ))]
+    Sim(SimBackend),
 }
 
 macro_rules! dispatch {
@@ -193,12 +202,12 @@ macro_rules! dispatch {
         match $self {
             AnyBackend::Serial($b) => $e,
             AnyBackend::Threads($b) => $e,
-            #[cfg(feature = "backend-cuda")]
-            AnyBackend::Cuda($b) => $e,
-            #[cfg(feature = "backend-hip")]
-            AnyBackend::Hip($b) => $e,
-            #[cfg(feature = "backend-oneapi")]
-            AnyBackend::OneApi($b) => $e,
+            #[cfg(any(
+                feature = "backend-cuda",
+                feature = "backend-hip",
+                feature = "backend-oneapi"
+            ))]
+            AnyBackend::Sim($b) => $e,
         }
     };
 }
@@ -343,24 +352,77 @@ impl Backend for AnyBackend {
 /// The runtime-selected context type.
 pub type Ctx = Context<AnyBackend>;
 
+/// What a backend key constructs.
+#[derive(Clone, Copy)]
+enum BackendKind {
+    Serial,
+    Threads,
+    #[cfg(any(
+        feature = "backend-cuda",
+        feature = "backend-hip",
+        feature = "backend-oneapi"
+    ))]
+    Sim(&'static Vendor),
+}
+
+/// One row of the backend table.
+struct BackendEntry {
+    /// The canonical key ([`Backend::key`] of what it builds).
+    key: &'static str,
+    /// Other accepted spellings.
+    aliases: &'static [&'static str],
+    kind: BackendKind,
+}
+
+/// Every back end compiled into this build — the one place a key is
+/// mapped to an implementation.
+const BACKENDS: &[BackendEntry] = &[
+    BackendEntry {
+        key: "serial",
+        aliases: &[],
+        kind: BackendKind::Serial,
+    },
+    BackendEntry {
+        key: "threads",
+        aliases: &["cpu"],
+        kind: BackendKind::Threads,
+    },
+    #[cfg(feature = "backend-cuda")]
+    BackendEntry {
+        key: CUDA.key,
+        aliases: &["cuda", "nvidia"],
+        kind: BackendKind::Sim(&CUDA),
+    },
+    #[cfg(feature = "backend-hip")]
+    BackendEntry {
+        key: HIP.key,
+        aliases: &["hip", "amdgpu", "amd"],
+        kind: BackendKind::Sim(&HIP),
+    },
+    #[cfg(feature = "backend-oneapi")]
+    BackendEntry {
+        key: ONEAPI.key,
+        aliases: &["oneapi", "intel"],
+        kind: BackendKind::Sim(&ONEAPI),
+    },
+];
+
+/// Look a key or alias up in the table, ignoring ASCII case. Builds
+/// nothing: validating a key costs a string comparison per row.
+fn resolve(key: &str) -> Result<&'static BackendEntry, RaccError> {
+    BACKENDS
+        .iter()
+        .find(|entry| {
+            std::iter::once(&entry.key)
+                .chain(entry.aliases)
+                .any(|known| known.eq_ignore_ascii_case(key))
+        })
+        .ok_or_else(|| RaccError::BackendUnavailable(key.to_ascii_lowercase()))
+}
+
 /// Keys of all back ends compiled into this build.
 pub fn available_backends() -> Vec<&'static str> {
-    #[cfg_attr(
-        not(any(
-            feature = "backend-cuda",
-            feature = "backend-hip",
-            feature = "backend-oneapi"
-        )),
-        allow(unused_mut)
-    )]
-    let mut keys = vec!["serial", "threads"];
-    #[cfg(feature = "backend-cuda")]
-    keys.push("cudasim");
-    #[cfg(feature = "backend-hip")]
-    keys.push("hipsim");
-    #[cfg(feature = "backend-oneapi")]
-    keys.push("oneapisim");
-    keys
+    BACKENDS.iter().map(|entry| entry.key).collect()
 }
 
 /// Build a context for the given backend key. Vendor aliases are accepted
@@ -407,13 +469,8 @@ pub struct ContextBuilder {
         feature = "backend-oneapi"
     ))]
     device: Option<std::sync::Arc<racc_gpusim::Device>>,
-    trace: bool,
-    trace_capacity: Option<usize>,
-    racecheck: Option<bool>,
-    sanitizer: Option<bool>,
-    fusion: Option<bool>,
-    chaos: Option<FaultPlan>,
-    retry: Option<RetryPolicy>,
+    /// The knobs `racc_core::ContextBuilder` owns, handed over whole.
+    options: racc_core::ContextOptions,
     fallback: bool,
 }
 
@@ -454,21 +511,21 @@ impl ContextBuilder {
     /// via `Context::tracer()` / `Context::trace_spans()`. No-op unless
     /// the `trace` feature is compiled in.
     pub fn trace(mut self, enabled: bool) -> Self {
-        self.trace = enabled;
+        self.options.trace = enabled;
         self
     }
 
     /// Ring-buffer capacity (in spans) for tracing; rounded up to a power
     /// of two. Implies nothing unless [`trace`](Self::trace) is on.
     pub fn trace_capacity(mut self, spans: usize) -> Self {
-        self.trace_capacity = Some(spans);
+        self.options.trace_capacity = Some(spans);
         self
     }
 
     /// Toggle the (process-global) data-race checker. No-op unless the
     /// `racecheck` feature is compiled into `racc-core`.
     pub fn racecheck(mut self, enabled: bool) -> Self {
-        self.racecheck = Some(enabled);
+        self.options.racecheck = Some(enabled);
         self
     }
 
@@ -477,7 +534,7 @@ impl ContextBuilder {
     /// checking. Simulator back ends also honor `RACC_SANITIZER=1`; CPU
     /// back ends need the `racecheck` feature for this to take effect.
     pub fn sanitizer(mut self, enabled: bool) -> Self {
-        self.sanitizer = Some(enabled);
+        self.options.sanitizer = Some(enabled);
         self
     }
 
@@ -488,7 +545,7 @@ impl ContextBuilder {
     /// how many constructs are launched. See [`fuse`] for
     /// the expression-graph engine itself.
     pub fn fusion(mut self, enabled: bool) -> Self {
-        self.fusion = Some(enabled);
+        self.options.fusion = Some(enabled);
         self
     }
 
@@ -499,7 +556,7 @@ impl ContextBuilder {
     /// back ends the plan is ignored. An explicit plan overrides the
     /// `RACC_CHAOS` environment variable.
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
-        self.chaos = Some(plan);
+        self.options.chaos = Some(plan);
         self
     }
 
@@ -509,7 +566,7 @@ impl ContextBuilder {
     /// was armed from the environment, which installs
     /// [`RetryPolicy::default`].
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
+        self.options.retry = Some(policy);
         self
     }
 
@@ -527,75 +584,55 @@ impl ContextBuilder {
 
     /// Resolve the key, construct the backend, and build the context.
     pub fn build(self) -> Result<Ctx, RaccError> {
-        let key = match &self.key {
-            Some(k) => k.clone(),
-            None => preferred_backend_key(),
-        };
-        let norm = key.to_ascii_lowercase();
-        let backend = match norm.as_str() {
-            "serial" => {
-                self.reject_threads(&norm)?;
-                self.reject_device(&norm)?;
-                AnyBackend::Serial(SerialBackend::new())
-            }
-            "threads" | "cpu" => {
-                self.reject_device(&norm)?;
-                AnyBackend::Threads(match self.threads {
-                    Some(n) => ThreadsBackend::with_threads(n),
-                    None => ThreadsBackend::new(),
-                })
-            }
-            #[cfg(feature = "backend-cuda")]
-            "cudasim" | "cuda" | "nvidia" => {
-                self.reject_threads(&norm)?;
-                AnyBackend::Cuda(match self.device.clone() {
-                    Some(d) => CudaBackend::from_device(d),
-                    None => CudaBackend::new(),
-                })
-            }
-            #[cfg(feature = "backend-hip")]
-            "hipsim" | "hip" | "amdgpu" | "amd" => {
-                self.reject_threads(&norm)?;
-                AnyBackend::Hip(match self.device.clone() {
-                    Some(d) => HipBackend::from_device(d),
-                    None => HipBackend::new(),
-                })
-            }
-            #[cfg(feature = "backend-oneapi")]
-            "oneapisim" | "oneapi" | "intel" => {
-                self.reject_threads(&norm)?;
-                AnyBackend::OneApi(match self.device.clone() {
-                    Some(d) => OneApiBackend::from_device(d),
-                    None => OneApiBackend::new(),
-                })
-            }
-            other => return Err(RaccError::BackendUnavailable(other.to_owned())),
-        };
+        let backend = self.construct()?;
         let (backend, degraded) = self.probe_or_fall_back(backend);
-        let mut inner = Context::builder(backend).trace(self.trace);
-        if let Some(spans) = self.trace_capacity {
-            inner = inner.trace_capacity(spans);
-        }
-        if let Some(enabled) = self.racecheck {
-            inner = inner.racecheck(enabled);
-        }
-        if let Some(enabled) = self.sanitizer {
-            inner = inner.sanitizer(enabled);
-        }
-        if let Some(enabled) = self.fusion {
-            inner = inner.fusion(enabled);
-        }
-        if let Some(plan) = self.chaos {
-            inner = inner.chaos(plan);
-        }
-        if let Some(policy) = self.retry {
-            inner = inner.retry(policy);
-        }
-        let ctx = inner.build();
+        let ctx = self.options.build(backend);
         if let Some(faults) = degraded {
             report_degradation(&ctx, &faults);
         }
         Ok(ctx)
+    }
+
+    /// Resolve the key and construct the backend value it names, rejecting
+    /// knobs that do not apply to it.
+    fn construct(&self) -> Result<AnyBackend, RaccError> {
+        let entry = match &self.key {
+            Some(key) => resolve(key)?,
+            None => resolve(&preferred_backend_key())?,
+        };
+        if self.threads.is_some() && !matches!(entry.kind, BackendKind::Threads) {
+            return Err(RaccError::InvalidConfig(format!(
+                "thread count only applies to the \"threads\" backend, not {:?}",
+                entry.key
+            )));
+        }
+        #[cfg(any(
+            feature = "backend-cuda",
+            feature = "backend-hip",
+            feature = "backend-oneapi"
+        ))]
+        if self.device.is_some() && !matches!(entry.kind, BackendKind::Sim(_)) {
+            return Err(RaccError::InvalidConfig(format!(
+                "device profile override only applies to simulated GPU back ends, not {:?}",
+                entry.key
+            )));
+        }
+        Ok(match entry.kind {
+            BackendKind::Serial => AnyBackend::Serial(SerialBackend::new()),
+            BackendKind::Threads => AnyBackend::Threads(match self.threads {
+                Some(n) => ThreadsBackend::with_threads(n),
+                None => ThreadsBackend::new(),
+            }),
+            #[cfg(any(
+                feature = "backend-cuda",
+                feature = "backend-hip",
+                feature = "backend-oneapi"
+            ))]
+            BackendKind::Sim(vendor) => AnyBackend::Sim(match &self.device {
+                Some(device) => SimBackend::new(device.clone(), vendor),
+                None => SimBackend::stock(vendor),
+            }),
+        })
     }
 
     /// The graceful-degradation probe. Does nothing unless
@@ -608,10 +645,10 @@ impl ContextBuilder {
         if !self.fallback || !backend.is_accelerator() {
             return (backend, None);
         }
-        let plan = self.chaos.clone().or_else(FaultPlan::from_env);
+        let plan = self.options.chaos.clone().or_else(FaultPlan::from_env);
         if let Some(plan) = plan {
             if backend.set_chaos(plan) {
-                backend.set_retry(self.retry.unwrap_or_default());
+                backend.set_retry(self.options.retry.unwrap_or_default());
             }
         }
         match backend.self_check() {
@@ -627,43 +664,6 @@ impl ContextBuilder {
                 (AnyBackend::Threads(ThreadsBackend::new()), Some(faults))
             }
         }
-    }
-
-    fn reject_threads(&self, key: &str) -> Result<(), RaccError> {
-        if self.threads.is_some() {
-            return Err(RaccError::InvalidConfig(format!(
-                "thread count only applies to the \"threads\" backend, not {key:?}"
-            )));
-        }
-        Ok(())
-    }
-
-    #[cfg_attr(
-        not(any(
-            feature = "backend-cuda",
-            feature = "backend-hip",
-            feature = "backend-oneapi"
-        )),
-        allow(clippy::unnecessary_wraps)
-    )]
-    fn reject_device(&self, key: &str) -> Result<(), RaccError> {
-        #[cfg(any(
-            feature = "backend-cuda",
-            feature = "backend-hip",
-            feature = "backend-oneapi"
-        ))]
-        if self.device.is_some() {
-            return Err(RaccError::InvalidConfig(format!(
-                "device profile override only applies to simulated GPU back ends, not {key:?}"
-            )));
-        }
-        #[cfg(not(any(
-            feature = "backend-cuda",
-            feature = "backend-hip",
-            feature = "backend-oneapi"
-        )))]
-        let _ = key;
-        Ok(())
     }
 }
 
@@ -695,17 +695,7 @@ fn report_degradation(ctx: &Ctx, faults: &[FaultEvent]) {
 
 /// Build a backend value for the given key.
 pub fn backend_for(key: &str) -> Result<AnyBackend, RaccError> {
-    match key.to_ascii_lowercase().as_str() {
-        "serial" => Ok(AnyBackend::Serial(SerialBackend::new())),
-        "threads" | "cpu" => Ok(AnyBackend::Threads(ThreadsBackend::new())),
-        #[cfg(feature = "backend-cuda")]
-        "cudasim" | "cuda" | "nvidia" => Ok(AnyBackend::Cuda(CudaBackend::new())),
-        #[cfg(feature = "backend-hip")]
-        "hipsim" | "hip" | "amdgpu" | "amd" => Ok(AnyBackend::Hip(HipBackend::new())),
-        #[cfg(feature = "backend-oneapi")]
-        "oneapisim" | "oneapi" | "intel" => Ok(AnyBackend::OneApi(OneApiBackend::new())),
-        other => Err(RaccError::BackendUnavailable(other.to_owned())),
-    }
+    builder().backend(key).construct()
 }
 
 /// Resolve the preferred backend key without building it: `RACC_BACKEND`
@@ -729,10 +719,10 @@ pub fn preferred_backend_key() -> String {
 /// Build the preference-selected context. Falls back to `threads` (with a
 /// diagnostic on stderr) when the preferred key is not compiled in.
 pub fn default_context() -> Ctx {
-    match builder().build() {
+    let key = preferred_backend_key();
+    match builder().backend(key.as_str()).build() {
         Ok(ctx) => ctx,
         Err(_) => {
-            let key = preferred_backend_key();
             eprintln!("racc: backend {key:?} unavailable, falling back to \"threads\"");
             context_for("threads").expect("threads backend always available")
         }
@@ -750,7 +740,7 @@ pub fn global() -> &'static Ctx {
 /// analog of `Preferences.set_preferences!(JACC, "backend" => ...)`.
 pub fn set_preferred_backend(dir: impl AsRef<std::path::Path>, key: &str) -> Result<(), RaccError> {
     // Validate before persisting so a typo fails loudly now, not at startup.
-    backend_for(key)?;
+    resolve(key)?;
     let mut prefs =
         Preferences::load_dir(dir.as_ref()).map_err(|e| RaccError::InvalidConfig(e.to_string()))?;
     prefs.set("racc", "backend", key);
@@ -784,9 +774,53 @@ mod tests {
     }
 
     #[test]
+    fn every_alias_in_the_table_resolves_to_its_canonical_key() {
+        // The spellings the docs promise, in table order.
+        let promised: &[(&str, &[&str])] = &[
+            ("serial", &[]),
+            ("threads", &["cpu"]),
+            #[cfg(feature = "backend-cuda")]
+            ("cudasim", &["cuda", "nvidia"]),
+            #[cfg(feature = "backend-hip")]
+            ("hipsim", &["hip", "amdgpu", "amd"]),
+            #[cfg(feature = "backend-oneapi")]
+            ("oneapisim", &["oneapi", "intel"]),
+        ];
+        assert_eq!(BACKENDS.len(), promised.len());
+        for (entry, (key, aliases)) in BACKENDS.iter().zip(promised) {
+            assert_eq!((entry.key, entry.aliases), (*key, *aliases));
+            for spelling in std::iter::once(key).chain(*aliases) {
+                let mixed: String = spelling
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| {
+                        if i % 2 == 0 {
+                            c.to_ascii_uppercase()
+                        } else {
+                            c
+                        }
+                    })
+                    .collect();
+                for typed in [spelling.to_string(), spelling.to_ascii_uppercase(), mixed] {
+                    assert_eq!(resolve(&typed).map(|e| e.key).ok(), Some(*key), "{typed}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn unknown_backend_is_an_error() {
         assert!(matches!(
             context_for("fpga"),
+            Err(RaccError::BackendUnavailable(_))
+        ));
+        // Resolution alone says so too, and names the key as typed, lowercased.
+        match resolve("Quantum") {
+            Err(RaccError::BackendUnavailable(key)) => assert_eq!(key, "quantum"),
+            _ => panic!("\"Quantum\" is no backend"),
+        }
+        assert!(matches!(
+            backend_for("quantum"),
             Err(RaccError::BackendUnavailable(_))
         ));
     }
@@ -844,16 +878,6 @@ mod tests {
         // reports it through the enum-dispatched context too.
         let stats = ctx.stats();
         assert_eq!(stats.plan_cache.misses, 1, "{stats}");
-
-        // The deprecated spelling still compiles and shares the cache.
-        #[allow(deprecated)]
-        {
-            use crate::prelude::FusedExt;
-            let mut f = ctx.fused();
-            let xv = f.assign(&x, load(&x) + 2.0 * load(&y));
-            f.sum(xv * load(&y));
-        }
-        assert_eq!(ctx.stats().plan_cache.hits, 1);
     }
 
     #[test]
@@ -871,7 +895,12 @@ mod tests {
         let prefs = Preferences::load_dir(&dir).unwrap();
         assert_eq!(prefs.get_str("racc", "backend"), Some("serial"));
         // invalid key refuses to persist
-        assert!(set_preferred_backend(&dir, "quantum").is_err());
+        assert!(matches!(
+            set_preferred_backend(&dir, "quantum"),
+            Err(RaccError::BackendUnavailable(_))
+        ));
+        let prefs = Preferences::load_dir(&dir).unwrap();
+        assert_eq!(prefs.get_str("racc", "backend"), Some("serial"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
