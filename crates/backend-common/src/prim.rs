@@ -10,12 +10,28 @@
 //! differ per vendor profile, but they only change *which thread* computes
 //! a tile, never the combine tree — so every simulator matches the serial
 //! reference bitwise, including for `f32`.
+//!
+//! Leader sweep: the block-local counting kernels (`BlockHistogram`,
+//! `BlockHistogramGlobal`, `DigitCount`, `Scatter`) get their counts and
+//! ranks from **one pass over the block's span by the block's first
+//! thread** ([`LeaderPhases`]), so the host does O(n) work per launch and
+//! calls a key closure once per element. It is race-free without atomics
+//! because each leader phase has exactly one writer per block — to its own
+//! shared memory or its own row of the scratch buffer — and the barrier
+//! that ends the phase orders it before the block-wide phase that reads;
+//! blocks ascend and the sweep ascends, so ranks are the stable order. The
+//! `KernelCost` each launch declares is *not* re-derived from the sweep:
+//! it stays the calibrated per-thread charge of the cooperative device
+//! pass the sweep stands in for, and the model reads only spec, grid, block
+//! and cost — so `results/baselines/BENCH_prim.json` and
+//! `tests/vendor_pins.rs` hold to the last digit.
 
 use racc_core::prim::{self, PRIM_TILE};
 use racc_core::{AccScalar, KernelProfile, ReduceOp};
 use racc_gpusim::perf::KernelCost;
 use racc_gpusim::{
-    DeviceSlice, DeviceSliceMut, LaunchConfig, PhasedKernel, SharedMem, SinglePhase, ThreadCtx,
+    DeviceSlice, DeviceSliceMut, LaunchConfig, LeaderPhases, PhasedKernel, SharedMem, SinglePhase,
+    ThreadCtx,
 };
 
 #[cfg(feature = "trace")]
@@ -28,6 +44,27 @@ use crate::SimBackend;
 /// Base-2 digit width of the radix sort (one byte per pass): 256 counters
 /// of 8 bytes fit the smallest device's shared memory.
 const RADIX: usize = 256;
+
+/// The radix digit of `key` for the pass that shifts by `shift` bits.
+#[inline]
+fn digit(key: u64, shift: u32) -> usize {
+    ((key >> shift) & 0xFF) as usize
+}
+
+/// One leader phase (thread 0 sweeps the block's span), then whole-block
+/// phases that consume what it left.
+const SWEEP_THEN_BLOCK: LeaderPhases = LeaderPhases::new(1);
+
+/// Two leader phases and nothing else: the large-bins histogram's zeroing
+/// sweep and its counting sweep.
+const TWO_SWEEPS: LeaderPhases = LeaderPhases::new(2);
+
+/// Half-open element span of block `blk` in a 1D launch over `n` elements.
+#[inline]
+fn block_span(blk: usize, block_size: usize, n: usize) -> std::ops::Range<usize> {
+    let start = blk * block_size;
+    start..(start + block_size).min(n)
+}
 
 /// Per-thread kernel cost scaled by a coarsening factor (each simulated
 /// thread owns `factor` elements instead of one).
@@ -162,10 +199,11 @@ where
 }
 
 /// Histogram kernel 1 (shared-memory path): the block privatizes the whole
-/// bin range in shared memory. Thread `ti` owns every bin `b` with
-/// `b % block == ti`, scans the block's element span counting its owned
-/// bins (race-free without atomics), then writes them back to the block's
-/// scratch row.
+/// bin range in shared memory (zeroed at block start). Leader phase: thread
+/// 0 sweeps the block's element span once, counting each key's bin — one
+/// writer, so no atomics. Block phase: thread `ti` copies bins `ti`,
+/// `ti + block`, … to the block's scratch row; every cell of the row is
+/// assigned, so a retried launch is idempotent.
 struct BlockHistogram<'a, F> {
     n: usize,
     bins: usize,
@@ -184,22 +222,24 @@ where
         2
     }
 
+    fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
+        SWEEP_THEN_BLOCK.active_threads(phase, block_threads)
+    }
+
     fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), shared: &SharedMem) {
-        let ti = ctx.thread_linear();
+        if !SWEEP_THEN_BLOCK.runs(phase, ctx) {
+            return;
+        }
         let blk = ctx.block_linear();
-        let start = blk * self.block_size;
-        let end = (start + self.block_size).min(self.n);
         if phase == 0 {
-            for i in start..end {
+            for i in block_span(blk, self.block_size, self.n) {
                 let bin = (self.key)(i);
-                if bin % self.block_size == ti {
-                    // Shared memory is bounds-asserted: an out-of-range key
-                    // dies here (the unguarded path simsan must catch).
-                    shared.set::<u64>(bin, shared.get::<u64>(bin) + 1);
-                }
+                // Shared memory is bounds-asserted: an out-of-range key
+                // dies here (the unguarded path simsan must catch).
+                shared.set::<u64>(bin, shared.get::<u64>(bin) + 1);
             }
         } else {
-            let mut bin = ti;
+            let mut bin = ctx.thread_linear();
             while bin < self.bins {
                 self.scratch
                     .set(blk * self.bins + bin, shared.get::<u64>(bin));
@@ -209,9 +249,12 @@ where
     }
 }
 
-/// Histogram kernel 1 (large-bins fallback): same ownership striding, but
-/// counts go straight to the block's scratch row in device memory. The
-/// zeroing phase makes a faulted-and-retried launch idempotent.
+/// Histogram kernel 1 (large-bins fallback): the bin range does not fit in
+/// shared memory, so the leader counts straight into the block's scratch
+/// row in device memory, in two sweeps of its span — the first zeroes every
+/// cell the block will touch (a faulted-and-retried launch is idempotent;
+/// untouched cells keep the allocation's zero), the second counts. One
+/// writer per row: race-free without atomics.
 struct BlockHistogramGlobal<'a, F> {
     n: usize,
     bins: usize,
@@ -230,20 +273,21 @@ where
         2
     }
 
+    fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
+        TWO_SWEEPS.active_threads(phase, block_threads)
+    }
+
     fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), _shared: &SharedMem) {
-        let ti = ctx.thread_linear();
+        if !TWO_SWEEPS.runs(phase, ctx) {
+            return;
+        }
         let blk = ctx.block_linear();
-        let start = blk * self.block_size;
-        let end = (start + self.block_size).min(self.n);
-        for i in start..end {
-            let bin = (self.key)(i);
-            if bin % self.block_size == ti {
-                let cell = blk * self.bins + bin;
-                if phase == 0 {
-                    self.scratch.set(cell, 0);
-                } else {
-                    self.scratch.set(cell, self.scratch.get(cell) + 1);
-                }
+        for i in block_span(blk, self.block_size, self.n) {
+            let cell = blk * self.bins + (self.key)(i);
+            if phase == 0 {
+                self.scratch.set(cell, 0);
+            } else {
+                self.scratch.set(cell, self.scratch.get(cell) + 1);
             }
         }
     }
@@ -309,11 +353,12 @@ where
     }
 }
 
-/// Radix kernel 1: per-block digit counts. Thread `ti` owns digits `d`
-/// with `d % block == ti`, counts them over the block span in shared
-/// memory (phase 0), and writes all owned cells of the block's count row
-/// (phase 1) — assignment, so retried launches and count-buffer reuse
-/// across passes are safe.
+/// Radix kernel 1: per-block digit counts. Leader phase: thread 0 sweeps
+/// the block's span once, counting digits into shared memory (zeroed at
+/// block start; one writer, no atomics). Block phase: thread `ti` writes
+/// cells `ti`, `ti + block`, … of the block's count row — assignment to
+/// every cell, so retried launches and count-buffer reuse across passes are
+/// safe.
 struct DigitCount {
     n: usize,
     block_size: usize,
@@ -329,20 +374,22 @@ impl PhasedKernel for DigitCount {
         2
     }
 
+    fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
+        SWEEP_THEN_BLOCK.active_threads(phase, block_threads)
+    }
+
     fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), shared: &SharedMem) {
-        let ti = ctx.thread_linear();
+        if !SWEEP_THEN_BLOCK.runs(phase, ctx) {
+            return;
+        }
         let blk = ctx.block_linear();
-        let start = blk * self.block_size;
-        let end = (start + self.block_size).min(self.n);
         if phase == 0 {
-            for i in start..end {
-                let d = ((self.keys.get(i) >> self.shift) & 0xFF) as usize;
-                if d % self.block_size == ti {
-                    shared.set::<u64>(d, shared.get::<u64>(d) + 1);
-                }
+            for i in block_span(blk, self.block_size, self.n) {
+                let d = digit(self.keys.get(i), self.shift);
+                shared.set::<u64>(d, shared.get::<u64>(d) + 1);
             }
         } else {
-            let mut d = ti;
+            let mut d = ctx.thread_linear();
             while d < RADIX {
                 self.counts.set(blk * RADIX + d, shared.get::<u64>(d));
                 d += self.block_size;
@@ -382,11 +429,14 @@ impl PhasedKernel for ScanDigits {
     }
 }
 
-/// Radix kernel 3: scatter. Each thread recomputes its element's rank among
-/// same-digit elements earlier in its block (an O(block) rescan — the cost
-/// of atomics-free determinism) and writes key+index to their unique
-/// destination in the other ping-pong buffer. Blocks ascend and in-block
-/// ranks ascend, so each pass is stable.
+/// Radix kernel 3: scatter. Leader phase: thread 0 sweeps the block's span
+/// once and leaves, at `shared[ti]`, element `ti`'s rank among the
+/// same-digit elements before it in the block (a 256-entry running counter
+/// in the leader's registers). Block phase: every thread reads its own rank
+/// and writes key+index to their unique destination in the other ping-pong
+/// buffer. Blocks ascend and in-block ranks ascend, so each pass is stable;
+/// the destinations depend only on the source buffers, so a retried launch
+/// rewrites the same cells.
 struct Scatter {
     n: usize,
     block_size: usize,
@@ -402,24 +452,35 @@ impl PhasedKernel for Scatter {
     type State = ();
 
     fn num_phases(&self) -> usize {
-        1
+        2
     }
 
-    fn phase(&self, _phase: usize, ctx: &ThreadCtx, _state: &mut (), _shared: &SharedMem) {
+    fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
+        SWEEP_THEN_BLOCK.active_threads(phase, block_threads)
+    }
+
+    fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), shared: &SharedMem) {
+        if !SWEEP_THEN_BLOCK.runs(phase, ctx) {
+            return;
+        }
+        let blk = ctx.block_linear();
+        if phase == 0 {
+            let mut seen = [0u64; RADIX];
+            for (ti, i) in block_span(blk, self.block_size, self.n).enumerate() {
+                let d = digit(self.keys_src.get(i), self.shift);
+                shared.set::<u64>(ti, seen[d]);
+                seen[d] += 1;
+            }
+            return;
+        }
         let i = ctx.global_id_x();
         if i >= self.n {
             return;
         }
-        let blk = ctx.block_linear();
-        let d = ((self.keys_src.get(i) >> self.shift) & 0xFF) as usize;
-        let mut rank = 0u64;
-        for j in blk * self.block_size..i {
-            if ((self.keys_src.get(j) >> self.shift) & 0xFF) as usize == d {
-                rank += 1;
-            }
-        }
-        let dst = (self.bases.get(blk * RADIX + d) + rank) as usize;
-        self.keys_dst.set(dst, self.keys_src.get(i));
+        let key = self.keys_src.get(i);
+        let rank = shared.get::<u64>(ctx.thread_linear());
+        let dst = (self.bases.get(blk * RADIX + digit(key, self.shift)) + rank) as usize;
+        self.keys_dst.set(dst, key);
         self.idx_dst.set(dst, self.idx_src.get(i));
     }
 }
@@ -447,6 +508,13 @@ impl SimBackend {
         });
     }
 
+    /// [`block_1d`](Self::block_1d) bounded by shared capacity too, for
+    /// kernels that stage `bytes_per_thread` of shared memory per thread.
+    fn block_1d_staging(&self, n: usize, bytes_per_thread: usize) -> usize {
+        let max_for_shared = self.device().spec().shared_mem_per_block / bytes_per_thread;
+        (self.block_1d(n) as usize).min(max_for_shared.max(1))
+    }
+
     pub(crate) fn sim_prim_scan<T, F, W, O>(
         &self,
         n: usize,
@@ -468,10 +536,8 @@ impl SimBackend {
         let device = self.device();
         let tiles = prim::scan_tiles(n);
         let elem = std::mem::size_of::<T>();
-        // Block size bounded by shared capacity too: kernel 1 stages one
-        // tile total per thread in shared memory.
-        let max_for_shared = (device.spec().shared_mem_per_block / elem).max(1);
-        let block = (self.block_1d(tiles) as usize).min(max_for_shared);
+        // Kernel 1 stages one tile total per thread in shared memory.
+        let block = self.block_1d_staging(tiles, elem);
 
         let totals = self
             .with_retry("alloc", || device.alloc::<T>(tiles))
@@ -574,7 +640,10 @@ impl SimBackend {
             .expect("histogram scratch allocation");
 
         // Kernel 1: per-block privatized counts — in shared memory when the
-        // whole bin range fits, else striped straight into the scratch row.
+        // whole bin range fits, else straight into the block's scratch row.
+        // The charge per thread (`block` elements, twice that for the
+        // two-sweep fallback) is the calibrated one, not the leader sweep's
+        // host shape: see the module docs.
         let shared_bytes = bins * std::mem::size_of::<u64>();
         let ns1 = if shared_bytes <= device.spec().shared_mem_per_block {
             let k1 = BlockHistogram {
@@ -638,7 +707,10 @@ impl SimBackend {
             return;
         }
         let device = self.device();
-        let block = self.block_1d(n) as usize;
+        // The scatter stages one 8-byte rank per thread in shared memory (a
+        // no-op clamp on every stock profile: capacity covers a full block).
+        let rank_bytes = std::mem::size_of::<u64>();
+        let block = self.block_1d_staging(n, rank_bytes);
         let blocks = n.div_ceil(block);
         let passes = (key_bits.div_ceil(8).max(1) as usize).min(8);
 
@@ -670,6 +742,8 @@ impl SimBackend {
         for pass in 0..passes {
             let (src, dst) = (buffers[pass % 2], buffers[(pass + 1) % 2]);
             let shift = (pass * 8) as u32;
+            // Count and scatter keep their calibrated `block`-elements-per-
+            // thread charge (module docs), whatever the host sweep costs.
 
             let k1 = DigitCount {
                 n,
@@ -706,8 +780,9 @@ impl SimBackend {
                 keys_dst: device.slice_mut(dst.0).expect("own buffer"),
                 idx_dst: device.slice_mut(dst.1).expect("own buffer"),
             };
+            let cfg3 = cfg_n.with_shared_mem(block * rank_bytes);
             total_ns += Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(cfg_n, scaled_cost(profile, block), &k3)
+                device.launch_phased(cfg3, scaled_cost(profile, block), &k3)
             }));
         }
 
@@ -730,5 +805,248 @@ impl SimBackend {
             (blocks as u64, block as u64),
             total_ns as f64,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The four leader-sweep kernels, one at a time, on the 64-thread /
+    //! 4 KiB test device: outputs against a host loop, idempotence under a
+    //! repeated launch (what a retry does), and the visits the executor
+    //! makes — one thread per block in a leader phase on a plain launch,
+    //! the whole block under racecheck or the sanitizer.
+
+    use super::*;
+    use racc_gpusim::{profiles, Device};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const N: usize = 200;
+    const BLOCK: usize = 64;
+    /// Three full blocks and one of 8 elements.
+    const BLOCKS: usize = 4;
+    const SHIFT: u32 = 8;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Checker {
+        Plain,
+        Racecheck,
+        Sanitizer,
+    }
+
+    const CHECKERS: [Checker; 3] = [Checker::Plain, Checker::Racecheck, Checker::Sanitizer];
+
+    /// A test device with exactly `checker` on (whatever `RACC_SANITIZER`
+    /// says), set before anything is allocated on it.
+    fn device(checker: Checker) -> Device {
+        let dev = Device::new(profiles::test_device());
+        dev.set_sanitizer(checker == Checker::Sanitizer);
+        dev.set_racecheck(checker == Checker::Racecheck);
+        dev
+    }
+
+    /// Counts `phase()` entries per phase around the kernel under test.
+    struct Counted<K> {
+        kernel: K,
+        visits: Vec<AtomicUsize>,
+    }
+
+    impl<K: PhasedKernel> PhasedKernel for Counted<K> {
+        type State = K::State;
+        fn num_phases(&self) -> usize {
+            self.kernel.num_phases()
+        }
+        fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
+            self.kernel.active_threads(phase, block_threads)
+        }
+        fn phase(&self, phase: usize, ctx: &ThreadCtx, state: &mut K::State, shared: &SharedMem) {
+            self.visits[phase].fetch_add(1, Ordering::Relaxed);
+            self.kernel.phase(phase, ctx, state, shared)
+        }
+    }
+
+    /// Launch `kernel` over `N` elements twice, asserting after each launch
+    /// that its first `leader_phases` phases visited one thread per block
+    /// (plain) or every thread (tracked), and every other phase the whole
+    /// block; `check` then reads the outputs back.
+    fn launch_twice<K: PhasedKernel>(
+        dev: &Device,
+        checker: Checker,
+        shared_bytes: usize,
+        leader_phases: usize,
+        kernel: K,
+        check: impl Fn(),
+    ) {
+        let counted = Counted {
+            visits: (0..kernel.num_phases())
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+            kernel,
+        };
+        let cfg = LaunchConfig::linear(N, BLOCK as u32).with_shared_mem(shared_bytes);
+        for launch in 0..2 {
+            dev.launch_phased(cfg, KernelCost::default(), &counted)
+                .unwrap();
+            let visits: Vec<usize> = counted
+                .visits
+                .iter()
+                .map(|v| v.swap(0, Ordering::Relaxed))
+                .collect();
+            let expect: Vec<usize> = (0..visits.len())
+                .map(|p| {
+                    if checker == Checker::Plain && p < leader_phases {
+                        BLOCKS
+                    } else {
+                        BLOCKS * BLOCK
+                    }
+                })
+                .collect();
+            assert_eq!(visits, expect, "{checker:?}, launch {launch}");
+            check();
+        }
+    }
+
+    fn bin_of(i: usize, bins: usize) -> usize {
+        (i * 2654435761) % bins
+    }
+
+    /// Row `blk` of the scratch matrix: the counts of block `blk`'s span.
+    fn block_counts(bins: usize, key: impl Fn(usize) -> usize) -> Vec<u64> {
+        let mut rows = vec![0u64; BLOCKS * bins];
+        for i in 0..N {
+            rows[(i / BLOCK) * bins + key(i)] += 1;
+        }
+        rows
+    }
+
+    #[test]
+    fn block_histogram_counts_its_span_in_one_leader_sweep() {
+        let bins = 37;
+        for checker in CHECKERS {
+            let dev = device(checker);
+            let scratch = dev.alloc::<u64>(BLOCKS * bins).unwrap();
+            let key = |i: usize| bin_of(i, bins);
+            let kernel = BlockHistogram {
+                n: N,
+                bins,
+                block_size: BLOCK,
+                key: &key,
+                scratch: dev.slice_mut(&scratch).unwrap(),
+            };
+            launch_twice(&dev, checker, bins * 8, 1, kernel, || {
+                assert_eq!(dev.read_vec(&scratch).unwrap(), block_counts(bins, key));
+            });
+        }
+    }
+
+    #[test]
+    fn global_histogram_fallback_zeroes_then_counts_from_the_leader() {
+        // 1500 bins × 8 B = 12 000 B: past the test device's 4 KiB.
+        let bins = 1500;
+        for checker in CHECKERS {
+            let dev = device(checker);
+            assert!(bins * 8 > dev.spec().shared_mem_per_block);
+            let scratch = dev.alloc::<u64>(BLOCKS * bins).unwrap();
+            let key = |i: usize| bin_of(i, bins);
+            let kernel = BlockHistogramGlobal {
+                n: N,
+                bins,
+                block_size: BLOCK,
+                key: &key,
+                scratch: dev.slice_mut(&scratch).unwrap(),
+            };
+            launch_twice(&dev, checker, 0, 2, kernel, || {
+                assert_eq!(dev.read_vec(&scratch).unwrap(), block_counts(bins, key));
+            });
+        }
+    }
+
+    /// 24-bit keys with plenty of equal digits at `SHIFT`.
+    fn sort_keys() -> Vec<u64> {
+        (0..N as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) & 0xFF_0FFF)
+            .collect()
+    }
+
+    #[test]
+    fn digit_count_counts_its_span_in_one_leader_sweep() {
+        let host_keys = sort_keys();
+        let expect = block_counts(RADIX, |i| digit(host_keys[i], SHIFT));
+        for checker in CHECKERS {
+            let dev = device(checker);
+            let keys = dev.alloc_from(&host_keys).unwrap();
+            let counts = dev.alloc::<u64>(BLOCKS * RADIX).unwrap();
+            let kernel = DigitCount {
+                n: N,
+                block_size: BLOCK,
+                shift: SHIFT,
+                keys: dev.slice(&keys).unwrap(),
+                counts: dev.slice_mut(&counts).unwrap(),
+            };
+            launch_twice(&dev, checker, RADIX * 8, 1, kernel, || {
+                assert_eq!(dev.read_vec(&counts).unwrap(), expect);
+            });
+        }
+    }
+
+    #[test]
+    fn scatter_ranks_from_one_leader_sweep_and_stays_stable() {
+        let host_keys = sort_keys();
+        let host_idx: Vec<u64> = (0..N as u64).collect();
+        // Bases as `ScanDigits` leaves them: digit-major, block-minor.
+        let counts = block_counts(RADIX, |i| digit(host_keys[i], SHIFT));
+        let mut host_bases = vec![0u64; BLOCKS * RADIX];
+        let mut running = 0;
+        for d in 0..RADIX {
+            for blk in 0..BLOCKS {
+                host_bases[blk * RADIX + d] = running;
+                running += counts[blk * RADIX + d];
+            }
+        }
+        // One stable pass: order by this digit, ties by original index.
+        let mut order: Vec<usize> = (0..N).collect();
+        order.sort_by_key(|&i| digit(host_keys[i], SHIFT));
+        let expect_keys: Vec<u64> = order.iter().map(|&i| host_keys[i]).collect();
+        let expect_idx: Vec<u64> = order.iter().map(|&i| i as u64).collect();
+
+        for checker in CHECKERS {
+            let dev = device(checker);
+            let keys_src = dev.alloc_from(&host_keys).unwrap();
+            let idx_src = dev.alloc_from(&host_idx).unwrap();
+            let bases = dev.alloc_from(&host_bases).unwrap();
+            let keys_dst = dev.alloc::<u64>(N).unwrap();
+            let idx_dst = dev.alloc::<u64>(N).unwrap();
+            let kernel = Scatter {
+                n: N,
+                block_size: BLOCK,
+                shift: SHIFT,
+                keys_src: dev.slice(&keys_src).unwrap(),
+                idx_src: dev.slice(&idx_src).unwrap(),
+                bases: dev.slice(&bases).unwrap(),
+                keys_dst: dev.slice_mut(&keys_dst).unwrap(),
+                idx_dst: dev.slice_mut(&idx_dst).unwrap(),
+            };
+            launch_twice(&dev, checker, BLOCK * 8, 1, kernel, || {
+                assert_eq!(dev.read_vec(&keys_dst).unwrap(), expect_keys);
+                assert_eq!(dev.read_vec(&idx_dst).unwrap(), expect_idx);
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn an_unchecked_key_past_the_bins_dies_in_shared_memory() {
+        let dev = device(Checker::Plain);
+        let bins = 8;
+        let scratch = dev.alloc::<u64>(BLOCKS * bins).unwrap();
+        let key = |i: usize| if i == 130 { 40 } else { i % bins };
+        let kernel = BlockHistogram {
+            n: N,
+            bins,
+            block_size: BLOCK,
+            key: &key,
+            scratch: dev.slice_mut(&scratch).unwrap(),
+        };
+        let cfg = LaunchConfig::linear(N, BLOCK as u32).with_shared_mem(bins * 8);
+        let _ = dev.launch_phased(cfg, KernelCost::default(), &kernel);
     }
 }

@@ -459,7 +459,10 @@ impl Backend for ThreadsBackend {
         // scratch matrix, then bins are summed across rows in ascending
         // tile order. Counts are u64, so any order would do — the fixed
         // order keeps the discipline uniform with the float primitives.
-        let w = prim::cpu_tile_width(n);
+        // A tile is at least `bins` wide, so the scratch matrix (allocated,
+        // zeroed and re-summed per call) is O(n) cells, never
+        // O(n / PRIM_TILE × bins); exact counts make any width bit-identical.
+        let w = prim::cpu_tile_width(n).max(bins);
         let tiles = n.div_ceil(w);
         let counts = SlotVec::new(tiles * bins, 0u64);
         self.pool.parallel_for(tiles, self.schedule, |t| {

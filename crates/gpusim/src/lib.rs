@@ -71,7 +71,7 @@ pub use event::Event;
 pub use heap::{DeviceBuffer, DeviceSlice, DeviceSliceMut, Element};
 pub use launch::{LaunchConfig, ThreadCtx};
 pub use perf::{KernelCost, OpKind, OpRecord};
-pub use phased::{PhasedKernel, SharedMem, SinglePhase, TreeShape, TreeStep};
+pub use phased::{LeaderPhases, PhasedKernel, SharedMem, SinglePhase, TreeShape, TreeStep};
 // Fault-injection vocabulary (racc-chaos), re-exported so simulator users
 // can arm a device without naming the chaos crate.
 pub use racc_chaos::{FaultAction, FaultEvent, FaultPlan, FaultSite, RetryPolicy};

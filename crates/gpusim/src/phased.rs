@@ -153,6 +153,44 @@ impl TreeShape {
     }
 }
 
+/// The phase structure of a leader-sweep kernel: in each of the first
+/// `leader_phases` phases only the block's first thread (linear index 0)
+/// works — one sequential sweep over the block's span, filling shared
+/// memory or the block's own row of a device buffer — and in every later
+/// phase the whole block consumes what the leader left. One writer per
+/// phase and a barrier before the readers: race-free without atomics. A
+/// kernel takes both its [`PhasedKernel::active_threads`] declaration and
+/// its in-`phase()` test from here, so the two cannot drift apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeaderPhases {
+    leader_phases: usize,
+}
+
+impl LeaderPhases {
+    /// The first `leader_phases` phases belong to the block's leader.
+    pub const fn new(leader_phases: usize) -> Self {
+        LeaderPhases { leader_phases }
+    }
+
+    /// The active prefix of `phase`: `leader → 1`, `otherwise → the block`.
+    #[inline]
+    pub const fn active_threads(self, phase: usize, block_threads: usize) -> usize {
+        if phase < self.leader_phases {
+            1
+        } else {
+            block_threads
+        }
+    }
+
+    /// Whether the thread behind `ctx` has work in `phase` — the first
+    /// thing a leader-sweep kernel's `phase()` tests, so every thread
+    /// outside the declared prefix is the pure no-op the contract requires.
+    #[inline]
+    pub fn runs(self, phase: usize, ctx: &ThreadCtx) -> bool {
+        phase >= self.leader_phases || ctx.thread_linear() == 0
+    }
+}
+
 /// A block's dynamic shared memory. Typed, bounds-checked accessors operate
 /// on the raw byte buffer; the executor guarantees each block's `SharedMem`
 /// is touched by one host thread at a time, so the interior mutability is
@@ -294,6 +332,26 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn tree_shape_rejects_non_power_of_two_blocks() {
         let _ = TreeShape::new(48);
+    }
+
+    #[test]
+    fn leader_phases_declare_one_thread_and_admit_only_thread_zero() {
+        use crate::dim::Dim3;
+        let shape = LeaderPhases::new(1);
+        assert_eq!(shape.active_threads(0, 64), 1);
+        assert_eq!(shape.active_threads(1, 64), 64);
+        let ctx = |thread_idx| ThreadCtx {
+            block_idx: (3, 0, 0),
+            thread_idx,
+            block_dim: Dim3::xy(8, 8),
+            grid_dim: Dim3::x(4),
+        };
+        assert!(shape.runs(0, &ctx((0, 0, 0))));
+        assert!(!shape.runs(0, &ctx((1, 0, 0))));
+        assert!(!shape.runs(0, &ctx((0, 1, 0))), "leader is linear 0");
+        assert!(shape.runs(1, &ctx((5, 7, 0))));
+        // No leader phase at all: an ordinary whole-block kernel.
+        assert_eq!(LeaderPhases::new(0).active_threads(0, 64), 64);
     }
 
     #[test]

@@ -46,6 +46,55 @@ fn reference_sort_permutation(keys: &[u32]) -> Vec<u64> {
     out.into_inner()
 }
 
+/// Few distinct keys, one per radix-digit position plus mixed ones, so
+/// every pass of the simulators' LSD radix sort has ties to keep in order.
+const DUPLICATE_PALETTE: [u32; 6] = [
+    0,
+    0x0000_0100,
+    0x0001_0000,
+    0x0100_0000,
+    0x0101_0101,
+    u32::MAX,
+];
+
+fn assert_histogram_matches_reference(keys: &[u32], bins: usize) {
+    let expect = reference_histogram(keys, bins);
+    for ctx in contexts() {
+        let k = ctx.array_from(keys).unwrap();
+        let h = ctx.histogram(&k, bins).unwrap();
+        assert_eq!(
+            ctx.to_host(&h).unwrap(),
+            expect,
+            "{} (n = {}, bins = {bins})",
+            ctx.key(),
+            keys.len()
+        );
+    }
+}
+
+fn assert_sort_matches_reference(keys: &[u32]) {
+    let perm = reference_sort_permutation(keys);
+    let values: Vec<f32> = (0..keys.len()).map(|i| i as f32 * 0.5).collect();
+    for ctx in contexts() {
+        let k = ctx.array_from(keys).unwrap();
+        let v = ctx.array_from(&values).unwrap();
+        let (sk, sv) = ctx.sort_by_key(&k, &v).unwrap();
+        let (hk, hv) = (ctx.to_host(&sk).unwrap(), ctx.to_host(&sv).unwrap());
+        let (key, n) = (ctx.key(), keys.len());
+        for (rank, &orig) in perm.iter().enumerate() {
+            assert_eq!(
+                hk[rank], keys[orig as usize],
+                "{key} n = {n} rank {rank}: key"
+            );
+            assert_eq!(
+                hv[rank].to_bits(),
+                values[orig as usize].to_bits(),
+                "{key} n = {n} rank {rank}: value"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -98,43 +147,33 @@ proptest! {
         }
     }
 
-    /// Histograms over u32 keys equal the reference on every backend.
+    /// Histograms over u32 keys equal the reference on every backend, from
+    /// empty inputs to several 1024-thread simulator blocks.
     #[test]
     fn histogram_matches_reference_everywhere(
-        keys in prop::collection::vec(0u32..64, 0..2000),
+        keys in prop::collection::vec(0u32..64, 0..5000),
         extra_bins in 0usize..8,
     ) {
-        let bins = 64 + extra_bins;
-        let expect = reference_histogram(&keys, bins);
-        for ctx in contexts() {
-            let k = ctx.array_from(&keys).unwrap();
-            let h = ctx.histogram(&k, bins).unwrap();
-            prop_assert_eq!(&ctx.to_host(&h).unwrap(), &expect, "{}", ctx.key());
-        }
+        assert_histogram_matches_reference(&keys, 64 + extra_bins);
     }
 
     /// sort_by_key (u32 keys, f32 values) applies the reference
     /// permutation on every backend — stability included, since the
-    /// permutation is unique.
+    /// permutation is unique. Three key populations: small keys (only the
+    /// first radix pass sees more than digit 0), the full `u32` range (all
+    /// four passes non-trivial), and a six-value palette whose members
+    /// differ in every byte (long runs of equal keys: stability is what
+    /// orders them).
     #[test]
     fn sort_by_key_matches_reference_everywhere(
-        keys in prop::collection::vec(0u32..32, 0..1200),
+        keys in prop_oneof![
+            prop::collection::vec(0u32..32, 0..1200),
+            prop::collection::vec(any::<u32>(), 0..5000),
+            prop::collection::vec(0usize..DUPLICATE_PALETTE.len(), 0..5000)
+                .prop_map(|picks| picks.into_iter().map(|p| DUPLICATE_PALETTE[p]).collect()),
+        ],
     ) {
-        let perm = reference_sort_permutation(&keys);
-        let values: Vec<f32> = (0..keys.len()).map(|i| i as f32 * 0.5).collect();
-        for ctx in contexts() {
-            let k = ctx.array_from(&keys).unwrap();
-            let v = ctx.array_from(&values).unwrap();
-            let (sk, sv) = ctx.sort_by_key(&k, &v).unwrap();
-            let (hk, hv) = (ctx.to_host(&sk).unwrap(), ctx.to_host(&sv).unwrap());
-            for (rank, &orig) in perm.iter().enumerate() {
-                prop_assert_eq!(hk[rank], keys[orig as usize], "{} key", ctx.key());
-                prop_assert_eq!(
-                    hv[rank].to_bits(), values[orig as usize].to_bits(),
-                    "{} value", ctx.key()
-                );
-            }
-        }
+        assert_sort_matches_reference(&keys);
     }
 
     /// Repeated runs on the work-stealing threadpool are bit-identical:
@@ -159,6 +198,47 @@ proptest! {
         for _ in 0..3 {
             prop_assert_eq!(&run(), &first);
         }
+    }
+}
+
+/// The block-boundary sizes of a 1024-thread simulator block — fewer
+/// elements than a block, one short, exact, one over, two blocks and one —
+/// on every backend: full-range keys for the sort, and both histogram
+/// populations (spread, and everything in one bin).
+#[test]
+fn block_boundary_sizes_match_reference_everywhere() {
+    for n in [1usize, 1023, 1024, 1025, 2049] {
+        let wide: Vec<u32> = (0..n as u32)
+            .map(|i| i.wrapping_mul(2654435761).rotate_left(i % 32))
+            .collect();
+        assert_sort_matches_reference(&wide);
+        let palette: Vec<u32> = (0..n).map(|i| DUPLICATE_PALETTE[(i * 7) % 6]).collect();
+        assert_sort_matches_reference(&palette);
+
+        let spread: Vec<u32> = wide.iter().map(|k| k % 97).collect();
+        assert_histogram_matches_reference(&spread, 97);
+        assert_histogram_matches_reference(&vec![5u32; n], 8);
+    }
+}
+
+/// The complexity pin: a simulated histogram calls its key closure exactly
+/// once per element, however many blocks the elements span (the rescan
+/// kernels this replaced called it `n × block` times). A count, not a
+/// timing, so it cannot flake.
+#[test]
+fn simulated_histogram_calls_its_key_once_per_element() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    for n in [1000usize, 1024, 5000] {
+        let ctx = racc::context_for("cudasim").unwrap();
+        let calls = AtomicU64::new(0);
+        let h = ctx
+            .histogram_by_unchecked(n, 16, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                i % 16
+            })
+            .unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), n as u64, "n = {n}");
+        assert_eq!(ctx.to_host(&h).unwrap().iter().sum::<u64>(), n as u64);
     }
 }
 
