@@ -41,7 +41,7 @@ use racc_gpusim::{
 #[cfg(feature = "trace")]
 use racc_core::trace::{ConstructKind, Span};
 
-use kernels::{BlockReduceMap, FinalReduce};
+use kernels::{BlockReduceMap, Cover, FinalReduce};
 
 /// What distinguishes one vendor back end from another: its stock device,
 /// launch parameters and overheads. Plain data, read once per launch.
@@ -231,18 +231,19 @@ impl SimBackend {
     }
 
     /// The body the three `parallel_for` ranks share: an empty index space
-    /// is charged the portability overhead alone; otherwise one covering
-    /// launch of `kernel` under the retry policy, `charge_launch`, and the
-    /// span. `extent` is padded with 1s past the rank, `cfg` covers it.
-    fn launch_for<K>(
+    /// is charged the portability overhead alone; otherwise one launch of
+    /// the covering kernel over `f(i, j, k)` under the retry policy,
+    /// `charge_launch`, and the span. `extent` is padded with 1s past the
+    /// rank, `cfg` covers it.
+    fn launch_for<F>(
         &self,
         _rank: usize,
         extent: [usize; 3],
         profile: &KernelProfile,
         cfg: LaunchConfig,
-        kernel: K,
+        f: F,
     ) where
-        K: Fn(&ThreadCtx) + Sync,
+        F: Fn(usize, usize, usize) + Sync,
     {
         let extra_ns = self.vendor.racc_launch_extra_ns;
         if extent.contains(&0) {
@@ -251,10 +252,8 @@ impl SimBackend {
             self.record_for_span(_rank, profile, [0, 0, 0], None, extra_ns);
             return;
         }
-        // Launched by reference (`launch_phased` + `SinglePhase`) so the
-        // retry path can re-run the kernel; `Device::launch` would consume
-        // the closure.
-        let kernel = SinglePhase(kernel);
+        // Launched by reference so the retry path can re-run the kernel.
+        let kernel = Cover { extent, f };
         let ns = Self::unwrap_launch(self.with_retry("launch", || {
             self.device
                 .launch_phased(cfg, Self::cost_from_profile(profile), &kernel)
@@ -319,7 +318,7 @@ impl SimBackend {
         let k1 = BlockReduceMap {
             n: total,
             tree,
-            f: &f,
+            f,
             op,
             partials: self.device.slice_mut(&partials).expect("own buffer"),
         };
@@ -505,12 +504,7 @@ impl Backend for SimBackend {
         F: Fn(usize) + Sync,
     {
         let cfg = LaunchConfig::linear(n, self.block_1d(n));
-        self.launch_for(1, [n, 1, 1], profile, cfg, |t| {
-            let i = t.global_id_x();
-            if i < n {
-                f(i);
-            }
-        });
+        self.launch_for(1, [n, 1, 1], profile, cfg, move |i, _, _| f(i));
     }
 
     fn parallel_for_2d<F>(&self, m: usize, n: usize, profile: &KernelProfile, f: F)
@@ -519,12 +513,7 @@ impl Backend for SimBackend {
     {
         let (tx, ty) = self.vendor.tile_2d;
         let cfg = LaunchConfig::tiled_2d(m, n, tx, ty);
-        self.launch_for(2, [m, n, 1], profile, cfg, |t| {
-            let (i, j) = (t.global_id_x(), t.global_id_y());
-            if i < m && j < n {
-                f(i, j);
-            }
-        });
+        self.launch_for(2, [m, n, 1], profile, cfg, move |i, j, _| f(i, j));
     }
 
     fn parallel_for_3d<F>(&self, m: usize, n: usize, l: usize, profile: &KernelProfile, f: F)
@@ -533,12 +522,7 @@ impl Backend for SimBackend {
     {
         let (tx, ty, tz) = self.vendor.tile_3d;
         let cfg = LaunchConfig::tiled_3d(m, n, l, tx, ty, tz);
-        self.launch_for(3, [m, n, l], profile, cfg, |t| {
-            let (i, j, k) = (t.global_id_x(), t.global_id_y(), t.global_id_z());
-            if i < m && j < n && k < l {
-                f(i, j, k);
-            }
-        });
+        self.launch_for(3, [m, n, l], profile, cfg, f);
     }
 
     fn parallel_reduce_1d<T, F, O>(&self, n: usize, profile: &KernelProfile, f: F, op: O) -> T
@@ -570,7 +554,7 @@ impl Backend for SimBackend {
             2,
             [m as u64, n as u64, 1],
             profile,
-            |idx| f(idx % m.max(1), idx / m.max(1)),
+            move |idx| f(idx % m.max(1), idx / m.max(1)),
             op,
         )
     }
@@ -595,7 +579,7 @@ impl Backend for SimBackend {
             3,
             [m as u64, n as u64, l as u64],
             profile,
-            |idx| {
+            move |idx| {
                 let k = idx / mn;
                 let r = idx % mn;
                 f(r % m.max(1), r / m.max(1), k)
@@ -685,6 +669,157 @@ mod tests {
             .all(|h| h.load(std::sync::atomic::Ordering::Relaxed) == 1));
         assert_eq!(b.timeline().snapshot().launches, 1);
         assert!(b.timeline().modeled_ns() > 0);
+    }
+
+    /// The test device with tiles that fit its 64 threads, and the A100
+    /// with the paper's.
+    fn tiled_backends() -> [SimBackend; 2] {
+        let small = SimBackend::stock(&Vendor {
+            key: "testsim",
+            tile_2d: (8, 8),
+            tile_3d: (4, 4, 4),
+            ..Vendor::default()
+        });
+        [small, a100_backend()]
+    }
+
+    #[test]
+    fn maps_and_bodies_run_exactly_once_per_index() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let p = KernelProfile::unknown();
+        // Every index of `extent` once, nothing outside it, under `launch`.
+        type Body<'a> = &'a (dyn Fn(usize, usize, usize) + Sync);
+        let once = |extent: [usize; 3], launch: &dyn Fn(Body)| {
+            let [m, n, l] = extent;
+            let hits: Vec<AtomicU32> = (0..m * n * l).map(|_| AtomicU32::new(0)).collect();
+            launch(&|i, j, k| {
+                assert!(
+                    i < m && j < n && k < l,
+                    "({i}, {j}, {k}) outside {extent:?}"
+                );
+                hits[(k * n + j) * m + i].fetch_add(1, Ordering::Relaxed);
+            });
+            let hits: Vec<u32> = hits.into_iter().map(AtomicU32::into_inner).collect();
+            assert_eq!(hits, vec![1; m * n * l], "{extent:?}");
+        };
+        for b in tiled_backends() {
+            for n in [1, 63, 64, 65, 1000, 2049] {
+                once([n, 1, 1], &|f| b.parallel_for_1d(n, &p, |i| f(i, 0, 0)));
+                once([n, 1, 1], &|f| {
+                    let sum: u64 = b.parallel_reduce_1d(
+                        n,
+                        &p,
+                        |i| {
+                            f(i, 0, 0);
+                            i as u64
+                        },
+                        Sum,
+                    );
+                    assert_eq!(sum, (n * (n - 1) / 2) as u64);
+                });
+            }
+            for (m, n) in [(3, 5), (16, 16), (37, 23), (1, 40)] {
+                once([m, n, 1], &|f| {
+                    b.parallel_for_2d(m, n, &p, |i, j| f(i, j, 0))
+                });
+                once([m, n, 1], &|f| {
+                    let count: u32 = b.parallel_reduce_2d(
+                        m,
+                        n,
+                        &p,
+                        |i, j| {
+                            f(i, j, 0);
+                            1
+                        },
+                        Sum,
+                    );
+                    assert_eq!(count as usize, m * n);
+                });
+            }
+            for (m, n, l) in [(2, 3, 1), (8, 8, 4), (9, 10, 11), (5, 6, 7)] {
+                once([m, n, l], &|f| b.parallel_for_3d(m, n, l, &p, f));
+                once([m, n, l], &|f| {
+                    let count: u32 = b.parallel_reduce_3d(
+                        m,
+                        n,
+                        l,
+                        &p,
+                        |i, j, k| {
+                            f(i, j, k);
+                            1
+                        },
+                        Sum,
+                    );
+                    assert_eq!(count as usize, m * n * l);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn user_panics_surface_unchanged_on_plain_and_tracked_launches() {
+        fn message(run: impl FnOnce()) -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("the launch must panic");
+            err.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        }
+        type Track = Option<fn(&Device, bool)>;
+        let checkers: [Track; 3] = [
+            None,
+            Some(Device::set_racecheck),
+            Some(Device::set_sanitizer),
+        ];
+        for track in checkers {
+            let [small, _] = tiled_backends();
+            let ctx = Context::builder(small).sanitizer(false).build();
+            let b = ctx.backend();
+            if let Some(track) = track {
+                track(b.device(), true);
+            }
+            let p = KernelProfile::unknown();
+            // A map and a body that panic, one index each, in the second
+            // block and the first.
+            let map = |i: usize| {
+                if i == 70 {
+                    panic!("map failed at {i}");
+                }
+                1.0f64
+            };
+            assert_eq!(
+                message(|| {
+                    let _: f64 = b.parallel_reduce_1d(200, &p, map, Sum);
+                }),
+                "map failed at 70"
+            );
+            assert_eq!(
+                message(|| b.parallel_for_1d(200, &p, |i| assert!(i != 3, "body failed at {i}"))),
+                "body failed at 3"
+            );
+            assert_eq!(
+                message(
+                    || b.parallel_for_2d(9, 9, &p, |i, j| assert!((i, j) != (8, 2), "no {i} {j}"))
+                ),
+                "no 8 2"
+            );
+            // An index space larger than the array under it: the view's own
+            // bounds check, at the first index past the end.
+            let a = ctx.array_from(&[0.0f64; 100]).unwrap();
+            let v = a.view_mut();
+            assert_eq!(
+                message(|| ctx.parallel_for(128, &p, move |i| v.set(i, 1.0))),
+                "access 100 out of bounds (len 100)"
+            );
+            let v = a.view();
+            assert_eq!(
+                message(|| {
+                    let _: f64 = ctx.parallel_reduce(128, &p, move |i| v.get(i));
+                }),
+                "access 100 out of bounds (len 100)"
+            );
+        }
     }
 
     #[test]

@@ -526,11 +526,13 @@ fn host_folded_dot(
 
 /// Launch-overhead gate: **wall-clock** launches/sec through each simulated
 /// vendor API plus the threads backend, for an empty kernel (pure dispatch),
-/// an AXPY-shaped kernel, and a DOT (`reduce`, the two-kernel tree
-/// reduction through `Context`). The first two are the same workloads as the
-/// `launch_overhead` criterion bench, packaged for CI: prints a table and
-/// writes `results/BENCH_launch_overhead.json`. `RACC_BENCH_QUICK=1`
-/// shrinks shapes and iteration counts to smoke-test scale.
+/// an AXPY-shaped vendor-native kernel (`axpy_native`), and — through one
+/// portable `Context` per backend, so the two are like for like — an AXPY
+/// (`axpy`) and a DOT (`reduce`, the two-kernel tree reduction). The first
+/// two are the same workloads as the `launch_overhead` criterion bench,
+/// packaged for CI: prints a table and writes
+/// `results/BENCH_launch_overhead.json`. `RACC_BENCH_QUICK=1` shrinks shapes
+/// and iteration counts to smoke-test scale.
 fn bench_launch_overhead() {
     use racc_core::{Context, KernelProfile, ThreadsBackend};
     use racc_cudasim::Cuda;
@@ -619,7 +621,7 @@ fn bench_launch_overhead() {
         let y = cuda.cu_array(&host_y).unwrap();
         let (xv, yv) = (cuda.view_mut(&x).unwrap(), cuda.view(&y).unwrap());
         rows.push((
-            "axpy",
+            "axpy_native",
             "cudasim",
             axpy_shape.clone(),
             measure(iters, || {
@@ -638,7 +640,7 @@ fn bench_launch_overhead() {
         let y = hip.roc_array(&host_y).unwrap();
         let (xv, yv) = (hip.view_mut(&x).unwrap(), hip.view(&y).unwrap());
         rows.push((
-            "axpy",
+            "axpy_native",
             "hipsim",
             axpy_shape.clone(),
             measure(iters, || {
@@ -657,7 +659,7 @@ fn bench_launch_overhead() {
         let y = oneapi.one_array(&host_y).unwrap();
         let (xv, yv) = (oneapi.view_mut(&x).unwrap(), oneapi.view(&y).unwrap());
         rows.push((
-            "axpy",
+            "axpy_native",
             "oneapisim",
             axpy_shape.clone(),
             measure(iters, || {
@@ -672,25 +674,11 @@ fn bench_launch_overhead() {
             }),
         ));
     }
-    {
-        let x = ctx.array_from(&host_x).unwrap();
-        let y = ctx.array_from(&host_y).unwrap();
-        rows.push((
-            "axpy",
-            "threads",
-            axpy_shape.clone(),
-            measure(iters, || {
-                let (xv, yv) = (x.view_mut(), y.view());
-                ctx.parallel_for(n, &KernelProfile::axpy(), move |i| {
-                    xv.set(i, xv.get(i) + 2.5 * yv.get(i));
-                });
-            }),
-        ));
-    }
-
-    // The two-kernel tree reduction (DOT) through the portable front end:
-    // `check_bench.py` gates `reduce / axpy` per simulator, which holds the
-    // executor to visiting only the threads a tree phase can use.
+    // AXPY and DOT (the two-kernel tree reduction) through the portable
+    // front end, on one context per backend: `check_bench.py` gates
+    // `reduce / axpy` per simulator, which holds the reduction kernels to
+    // block-granular phases (a counted loop per phase, not a visit per
+    // simulated thread).
     for key in ["cudasim", "hipsim", "oneapisim", "threads"] {
         let rctx = racc::builder()
             .backend(key)
@@ -698,6 +686,12 @@ fn bench_launch_overhead() {
             .expect("backend compiled in");
         let x = rctx.array_from(&host_x).unwrap();
         let y = rctx.array_from(&host_y).unwrap();
+        rows.push((
+            "axpy",
+            key,
+            axpy_shape.clone(),
+            measure(iters, || racc_blas::portable::axpy(&rctx, 2.5, &x, &y)),
+        ));
         rows.push((
             "reduce",
             key,

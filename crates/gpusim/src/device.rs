@@ -10,11 +10,10 @@ use racc_chaos::{ChaosEngine, FaultAction, FaultEvent, FaultPlan, FaultSite};
 use racc_threadpool::{Schedule, ThreadPool};
 
 use crate::arena;
-use crate::dim::Dim3;
 use crate::error::SimError;
 use crate::event::Event;
 use crate::heap::{Allocation, DeviceBuffer, DeviceSlice, DeviceSliceMut, Element};
-use crate::launch::{LaunchConfig, ThreadCtx};
+use crate::launch::{BlockCtx, LaunchConfig, ThreadCtx};
 use crate::perf::{self, KernelCost, OpKind, OpRecord};
 use crate::phased::{PhasedKernel, SharedMem, SinglePhase};
 use crate::racecheck::{self, RaceTracker};
@@ -654,65 +653,65 @@ impl Device {
     /// Hot-path structure (see DESIGN.md §gpusim "execution hot path"):
     /// blocks are distributed in tuned multi-block chunks ([`block_chunk`]);
     /// each block runs out of its host thread's reusable [`arena`] (zero
-    /// steady-state allocations); non-cooperative kernels (single phase,
-    /// zero-sized state, no shared memory, racecheck off) skip the arena and
-    /// phase/state machinery entirely; untracked cooperative launches visit
-    /// only the prefix of each phase the kernel declares active
-    /// ([`PhasedKernel::active_threads`]).
+    /// steady-state allocations); a plain launch hands every phase's
+    /// declared prefix ([`PhasedKernel::active_threads`]) to the kernel in
+    /// one [`PhasedKernel::run_phase`] call ([`run_phases`]), a tracked one
+    /// (racecheck, simsan) visits every thread of every phase through
+    /// [`PhasedKernel::phase`].
+    ///
+    /// Non-cooperative kernels (single phase, zero-sized state, no shared
+    /// memory) keep a branch of their own that runs the same [`run_phases`]
+    /// without the arena. Routed through the arena instead — even taken
+    /// once per chunk of blocks rather than per block — an empty-bodied
+    /// 1024 × 32 launch measured 35–55 ns → 1.5–1.8 µs: the arena's stores
+    /// keep alive a block loop that otherwise compiles to nothing, which is
+    /// what the `empty` rows of `BENCH_launch_overhead.json` gate. (A
+    /// one-word body, `gpusim.empty_launch_ns`, measured the same either
+    /// way.) So the branch stays.
     fn execute_grid<K: PhasedKernel>(&self, cfg: LaunchConfig, kernel: &K) {
         let racecheck = self.racecheck_enabled();
         let sanitize = self.sanitizer_enabled();
-        if racecheck || sanitize {
+        let tracked = racecheck || sanitize;
+        if tracked {
             self.tracker.begin_epoch();
             self.tracker.set_track_reads(sanitize);
         }
-        let grid = cfg.grid;
-        let block = cfg.block;
-        let blocks = grid.count();
+        let blocks = cfg.grid.count();
+        let block_threads = cfg.block.count();
         let phases = kernel.num_phases();
         let schedule = Schedule::Dynamic {
-            chunk: block_chunk(blocks, block.count(), self.pool.num_threads()),
+            chunk: block_chunk(blocks, block_threads, self.pool.num_threads()),
         };
 
-        // Fast path: nothing survives a barrier (single phase, zero-sized
-        // state) and no shared memory, racecheck, or sanitizer is involved,
-        // so each simulated thread costs only its context and the kernel
-        // body.
         if phases == 1
             && std::mem::size_of::<K::State>() == 0
             && cfg.shared_mem_bytes == 0
-            && !(racecheck || sanitize)
+            && !tracked
         {
             let empty = SharedMem::new(0);
             self.pool.parallel_for(blocks, schedule, |b| {
-                let block_idx = grid.unflatten(b);
-                for_each_thread(block, |thread_idx| {
-                    let ctx = ThreadCtx {
-                        block_idx,
-                        thread_idx,
-                        block_dim: block,
-                        grid_dim: grid,
-                    };
-                    // Zero-sized, so construction is free and no state array
-                    // is needed.
-                    let mut state = K::State::default();
-                    kernel.phase(0, &ctx, &mut state, &empty);
-                });
+                // Zero-sized slots need no storage (a `Vec` of them never
+                // allocates); they are still built and dropped per block.
+                let mut states: Vec<K::State> = Vec::new();
+                states.resize_with(block_threads, K::State::default);
+                run_phases(kernel, &block_ctx(&cfg, b), phases, &mut states, &empty);
             });
             return;
         }
 
-        // General (cooperative) path: per-worker arenas hold the shared-mem
-        // buffer and the state slots; the racecheck/sanitizer test is
-        // hoisted into a const generic so the per-thread loop stays
-        // branch-free.
         let san = sanitize.then_some(&*self.sanitizer);
         self.pool.parallel_for(blocks, schedule, |b| {
             arena::with_arena(|ar| {
-                if racecheck || sanitize {
-                    run_block_in_arena::<K, true>(kernel, ar, grid, block, &cfg, phases, b, san)
+                if tracked {
+                    run_block_tracked(kernel, ar, &cfg, phases, b, san);
                 } else {
-                    run_block_in_arena::<K, false>(kernel, ar, grid, block, &cfg, phases, b, None)
+                    ar.run_block::<K::State, _>(
+                        cfg.shared_mem_bytes,
+                        block_threads,
+                        |states, shared| {
+                            run_phases(kernel, &block_ctx(&cfg, b), phases, states, shared)
+                        },
+                    );
                 }
             });
         });
@@ -868,105 +867,84 @@ impl Drop for Device {
     }
 }
 
-/// Iterate a block's threads in linear order (`x` fastest, matching
-/// `Dim3::unflatten`) with nested counters instead of a div/mod per thread.
+/// Block `b` (linear, `x` fastest) of the launch `cfg`.
 #[inline]
-fn for_each_thread(block: Dim3, mut f: impl FnMut((u32, u32, u32))) {
-    for tz in 0..block.z {
-        for ty in 0..block.y {
-            for tx in 0..block.x {
-                f((tx, ty, tz));
-            }
-        }
+fn block_ctx(cfg: &LaunchConfig, b: usize) -> BlockCtx {
+    BlockCtx {
+        block_idx: cfg.grid.unflatten(b),
+        block_dim: cfg.block,
+        grid_dim: cfg.grid,
     }
 }
 
-/// Iterate only the first `limit` threads of a block, in the same linear
-/// order. A limit that covers the block takes the plain loop above: the
-/// row bookkeeping below costs a trivial kernel body 5–15% per thread
-/// (measured on the empty and AXPY launches), and whole-block phases are
-/// the common case.
+/// The phases of one block of a plain launch: each is one
+/// [`PhasedKernel::run_phase`] call over the prefix the kernel declares
+/// active, so no tracking code — and, for a kernel that overrides
+/// `run_phase`, no per-thread code at all — is on this path. `states` holds
+/// one slot per thread of the block.
 #[inline]
-fn for_each_thread_prefix(block: Dim3, limit: usize, mut f: impl FnMut((u32, u32, u32))) {
-    if limit >= block.count() {
-        return for_each_thread(block, f);
-    }
-    let mut left = limit;
-    for tz in 0..block.z {
-        for ty in 0..block.y {
-            if left == 0 {
-                return;
-            }
-            let row = left.min(block.x as usize);
-            for tx in 0..row as u32 {
-                f((tx, ty, tz));
-            }
-            left -= row;
-        }
+fn run_phases<K: PhasedKernel>(
+    kernel: &K,
+    block: &BlockCtx,
+    phases: usize,
+    states: &mut [K::State],
+    shared: &SharedMem,
+) {
+    let block_threads = states.len();
+    for phase in 0..phases {
+        let active = kernel
+            .active_threads(phase, block_threads)
+            .min(block_threads);
+        kernel.run_phase(phase, block, 0..active, &mut states[..active], shared);
     }
 }
 
-/// Execute one block out of a worker's arena. `RC` hoists the
-/// racecheck/sanitizer branch out of the per-thread loop: the `false`
-/// instantiation compiles to a loop with no tracking code at all, and is the
-/// only one that honors [`PhasedKernel::active_threads`] — it visits just
-/// the declared prefix of each phase. The tracked instantiation visits every
-/// thread so race, divergence and canary checks see the whole block. `san`
-/// is `Some` when the sanitizer is on (always with `RC = true`), enabling
-/// barrier-arrival bookkeeping per phase boundary and the check that threads
-/// the kernel declared idle really are.
-#[allow(clippy::too_many_arguments)]
-fn run_block_in_arena<K: PhasedKernel, const RC: bool>(
+/// Execute one block of a tracked launch (racecheck or the sanitizer on):
+/// every thread of every phase is visited through [`PhasedKernel::phase`],
+/// whatever the kernel declares or overrides, so race, divergence and canary
+/// checks see the whole block and attribute what they find to one thread.
+/// `san` is `Some` when the sanitizer is on, enabling barrier-arrival
+/// bookkeeping per phase boundary and the check that threads the kernel
+/// declared idle really are.
+fn run_block_tracked<K: PhasedKernel>(
     kernel: &K,
     arena: &mut arena::LaunchArena,
-    grid: Dim3,
-    block: Dim3,
     cfg: &LaunchConfig,
     phases: usize,
     b: usize,
     san: Option<&Sanitizer>,
 ) {
-    let block_idx = grid.unflatten(b);
-    let block_threads = block.count();
+    let block = block_ctx(cfg, b);
+    let block_idx = block.block_idx;
+    let block_threads = cfg.block.count();
     if san.is_some() {
         sanitizer::set_active(true);
     }
     arena.run_block::<K::State, _>(cfg.shared_mem_bytes, block_threads, |states, shared| {
         for phase in 0..phases {
             let declared = kernel.active_threads(phase, block_threads);
-            let visit = if RC { block_threads } else { declared };
             let mut t = 0;
-            for_each_thread_prefix(block, visit, |thread_idx| {
-                let ctx = ThreadCtx {
-                    block_idx,
-                    thread_idx,
-                    block_dim: block,
-                    grid_dim: grid,
-                };
-                if RC {
-                    racecheck::set_sim_location(ctx.global_linear() as u64, b as u64, phase as u32);
-                    if san.is_some() {
-                        sanitizer::set_declared_idle((t >= declared).then_some(
-                            sanitizer::DeclaredIdle {
-                                block_idx,
-                                thread_idx,
-                                phase,
-                                declared,
-                            },
-                        ));
-                    }
+            block.for_each_thread(0..block_threads, |ctx| {
+                racecheck::set_sim_location(ctx.global_linear() as u64, b as u64, phase as u32);
+                if san.is_some() {
+                    sanitizer::set_declared_idle((t >= declared).then_some(
+                        sanitizer::DeclaredIdle {
+                            block_idx,
+                            thread_idx: ctx.thread_idx,
+                            phase,
+                            declared,
+                        },
+                    ));
                 }
-                kernel.phase(phase, &ctx, &mut states[t], shared);
+                kernel.phase(phase, ctx, &mut states[t], shared);
                 t += 1;
             });
             if let Some(san) = san {
-                san.check_block_phase(block_idx, block, phase);
+                san.check_block_phase(block_idx, cfg.block, phase);
             }
         }
     });
-    if RC {
-        racecheck::clear_current_sim_thread();
-    }
+    racecheck::clear_current_sim_thread();
     if san.is_some() {
         sanitizer::set_active(false);
     }

@@ -1,6 +1,8 @@
 //! Launch configuration, validation, and the per-thread context handed to
 //! kernel bodies.
 
+use std::ops::Range;
+
 use crate::dim::Dim3;
 use crate::error::SimError;
 use crate::spec::DeviceSpec;
@@ -115,6 +117,96 @@ impl LaunchConfig {
     }
 }
 
+/// Identity of one block inside a launch: everything a [`ThreadCtx`] carries
+/// except the thread. [`PhasedKernel::run_phase`] receives this once per
+/// phase instead of one `ThreadCtx` per simulated thread.
+///
+/// [`PhasedKernel::run_phase`]: crate::PhasedKernel::run_phase
+#[derive(Debug, Clone, Copy)]
+pub struct BlockCtx {
+    /// This block's coordinates within the grid.
+    pub block_idx: (u32, u32, u32),
+    /// Block extents.
+    pub block_dim: Dim3,
+    /// Grid extents.
+    pub grid_dim: Dim3,
+}
+
+impl BlockCtx {
+    /// The context of this block's thread `thread_idx`.
+    #[inline]
+    pub fn thread(&self, thread_idx: (u32, u32, u32)) -> ThreadCtx {
+        ThreadCtx {
+            block_idx: self.block_idx,
+            thread_idx,
+            block_dim: self.block_dim,
+            grid_dim: self.grid_dim,
+        }
+    }
+
+    /// Global `(x, y, z)` index of the block's thread `(0, 0, 0)`:
+    /// `block_idx * block_dim` per axis.
+    #[inline]
+    pub fn origin(&self) -> (usize, usize, usize) {
+        (
+            self.block_idx.0 as usize * self.block_dim.x as usize,
+            self.block_idx.1 as usize * self.block_dim.y as usize,
+            self.block_idx.2 as usize * self.block_dim.z as usize,
+        )
+    }
+
+    /// Linear block index within the grid (x fastest).
+    #[inline]
+    pub fn block_linear(&self) -> usize {
+        (self.block_idx.2 as usize * self.grid_dim.y as usize + self.block_idx.1 as usize)
+            * self.grid_dim.x as usize
+            + self.block_idx.0 as usize
+    }
+
+    /// Walk the threads `threads` of the block (a range of
+    /// [`ThreadCtx::thread_linear`] indices, clamped to the block) row by
+    /// row: `f(xs, ty, tz)` is called in linear order for every run of
+    /// consecutive `x` at one `(y, z)`. A range covering the block takes
+    /// plain nested counters: whole-block phases are the common case, and
+    /// the general walk pays a division per row (the counter-based prefix
+    /// walk before it cost a trivial kernel body 5–15% per thread, measured
+    /// on the empty and AXPY launches).
+    #[inline]
+    pub fn for_each_row(&self, threads: Range<usize>, mut f: impl FnMut(Range<u32>, u32, u32)) {
+        let d = self.block_dim;
+        if threads.start == 0 && threads.end >= d.count() {
+            for tz in 0..d.z {
+                for ty in 0..d.y {
+                    f(0..d.x, ty, tz);
+                }
+            }
+            return;
+        }
+        let (x, y) = (d.x as usize, d.y as usize);
+        let end = threads.end.min(d.count());
+        let mut t = threads.start;
+        while t < end {
+            // `row` counts rows in linear order: `tz * y + ty`.
+            let row = t / x;
+            let first = row * x;
+            let xs = (t - first) as u32..(end - first).min(x) as u32;
+            f(xs, (row % y) as u32, (row / y) as u32);
+            t = first + x;
+        }
+    }
+
+    /// Call `f` with the [`ThreadCtx`] of each of the threads `threads`, in
+    /// linear order (`x` fastest, matching `Dim3::unflatten`).
+    #[inline]
+    pub fn for_each_thread(&self, threads: Range<usize>, mut f: impl FnMut(&ThreadCtx)) {
+        self.for_each_row(threads, |xs, ty, tz| {
+            for tx in xs {
+                f(&self.thread((tx, ty, tz)));
+            }
+        });
+    }
+}
+
 /// Identity of one simulated thread inside a launch: its block and thread
 /// coordinates plus the launch shape. All coordinates are **0-based**
 /// (CUDA-style; the Julia front end in the paper is 1-based).
@@ -157,12 +249,20 @@ impl ThreadCtx {
             + self.thread_idx.0 as usize
     }
 
+    /// The block this thread belongs to.
+    #[inline]
+    pub fn block(&self) -> BlockCtx {
+        BlockCtx {
+            block_idx: self.block_idx,
+            block_dim: self.block_dim,
+            grid_dim: self.grid_dim,
+        }
+    }
+
     /// Linear block index within the grid (x fastest).
     #[inline]
     pub fn block_linear(&self) -> usize {
-        (self.block_idx.2 as usize * self.grid_dim.y as usize + self.block_idx.1 as usize)
-            * self.grid_dim.x as usize
-            + self.block_idx.0 as usize
+        self.block().block_linear()
     }
 
     /// Globally unique linear thread id across the launch.
@@ -255,6 +355,60 @@ mod tests {
         assert!(LaunchConfig::new(1u32, (1u32, 1u32, 9u32))
             .validate(&spec)
             .is_err());
+    }
+
+    #[test]
+    fn block_ctx_walks_any_thread_range_in_linear_order() {
+        for block_dim in [
+            Dim3::x(7),
+            Dim3::xy(4, 3),
+            Dim3::xyz(3, 2, 4),
+            Dim3::xyz(1, 5, 2),
+        ] {
+            let block = BlockCtx {
+                block_idx: (2, 1, 0),
+                block_dim,
+                grid_dim: Dim3::xy(3, 2),
+            };
+            let count = block_dim.count();
+            // Every sub-range, the empty ones and one that overshoots the
+            // block included.
+            for start in 0..=count {
+                for end in start..=count + 1 {
+                    let mut seen = Vec::new();
+                    block.for_each_thread(start..end, |ctx| {
+                        assert_eq!(ctx.thread_idx, block_dim.unflatten(ctx.thread_linear()));
+                        assert_eq!(ctx.block_idx, (2, 1, 0));
+                        seen.push(ctx.thread_linear());
+                    });
+                    let want: Vec<usize> = (start..end.min(count)).collect();
+                    assert_eq!(seen, want, "{block_dim} {start}..{end}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_ctx_matches_its_threads() {
+        let ctx = ThreadCtx {
+            block_idx: (1, 2, 3),
+            thread_idx: (3, 1, 0),
+            block_dim: Dim3::xyz(4, 2, 2),
+            grid_dim: Dim3::xyz(3, 4, 5),
+        };
+        let block = ctx.block();
+        assert_eq!(block.origin(), (4, 4, 6));
+        assert_eq!(block.block_linear(), (3 * 4 + 2) * 3 + 1);
+        let again = block.thread(ctx.thread_idx);
+        assert_eq!(again.global_linear(), ctx.global_linear());
+        assert_eq!(
+            (
+                again.global_id_x(),
+                again.global_id_y(),
+                again.global_id_z()
+            ),
+            (7, 5, 6)
+        );
     }
 
     #[test]

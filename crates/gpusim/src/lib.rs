@@ -69,7 +69,7 @@ pub use dim::Dim3;
 pub use error::SimError;
 pub use event::Event;
 pub use heap::{DeviceBuffer, DeviceSlice, DeviceSliceMut, Element};
-pub use launch::{LaunchConfig, ThreadCtx};
+pub use launch::{BlockCtx, LaunchConfig, ThreadCtx};
 pub use perf::{KernelCost, OpKind, OpRecord};
 pub use phased::{LeaderPhases, PhasedKernel, SharedMem, SinglePhase, TreeShape, TreeStep};
 // Fault-injection vocabulary (racc-chaos), re-exported so simulator users

@@ -17,9 +17,10 @@
 //! phases perform the shared-memory tree reduction, and the final phase
 //! writes each block's partial to global memory.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
+use std::ops::Range;
 
-use crate::launch::ThreadCtx;
+use crate::launch::{BlockCtx, ThreadCtx};
 
 /// A kernel expressed as a sequence of barrier-separated phases.
 ///
@@ -41,15 +42,13 @@ use crate::launch::ThreadCtx;
 ///   its `State`, no [`ThreadCtx::barrier`] arrival. (A phase whose threads
 ///   all call `barrier()` therefore has to declare the whole block.)
 /// * **Plain launches skip, tracked launches do not.** With racecheck and
-///   the sanitizer off, the cooperative executor visits only the prefix.
-///   (The single-phase, stateless, no-shared-memory fast path — every
-///   `parallel_for`-style launch — has no idle phase to skip and visits the
-///   whole block; the declaration is a permission to skip, never a promise
-///   that a thread will not run.) With racecheck or the sanitizer on, every
-///   thread of every phase is visited, exactly as if nothing were declared,
-///   so race, barrier-divergence and canary checks see the whole block.
-///   `State` slots of skipped threads are still default-constructed before
-///   the block and dropped after it.
+///   the sanitizer off, the executor visits only the prefix. (The
+///   declaration is a permission to skip, never a promise that a thread
+///   will not run.) With racecheck or the sanitizer on, every thread of
+///   every phase is visited, exactly as if nothing were declared, so race,
+///   barrier-divergence and canary checks see the whole block. `State`
+///   slots of skipped threads are still default-constructed before the
+///   block and dropped after it.
 /// * **A wrong declaration** that is too large only costs visits. One that
 ///   is too small silently drops the work of the threads it cut off in
 ///   plain launches — results differ from `Device::execute_grid_reference`,
@@ -61,6 +60,33 @@ use crate::launch::ThreadCtx;
 ///
 /// The declaration changes which host-side visits happen, never what is
 /// modeled: `KernelCost` is analytic and charges the full launch geometry.
+///
+/// # Block-granular phases
+///
+/// A visit is not free even when it has work: a `ThreadCtx` is built, the
+/// kernel recomputes its linear index and re-tests what the phase does, and
+/// every shared-memory access is checked on its own — ~4 ns around
+/// arithmetic that takes a fraction of one. The plain executor therefore
+/// never calls [`phase`](PhasedKernel::phase) itself: once per phase it
+/// hands the block's whole active prefix to
+/// [`run_phase`](PhasedKernel::run_phase), whose provided body is the
+/// per-thread loop. A kernel may override it with a counted loop over the
+/// range. Like `active_threads`, the override is a permission, never a
+/// promise:
+///
+/// * **Observationally equal.** `run_phase(p, block, a..b, ..)` must leave
+///   shared memory, device memory and the states exactly as calling
+///   `phase(p, ..)` for threads `a, a + 1, .., b - 1` in that order would —
+///   same values, bit for bit, same panics.
+/// * **Tracked launches and the reference stay per-thread.** With
+///   racecheck or the sanitizer on, and in
+///   `Device::execute_grid_reference`, every thread of every phase is
+///   still visited through `phase()`, so per-thread race attribution,
+///   barrier-divergence and declared-idle checks never see the override,
+///   and the reference is the differential oracle that catches a wrong one.
+/// * **One body.** Where natural, an overriding kernel writes its
+///   `phase()` as its own `run_phase` on the unit range `t..t + 1` of
+///   [`ThreadCtx::block`], so the two forms cannot drift apart.
 pub trait PhasedKernel: Sync {
     /// Per-thread private state surviving across phases (the thread's
     /// registers).
@@ -79,6 +105,34 @@ pub trait PhasedKernel: Sync {
 
     /// Execute one phase for one thread.
     fn phase(&self, phase: usize, ctx: &ThreadCtx, state: &mut Self::State, shared: &SharedMem);
+
+    /// Execute one phase for the threads `threads` of one block: a range of
+    /// [`ThreadCtx::thread_linear`] indices within the block, with
+    /// `states[k]` the state of thread `threads.start + k`. The plain
+    /// executor calls this once per phase with the declared active prefix;
+    /// the provided body visits the range thread by thread. See the trait
+    /// docs for what an override must preserve.
+    #[inline]
+    fn run_phase(
+        &self,
+        phase: usize,
+        block: &BlockCtx,
+        threads: Range<usize>,
+        states: &mut [Self::State],
+        shared: &SharedMem,
+    ) {
+        debug_assert_eq!(states.len(), threads.len());
+        // Paired off by iterator, not by index: a bounds-checked `states[k]`
+        // per thread is a panic edge the optimizer must keep, so a launch
+        // whose body compiles to nothing would still walk every thread
+        // (measured: 31 µs instead of 35 ns for an empty 1024 × 32 launch).
+        let mut states = states.iter_mut();
+        block.for_each_thread(threads, |ctx| {
+            if let Some(state) = states.next() {
+                self.phase(phase, ctx, state, shared);
+            }
+        });
+    }
 }
 
 /// What one phase of a [`TreeShape`] reduction does.
@@ -191,6 +245,35 @@ impl LeaderPhases {
     }
 }
 
+/// Cold, outlined bounds failures: keeping the formatting machinery out of
+/// the accessors lets the per-thread loops that call them optimize (the
+/// pattern of `racc-core`'s views).
+#[cold]
+#[inline(never)]
+fn read_oob(i: usize, n: usize) -> ! {
+    panic!("shared-memory read {i} out of bounds ({n} elements)");
+}
+
+#[cold]
+#[inline(never)]
+fn write_oob(i: usize, n: usize) -> ! {
+    panic!("shared-memory write {i} out of bounds ({n} elements)");
+}
+
+/// Alignment of the shared-memory backing store, and the widest element
+/// alignment [`SharedMem::cells`] accepts.
+const SHARED_ALIGN: usize = 16;
+
+/// One aligned unit of the backing store.
+#[repr(align(16))]
+struct Chunk {
+    _bytes: [u8; SHARED_ALIGN],
+}
+
+const _: () = assert!(
+    std::mem::align_of::<Chunk>() == SHARED_ALIGN && std::mem::size_of::<Chunk>() == SHARED_ALIGN
+);
+
 /// A block's dynamic shared memory. Typed, bounds-checked accessors operate
 /// on the raw byte buffer; the executor guarantees each block's `SharedMem`
 /// is touched by one host thread at a time, so the interior mutability is
@@ -207,7 +290,13 @@ impl LeaderPhases {
 /// is portable to real hardware; zeroing additionally makes any
 /// read-before-write bug deterministic instead of value-dependent.
 pub struct SharedMem {
-    bytes: UnsafeCell<Vec<u8>>,
+    /// The buffer, rounded up to whole 16-byte chunks. Only `&mut self`
+    /// methods touch the `Vec` itself, so base pointer and length are plain
+    /// loads the compiler may hoist out of a kernel's loop; the bytes are
+    /// written through `&self`, hence the cells.
+    chunks: Vec<UnsafeCell<Chunk>>,
+    /// Capacity in bytes as requested (`<= chunks.len() * SHARED_ALIGN`).
+    bytes: usize,
 }
 
 // SAFETY: one block executes on exactly one host thread; the executor never
@@ -217,68 +306,100 @@ unsafe impl Sync for SharedMem {}
 impl SharedMem {
     /// Allocate `bytes` zeroed shared-memory bytes.
     pub fn new(bytes: usize) -> Self {
-        SharedMem {
-            bytes: UnsafeCell::new(vec![0u8; bytes]),
-        }
+        let mut shared = SharedMem {
+            chunks: Vec::new(),
+            bytes: 0,
+        };
+        shared.reset(bytes);
+        shared
     }
 
     /// Shared-memory capacity in bytes.
+    #[inline]
     pub fn size_bytes(&self) -> usize {
-        // SAFETY: single-threaded access per the executor contract.
-        unsafe { (*self.bytes.get()).len() }
+        self.bytes
     }
 
     /// Number of `T` elements that fit.
+    #[inline]
     pub fn len_of<T: Copy>(&self) -> usize {
-        self.size_bytes() / std::mem::size_of::<T>()
+        self.bytes / std::mem::size_of::<T>()
+    }
+
+    /// Start of the buffer (16-byte aligned; dangling while empty).
+    #[inline]
+    fn base(&self) -> *mut u8 {
+        UnsafeCell::raw_get(self.chunks.as_ptr()).cast()
     }
 
     /// Read element `i`, viewing the buffer as `[T]`.
     #[inline]
     pub fn get<T: Copy>(&self, i: usize) -> T {
         let n = self.len_of::<T>();
-        assert!(i < n, "shared-memory read {i} out of bounds ({n} elements)");
-        // SAFETY: bounds checked; buffer is aligned for reads via
-        // read_unaligned; single-threaded per block.
-        unsafe {
-            let base = (*self.bytes.get()).as_ptr() as *const T;
-            base.add(i).read_unaligned()
+        if i >= n {
+            read_oob(i, n);
         }
+        // SAFETY: `i < n` and `n * size_of::<T>() <= self.bytes`, which the
+        // chunks cover; `read_unaligned` asks no alignment of `T`; one host
+        // thread per block.
+        unsafe { self.base().cast::<T>().add(i).read_unaligned() }
     }
 
     /// Write element `i`, viewing the buffer as `[T]`.
     #[inline]
     pub fn set<T: Copy>(&self, i: usize, value: T) {
         let n = self.len_of::<T>();
-        assert!(
-            i < n,
-            "shared-memory write {i} out of bounds ({n} elements)"
-        );
-        // SAFETY: bounds checked; single-threaded per block.
-        unsafe {
-            let base = (*self.bytes.get()).as_mut_ptr() as *mut T;
-            base.add(i).write_unaligned(value);
+        if i >= n {
+            write_oob(i, n);
         }
+        // SAFETY: as in `get`; the bytes sit in `UnsafeCell`s, so writing
+        // through `&self` is allowed.
+        unsafe { self.base().cast::<T>().add(i).write_unaligned(value) }
+    }
+
+    /// The whole buffer as `len_of::<T>()` cells of `T`: what a
+    /// block-granular phase ([`PhasedKernel::run_phase`]) indexes in a
+    /// counted loop, paying the slice's own bounds check instead of a
+    /// length computation per access. Cells, not `&mut [T]`: the buffer is
+    /// shared with every `get`/`set` made through the same `&SharedMem`.
+    ///
+    /// # Panics
+    /// Panics if `T` needs more than 16-byte alignment.
+    #[inline]
+    pub fn cells<T: Copy>(&self) -> &[Cell<T>] {
+        assert!(
+            std::mem::align_of::<T>() <= SHARED_ALIGN,
+            "shared memory is 16-byte aligned"
+        );
+        // SAFETY: `base()` is aligned to 16 >= align_of::<T>() (checked
+        // above) and non-null; `len_of::<T>()` elements fit in `self.bytes`,
+        // which the chunks cover; `Cell<T>` has the layout of `T`, the bytes
+        // already sit in `UnsafeCell`s, and as with `get` a cell reads back
+        // what the kernel stored as `T` (or the zero fill); the buffer
+        // cannot move or shrink while the slice lives, because `reset`
+        // takes `&mut self`.
+        unsafe { std::slice::from_raw_parts(self.base().cast::<Cell<T>>(), self.len_of::<T>()) }
     }
 
     /// Zero the buffer (between reuse).
     pub fn clear(&self) {
-        // SAFETY: single-threaded access per the executor contract.
-        unsafe { (*self.bytes.get()).fill(0) };
+        // SAFETY: the chunks hold `chunks.len() * SHARED_ALIGN` bytes, all
+        // in `UnsafeCell`s; single-threaded access per the executor contract.
+        unsafe { std::ptr::write_bytes(self.base(), 0, self.chunks.len() * SHARED_ALIGN) };
     }
 
     /// Resize to `bytes` zeroed bytes, reusing the existing capacity: the
     /// executor calls this between blocks so a reused arena buffer still
     /// honors the zeroed-at-block-start contract without reallocating.
     /// Writes nothing when `bytes == 0`.
-    pub fn reset(&self, bytes: usize) {
-        // SAFETY: single-threaded access per the executor contract; the
-        // executor only calls this between blocks, never during one.
-        unsafe {
-            let v = &mut *self.bytes.get();
-            v.clear();
-            v.resize(bytes, 0);
-        }
+    pub fn reset(&mut self, bytes: usize) {
+        self.chunks.clear();
+        self.chunks.resize_with(bytes.div_ceil(SHARED_ALIGN), || {
+            UnsafeCell::new(Chunk {
+                _bytes: [0; SHARED_ALIGN],
+            })
+        });
+        self.bytes = bytes;
     }
 }
 
@@ -299,6 +420,10 @@ impl<F: Fn(&ThreadCtx) + Sync> PhasedKernel for SinglePhase<F> {
         1
     }
 
+    // Always: a forwarding shim at the bottom of the executor's inline
+    // chain. Left to the heuristics it stayed a call per simulated thread in
+    // the benchmark's binary (`gpusim.empty_launch_ns` 11.5 → 38 µs).
+    #[inline(always)]
     fn phase(&self, _phase: usize, ctx: &ThreadCtx, _state: &mut (), _shared: &SharedMem) {
         (self.0)(ctx)
     }
@@ -381,7 +506,7 @@ mod tests {
     fn reset_rezeroes_and_reuses_capacity() {
         // Regression test for the executor's arena reuse: a block that dirties
         // shared memory must not leak values into the next block's view.
-        let sm = SharedMem::new(0);
+        let mut sm = SharedMem::new(0);
         sm.reset(64);
         assert_eq!(sm.size_bytes(), 64);
         for i in 0..8 {
@@ -402,14 +527,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
+    fn cells_alias_the_bytes_get_and_set_see() {
+        let mut sm = SharedMem::new(0);
+        assert!(sm.cells::<f64>().is_empty());
+        // 44 bytes: five f64 (the odd 4 bytes fit none), eleven u32.
+        sm.reset(44);
+        let cells = sm.cells::<f64>();
+        assert_eq!(cells.len(), 5);
+        assert_eq!(cells.as_ptr() as usize % 16, 0, "16-byte aligned store");
+        assert!(cells.iter().all(|c| c.get() == 0.0), "zeroed at reset");
+        cells[3].set(2.5);
+        assert_eq!(sm.get::<f64>(3), 2.5);
+        sm.set::<f64>(4, -1.0);
+        assert_eq!(cells[4].get(), -1.0, "one buffer, two ways in");
+        assert_eq!(sm.cells::<u32>().len(), 11);
+        sm.clear();
+        assert_eq!(cells[3].get(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "16-byte aligned")]
+    fn cells_reject_over_aligned_elements() {
+        #[derive(Clone, Copy)]
+        #[repr(align(32))]
+        struct Wide(#[allow(dead_code)] [u8; 32]);
+        let _ = SharedMem::new(64).cells::<Wide>();
+    }
+
+    #[test]
+    #[should_panic(expected = "shared-memory read 2 out of bounds (2 elements)")]
     fn shared_mem_read_oob_panics() {
         let sm = SharedMem::new(16);
         let _ = sm.get::<f64>(2);
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
+    #[should_panic(expected = "shared-memory write 2 out of bounds (2 elements)")]
     fn shared_mem_write_oob_panics() {
         let sm = SharedMem::new(16);
         sm.set::<f64>(2, 1.0);

@@ -2,13 +2,15 @@
 //! launches visit only the declared prefix of each phase (clamped to the
 //! block, `0` meaning nobody), tracked launches visit every thread, skipped
 //! threads' `State` slots still live and die with the block, and the
-//! sanitizer catches a kernel that declares too little.
+//! sanitizer catches a kernel that declares too little. And the
+//! `PhasedKernel::run_phase` contract beside it: a plain launch hands each
+//! phase's prefix to the kernel in one call, a tracked one never does.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use racc_gpusim::{
-    profiles, Device, DeviceSliceMut, Dim3, KernelCost, LaunchConfig, PhasedKernel, SharedMem,
-    ThreadCtx, TreeShape,
+    profiles, BlockCtx, Device, DeviceSliceMut, Dim3, KernelCost, LaunchConfig, PhasedKernel,
+    SharedMem, ThreadCtx, TreeShape,
 };
 
 /// A plain device: neither racecheck nor the sanitizer, whatever
@@ -16,6 +18,16 @@ use racc_gpusim::{
 /// unless they switch a checker on themselves).
 fn plain(spec: racc_gpusim::DeviceSpec) -> Device {
     let dev = Device::new(spec);
+    dev.set_sanitizer(false);
+    dev.set_racecheck(false);
+    dev
+}
+
+/// [`plain`] over a pool of one participant: blocks run inline, in order,
+/// for the tests that look at the order of calls.
+fn plain_in_order(spec: racc_gpusim::DeviceSpec) -> Device {
+    let pool = std::sync::Arc::new(racc_threadpool::ThreadPool::new(1));
+    let dev = Device::with_pool(spec, pool);
     dev.set_sanitizer(false);
     dev.set_racecheck(false);
     dev
@@ -110,6 +122,139 @@ fn tracked_launches_visit_every_thread_of_every_phase() {
     dev.launch_phased(cfg, KernelCost::default(), &kernel)
         .unwrap();
     assert_eq!(kernel.counts(), every, "simsan must see the whole block");
+}
+
+/// Records every `run_phase` call (phase, range, number of states) and
+/// counts `phase()` entries; the block form does nothing else, so a
+/// `phase()` entry can only come from the executor.
+struct BlockCalls {
+    tree: TreeShape,
+    block_calls: std::sync::Mutex<Vec<(usize, std::ops::Range<usize>, usize)>>,
+    thread_visits: AtomicUsize,
+}
+
+impl PhasedKernel for BlockCalls {
+    type State = u8;
+    fn num_phases(&self) -> usize {
+        self.tree.num_phases()
+    }
+    fn active_threads(&self, phase: usize, _block_threads: usize) -> usize {
+        self.tree.active_threads(phase)
+    }
+    fn phase(&self, _phase: usize, _ctx: &ThreadCtx, _s: &mut u8, _sh: &SharedMem) {
+        self.thread_visits.fetch_add(1, Ordering::Relaxed);
+    }
+    fn run_phase(
+        &self,
+        phase: usize,
+        _block: &BlockCtx,
+        threads: std::ops::Range<usize>,
+        states: &mut [u8],
+        _sh: &SharedMem,
+    ) {
+        self.block_calls
+            .lock()
+            .unwrap()
+            .push((phase, threads, states.len()));
+    }
+}
+
+#[test]
+fn plain_launches_hand_each_phase_to_run_phase_once_tracked_ones_never() {
+    let tree = TreeShape::new(16);
+    let blocks = 3usize;
+    let cfg = LaunchConfig::new(blocks as u32, Dim3::xy(8, 2)).with_shared_mem(16 * 8);
+    let launch = |dev: &Device| {
+        let kernel = BlockCalls {
+            tree,
+            block_calls: Default::default(),
+            thread_visits: AtomicUsize::new(0),
+        };
+        dev.launch_phased(cfg, KernelCost::default(), &kernel)
+            .unwrap();
+        (
+            kernel.block_calls.into_inner().unwrap(),
+            kernel.thread_visits.into_inner(),
+        )
+    };
+
+    // Plain: one call per phase and block, over exactly the declared
+    // prefix, with one state per thread of it — and no thread visit.
+    let (calls, visits) = launch(&plain_in_order(profiles::test_device()));
+    let per_block: Vec<_> = [16, 8, 4, 2, 1, 1]
+        .iter()
+        .enumerate()
+        .map(|(phase, &k)| (phase, 0..k, k))
+        .collect();
+    assert_eq!(calls.len(), blocks * tree.num_phases());
+    for block in calls.chunks(tree.num_phases()) {
+        assert_eq!(block, per_block);
+    }
+    assert_eq!(visits, 0);
+
+    // Tracked: every thread of every phase through `phase()`, the block
+    // form never entered.
+    for track in [Device::set_racecheck, Device::set_sanitizer] {
+        let dev = plain(profiles::test_device());
+        track(&dev, true);
+        let (calls, visits) = launch(&dev);
+        assert_eq!(calls, []);
+        assert_eq!(visits, blocks * 16 * tree.num_phases());
+    }
+
+    // So is the reference executor.
+    let dev = plain(profiles::test_device());
+    let kernel = BlockCalls {
+        tree,
+        block_calls: Default::default(),
+        thread_visits: AtomicUsize::new(0),
+    };
+    dev.execute_grid_reference(cfg, &kernel);
+    assert_eq!(kernel.block_calls.into_inner().unwrap(), []);
+    assert_eq!(
+        kernel.thread_visits.into_inner(),
+        blocks * 16 * tree.num_phases()
+    );
+}
+
+#[test]
+fn the_stateless_single_phase_path_goes_through_run_phase_too() {
+    // No shared memory, zero-sized state, one phase: the launch every
+    // `parallel_for` makes. The whole block is one call.
+    struct OneCall {
+        calls: std::sync::Mutex<Vec<std::ops::Range<usize>>>,
+    }
+    impl PhasedKernel for OneCall {
+        type State = ();
+        fn num_phases(&self) -> usize {
+            1
+        }
+        fn phase(&self, _p: usize, _ctx: &ThreadCtx, _s: &mut (), _sh: &SharedMem) {
+            panic!("a plain launch must not visit threads of an overriding kernel");
+        }
+        fn run_phase(
+            &self,
+            _p: usize,
+            _block: &BlockCtx,
+            threads: std::ops::Range<usize>,
+            states: &mut [()],
+            _sh: &SharedMem,
+        ) {
+            assert_eq!(states.len(), threads.len());
+            self.calls.lock().unwrap().push(threads);
+        }
+    }
+    let dev = plain(profiles::test_device());
+    let kernel = OneCall {
+        calls: Default::default(),
+    };
+    dev.launch_phased(
+        LaunchConfig::new(Dim3::xy(2, 2), Dim3::xyz(4, 2, 3)),
+        KernelCost::default(),
+        &kernel,
+    )
+    .unwrap();
+    assert_eq!(kernel.calls.into_inner().unwrap(), vec![0..24; 4]);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use racc_gpusim::{
-    perf, profiles, Device, DeviceSlice, DeviceSliceMut, Dim3, KernelCost, LaunchConfig,
+    perf, profiles, BlockCtx, Device, DeviceSlice, DeviceSliceMut, Dim3, KernelCost, LaunchConfig,
     PhasedKernel, SharedMem, ThreadCtx, TreeShape, TreeStep,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -353,6 +353,162 @@ mod arena_vs_reference {
             dev.execute_grid_reference(cfg, &mk(&out_ref));
             prop_assert_eq!(bits(&dev, &out_fast), bits(&dev, &out_ref));
         }
+    }
+}
+
+/// Differential tests for [`PhasedKernel::run_phase`]: a kernel whose block
+/// form is written by hand — counted loops over the thread range, shared
+/// memory through [`SharedMem::cells`], no `ThreadCtx` — must leave exactly
+/// what its per-thread `phase()` leaves. The plain executor runs the block
+/// form; `Device::execute_grid_reference` ignores it and visits every thread
+/// through `phase()`, so it is the oracle, and a wrong override shows up as
+/// a difference.
+mod block_granular {
+    use super::*;
+    use std::ops::Range;
+
+    /// Phase 0 (whole block): thread `t` keeps its input in its `State` and
+    /// stores it, scaled by `t + 1`, in shared memory. Phase 1 (the first
+    /// `prefix` threads only): thread `t` writes `shared[t] + shared[next] +
+    /// state`, `next` being the thread after it, cyclically. The two forms
+    /// are written independently of each other.
+    struct Neighbours {
+        n: usize,
+        prefix: usize,
+        /// The deliberately wrong override: phase 1 of the block form skips
+        /// the last thread of its range.
+        drop_last: bool,
+        x: DeviceSlice<f64>,
+        out: DeviceSliceMut<f64>,
+    }
+
+    impl PhasedKernel for Neighbours {
+        type State = f64;
+
+        fn num_phases(&self) -> usize {
+            2
+        }
+
+        fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
+            if phase == 0 {
+                block_threads
+            } else {
+                self.prefix
+            }
+        }
+
+        fn phase(&self, phase: usize, ctx: &ThreadCtx, state: &mut f64, shared: &SharedMem) {
+            let t = ctx.thread_linear();
+            let g = ctx.global_linear();
+            if phase == 0 {
+                *state = if g < self.n { self.x.get(g) } else { 0.0 };
+                shared.set::<f64>(t, *state * (t + 1) as f64);
+            } else if t < self.prefix && g < self.n {
+                let next = (t + 1) % ctx.block_dim.count();
+                self.out
+                    .set(g, shared.get::<f64>(t) + shared.get::<f64>(next) + *state);
+            }
+        }
+
+        fn run_phase(
+            &self,
+            phase: usize,
+            block: &BlockCtx,
+            threads: Range<usize>,
+            states: &mut [f64],
+            shared: &SharedMem,
+        ) {
+            let s = shared.cells::<f64>();
+            let block_threads = block.block_dim.count();
+            let base = block.block_linear() * block_threads;
+            if phase == 0 {
+                for (state, t) in states.iter_mut().zip(threads) {
+                    let g = base + t;
+                    *state = if g < self.n { self.x.get(g) } else { 0.0 };
+                    s[t].set(*state * (t + 1) as f64);
+                }
+            } else {
+                let end = threads.end.min(self.prefix) - usize::from(self.drop_last);
+                for (state, t) in states.iter().zip(threads.start..end) {
+                    let g = base + t;
+                    if g < self.n {
+                        let next = (t + 1) % block_threads;
+                        self.out.set(g, s[t].get() + s[next].get() + *state);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(plain launch, reference)` output bits of one `Neighbours` launch.
+    fn both_ways(
+        data: &[f64],
+        grid: Dim3,
+        block: Dim3,
+        prefix: usize,
+        drop_last: bool,
+    ) -> (Vec<u64>, Vec<u64>) {
+        // A plain device whatever `RACC_SANITIZER` says: a tracked launch
+        // never enters the block form this is about.
+        let dev = test_device();
+        dev.set_sanitizer(false);
+        dev.set_racecheck(false);
+        let n = data.len();
+        let cfg = LaunchConfig::new(grid, block).with_shared_mem(block.count() * 8);
+        let x = dev.alloc_from(data).unwrap();
+        let (fast, oracle) = (dev.alloc::<f64>(n).unwrap(), dev.alloc::<f64>(n).unwrap());
+        let mk = |out: &racc_gpusim::DeviceBuffer<f64>| Neighbours {
+            n,
+            prefix,
+            drop_last,
+            x: dev.slice(&x).unwrap(),
+            out: dev.slice_mut(out).unwrap(),
+        };
+        dev.launch_phased(cfg, KernelCost::default(), &mk(&fast))
+            .unwrap();
+        dev.execute_grid_reference(cfg, &mk(&oracle));
+        let bits = |buf| {
+            dev.read_vec(buf)
+                .unwrap()
+                .iter()
+                .map(|v: &f64| v.to_bits())
+                .collect()
+        };
+        (bits(&fast), bits(&oracle))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random 1/2/3-D grids and blocks (the launch may cover more or
+        /// fewer threads than there are elements), every prefix from one
+        /// thread to the whole block — so it ends mid-row and mid-plane.
+        #[test]
+        fn hand_written_run_phase_is_bit_identical_to_the_reference(
+            data in prop::collection::vec(-1e3f64..1e3, 1..600),
+            gx in 1u32..5, gy in 1u32..4, gz in 1u32..3,
+            bx in 1u32..17, by in 1u32..5, bz in 1u32..4,
+            cut in 0usize..64,
+        ) {
+            let block = Dim3::xyz(bx, by, bz);
+            prop_assume!(block.count() <= 64);
+            let prefix = 1 + cut % block.count();
+            let (fast, oracle) = both_ways(&data, Dim3::xyz(gx, gy, gz), block, prefix, false);
+            prop_assert_eq!(fast, oracle);
+        }
+    }
+
+    #[test]
+    fn a_wrong_run_phase_differs_from_the_reference() {
+        let data: Vec<f64> = (1..=200).map(f64::from).collect();
+        let (grid, block) = (Dim3::xy(2, 2), Dim3::xyz(4, 4, 2));
+        let (fast, oracle) = both_ways(&data, grid, block, 19, false);
+        assert_eq!(fast, oracle, "the right override first");
+        let (fast, oracle) = both_ways(&data, grid, block, 19, true);
+        assert_ne!(fast, oracle, "the reference must catch the dropped thread");
+        // Exactly thread 18 of each block is missing, nothing else moved.
+        let differing: Vec<usize> = (0..data.len()).filter(|&g| fast[g] != oracle[g]).collect();
+        assert_eq!(differing, [18, 50, 82, 114]);
     }
 }
 

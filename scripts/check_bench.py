@@ -22,14 +22,18 @@ this before any quick-mode smoke regenerates them):
      * prim: every particle-binning row must be bit-identical to the
        serial reference (histogram, scans, and sort_by_key included —
        the primitives' cross-backend contract).
-     * launch_overhead: on each simulator the ``reduce`` row (DOT through
-       ``Context``, the two-kernel tree reduction) may cost at most
-       ``REDUCE_OVER_AXPY`` (3.0) times the ``axpy`` row of the same
-       shape. Both rows come from one run on one host, so the ratio does
-       not depend on the host's speed: it is ~1.6 while the executor
-       visits only the threads a tree phase can use
-       (``PhasedKernel::active_threads``) and ~7 when every phase visits
-       the whole block.
+     * launch_overhead: on each simulator the ``reduce`` row (DOT, the
+       two-kernel tree reduction) may cost at most ``REDUCE_OVER_AXPY``
+       (3.0) times the ``axpy`` row of the same shape. Both go through
+       ``racc_blas::portable`` on one ``Context`` in one run on one host,
+       so the ratio is like for like and does not depend on the host's
+       speed: recorded 2.1-2.3 (1.8-2.5 over seven runs; AXPY 0.23 ns
+       per element, DOT 0.51) while the reduction kernels run each phase
+       as a counted loop (``PhasedKernel::run_phase``), and ~35 if they go
+       back to one executor visit per simulated thread (533-565 us against
+       the same 15 us AXPY). The vendor-native ``DeviceSlice`` AXPY the simulators'
+       ``axpy`` rows timed before is the ``axpy_native`` row; it has no
+       gate of its own beyond baseline drift.
 
 2. Baseline drift — every ``results/baselines/BENCH_*.json`` is compared
    row-by-row against its committed counterpart. A row regresses when it
