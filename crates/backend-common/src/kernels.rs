@@ -43,9 +43,9 @@ pub(crate) struct Cover<F> {
     /// Extent of the index space, padded with 1s past the rank.
     pub extent: [usize; 3],
     /// The loop body, `f(i, j, k)`, held by value all the way down (the
-    /// rank adapters in `lib.rs` are `move` closures): behind a reference,
-    /// the body's own stores would force a reload of everything it captures
-    /// on every iteration.
+    /// rank adapters in `racc_core::Context` are `move` closures): behind a
+    /// reference, the body's own stores would force a reload of everything
+    /// it captures on every iteration.
     pub f: F,
 }
 

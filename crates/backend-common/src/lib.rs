@@ -31,7 +31,10 @@ mod prim;
 
 use std::sync::Arc;
 
-use racc_core::{AccScalar, Backend, DeviceToken, KernelProfile, RaccError, ReduceOp, Timeline};
+use racc_core::{
+    AccScalar, Backend, DeviceToken, Extent, Instrument, KernelProfile, RaccError, ReduceOp,
+    Timeline,
+};
 use racc_gpusim::perf::{self, KernelCost};
 use racc_gpusim::{
     Device, DeviceSpec, FaultEvent, FaultPlan, FaultSite, LaunchConfig, RetryPolicy, SimError,
@@ -230,77 +233,32 @@ impl SimBackend {
         });
     }
 
-    /// The body the three `parallel_for` ranks share: an empty index space
-    /// is charged the portability overhead alone; otherwise one launch of
-    /// the covering kernel over `f(i, j, k)` under the retry policy,
-    /// `charge_launch`, and the span. `extent` is padded with 1s past the
-    /// rank, `cfg` covers it.
-    fn launch_for<F>(
-        &self,
-        _rank: usize,
-        extent: [usize; 3],
-        profile: &KernelProfile,
-        cfg: LaunchConfig,
-        f: F,
-    ) where
-        F: Fn(usize, usize, usize) + Sync,
-    {
-        let extra_ns = self.vendor.racc_launch_extra_ns;
-        if extent.contains(&0) {
-            self.timeline.charge_launch(extra_ns);
-            #[cfg(feature = "trace")]
-            self.record_for_span(_rank, profile, [0, 0, 0], None, extra_ns);
-            return;
-        }
-        // Launched by reference so the retry path can re-run the kernel.
-        let kernel = Cover { extent, f };
-        let ns = Self::unwrap_launch(self.with_retry("launch", || {
-            self.device
-                .launch_phased(cfg, Self::cost_from_profile(profile), &kernel)
-        }));
-        let total_ns = ns as f64 + extra_ns;
-        self.timeline.charge_launch(total_ns);
-        #[cfg(feature = "trace")]
-        self.record_for_span(
-            _rank,
-            profile,
-            extent.map(|d| d as u64),
-            Some(cfg),
-            total_ns,
-        );
-    }
-
-    /// Shared implementation of the two-kernel reduction over a linear
-    /// index space, used by the 1D/2D/3D entry points. `_rank` and `_dims`
-    /// describe the original (pre-linearization) index space for span
-    /// recording; they are unused when the `trace` feature is off.
-    fn reduce_linear<T, F, O>(
-        &self,
-        total: usize,
-        _rank: usize,
-        _dims: [u64; 3],
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
+    /// The two-kernel reduction over the column-major linearisation of
+    /// `extent`: `f` maps a linear index. The extent itself is what the
+    /// span reports.
+    fn reduce_linear<T, F, O>(&self, extent: Extent, profile: &KernelProfile, f: F, op: O) -> T
     where
         T: AccScalar,
         F: Fn(usize) -> T + Sync,
         O: ReduceOp<T>,
     {
+        let total = extent.len();
         #[cfg(feature = "trace")]
-        let reduce_kind = if profile.fused {
-            ConstructKind::Fused
-        } else {
-            ConstructKind::reduce_rank(_rank)
-        };
+        let (reduce_kind, dims) = (
+            if profile.fused {
+                ConstructKind::Fused
+            } else {
+                ConstructKind::reduce_rank(extent.rank())
+            },
+            extent.dims().map(|d| d as u64),
+        );
         if total == 0 {
             self.timeline
                 .charge_reduction(self.vendor.racc_launch_extra_ns);
             #[cfg(feature = "trace")]
             self.timeline.record_span(|| {
                 Span::new(self.vendor.key, reduce_kind, profile.name)
-                    .dims(_dims[0], _dims[1], _dims[2])
+                    .dims(dims[0], dims[1], dims[2])
                     .profile(profile.flops_per_iter, profile.bytes_per_iter())
                     .modeled(Timeline::quantize(self.vendor.racc_launch_extra_ns))
             });
@@ -364,7 +322,7 @@ impl SimBackend {
             // readback — matching the two timeline charges above.
             self.timeline.record_span(|| {
                 Span::new(self.vendor.key, reduce_kind, profile.name)
-                    .dims(_dims[0], _dims[1], _dims[2])
+                    .dims(dims[0], dims[1], dims[2])
                     .geometry(blocks as u64, block as u64)
                     .profile(profile.flops_per_iter, profile.bytes_per_iter())
                     .modeled(Timeline::quantize(reduce_ns))
@@ -379,23 +337,7 @@ impl SimBackend {
     }
 }
 
-impl Backend for SimBackend {
-    fn name(&self) -> String {
-        format!("RACC {} ({})", self.vendor.key, self.device.spec().name)
-    }
-
-    fn key(&self) -> &'static str {
-        self.vendor.key
-    }
-
-    fn is_accelerator(&self) -> bool {
-        true
-    }
-
-    fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
+impl Instrument for SimBackend {
     fn set_sanitizer(&self, enabled: bool) -> bool {
         self.device.set_sanitizer(enabled);
         true
@@ -442,6 +384,28 @@ impl Backend for SimBackend {
         })?;
         self.with_retry("d2h", || self.device.read_scalar(&buf, 0))?;
         Ok(())
+    }
+}
+
+impl Backend for SimBackend {
+    fn name(&self) -> String {
+        format!("RACC {} ({})", self.vendor.key, self.device.spec().name)
+    }
+
+    fn key(&self) -> &'static str {
+        self.vendor.key
+    }
+
+    fn is_accelerator(&self) -> bool {
+        true
+    }
+
+    fn timeline(&self) -> &Timeline {
+        &self.timeline
+    }
+
+    fn instrument(&self) -> &dyn Instrument {
+        self
     }
 
     fn on_alloc(&self, bytes: usize, upload: bool) -> Result<DeviceToken, RaccError> {
@@ -499,96 +463,81 @@ impl Backend for SimBackend {
         });
     }
 
-    fn parallel_for_1d<F>(&self, n: usize, profile: &KernelProfile, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let cfg = LaunchConfig::linear(n, self.block_1d(n));
-        self.launch_for(1, [n, 1, 1], profile, cfg, move |i, _, _| f(i));
-    }
-
-    fn parallel_for_2d<F>(&self, m: usize, n: usize, profile: &KernelProfile, f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        let (tx, ty) = self.vendor.tile_2d;
-        let cfg = LaunchConfig::tiled_2d(m, n, tx, ty);
-        self.launch_for(2, [m, n, 1], profile, cfg, move |i, j, _| f(i, j));
-    }
-
-    fn parallel_for_3d<F>(&self, m: usize, n: usize, l: usize, profile: &KernelProfile, f: F)
+    fn parallel_for<F>(&self, extent: Extent, profile: &KernelProfile, f: F)
     where
         F: Fn(usize, usize, usize) + Sync,
     {
-        let (tx, ty, tz) = self.vendor.tile_3d;
-        let cfg = LaunchConfig::tiled_3d(m, n, l, tx, ty, tz);
-        self.launch_for(3, [m, n, l], profile, cfg, f);
-    }
-
-    fn parallel_reduce_1d<T, F, O>(&self, n: usize, profile: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        self.reduce_linear(n, 1, [n as u64, 1, 1], profile, f, op)
-    }
-
-    fn parallel_reduce_2d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        // Fine-grain mapping: one simulated thread per element, linearized
-        // column-major so the fast thread index follows the fast array axis.
-        self.reduce_linear(
-            m * n,
-            2,
-            [m as u64, n as u64, 1],
+        let extra_ns = self.vendor.racc_launch_extra_ns;
+        // An empty index space is charged the portability overhead alone.
+        if extent.is_empty() {
+            self.timeline.charge_launch(extra_ns);
+            #[cfg(feature = "trace")]
+            self.record_for_span(extent.rank(), profile, [0, 0, 0], None, extra_ns);
+            return;
+        }
+        // The paper's geometry per rank (Fig. 6): a line of blocks, or the
+        // vendor's thread tiles laid over the index space.
+        let [m, n, l] = extent.dims();
+        let cfg = match extent.rank() {
+            1 => LaunchConfig::linear(m, self.block_1d(m)),
+            2 => {
+                let (tx, ty) = self.vendor.tile_2d;
+                LaunchConfig::tiled_2d(m, n, tx, ty)
+            }
+            _ => {
+                let (tx, ty, tz) = self.vendor.tile_3d;
+                LaunchConfig::tiled_3d(m, n, l, tx, ty, tz)
+            }
+        };
+        // Launched by reference so the retry path can re-run the kernel.
+        let kernel = Cover {
+            extent: extent.dims(),
+            f,
+        };
+        let ns = Self::unwrap_launch(self.with_retry("launch", || {
+            self.device
+                .launch_phased(cfg, Self::cost_from_profile(profile), &kernel)
+        }));
+        let total_ns = ns as f64 + extra_ns;
+        self.timeline.charge_launch(total_ns);
+        #[cfg(feature = "trace")]
+        self.record_for_span(
+            extent.rank(),
             profile,
-            move |idx| f(idx % m.max(1), idx / m.max(1)),
-            op,
-        )
+            extent.dims().map(|d| d as u64),
+            Some(cfg),
+            total_ns,
+        );
     }
 
-    fn parallel_reduce_3d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
+    #[inline(always)]
+    fn parallel_reduce<T, F, O>(&self, extent: Extent, profile: &KernelProfile, f: F, op: O) -> T
     where
         T: AccScalar,
         F: Fn(usize, usize, usize) -> T + Sync,
         O: ReduceOp<T>,
     {
-        let mn = (m * n).max(1);
-        self.reduce_linear(
-            m * n * l,
-            3,
-            [m as u64, n as u64, l as u64],
-            profile,
-            move |idx| {
-                let k = idx / mn;
-                let r = idx % mn;
-                f(r % m.max(1), r / m.max(1), k)
-            },
-            op,
-        )
+        // Fine-grain mapping: one simulated thread per element, linearized
+        // column-major so the fast thread index follows the fast array
+        // axis. Rank 1 is already linear and pays no index arithmetic.
+        let [m, n, _] = extent.dims();
+        let (m, mn) = (m.max(1), (m * n).max(1));
+        match extent.rank() {
+            1 => self.reduce_linear(extent, profile, move |idx| f(idx, 0, 0), op),
+            2 => self.reduce_linear(extent, profile, move |idx| f(idx % m, idx / m, 0), op),
+            _ => self.reduce_linear(
+                extent,
+                profile,
+                move |idx| {
+                    let (k, r) = (idx / mn, idx % mn);
+                    f(r % m, r / m, k)
+                },
+                op,
+            ),
+        }
     }
 
-    fn prim_scan_1d<T, F, W, O>(
+    fn prim_scan<T, F, W, O>(
         &self,
         n: usize,
         inclusive: bool,
@@ -605,21 +554,15 @@ impl Backend for SimBackend {
         self.sim_prim_scan(n, inclusive, profile, read, write, op)
     }
 
-    fn prim_histogram_1d<F, W>(
-        &self,
-        n: usize,
-        bins: usize,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
+    fn prim_histogram<F, W>(&self, n: usize, bins: usize, profile: &KernelProfile, key: F, write: W)
+    where
         F: Fn(usize) -> usize + Sync,
         W: Fn(usize, u64) + Sync,
     {
         self.sim_prim_histogram(n, bins, profile, key, write)
     }
 
-    fn prim_sort_pairs_1d<F, W>(
+    fn prim_sort_pairs<F, W>(
         &self,
         n: usize,
         key_bits: u32,
@@ -661,7 +604,7 @@ mod tests {
         let hits: Vec<std::sync::atomic::AtomicUsize> = (0..n)
             .map(|_| std::sync::atomic::AtomicUsize::new(0))
             .collect();
-        b.parallel_for_1d(n, &KernelProfile::unknown(), |i| {
+        b.parallel_for(Extent::d1(n), &KernelProfile::unknown(), |i, _, _| {
             hits[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
         assert!(hits
@@ -684,79 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn maps_and_bodies_run_exactly_once_per_index() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let p = KernelProfile::unknown();
-        // Every index of `extent` once, nothing outside it, under `launch`.
-        type Body<'a> = &'a (dyn Fn(usize, usize, usize) + Sync);
-        let once = |extent: [usize; 3], launch: &dyn Fn(Body)| {
-            let [m, n, l] = extent;
-            let hits: Vec<AtomicU32> = (0..m * n * l).map(|_| AtomicU32::new(0)).collect();
-            launch(&|i, j, k| {
-                assert!(
-                    i < m && j < n && k < l,
-                    "({i}, {j}, {k}) outside {extent:?}"
-                );
-                hits[(k * n + j) * m + i].fetch_add(1, Ordering::Relaxed);
-            });
-            let hits: Vec<u32> = hits.into_iter().map(AtomicU32::into_inner).collect();
-            assert_eq!(hits, vec![1; m * n * l], "{extent:?}");
-        };
-        for b in tiled_backends() {
-            for n in [1, 63, 64, 65, 1000, 2049] {
-                once([n, 1, 1], &|f| b.parallel_for_1d(n, &p, |i| f(i, 0, 0)));
-                once([n, 1, 1], &|f| {
-                    let sum: u64 = b.parallel_reduce_1d(
-                        n,
-                        &p,
-                        |i| {
-                            f(i, 0, 0);
-                            i as u64
-                        },
-                        Sum,
-                    );
-                    assert_eq!(sum, (n * (n - 1) / 2) as u64);
-                });
-            }
-            for (m, n) in [(3, 5), (16, 16), (37, 23), (1, 40)] {
-                once([m, n, 1], &|f| {
-                    b.parallel_for_2d(m, n, &p, |i, j| f(i, j, 0))
-                });
-                once([m, n, 1], &|f| {
-                    let count: u32 = b.parallel_reduce_2d(
-                        m,
-                        n,
-                        &p,
-                        |i, j| {
-                            f(i, j, 0);
-                            1
-                        },
-                        Sum,
-                    );
-                    assert_eq!(count as usize, m * n);
-                });
-            }
-            for (m, n, l) in [(2, 3, 1), (8, 8, 4), (9, 10, 11), (5, 6, 7)] {
-                once([m, n, l], &|f| b.parallel_for_3d(m, n, l, &p, f));
-                once([m, n, l], &|f| {
-                    let count: u32 = b.parallel_reduce_3d(
-                        m,
-                        n,
-                        l,
-                        &p,
-                        |i, j, k| {
-                            f(i, j, k);
-                            1
-                        },
-                        Sum,
-                    );
-                    assert_eq!(count as usize, m * n * l);
-                });
-            }
-        }
-    }
-
-    #[test]
     fn user_panics_surface_unchanged_on_plain_and_tracked_launches() {
         fn message(run: impl FnOnce()) -> String {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
@@ -775,9 +645,8 @@ mod tests {
         for track in checkers {
             let [small, _] = tiled_backends();
             let ctx = Context::builder(small).sanitizer(false).build();
-            let b = ctx.backend();
             if let Some(track) = track {
-                track(b.device(), true);
+                track(ctx.backend().device(), true);
             }
             let p = KernelProfile::unknown();
             // A map and a body that panic, one index each, in the second
@@ -790,18 +659,17 @@ mod tests {
             };
             assert_eq!(
                 message(|| {
-                    let _: f64 = b.parallel_reduce_1d(200, &p, map, Sum);
+                    let _: f64 = ctx.parallel_reduce(200, &p, map);
                 }),
                 "map failed at 70"
             );
             assert_eq!(
-                message(|| b.parallel_for_1d(200, &p, |i| assert!(i != 3, "body failed at {i}"))),
+                message(|| ctx.parallel_for(200, &p, |i| assert!(i != 3, "body failed at {i}"))),
                 "body failed at 3"
             );
             assert_eq!(
-                message(
-                    || b.parallel_for_2d(9, 9, &p, |i, j| assert!((i, j) != (8, 2), "no {i} {j}"))
-                ),
+                message(|| ctx
+                    .parallel_for_2d((9, 9), &p, |i, j| assert!((i, j) != (8, 2), "no {i} {j}"))),
                 "no 8 2"
             );
             // An index space larger than the array under it: the view's own
@@ -826,7 +694,8 @@ mod tests {
     fn two_kernel_reduce_matches_serial() {
         let b = backend();
         for n in [1usize, 63, 64, 65, 1000, 10_000] {
-            let s: f64 = b.parallel_reduce_1d(n, &KernelProfile::dot(), |i| (i as f64).sqrt(), Sum);
+            let sqrt = |i: usize, _, _| (i as f64).sqrt();
+            let s: f64 = b.parallel_reduce(Extent::d1(n), &KernelProfile::dot(), sqrt, Sum);
             let expect: f64 = (0..n).map(|i| (i as f64).sqrt()).sum();
             assert!(
                 (s - expect).abs() < 1e-9 * expect.max(1.0),
@@ -839,7 +708,8 @@ mod tests {
     fn reduce_handles_non_sum_ops() {
         let b = backend();
         let data: Vec<i64> = (0..5000).map(|i| (i * 7919) % 10007).collect();
-        let m: i64 = b.parallel_reduce_1d(data.len(), &KernelProfile::dot(), |i| data[i], Max);
+        let n = Extent::d1(data.len());
+        let m: i64 = b.parallel_reduce(n, &KernelProfile::dot(), |i, _, _| data[i], Max);
         assert_eq!(m, *data.iter().max().unwrap());
     }
 
@@ -847,18 +717,20 @@ mod tests {
     fn reduce_2d_and_3d_match_serial() {
         let b = backend();
         let (m, n) = (37usize, 23usize);
-        let s2: f64 =
-            b.parallel_reduce_2d(m, n, &KernelProfile::dot(), |i, j| (i * n + j) as f64, Sum);
+        let s2: f64 = b.parallel_reduce(
+            Extent::d2(m, n),
+            &KernelProfile::dot(),
+            |i, j, _| (i * n + j) as f64,
+            Sum,
+        );
         let expect2: f64 = (0..m)
             .flat_map(|i| (0..n).map(move |j| (i * n + j) as f64))
             .sum();
         assert_eq!(s2, expect2);
 
         let (m, n, l) = (5usize, 6usize, 7usize);
-        let s3: u64 = b.parallel_reduce_3d(
-            m,
-            n,
-            l,
+        let s3: u64 = b.parallel_reduce(
+            Extent::d3(m, n, l),
             &KernelProfile::dot(),
             |i, j, k| ((k * n + j) * m + i) as u64,
             Sum,
@@ -872,10 +744,10 @@ mod tests {
         // The two-kernel structure plus sync must make a small reduce more
         // expensive than a small parallel_for — the paper's DOT-vs-AXPY gap.
         let b = a100_backend();
-        b.parallel_for_1d(1024, &KernelProfile::axpy(), |_| {});
+        b.parallel_for(Extent::d1(1024), &KernelProfile::axpy(), |_, _, _| {});
         let t_for = b.timeline().modeled_ns();
         b.timeline().reset();
-        let _: f64 = b.parallel_reduce_1d(1024, &KernelProfile::dot(), |_| 1.0, Sum);
+        let _: f64 = b.parallel_reduce(Extent::d1(1024), &KernelProfile::dot(), |_, _, _| 1.0, Sum);
         let t_red = b.timeline().modeled_ns();
         assert!(t_red > 2 * t_for, "reduce {t_red} vs for {t_for}");
     }
@@ -963,7 +835,12 @@ mod tests {
         // its scalar readback each hit one injected fault; the retry policy
         // absorbs all three and the result is exact.
         let n = 1000usize;
-        let s: f64 = b.parallel_reduce_1d(n, &KernelProfile::dot(), |i| i as f64, Sum);
+        let s: f64 = b.parallel_reduce(
+            Extent::d1(n),
+            &KernelProfile::dot(),
+            |i, _, _| i as f64,
+            Sum,
+        );
         assert_eq!(s, (n * (n - 1) / 2) as f64);
         let log = b.fault_log();
         assert_eq!(log.len(), 3, "{log:?}");
@@ -1002,7 +879,7 @@ mod tests {
                 let got: Vec<std::sync::atomic::AtomicU32> = (0..n)
                     .map(|_| std::sync::atomic::AtomicU32::new(0))
                     .collect();
-                b.prim_scan_1d(
+                b.prim_scan(
                     n,
                     true,
                     &KernelProfile::unknown(),
@@ -1030,7 +907,7 @@ mod tests {
         let got: Vec<std::sync::atomic::AtomicU64> = (0..n)
             .map(|_| std::sync::atomic::AtomicU64::new(u64::MAX))
             .collect();
-        b.prim_scan_1d(
+        b.prim_scan(
             n,
             false,
             &KernelProfile::unknown(),
@@ -1061,7 +938,7 @@ mod tests {
             let got: Vec<std::sync::atomic::AtomicU64> = (0..bins)
                 .map(|_| std::sync::atomic::AtomicU64::new(u64::MAX))
                 .collect();
-            b.prim_histogram_1d(n, bins, &KernelProfile::unknown(), key, |bin, c| {
+            b.prim_histogram(n, bins, &KernelProfile::unknown(), key, |bin, c| {
                 got[bin].store(c, std::sync::atomic::Ordering::Relaxed)
             });
             for bin in 0..bins {
@@ -1082,7 +959,7 @@ mod tests {
         let got: Vec<std::sync::atomic::AtomicU64> = (0..bins)
             .map(|_| std::sync::atomic::AtomicU64::new(u64::MAX))
             .collect();
-        b.prim_histogram_1d(
+        b.prim_histogram(
             0,
             bins,
             &KernelProfile::unknown(),
@@ -1107,7 +984,7 @@ mod tests {
             let got: Vec<std::sync::atomic::AtomicUsize> = (0..n)
                 .map(|_| std::sync::atomic::AtomicUsize::new(usize::MAX))
                 .collect();
-            b.prim_sort_pairs_1d(n, 32, &KernelProfile::unknown(), key, |r, i| {
+            b.prim_sort_pairs(n, 32, &KernelProfile::unknown(), key, |r, i| {
                 got[r].store(i, std::sync::atomic::Ordering::Relaxed)
             });
             for r in 0..n {
@@ -1130,7 +1007,7 @@ mod tests {
         let got: Vec<std::sync::atomic::AtomicU64> = (0..n)
             .map(|_| std::sync::atomic::AtomicU64::new(0))
             .collect();
-        b.prim_scan_1d(
+        b.prim_scan(
             n,
             true,
             &KernelProfile::unknown(),
@@ -1150,7 +1027,7 @@ mod tests {
     #[test]
     fn empty_prims_are_cheap_noops() {
         let b = backend();
-        b.prim_scan_1d(
+        b.prim_scan(
             0,
             true,
             &KernelProfile::unknown(),
@@ -1158,14 +1035,14 @@ mod tests {
             |_, _| panic!("no output"),
             Sum,
         );
-        b.prim_sort_pairs_1d(
+        b.prim_sort_pairs(
             0,
             64,
             &KernelProfile::unknown(),
             |_| 0,
             |_, _| panic!("no output"),
         );
-        b.prim_histogram_1d(
+        b.prim_histogram(
             3,
             0,
             &KernelProfile::unknown(),
@@ -1173,17 +1050,5 @@ mod tests {
             |_, _| panic!("no bins"),
         );
         assert!(b.timeline().modeled_ns() > 0, "overhead still charged");
-    }
-
-    #[test]
-    fn empty_ranges_are_cheap_noops() {
-        let b = backend();
-        b.parallel_for_1d(0, &KernelProfile::unknown(), |_| panic!("no iter"));
-        b.parallel_for_2d(0, 5, &KernelProfile::unknown(), |_, _| panic!("no iter"));
-        b.parallel_for_3d(1, 0, 1, &KernelProfile::unknown(), |_, _, _| {
-            panic!("no iter")
-        });
-        let z: f64 = b.parallel_reduce_1d(0, &KernelProfile::unknown(), |_| 1.0, Sum);
-        assert_eq!(z, 0.0);
     }
 }

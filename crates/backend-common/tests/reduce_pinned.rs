@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use racc_backend_common::{SimBackend, Vendor};
-use racc_core::{Backend, KernelProfile, Max, Min, Sum};
+use racc_core::{Backend, Extent, KernelProfile, Max, Min, Sum};
 use racc_gpusim::{profiles, Device, DeviceSpec};
 
 /// Values of wildly different magnitudes and mixed sign: any reassociation
@@ -46,10 +46,11 @@ fn sims() -> [(&'static str, DeviceSpec); 3] {
 }
 
 fn reduce_bits(b: &SimBackend, n: usize) -> (u64, u64, u64) {
-    let p = KernelProfile::dot();
-    let sum: f64 = b.parallel_reduce_1d(n, &p, value, Sum);
-    let max: f64 = b.parallel_reduce_1d(n, &p, value, Max);
-    let min: f64 = b.parallel_reduce_1d(n, &p, value, Min);
+    let (n, p) = (Extent::d1(n), KernelProfile::dot());
+    let value = |i, _, _| value(i);
+    let sum: f64 = b.parallel_reduce(n, &p, value, Sum);
+    let max: f64 = b.parallel_reduce(n, &p, value, Max);
+    let min: f64 = b.parallel_reduce(n, &p, value, Min);
     (sum.to_bits(), max.to_bits(), min.to_bits())
 }
 

@@ -174,7 +174,7 @@ fn sancheck(experiment: &str) {
             .expect("backend compiled in");
         traced_workload(&ctx, experiment, false);
         println!("\n=== sancheck: {experiment} on {} ===", arch.label());
-        match racc_core::Backend::sanitizer_report(ctx.backend()) {
+        match ctx.stats().sanitizer {
             Some(report) => print!("{report}"),
             None => println!(
                 "sanitizer unsupported on this backend \
@@ -425,7 +425,7 @@ fn overhead(full: bool) {
 /// Ablation: the coalescing factor's effect on a streaming kernel (why the
 /// LBM's strided layout costs GPUs so much).
 fn ablate_coalescing() {
-    use racc_core::{Backend, KernelProfile};
+    use racc_core::KernelProfile;
     let n = 1 << 22;
     let mut t = Table::new(
         "Ablation — modeled AXPY time, coalesced vs strided access",
@@ -439,7 +439,7 @@ fn ablate_coalescing() {
             ctx.reset_timeline();
             let profile = KernelProfile::axpy().with_coalescing(coalescing);
             let (xv, yv) = (x.view_mut(), y.view());
-            ctx.backend().parallel_for_1d(n, &profile, move |i| {
+            ctx.parallel_for(n, &profile, move |i| {
                 xv.set(i, xv.get(i) + 2.5 * yv.get(i));
             });
             ctx.modeled_ns() as f64

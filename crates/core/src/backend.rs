@@ -32,42 +32,88 @@ use crate::timeline::Timeline;
 /// back ends return `None`.
 pub type DeviceToken = Option<Arc<dyn Any + Send + Sync>>;
 
-/// A RACC execution back end. See the module docs.
+/// The index space of one construct: its rank (1 to 3) and its extent along
+/// each axis, padded with 1s past the rank. JACC selects the method of
+/// `parallel_for` by the type of its extent argument (`N` or `(M, N)`);
+/// here the rank is data, so a back end has one entry point per construct.
 ///
-/// Contract for the kernel methods:
-/// * every index in the range is invoked **exactly once**;
-/// * the call is **synchronous** — all invocations complete before return;
-/// * `f` may be invoked concurrently for different indices;
-/// * the backend charges its [`Timeline`] with the modeled duration.
-pub trait Backend: Send + Sync + 'static {
-    /// Human-readable name, e.g. `"RACC Threads (64 cores)"`.
-    fn name(&self) -> String;
+/// Axis 0 is the fast one (column-major, like the arrays); see
+/// [`Extent::linear`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent {
+    rank: usize,
+    dims: [usize; 3],
+}
 
-    /// Short key used in preferences and tables: `"serial"`, `"threads"`,
-    /// `"cudasim"`, `"hipsim"`, `"oneapisim"`.
-    fn key(&self) -> &'static str;
-
-    /// True for (simulated) accelerator back ends, which have a distinct
-    /// memory space.
-    fn is_accelerator(&self) -> bool;
-
-    /// The modeled-time accounting for this backend instance.
-    fn timeline(&self) -> &Timeline;
-
-    /// Attach a span recorder; every subsequent construct deposits one
-    /// `racc-trace` span. The default installs it into the backend's
-    /// [`Timeline`]; backends with internal execution engines (the thread
-    /// pool) override this to propagate the recorder further.
-    #[cfg(feature = "trace")]
-    fn attach_tracer(&self, recorder: &Arc<racc_trace::TraceRecorder>) {
-        self.timeline().install_tracer(Arc::clone(recorder));
+impl Extent {
+    /// `0..n`.
+    pub const fn d1(n: usize) -> Self {
+        Extent {
+            rank: 1,
+            dims: [n, 1, 1],
+        }
     }
+
+    /// `0..m × 0..n`.
+    pub const fn d2(m: usize, n: usize) -> Self {
+        Extent {
+            rank: 2,
+            dims: [m, n, 1],
+        }
+    }
+
+    /// `0..m × 0..n × 0..l`.
+    pub const fn d3(m: usize, n: usize, l: usize) -> Self {
+        Extent {
+            rank: 3,
+            dims: [m, n, l],
+        }
+    }
+
+    /// 1, 2 or 3.
+    pub const fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// The extent along each axis; 1 past the rank.
+    pub const fn dims(&self) -> [usize; 3] {
+        self.dims
+    }
+
+    /// The column-major linear index of `(i, j, k)`, axis 0 fastest.
+    #[inline]
+    pub const fn linear(&self, i: usize, j: usize, k: usize) -> usize {
+        (k * self.dims[1] + j) * self.dims[0] + i
+    }
+
+    /// Number of indices in the space.
+    pub const fn len(&self) -> usize {
+        self.dims[0] * self.dims[1] * self.dims[2]
+    }
+
+    /// True when some axis is empty, so no index exists.
+    pub const fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The cold side of a back end: observability and fault-injection hooks,
+/// reached through [`Backend::instrument`]. Object-safe and never called
+/// inside a construct, so the virtual call costs the hot path nothing, and
+/// a wrapper such as `racc::AnyBackend` forwards all of them by forwarding
+/// the one accessor. A back end overrides the hooks it supports; the
+/// provided bodies are the documented "unsupported" answers.
+pub trait Instrument {
+    /// Hand the span recorder to execution engines below the back end (the
+    /// thread pool's per-worker chunk spans). The context has already
+    /// installed it into the back end's [`Timeline`].
+    #[cfg(feature = "trace")]
+    fn attach_tracer(&self, _recorder: &Arc<racc_trace::TraceRecorder>) {}
 
     /// Enable or disable the backend's dynamic sanitizer (`simsan`):
     /// out-of-bounds, use-after-free, read-write race, barrier-divergence,
     /// and leak checking, in the spirit of `compute-sanitizer`. Returns
-    /// `true` when the backend supports sanitizing; the default
-    /// implementation is an unsupported no-op.
+    /// `true` when the backend supports sanitizing.
     fn set_sanitizer(&self, _enabled: bool) -> bool {
         false
     }
@@ -80,18 +126,17 @@ pub trait Backend: Send + Sync + 'static {
 
     /// Work-stealing dispatch counters (tasks executed/stolen/injected,
     /// splits, wakes, parks) of the backend's execution engine. `None` on
-    /// back ends without a work-stealing pool — the default; the Threads
-    /// backend (and the simulated accelerators, whose worker grids run on
-    /// the same pool) return a snapshot.
+    /// back ends without a work-stealing pool; the Threads backend (and the
+    /// simulated accelerators, whose worker grids run on the same pool)
+    /// return a snapshot.
     fn steal_stats(&self) -> Option<racc_threadpool::StealStats> {
         None
     }
 
     /// Arm deterministic fault injection (`racc-chaos`) on the backend's
     /// device with a fresh engine for `plan`. Returns `true` when the
-    /// backend supports injection (the simulated accelerators); the
-    /// default is an unsupported no-op — CPU backends have no driver
-    /// surface to fault.
+    /// backend supports injection (the simulated accelerators); CPU
+    /// backends have no driver surface to fault.
     fn set_chaos(&self, _plan: racc_chaos::FaultPlan) -> bool {
         false
     }
@@ -116,6 +161,46 @@ pub trait Backend: Send + Sync + 'static {
     fn self_check(&self) -> Result<(), RaccError> {
         Ok(())
     }
+}
+
+/// A RACC execution back end. See the module docs.
+///
+/// The contract of the two constructs, for every rank:
+/// * `f` is invoked **exactly once** for every index of `extent` and for
+///   nothing outside it, as `f(i, j, k)` with the axes past the rank at 0;
+///   an empty extent runs no body (and a reduction returns the identity);
+/// * the call is **synchronous** — all invocations complete before return;
+/// * `f` may be invoked concurrently for different indices, in any order;
+///   a reduction combines in an order that is a pure function of the
+///   extent and the back end's configuration, so results repeat run to run
+///   (the serial back end folds column-major: axis 0 fastest);
+/// * the back end charges its [`Timeline`] with the modeled duration, one
+///   launch or one reduction per call, empty extents included.
+///
+/// [`crate::Context`] is the only rank adapter: it turns the paper's
+/// `f(i)` / `f(i, j)` bodies into `f(i, j, k)` and holds them by value all
+/// the way down. The rank it passes is a constant at each of its call
+/// sites, so an implementation that branches on rank marks the construct
+/// `#[inline(always)]` — as all in this workspace do — and every call
+/// compiles to its one arm; left to the inliner's judgement, each body
+/// closure would instantiate the traversals of all three ranks.
+pub trait Backend: Send + Sync + 'static {
+    /// Human-readable name, e.g. `"RACC Threads (64 cores)"`.
+    fn name(&self) -> String;
+
+    /// Short key used in preferences and tables: `"serial"`, `"threads"`,
+    /// `"cudasim"`, `"hipsim"`, `"oneapisim"`.
+    fn key(&self) -> &'static str;
+
+    /// True for (simulated) accelerator back ends, which have a distinct
+    /// memory space.
+    fn is_accelerator(&self) -> bool;
+
+    /// The modeled-time accounting for this backend instance.
+    fn timeline(&self) -> &Timeline;
+
+    /// The observability and fault-injection hooks of this back end.
+    fn instrument(&self) -> &dyn Instrument;
 
     /// Model an array allocation of `bytes` (with an upload of the initial
     /// contents when `upload`), returning a residency token the array holds.
@@ -124,52 +209,14 @@ pub trait Backend: Send + Sync + 'static {
     /// Model a download of `bytes` back to the host (`to_host`).
     fn on_download(&self, bytes: usize);
 
-    /// `parallel_for(n, f)` over `i in 0..n`.
-    fn parallel_for_1d<F>(&self, n: usize, profile: &KernelProfile, f: F)
-    where
-        F: Fn(usize) + Sync;
-
-    /// `parallel_for((m, n), f)` over `0..m × 0..n` (i fast, column-major).
-    fn parallel_for_2d<F>(&self, m: usize, n: usize, profile: &KernelProfile, f: F)
-    where
-        F: Fn(usize, usize) + Sync;
-
-    /// `parallel_for((m, n, l), f)` over a 3D range.
-    fn parallel_for_3d<F>(&self, m: usize, n: usize, l: usize, profile: &KernelProfile, f: F)
+    /// `parallel_for(extent, f)`: run `f` over every index of `extent`.
+    fn parallel_for<F>(&self, extent: Extent, profile: &KernelProfile, f: F)
     where
         F: Fn(usize, usize, usize) + Sync;
 
-    /// `parallel_reduce(n, f)` with reduction operator `op`.
-    fn parallel_reduce_1d<T, F, O>(&self, n: usize, profile: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        O: ReduceOp<T>;
-
-    /// 2D reduction.
-    fn parallel_reduce_2d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize) -> T + Sync,
-        O: ReduceOp<T>;
-
-    /// 3D reduction.
-    fn parallel_reduce_3d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
+    /// `parallel_reduce(extent, f)`: combine `f` over every index of
+    /// `extent` with the reduction operator `op`.
+    fn parallel_reduce<T, F, O>(&self, extent: Extent, profile: &KernelProfile, f: F, op: O) -> T
     where
         T: AccScalar,
         F: Fn(usize, usize, usize) -> T + Sync,
@@ -179,11 +226,8 @@ pub trait Backend: Send + Sync + 'static {
     /// `read(0..n)` under `op` through `write(i, value)`, following the
     /// canonical two-level tiling of [`crate::prim`] exactly — results are
     /// bit-identical across backends and run-to-run. `n == 0` writes
-    /// nothing. The default implementation runs the canonical sequential
-    /// reference (correct on any backend, no modeled-cost realism);
-    /// shipped backends override it with parallel implementations of the
-    /// same association.
-    fn prim_scan_1d<T, F, W, O>(
+    /// nothing.
+    fn prim_scan<T, F, W, O>(
         &self,
         n: usize,
         inclusive: bool,
@@ -195,24 +239,7 @@ pub trait Backend: Send + Sync + 'static {
         T: AccScalar,
         F: Fn(usize) -> T + Sync,
         W: Fn(usize, T) + Sync,
-        O: ReduceOp<T>,
-    {
-        #[cfg(not(feature = "trace"))]
-        let _ = profile;
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline().trace_start();
-        crate::prim::scan_canonical(n, inclusive, &read, &write, op);
-        #[cfg(feature = "trace")]
-        self.timeline().record_cpu_construct(
-            self.key(),
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, 1, 1],
-            1,
-            t0,
-            0.0,
-        );
-    }
+        O: ReduceOp<T>;
 
     /// Portable histogram primitive: counts `key(i)` for `i in 0..n` into
     /// `bins` buckets and writes **every** bin's `u64` count (zeros
@@ -220,7 +247,7 @@ pub trait Backend: Send + Sync + 'static {
     /// `key(i) < bins`; out-of-range keys are library-level UB that the
     /// simulators' bounds checks / simsan turn into a panic (the validated
     /// `racc-prim` wrapper reports them as a typed error first).
-    fn prim_histogram_1d<F, W>(
+    fn prim_histogram<F, W>(
         &self,
         n: usize,
         bins: usize,
@@ -229,24 +256,7 @@ pub trait Backend: Send + Sync + 'static {
         write: W,
     ) where
         F: Fn(usize) -> usize + Sync,
-        W: Fn(usize, u64) + Sync,
-    {
-        #[cfg(not(feature = "trace"))]
-        let _ = profile;
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline().trace_start();
-        crate::prim::histogram_canonical(n, bins, &key, &write);
-        #[cfg(feature = "trace")]
-        self.timeline().record_cpu_construct(
-            self.key(),
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, bins as u64, 1],
-            1,
-            t0,
-            0.0,
-        );
-    }
+        W: Fn(usize, u64) + Sync;
 
     /// Portable sort primitive: stable ascending sort of the order-encoded
     /// `key(i)` bits (ties toward the smaller index), reporting the
@@ -254,7 +264,7 @@ pub trait Backend: Send + Sync + 'static {
     /// 0..n`. `key_bits` bounds the significant low bits of every key (the
     /// simulators size their radix passes from it). The output permutation
     /// is unique, so every backend agrees exactly.
-    fn prim_sort_pairs_1d<F, W>(
+    fn prim_sort_pairs<F, W>(
         &self,
         n: usize,
         key_bits: u32,
@@ -263,22 +273,5 @@ pub trait Backend: Send + Sync + 'static {
         write: W,
     ) where
         F: Fn(usize) -> u64 + Sync,
-        W: Fn(usize, usize) + Sync,
-    {
-        #[cfg(not(feature = "trace"))]
-        let _ = (profile, key_bits);
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline().trace_start();
-        crate::prim::sort_pairs_canonical(n, &key, &write);
-        #[cfg(feature = "trace")]
-        self.timeline().record_cpu_construct(
-            self.key(),
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, key_bits as u64, 1],
-            1,
-            t0,
-            0.0,
-        );
-    }
+        W: Fn(usize, usize) + Sync;
 }

@@ -16,6 +16,7 @@
 use racc_chaos::FaultPlan;
 
 pub use racc_chaos::truthy;
+pub use racc_threadpool::parse_positive;
 
 /// Default number of compiled fused programs retained per context when
 /// `RACC_PLAN_CACHE` is unset.
@@ -87,14 +88,6 @@ impl RuntimeConfig {
     }
 }
 
-/// The shared positive-integer rule for count knobs: `None` for
-/// unset/zero/garbage (a bad knob must never panic a working program).
-pub fn parse_positive(value: Option<&str>) -> Option<usize> {
-    value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 /// `RACC_PLAN_CACHE`: unset → the default capacity; a falsy string or
 /// `"off"` → off; a number → that capacity. Anything unparsable keeps the
 /// default (a bad knob should never turn a working program off).
@@ -158,16 +151,6 @@ mod tests {
             let c = cfg(&[("RACC_FUSION", on)]);
             assert!(c.fusion, "RACC_FUSION={on:?}");
         }
-    }
-
-    #[test]
-    fn positive_integers_only() {
-        assert_eq!(parse_positive(None), None);
-        assert_eq!(parse_positive(Some("64")), Some(64));
-        assert_eq!(parse_positive(Some(" 8 ")), Some(8));
-        assert_eq!(parse_positive(Some("0")), None);
-        assert_eq!(parse_positive(Some("-3")), None);
-        assert_eq!(parse_positive(Some("coarse")), None);
     }
 
     #[test]

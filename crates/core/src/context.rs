@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::array::{Array1, Array2, Array3};
-use crate::backend::Backend;
+use crate::backend::{Backend, Extent};
 use crate::buffer::RawStorage;
 use crate::config::{PlanCacheMode, RuntimeConfig};
 use crate::error::RaccError;
@@ -80,8 +80,9 @@ impl<B: Backend> Context<B> {
         // env knob is a whole-suite soak, and without retries every
         // transient fault would surface as a test failure.
         if let Some(plan) = config.chaos {
-            if backend.set_chaos(plan) {
-                backend.set_retry(racc_chaos::RetryPolicy::default());
+            let hooks = backend.instrument();
+            if hooks.set_chaos(plan) {
+                hooks.set_retry(racc_chaos::RetryPolicy::default());
             }
         }
         Context {
@@ -364,7 +365,8 @@ impl<B: Backend> Context<B> {
     where
         F: Fn(usize) + Sync,
     {
-        self.backend.parallel_for_1d(n, profile, f);
+        self.backend
+            .parallel_for(Extent::d1(n), profile, move |i, _, _| f(i));
     }
 
     /// `JACC.parallel_for((m, n), f, args...)`.
@@ -372,7 +374,8 @@ impl<B: Backend> Context<B> {
     where
         F: Fn(usize, usize) + Sync,
     {
-        self.backend.parallel_for_2d(m, n, profile, f);
+        self.backend
+            .parallel_for(Extent::d2(m, n), profile, move |i, j, _| f(i, j));
     }
 
     /// `JACC.parallel_for((m, n, l), f, args...)`.
@@ -384,7 +387,7 @@ impl<B: Backend> Context<B> {
     ) where
         F: Fn(usize, usize, usize) + Sync,
     {
-        self.backend.parallel_for_3d(m, n, l, profile, f);
+        self.backend.parallel_for(Extent::d3(m, n, l), profile, f);
     }
 
     /// `JACC.parallel_reduce(n, f, args...)`: sum `f(i)` over `i in 0..n`
@@ -394,7 +397,7 @@ impl<B: Backend> Context<B> {
         T: Numeric,
         F: Fn(usize) -> T + Sync,
     {
-        self.backend.parallel_reduce_1d(n, profile, f, Sum)
+        self.parallel_reduce_with(n, profile, Sum, f)
     }
 
     /// Reduction with an explicit operator ([`Sum`], [`crate::Max`], ...).
@@ -404,7 +407,8 @@ impl<B: Backend> Context<B> {
         F: Fn(usize) -> T + Sync,
         O: ReduceOp<T>,
     {
-        self.backend.parallel_reduce_1d(n, profile, f, op)
+        self.backend
+            .parallel_reduce(Extent::d1(n), profile, move |i, _, _| f(i), op)
     }
 
     /// `JACC.parallel_reduce((m, n), f, args...)`.
@@ -418,7 +422,7 @@ impl<B: Backend> Context<B> {
         T: Numeric,
         F: Fn(usize, usize) -> T + Sync,
     {
-        self.backend.parallel_reduce_2d(m, n, profile, f, Sum)
+        self.parallel_reduce_2d_with((m, n), profile, Sum, f)
     }
 
     /// 2D reduction with an explicit operator.
@@ -434,7 +438,8 @@ impl<B: Backend> Context<B> {
         F: Fn(usize, usize) -> T + Sync,
         O: ReduceOp<T>,
     {
-        self.backend.parallel_reduce_2d(m, n, profile, f, op)
+        self.backend
+            .parallel_reduce(Extent::d2(m, n), profile, move |i, j, _| f(i, j), op)
     }
 
     /// 3D sum reduction.
@@ -448,7 +453,7 @@ impl<B: Backend> Context<B> {
         T: Numeric,
         F: Fn(usize, usize, usize) -> T + Sync,
     {
-        self.backend.parallel_reduce_3d(m, n, l, profile, f, Sum)
+        self.parallel_reduce_3d_with((m, n, l), profile, Sum, f)
     }
 
     /// 3D reduction with an explicit operator.
@@ -464,7 +469,8 @@ impl<B: Backend> Context<B> {
         F: Fn(usize, usize, usize) -> T + Sync,
         O: ReduceOp<T>,
     {
-        self.backend.parallel_reduce_3d(m, n, l, profile, f, op)
+        self.backend
+            .parallel_reduce(Extent::d3(m, n, l), profile, f, op)
     }
 
     // ------------------------------------------------------------------
@@ -510,7 +516,7 @@ impl<B: Backend> Context<B> {
     /// order (see [`ContextBuilder::chaos`] / `RACC_CHAOS`). Empty when
     /// chaos is unsupported or disarmed.
     pub fn fault_log(&self) -> Vec<racc_chaos::FaultEvent> {
-        self.backend.fault_log()
+        self.backend.instrument().fault_log()
     }
 
     /// One uniform snapshot of this context's runtime machinery: fused
@@ -520,11 +526,12 @@ impl<B: Backend> Context<B> {
     /// stitching `fault_log()` + `sanitizer_report()` + per-subsystem
     /// counters by hand.
     pub fn stats(&self) -> RuntimeStats {
+        let hooks = self.backend.instrument();
         RuntimeStats {
             plan_cache: snapshot_plan_cache(&self.plan_cache),
-            faults: fold_faults(&self.backend.fault_log()),
-            sanitizer: self.backend.sanitizer_report(),
-            steal: self.backend.steal_stats(),
+            faults: fold_faults(&hooks.fault_log()),
+            sanitizer: hooks.sanitizer_report(),
+            steal: hooks.steal_stats(),
             shard: snapshot_shard(&self.shard),
             serve: snapshot_serve(&self.serve),
             prim: snapshot_prim(&self.prim),
@@ -600,17 +607,17 @@ impl ContextOptions {
             crate::racecheck::set_enabled(enabled);
         }
         if let Some(enabled) = self.sanitizer {
-            backend.set_sanitizer(enabled);
+            backend.instrument().set_sanitizer(enabled);
         }
         #[allow(unused_mut)]
         let mut ctx = Context::new(backend);
         // After Context::new, so an explicit plan overrides the env-armed
         // engine with a fresh one.
         if let Some(plan) = self.chaos {
-            ctx.backend.set_chaos(plan);
+            ctx.backend.instrument().set_chaos(plan);
         }
         if let Some(policy) = self.retry {
-            ctx.backend.set_retry(policy);
+            ctx.backend.instrument().set_retry(policy);
         }
         if let Some(enabled) = self.fusion {
             ctx.fusion = enabled;
@@ -625,7 +632,10 @@ impl ContextOptions {
         if self.trace {
             let capacity = self.trace_capacity.unwrap_or(racc_trace::DEFAULT_CAPACITY);
             let recorder = Arc::new(racc_trace::TraceRecorder::new(capacity));
-            ctx.backend.attach_tracer(&recorder);
+            // One span per construct from the timeline, and whatever the
+            // engines below the back end add (the pool's worker chunks).
+            ctx.backend.timeline().install_tracer(Arc::clone(&recorder));
+            ctx.backend.instrument().attach_tracer(&recorder);
             ctx.tracer = Some(recorder);
         }
         ctx
@@ -680,7 +690,7 @@ impl<B: Backend> ContextBuilder<B> {
     /// and leak checking. Leaving it unset keeps the backend's default
     /// (simulator back ends also honor `RACC_SANITIZER=1`). A documented
     /// no-op on back ends without sanitizer support — see
-    /// [`Backend::set_sanitizer`].
+    /// [`Instrument::set_sanitizer`](crate::Instrument::set_sanitizer).
     pub fn sanitizer(mut self, enabled: bool) -> Self {
         self.options.sanitizer = Some(enabled);
         self
@@ -708,7 +718,7 @@ impl<B: Backend> ContextBuilder<B> {
     /// (fresh engine, fresh fault log) and does **not** imply a retry
     /// policy — pair it with [`ContextBuilder::retry`] for recovery. A
     /// documented no-op on back ends without injection support — see
-    /// [`Backend::set_chaos`].
+    /// [`Instrument::set_chaos`](crate::Instrument::set_chaos).
     pub fn chaos(mut self, plan: racc_chaos::FaultPlan) -> Self {
         self.options.chaos = Some(plan);
         self

@@ -55,10 +55,25 @@ pub mod config;
 mod context;
 pub mod cpumodel;
 mod error;
+mod host;
 pub mod prim;
 mod profile;
 #[cfg(feature = "racecheck")]
 pub mod racecheck;
+/// Without the `racecheck` feature, what the CPU back ends call around and
+/// inside every construct is nothing.
+#[cfg(not(feature = "racecheck"))]
+mod racecheck {
+    #[inline(always)]
+    pub(crate) fn begin_launch() {}
+    #[inline(always)]
+    pub(crate) fn end_launch() {}
+    #[inline(always)]
+    pub(crate) fn set_current_iteration(_iter: u64) {}
+    pub(crate) fn set_sanitizer(_enabled: bool) -> bool {
+        false
+    }
+}
 mod scalar;
 mod serial;
 pub mod stats;
@@ -67,7 +82,7 @@ mod timeline;
 mod views;
 
 pub use array::{Array1, Array2, Array3};
-pub use backend::{Backend, DeviceToken};
+pub use backend::{Backend, DeviceToken, Extent, Instrument};
 pub use config::{PlanCacheMode, RuntimeConfig};
 // Fault-injection vocabulary, re-exported so the portability layer and
 // applications can arm chaos without naming the substrate crate.
@@ -78,7 +93,7 @@ pub use profile::KernelProfile;
 pub use racc_chaos as chaos;
 pub use racc_chaos::{env_flag, FaultAction, FaultEvent, FaultPlan, FaultSite, RetryPolicy};
 // The execution substrate, re-exported so backend crates can name
-// work-stealing types (`Backend::steal_stats`) without a direct dependency.
+// work-stealing types (`Instrument::steal_stats`) without a direct dependency.
 pub use racc_threadpool as threadpool;
 pub use racc_threadpool::{StealCounters, StealStats};
 pub use scalar::{AccScalar, Max, Min, Numeric, Prod, ReduceOp, Sum};

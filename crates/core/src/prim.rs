@@ -1,8 +1,8 @@
 //! Canonical reference algorithms for the portable device primitives
 //! (`scan`, `histogram`, `sort_by_key`) shipped by `racc-prim`.
 //!
-//! Every backend implements [`crate::Backend::prim_scan_1d`] /
-//! [`crate::Backend::prim_histogram_1d`] / [`crate::Backend::prim_sort_pairs_1d`]
+//! Every backend implements [`crate::Backend::prim_scan`] /
+//! [`crate::Backend::prim_histogram`] / [`crate::Backend::prim_sort_pairs`]
 //! against the *same* specification, defined here as plain sequential code.
 //! The specification fixes not just the values but the **association** of
 //! every combine, so floating-point results are bit-identical on all five

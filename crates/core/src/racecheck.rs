@@ -73,6 +73,15 @@ pub fn track_reads() -> bool {
     TRACK_READS.load(Ordering::Relaxed)
 }
 
+/// The CPU half of the `simsan` sanitizer: this checker with read tracking
+/// on. Returns `true` — with the feature compiled in, the CPU back ends
+/// support sanitizing.
+pub(crate) fn set_sanitizer(enabled: bool) -> bool {
+    set_enabled(enabled);
+    set_track_reads(enabled);
+    true
+}
+
 /// Clear state at the start of a construct invocation.
 pub fn begin_launch() {
     if enabled() {
@@ -171,96 +180,5 @@ pub fn record_read(base: usize, element: usize) {
                  it in one construct"
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Note: these tests mutate process-global state; they run in one test
-    // binary and restore the disabled state afterwards.
-
-    #[test]
-    fn disabled_by_default_records_nothing() {
-        set_enabled(false);
-        begin_launch();
-        set_current_iteration(1);
-        record_write(0x10, 0);
-        record_write(0x10, 0);
-        end_launch();
-    }
-
-    #[test]
-    fn same_iteration_may_rewrite() {
-        set_enabled(true);
-        begin_launch();
-        set_current_iteration(5);
-        record_write(0x20, 1);
-        record_write(0x20, 1);
-        end_launch();
-        set_enabled(false);
-    }
-
-    #[test]
-    #[should_panic(expected = "racecheck")]
-    fn cross_iteration_write_panics() {
-        set_enabled(true);
-        begin_launch();
-        set_current_iteration(1);
-        record_write(0x30, 2);
-        set_current_iteration(2);
-        record_write(0x30, 2);
-    }
-
-    #[test]
-    fn reads_ignored_without_tracking() {
-        set_enabled(true);
-        set_track_reads(false);
-        begin_launch();
-        set_current_iteration(1);
-        record_read(0x40, 0);
-        set_current_iteration(2);
-        record_write(0x40, 0); // reader was not recorded: no race
-        end_launch();
-        set_enabled(false);
-    }
-
-    #[test]
-    fn same_iteration_read_write_is_fine() {
-        set_enabled(true);
-        set_track_reads(true);
-        begin_launch();
-        set_current_iteration(3);
-        record_read(0x50, 1);
-        record_write(0x50, 1);
-        record_read(0x50, 1);
-        end_launch();
-        set_track_reads(false);
-        set_enabled(false);
-    }
-
-    #[test]
-    #[should_panic(expected = "read-write race")]
-    fn write_after_foreign_read_panics() {
-        set_enabled(true);
-        set_track_reads(true);
-        begin_launch();
-        set_current_iteration(1);
-        record_read(0x60, 4);
-        set_current_iteration(2);
-        record_write(0x60, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "read-write race")]
-    fn read_after_foreign_write_panics() {
-        set_enabled(true);
-        set_track_reads(true);
-        begin_launch();
-        set_current_iteration(1);
-        record_write(0x70, 5);
-        set_current_iteration(2);
-        record_read(0x70, 5);
     }
 }

@@ -4,17 +4,18 @@
 //! results define "correct" for the cross-backend equivalence tests, and its
 //! machine model is a single core of the paper's CPU.
 
-use crate::backend::{Backend, DeviceToken};
+use crate::backend::{Backend, DeviceToken, Extent, Instrument};
 use crate::cpumodel::CpuSpec;
 use crate::error::RaccError;
+use crate::host::{Construct, Host};
 use crate::profile::KernelProfile;
+use crate::racecheck::{self, set_current_iteration as tag};
 use crate::scalar::{AccScalar, ReduceOp};
 use crate::timeline::Timeline;
 
 /// Single-threaded reference backend.
 pub struct SerialBackend {
-    cpu: CpuSpec,
-    timeline: Timeline,
+    host: Host,
 }
 
 impl Default for SerialBackend {
@@ -26,58 +27,35 @@ impl Default for SerialBackend {
 impl SerialBackend {
     /// A serial backend modeling one core of the paper's EPYC 7742.
     pub fn new() -> Self {
-        SerialBackend {
-            cpu: CpuSpec::epyc_7742_single_core(),
-            timeline: Timeline::new(),
-        }
+        Self::with_cpu(CpuSpec::epyc_7742_single_core())
     }
 
     /// A serial backend with a custom CPU model.
     pub fn with_cpu(cpu: CpuSpec) -> Self {
         SerialBackend {
-            cpu,
-            timeline: Timeline::new(),
+            host: Host::new("serial", 1, cpu),
         }
     }
 
     /// The CPU model in use.
     pub fn cpu(&self) -> &CpuSpec {
-        &self.cpu
-    }
-
-    /// Racecheck bookkeeping around a construct. Straight-line calls (not a
-    /// closure wrapper): wrapping the hot loop in an immediately-invoked
-    /// closure measurably blocks loop optimization.
-    #[inline]
-    fn begin_bracket(&self) {
-        #[cfg(feature = "racecheck")]
-        crate::racecheck::begin_launch();
-    }
-
-    #[inline]
-    fn end_bracket(&self) {
-        #[cfg(feature = "racecheck")]
-        crate::racecheck::end_launch();
+        &self.host.cpu
     }
 }
 
-#[cfg(feature = "racecheck")]
-#[inline]
-fn tag(iter: u64) {
-    crate::racecheck::set_current_iteration(iter);
+impl Instrument for SerialBackend {
+    fn set_sanitizer(&self, enabled: bool) -> bool {
+        racecheck::set_sanitizer(enabled)
+    }
 }
-
-#[cfg(not(feature = "racecheck"))]
-#[inline]
-fn tag(_iter: u64) {}
 
 impl Backend for SerialBackend {
     fn name(&self) -> String {
-        format!("RACC Serial ({})", self.cpu.name)
+        format!("RACC Serial ({})", self.host.cpu.name)
     }
 
     fn key(&self) -> &'static str {
-        "serial"
+        self.host.key
     }
 
     fn is_accelerator(&self) -> bool {
@@ -85,240 +63,79 @@ impl Backend for SerialBackend {
     }
 
     fn timeline(&self) -> &Timeline {
-        &self.timeline
+        &self.host.timeline
     }
 
-    fn set_sanitizer(&self, _enabled: bool) -> bool {
-        // The CPU half of simsan is the racecheck machinery with read
-        // tracking switched on; it needs the `racecheck` feature compiled in.
-        #[cfg(feature = "racecheck")]
-        {
-            crate::racecheck::set_enabled(_enabled);
-            crate::racecheck::set_track_reads(_enabled);
-            true
-        }
-        #[cfg(not(feature = "racecheck"))]
-        false
+    fn instrument(&self) -> &dyn Instrument {
+        self
     }
 
-    fn on_alloc(&self, _bytes: usize, _upload: bool) -> Result<DeviceToken, RaccError> {
-        // Host memory is the array's storage; no transfer, no token.
-        #[cfg(feature = "trace")]
-        self.timeline.record_span(|| {
-            racc_trace::Span::new("serial", racc_trace::ConstructKind::Alloc, "alloc")
-                .dims(0, 0, 0)
-                .payload(_bytes as u64)
-        });
-        Ok(None)
+    fn on_alloc(&self, bytes: usize, _upload: bool) -> Result<DeviceToken, RaccError> {
+        self.host.on_alloc(bytes)
     }
 
     fn on_download(&self, _bytes: usize) {}
 
-    fn parallel_for_1d<F>(&self, n: usize, profile: &KernelProfile, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        for i in 0..n {
-            tag(i as u64);
-            f(i);
-        }
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(n, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::For1d,
-            profile,
-            [n as u64, 1, 1],
-            1,
-            t0,
-            ns,
-        );
-    }
-
-    fn parallel_for_2d<F>(&self, m: usize, n: usize, profile: &KernelProfile, f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        // Column-major traversal: j outer, i inner.
-        for j in 0..n {
-            for i in 0..m {
-                tag((j * m + i) as u64);
-                f(i, j);
-            }
-        }
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(m * n, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::For2d,
-            profile,
-            [m as u64, n as u64, 1],
-            1,
-            t0,
-            ns,
-        );
-    }
-
-    fn parallel_for_3d<F>(&self, m: usize, n: usize, l: usize, profile: &KernelProfile, f: F)
+    #[inline(always)]
+    fn parallel_for<F>(&self, extent: Extent, profile: &KernelProfile, f: F)
     where
         F: Fn(usize, usize, usize) + Sync,
     {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
+        let open = self.host.open();
+        // Column-major traversal, axis 0 innermost; the axes past the rank
+        // are single trips.
+        let [m, n, l] = extent.dims();
         for k in 0..l {
             for j in 0..n {
                 for i in 0..m {
-                    tag(((k * n + j) * m + i) as u64);
+                    tag(extent.linear(i, j, k) as u64);
                     f(i, j, k);
                 }
             }
         }
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(m * n * l, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::For3d,
-            profile,
-            [m as u64, n as u64, l as u64],
-            1,
-            t0,
-            ns,
-        );
+        self.host.close(open, Construct::For(extent), profile);
     }
 
-    fn parallel_reduce_1d<T, F, O>(&self, n: usize, profile: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        // Order-preserving tiled fold: same combine association as the
-        // naive loop (bit-reproducible), but a heavy `f` — e.g. a fused
-        // matvec+dot row — can vectorize free of the `acc` chain.
-        let acc = racc_threadpool::ordered_tiled_fold(
-            op.identity(),
-            0,
-            n,
-            &|i| {
-                tag(i as u64);
-                f(i)
-            },
-            &|a, b| op.combine(a, b),
-        );
-        self.end_bracket();
-        let ns = self.cpu.reduce_time_ns(n, profile);
-        self.timeline.charge_reduction(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::Reduce1d,
-            profile,
-            [n as u64, 1, 1],
-            1,
-            t0,
-            ns,
-        );
-        acc
-    }
-
-    fn parallel_reduce_2d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        let mut acc = op.identity();
-        for j in 0..n {
-            for i in 0..m {
-                tag((j * m + i) as u64);
-                acc = op.combine(acc, f(i, j));
-            }
-        }
-        self.end_bracket();
-        let ns = self.cpu.reduce_time_ns(m * n, profile);
-        self.timeline.charge_reduction(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::Reduce2d,
-            profile,
-            [m as u64, n as u64, 1],
-            1,
-            t0,
-            ns,
-        );
-        acc
-    }
-
-    fn parallel_reduce_3d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
+    #[inline(always)]
+    fn parallel_reduce<T, F, O>(&self, extent: Extent, profile: &KernelProfile, f: F, op: O) -> T
     where
         T: AccScalar,
         F: Fn(usize, usize, usize) -> T + Sync,
         O: ReduceOp<T>,
     {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        let mut acc = op.identity();
-        for k in 0..l {
-            for j in 0..n {
-                for i in 0..m {
-                    tag(((k * n + j) * m + i) as u64);
-                    acc = op.combine(acc, f(i, j, k));
+        let open = self.host.open();
+        let [m, n, l] = extent.dims();
+        let acc = if extent.rank() == 1 {
+            // Order-preserving tiled fold: same combine association as the
+            // naive loop (bit-reproducible), but a heavy `f` — e.g. a fused
+            // matvec+dot row — can vectorize free of the `acc` chain.
+            racc_threadpool::ordered_tiled_fold(
+                op.identity(),
+                0,
+                m,
+                &|i| {
+                    tag(i as u64);
+                    f(i, 0, 0)
+                },
+                &|a, b| op.combine(a, b),
+            )
+        } else {
+            let mut acc = op.identity();
+            for k in 0..l {
+                for j in 0..n {
+                    for i in 0..m {
+                        tag(extent.linear(i, j, k) as u64);
+                        acc = op.combine(acc, f(i, j, k));
+                    }
                 }
             }
-        }
-        self.end_bracket();
-        let ns = self.cpu.reduce_time_ns(m * n * l, profile);
-        self.timeline.charge_reduction(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::Reduce3d,
-            profile,
-            [m as u64, n as u64, l as u64],
-            1,
-            t0,
-            ns,
-        );
+            acc
+        };
+        self.host.close(open, Construct::Reduce(extent), profile);
         acc
     }
 
-    fn prim_scan_1d<T, F, W, O>(
+    fn prim_scan<T, F, W, O>(
         &self,
         n: usize,
         inclusive: bool,
@@ -332,9 +149,7 @@ impl Backend for SerialBackend {
         W: Fn(usize, T) + Sync,
         O: ReduceOp<T>,
     {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
+        let open = self.host.open();
         // The canonical two-level association *is* the reference the other
         // backends are pinned against (see `crate::prim`).
         crate::prim::scan_canonical(
@@ -347,36 +162,15 @@ impl Backend for SerialBackend {
             &write,
             op,
         );
-        self.end_bracket();
-        // Two sweeps over the data: tile totals, then the output pass.
-        let ns = self.cpu.kernel_time_ns(2 * n, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, 1, 1],
-            1,
-            t0,
-            ns,
-        );
+        self.host.close(open, Construct::scan(n), profile);
     }
 
-    fn prim_histogram_1d<F, W>(
-        &self,
-        n: usize,
-        bins: usize,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
+    fn prim_histogram<F, W>(&self, n: usize, bins: usize, profile: &KernelProfile, key: F, write: W)
+    where
         F: Fn(usize) -> usize + Sync,
         W: Fn(usize, u64) + Sync,
     {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
+        let open = self.host.open();
         crate::prim::histogram_canonical(
             n,
             bins,
@@ -386,22 +180,11 @@ impl Backend for SerialBackend {
             },
             &write,
         );
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(n + bins, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, bins as u64, 1],
-            1,
-            t0,
-            ns,
-        );
+        self.host
+            .close(open, Construct::histogram(n, bins), profile);
     }
 
-    fn prim_sort_pairs_1d<F, W>(
+    fn prim_sort_pairs<F, W>(
         &self,
         n: usize,
         key_bits: u32,
@@ -412,11 +195,7 @@ impl Backend for SerialBackend {
         F: Fn(usize) -> u64 + Sync,
         W: Fn(usize, usize) + Sync,
     {
-        #[cfg(not(feature = "trace"))]
-        let _ = key_bits;
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
+        let open = self.host.open();
         crate::prim::sort_pairs_canonical(
             n,
             &|i| {
@@ -425,37 +204,22 @@ impl Backend for SerialBackend {
             },
             &write,
         );
-        self.end_bracket();
-        // Comparison sort on one core: n log2 n element visits.
-        let log_n = usize::BITS - n.max(1).leading_zeros();
-        let ns = self
-            .cpu
-            .kernel_time_ns(n * (log_n as usize).max(1), profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "serial",
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, key_bits as u64, 1],
-            1,
-            t0,
-            ns,
-        );
+        self.host.close(open, Construct::sort(n, key_bits), profile);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::{Max, Sum};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::scalar::Sum;
 
     #[test]
     fn parallel_for_visits_in_order() {
         let b = SerialBackend::new();
         let order = parking_lot::Mutex::new(Vec::new());
-        b.parallel_for_1d(5, &KernelProfile::unknown(), |i| order.lock().push(i));
+        b.parallel_for(Extent::d1(5), &KernelProfile::unknown(), |i, _, _| {
+            order.lock().push(i)
+        });
         assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4]);
     }
 
@@ -463,44 +227,21 @@ mod tests {
     fn two_d_traversal_is_column_major() {
         let b = SerialBackend::new();
         let order = parking_lot::Mutex::new(Vec::new());
-        b.parallel_for_2d(2, 2, &KernelProfile::unknown(), |i, j| {
+        b.parallel_for(Extent::d2(2, 2), &KernelProfile::unknown(), |i, j, _| {
             order.lock().push((i, j))
         });
         assert_eq!(*order.lock(), vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
     }
 
     #[test]
-    fn reductions_match_folds() {
-        let b = SerialBackend::new();
-        let s: u64 = b.parallel_reduce_1d(100, &KernelProfile::dot(), |i| i as u64, Sum);
-        assert_eq!(s, 4950);
-        let m: i64 =
-            b.parallel_reduce_2d(10, 10, &KernelProfile::dot(), |i, j| (i * j) as i64, Max);
-        assert_eq!(m, 81);
-        let c = AtomicUsize::new(0);
-        let s3: usize = b.parallel_reduce_3d(
-            3,
-            4,
-            5,
-            &KernelProfile::dot(),
-            |_, _, _| {
-                c.fetch_add(1, Ordering::Relaxed);
-                1usize
-            },
-            Sum,
-        );
-        assert_eq!(s3, 60);
-        assert_eq!(c.load(Ordering::Relaxed), 60);
-    }
-
-    #[test]
     fn timeline_charges_accumulate() {
         let b = SerialBackend::new();
-        b.parallel_for_1d(1_000_000, &KernelProfile::axpy(), |_| {});
+        let n = Extent::d1(1_000_000);
+        b.parallel_for(n, &KernelProfile::axpy(), |_, _, _| {});
         let s1 = b.timeline().snapshot();
         assert_eq!(s1.launches, 1);
         assert!(s1.modeled_ns > 0);
-        let _: f64 = b.parallel_reduce_1d(1_000_000, &KernelProfile::dot(), |_| 1.0, Sum);
+        let _: f64 = b.parallel_reduce(n, &KernelProfile::dot(), |_, _, _| 1.0, Sum);
         let s2 = b.timeline().snapshot();
         assert_eq!(s2.reductions, 1);
         assert!(s2.modeled_ns > s1.modeled_ns);

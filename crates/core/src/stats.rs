@@ -107,7 +107,7 @@ impl PlanCacheStats {
 }
 
 /// Fault-injection summary inside [`RuntimeStats`], folded from the
-/// backend's [`fault_log`](crate::Backend::fault_log).
+/// backend's [`fault_log`](crate::Instrument::fault_log).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Every fault injected so far.

@@ -13,19 +13,20 @@ use std::sync::Arc;
 
 use racc_threadpool::{Schedule, ThreadPool};
 
-use crate::backend::{Backend, DeviceToken};
+use crate::backend::{Backend, DeviceToken, Extent, Instrument};
 use crate::cpumodel::CpuSpec;
 use crate::error::RaccError;
+use crate::host::{Construct, Host};
 use crate::profile::KernelProfile;
+use crate::racecheck::{self, set_current_iteration as tag};
 use crate::scalar::{AccScalar, ReduceOp};
 use crate::timeline::Timeline;
 
 /// Multithreaded CPU backend over a persistent worker pool.
 pub struct ThreadsBackend {
     pool: Arc<ThreadPool>,
-    cpu: CpuSpec,
     schedule: Schedule,
-    timeline: Timeline,
+    host: Host,
 }
 
 impl Default for ThreadsBackend {
@@ -54,10 +55,9 @@ impl ThreadsBackend {
     /// Full control: existing pool + CPU model.
     pub fn with_pool(pool: Arc<ThreadPool>, cpu: CpuSpec) -> Self {
         ThreadsBackend {
+            host: Host::new("threads", pool.num_threads(), cpu),
             pool,
-            cpu,
             schedule: Schedule::Static,
-            timeline: Timeline::new(),
         }
     }
 
@@ -74,33 +74,23 @@ impl ThreadsBackend {
 
     /// The CPU model in use.
     pub fn cpu(&self) -> &CpuSpec {
-        &self.cpu
+        &self.host.cpu
     }
 }
 
-#[cfg(feature = "racecheck")]
-#[inline]
-fn tag(iter: u64) {
-    crate::racecheck::set_current_iteration(iter);
-}
-
-#[cfg(not(feature = "racecheck"))]
-#[inline]
-fn tag(_iter: u64) {}
-
-impl ThreadsBackend {
-    /// Racecheck bookkeeping around a construct (straight-line, not a
-    /// closure wrapper — see `SerialBackend::begin_bracket`).
-    #[inline]
-    fn begin_bracket(&self) {
-        #[cfg(feature = "racecheck")]
-        crate::racecheck::begin_launch();
+impl Instrument for ThreadsBackend {
+    /// Per-worker chunk spans come from inside the pool.
+    #[cfg(feature = "trace")]
+    fn attach_tracer(&self, recorder: &Arc<racc_trace::TraceRecorder>) {
+        self.pool.install_tracer(Arc::clone(recorder));
     }
 
-    #[inline]
-    fn end_bracket(&self) {
-        #[cfg(feature = "racecheck")]
-        crate::racecheck::end_launch();
+    fn set_sanitizer(&self, enabled: bool) -> bool {
+        racecheck::set_sanitizer(enabled)
+    }
+
+    fn steal_stats(&self) -> Option<racc_threadpool::StealStats> {
+        Some(self.pool.steal_stats())
     }
 }
 
@@ -109,12 +99,12 @@ impl Backend for ThreadsBackend {
         format!(
             "RACC Threads ({} threads, {})",
             self.pool.num_threads(),
-            self.cpu.name
+            self.host.cpu.name
         )
     }
 
     fn key(&self) -> &'static str {
-        "threads"
+        self.host.key
     }
 
     fn is_accelerator(&self) -> bool {
@@ -122,259 +112,100 @@ impl Backend for ThreadsBackend {
     }
 
     fn timeline(&self) -> &Timeline {
-        &self.timeline
+        &self.host.timeline
     }
 
-    #[cfg(feature = "trace")]
-    fn attach_tracer(&self, recorder: &Arc<racc_trace::TraceRecorder>) {
-        self.timeline.install_tracer(Arc::clone(recorder));
-        // Per-worker chunk spans come from inside the pool.
-        self.pool.install_tracer(Arc::clone(recorder));
+    fn instrument(&self) -> &dyn Instrument {
+        self
     }
 
-    fn steal_stats(&self) -> Option<racc_threadpool::StealStats> {
-        Some(self.pool.steal_stats())
-    }
-
-    fn set_sanitizer(&self, _enabled: bool) -> bool {
-        // The CPU half of simsan is the racecheck machinery with read
-        // tracking switched on; it needs the `racecheck` feature compiled in.
-        #[cfg(feature = "racecheck")]
-        {
-            crate::racecheck::set_enabled(_enabled);
-            crate::racecheck::set_track_reads(_enabled);
-            true
-        }
-        #[cfg(not(feature = "racecheck"))]
-        false
-    }
-
-    fn on_alloc(&self, _bytes: usize, _upload: bool) -> Result<DeviceToken, RaccError> {
-        // The paper: "when using Base.Threads as the back end, using
-        // JACC.Array is not necessary" — host memory, no transfer.
-        #[cfg(feature = "trace")]
-        self.timeline.record_span(|| {
-            racc_trace::Span::new("threads", racc_trace::ConstructKind::Alloc, "alloc")
-                .dims(0, 0, 0)
-                .payload(_bytes as u64)
-        });
-        Ok(None)
+    fn on_alloc(&self, bytes: usize, _upload: bool) -> Result<DeviceToken, RaccError> {
+        self.host.on_alloc(bytes)
     }
 
     fn on_download(&self, _bytes: usize) {}
 
-    fn parallel_for_1d<F>(&self, n: usize, profile: &KernelProfile, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        self.pool.parallel_for(n, self.schedule, |i| {
-            tag(i as u64);
-            f(i);
-        });
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(n, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::For1d,
-            profile,
-            [n as u64, 1, 1],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
-    }
-
-    fn parallel_for_2d<F>(&self, m: usize, n: usize, profile: &KernelProfile, f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        // Column-wise coarse decomposition (paper §IV).
-        self.pool.parallel_for_2d(m, n, self.schedule, |i, j| {
-            tag((j * m + i) as u64);
-            f(i, j);
-        });
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(m * n, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::For2d,
-            profile,
-            [m as u64, n as u64, 1],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
-    }
-
-    fn parallel_for_3d<F>(&self, m: usize, n: usize, l: usize, profile: &KernelProfile, f: F)
+    #[inline(always)]
+    fn parallel_for<F>(&self, extent: Extent, profile: &KernelProfile, f: F)
     where
         F: Fn(usize, usize, usize) + Sync,
     {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        self.pool
-            .parallel_for_3d(m, n, l, self.schedule, |i, j, k| {
-                tag(((k * n + j) * m + i) as u64);
-                f(i, j, k);
-            });
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(m * n * l, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::For3d,
-            profile,
-            [m as u64, n as u64, l as u64],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
-    }
-
-    fn parallel_reduce_1d<T, F, O>(&self, n: usize, profile: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        let acc = self.pool.parallel_reduce(
-            n,
-            self.schedule,
-            op.identity(),
-            |i| {
+        let open = self.host.open();
+        // The pool distributes the slowest axis of the rank — elements,
+        // columns (the paper's coarse column-wise decomposition, §IV) or
+        // planes — and streams the faster ones inside each task.
+        let [m, n, l] = extent.dims();
+        match extent.rank() {
+            1 => self.pool.parallel_for(m, self.schedule, |i| {
                 tag(i as u64);
-                f(i)
-            },
-            |a, b| op.combine(a, b),
-        );
-        self.end_bracket();
-        let ns = self.cpu.reduce_time_ns(n, profile);
-        self.timeline.charge_reduction(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::Reduce1d,
-            profile,
-            [n as u64, 1, 1],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
-        acc
+                f(i, 0, 0);
+            }),
+            2 => self.pool.parallel_for_2d(m, n, self.schedule, |i, j| {
+                tag(extent.linear(i, j, 0) as u64);
+                f(i, j, 0);
+            }),
+            _ => self
+                .pool
+                .parallel_for_3d(m, n, l, self.schedule, |i, j, k| {
+                    tag(extent.linear(i, j, k) as u64);
+                    f(i, j, k);
+                }),
+        }
+        self.host.close(open, Construct::For(extent), profile);
     }
 
-    fn parallel_reduce_2d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        // Column-wise: reduce whole columns per task, then across columns.
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        let acc = self.pool.parallel_reduce(
-            n,
-            self.schedule,
-            op.identity(),
-            |j| {
-                let mut col = op.identity();
-                for i in 0..m {
-                    tag((j * m + i) as u64);
-                    col = op.combine(col, f(i, j));
-                }
-                col
-            },
-            |a, b| op.combine(a, b),
-        );
-        self.end_bracket();
-        let ns = self.cpu.reduce_time_ns(m * n, profile);
-        self.timeline.charge_reduction(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::Reduce2d,
-            profile,
-            [m as u64, n as u64, 1],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
-        acc
-    }
-
-    fn parallel_reduce_3d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        profile: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
+    #[inline(always)]
+    fn parallel_reduce<T, F, O>(&self, extent: Extent, profile: &KernelProfile, f: F, op: O) -> T
     where
         T: AccScalar,
         F: Fn(usize, usize, usize) -> T + Sync,
         O: ReduceOp<T>,
     {
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
-        let acc = self.pool.parallel_reduce(
-            l,
-            self.schedule,
-            op.identity(),
-            |k| {
-                let mut plane = op.identity();
-                for j in 0..n {
-                    for i in 0..m {
-                        tag(((k * n + j) * m + i) as u64);
-                        plane = op.combine(plane, f(i, j, k));
-                    }
-                }
-                plane
-            },
-            |a, b| op.combine(a, b),
-        );
-        self.end_bracket();
-        let ns = self.cpu.reduce_time_ns(m * n * l, profile);
-        self.timeline.charge_reduction(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::Reduce3d,
-            profile,
-            [m as u64, n as u64, l as u64],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
+        let open = self.host.open();
+        // Distributed like `parallel_for`: whole columns or planes fold
+        // inside one task, their partials combine in tile order.
+        let [m, n, l] = extent.dims();
+        let (identity, combine) = (op.identity(), |a, b| op.combine(a, b));
+        let acc = match extent.rank() {
+            1 => self.pool.parallel_reduce(
+                m,
+                self.schedule,
+                identity,
+                |i| {
+                    tag(i as u64);
+                    f(i, 0, 0)
+                },
+                combine,
+            ),
+            2 => self.pool.parallel_reduce_2d(
+                m,
+                n,
+                self.schedule,
+                identity,
+                |i, j| {
+                    tag(extent.linear(i, j, 0) as u64);
+                    f(i, j, 0)
+                },
+                combine,
+            ),
+            _ => self.pool.parallel_reduce_3d(
+                m,
+                n,
+                l,
+                self.schedule,
+                identity,
+                |i, j, k| {
+                    tag(extent.linear(i, j, k) as u64);
+                    f(i, j, k)
+                },
+                combine,
+            ),
+        };
+        self.host.close(open, Construct::Reduce(extent), profile);
         acc
     }
 
-    fn prim_scan_1d<T, F, W, O>(
+    fn prim_scan<T, F, W, O>(
         &self,
         n: usize,
         inclusive: bool,
@@ -389,9 +220,7 @@ impl Backend for ThreadsBackend {
         O: ReduceOp<T>,
     {
         use crate::prim::{self, SlotVec};
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
+        let open = self.host.open();
         // Same fixed PRIM_TILE tiling as the serial reference: tile totals
         // in parallel (each tile owns its slot), one sequential fold over
         // the totals, then the output pass in parallel. Tile boundaries are
@@ -425,36 +254,16 @@ impl Backend for ThreadsBackend {
                 op,
             );
         });
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(2 * n, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, 1, 1],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
+        self.host.close(open, Construct::scan(n), profile);
     }
 
-    fn prim_histogram_1d<F, W>(
-        &self,
-        n: usize,
-        bins: usize,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
+    fn prim_histogram<F, W>(&self, n: usize, bins: usize, profile: &KernelProfile, key: F, write: W)
+    where
         F: Fn(usize) -> usize + Sync,
         W: Fn(usize, u64) + Sync,
     {
         use crate::prim::{self, SlotVec};
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
+        let open = self.host.open();
         // Privatized histogram: each tile counts into its own row of the
         // scratch matrix, then bins are summed across rows in ascending
         // tile order. Counts are u64, so any order would do — the fixed
@@ -481,22 +290,11 @@ impl Backend for ThreadsBackend {
             }
             write(bin, sum);
         });
-        self.end_bracket();
-        let ns = self.cpu.kernel_time_ns(n + bins, profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, bins as u64, 1],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
+        self.host
+            .close(open, Construct::histogram(n, bins), profile);
     }
 
-    fn prim_sort_pairs_1d<F, W>(
+    fn prim_sort_pairs<F, W>(
         &self,
         n: usize,
         key_bits: u32,
@@ -508,11 +306,7 @@ impl Backend for ThreadsBackend {
         W: Fn(usize, usize) + Sync,
     {
         use crate::prim::{self, SlotVec};
-        #[cfg(not(feature = "trace"))]
-        let _ = key_bits;
-        #[cfg(feature = "trace")]
-        let t0 = self.timeline.trace_start();
-        self.begin_bracket();
+        let open = self.host.open();
         // Tiled merge sort over (bits, index) pairs: tile-local sorts in
         // parallel, then deterministic pairwise merge rounds with fixed run
         // boundaries. Ties break toward the smaller original index, so the
@@ -560,22 +354,7 @@ impl Backend for ThreadsBackend {
             tag(rank as u64);
             write(rank, src.get(rank).1 as usize);
         });
-        self.end_bracket();
-        let log_n = usize::BITS - n.max(1).leading_zeros();
-        let ns = self
-            .cpu
-            .kernel_time_ns(n * (log_n as usize).max(1), profile);
-        self.timeline.charge_launch(ns);
-        #[cfg(feature = "trace")]
-        self.timeline.record_cpu_construct(
-            "threads",
-            racc_trace::ConstructKind::Prim,
-            profile,
-            [n as u64, key_bits as u64, 1],
-            self.pool.num_threads() as u64,
-            t0,
-            ns,
-        );
+        self.host.close(open, Construct::sort(n, key_bits), profile);
     }
 }
 
@@ -583,39 +362,9 @@ impl Backend for ThreadsBackend {
 mod tests {
     use super::*;
     use crate::scalar::{Min, Sum};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn backend() -> ThreadsBackend {
         ThreadsBackend::with_threads(4)
-    }
-
-    #[test]
-    fn every_index_once_1d() {
-        let b = backend();
-        let n = 10_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        b.parallel_for_1d(n, &KernelProfile::unknown(), |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn every_index_once_2d_and_3d() {
-        let b = backend();
-        let (m, n) = (63, 41);
-        let hits: Vec<AtomicUsize> = (0..m * n).map(|_| AtomicUsize::new(0)).collect();
-        b.parallel_for_2d(m, n, &KernelProfile::unknown(), |i, j| {
-            hits[j * m + i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-
-        let (m, n, l) = (7, 8, 9);
-        let hits: Vec<AtomicUsize> = (0..m * n * l).map(|_| AtomicUsize::new(0)).collect();
-        b.parallel_for_3d(m, n, l, &KernelProfile::unknown(), |i, j, k| {
-            hits[(k * n + j) * m + i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -623,39 +372,15 @@ mod tests {
         let t = backend();
         let s = crate::SerialBackend::new();
         let data: Vec<f64> = (0..10_000).map(|i| ((i * 37) % 101) as f64).collect();
-        let dr = |b: &dyn Fn() -> f64| b();
-        let from_threads = dr(&|| {
-            t.parallel_reduce_1d(
-                data.len(),
-                &KernelProfile::dot(),
-                |i| data[i] * data[i],
-                Sum,
-            )
-        });
-        let from_serial = dr(&|| {
-            s.parallel_reduce_1d(
-                data.len(),
-                &KernelProfile::dot(),
-                |i| data[i] * data[i],
-                Sum,
-            )
-        });
+        let (n, p) = (Extent::d1(data.len()), KernelProfile::dot());
+        let square = |i: usize, _, _| data[i] * data[i];
+        let from_threads: f64 = t.parallel_reduce(n, &p, square, Sum);
+        let from_serial: f64 = s.parallel_reduce(n, &p, square, Sum);
         assert!((from_threads - from_serial).abs() < 1e-6);
 
-        let min_t: f64 = t.parallel_reduce_2d(
-            100,
-            100,
-            &KernelProfile::dot(),
-            |i, j| ((i * 100 + j) as f64).cos(),
-            Min,
-        );
-        let min_s: f64 = s.parallel_reduce_2d(
-            100,
-            100,
-            &KernelProfile::dot(),
-            |i, j| ((i * 100 + j) as f64).cos(),
-            Min,
-        );
+        let cos = |i: usize, j: usize, _| ((i * 100 + j) as f64).cos();
+        let min_t: f64 = t.parallel_reduce(Extent::d2(100, 100), &p, cos, Min);
+        let min_s: f64 = s.parallel_reduce(Extent::d2(100, 100), &p, cos, Min);
         assert_eq!(min_t, min_s);
     }
 
@@ -666,8 +391,7 @@ mod tests {
         let t = backend();
         let s = crate::SerialBackend::new();
         let n = 50_000_000;
-        t.parallel_for_1d(n, &KernelProfile::axpy(), |_| {});
-        s.parallel_for_1d(0, &KernelProfile::axpy(), |_| {}); // warm zero
+        t.parallel_for(Extent::d1(n), &KernelProfile::axpy(), |_, _, _| {});
         let t_ns = t.timeline().modeled_ns();
         let s_ns = s.cpu().kernel_time_ns(n, &KernelProfile::axpy()) as u64;
         assert!(t_ns < s_ns, "threads {t_ns} vs serial {s_ns}");
@@ -681,16 +405,5 @@ mod tests {
         assert!(b.name().contains("4 threads"));
         assert!(b.on_alloc(8, true).unwrap().is_none());
         assert_eq!(b.pool().num_threads(), 4);
-    }
-
-    #[test]
-    fn dynamic_schedule_also_covers() {
-        let b = ThreadsBackend::with_threads(4).with_schedule(Schedule::Dynamic { chunk: 16 });
-        let n = 5000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        b.parallel_for_1d(n, &KernelProfile::unknown(), |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

@@ -22,7 +22,7 @@ pub struct Timeline {
     h2d_bytes: AtomicU64,
     d2h_bytes: AtomicU64,
     /// Span recorder, installed at most once per backend instance
-    /// ([`Backend::attach_tracer`](crate::Backend::attach_tracer)).
+    /// (by the context, when it is built with tracing on).
     #[cfg(feature = "trace")]
     tracer: OnceLock<Arc<TraceRecorder>>,
 }
@@ -155,38 +155,6 @@ impl Timeline {
                 rec.record(make());
             }
         }
-    }
-
-    /// Emission helper for the CPU backends: one span per construct, with
-    /// the modeled charge quantized identically to the `charge_*` call and
-    /// the measured wall-clock duration attached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_cpu_construct(
-        &self,
-        backend: &'static str,
-        kind: racc_trace::ConstructKind,
-        profile: &crate::KernelProfile,
-        dims: [u64; 3],
-        workers: u64,
-        started: Option<Instant>,
-        ns: f64,
-    ) {
-        self.record_span(|| {
-            let iters: u64 = dims.iter().product();
-            // Fused launches keep the construct's execution path but land on
-            // the dedicated `fused` trace lane (see `racc-fuse`).
-            let kind = if profile.fused {
-                racc_trace::ConstructKind::Fused
-            } else {
-                kind
-            };
-            Span::new(backend, kind, profile.name)
-                .dims(dims[0], dims[1], dims[2])
-                .geometry(workers, iters.div_ceil(workers.max(1)))
-                .profile(profile.flops_per_iter, profile.bytes_per_iter())
-                .modeled(Self::quantize(ns))
-                .real_since(started)
-        });
     }
 }
 

@@ -317,11 +317,6 @@ impl<'c, B: Backend> Lazy<'c, B> {
         self.finish(None);
     }
 
-    /// Evaluates the program — the historical name of [`Lazy::eval`].
-    pub fn run(&mut self) {
-        self.eval();
-    }
-
     /// Evaluates the program, then reduces `expr` with `kind`. The
     /// reduction fuses into the last group when legal.
     pub fn reduce(&mut self, expr: Expr, kind: ReduceKind) -> f64 {

@@ -189,7 +189,7 @@ fn run_spec<B: Backend>(
         f.reduce(e, kind).to_bits()
     });
     if spec.reduce.is_none() {
-        f.run();
+        f.eval();
     }
     let launches = f.count_launches();
     let bits = pools

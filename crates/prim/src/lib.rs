@@ -305,7 +305,7 @@ impl<B: Backend> PrimExt for Context<B> {
         let out = self.zeros::<u64>(bins)?;
         let ov = out.view_mut();
         self.backend()
-            .prim_histogram_1d(n, bins, &HISTOGRAM_PROFILE, key, move |bin, count| {
+            .prim_histogram(n, bins, &HISTOGRAM_PROFILE, key, move |bin, count| {
                 ov.set(bin, count)
             });
         bump(self, |c| &c.histograms, n);
@@ -317,7 +317,7 @@ impl<B: Backend> PrimExt for Context<B> {
         let out = self.zeros::<u64>(n)?;
         let kv = keys.view();
         let ov = out.view_mut();
-        self.backend().prim_sort_pairs_1d(
+        self.backend().prim_sort_pairs(
             n,
             K::KEY_BITS,
             &SORT_PROFILE,
@@ -347,7 +347,7 @@ impl<B: Backend> PrimExt for Context<B> {
         let (kv, vv) = (keys.view(), values.view());
         let kv_for_keys = keys.view();
         let (ko, vo) = (out_keys.view_mut(), out_values.view_mut());
-        self.backend().prim_sort_pairs_1d(
+        self.backend().prim_sort_pairs(
             n,
             K::KEY_BITS,
             &SORT_PROFILE,
@@ -372,7 +372,7 @@ fn scan_impl<B: Backend, T: AccScalar, O: ReduceOp<T>>(
     let out = ctx.zeros::<T>(n)?;
     let iv = input.view();
     let ov = out.view_mut();
-    ctx.backend().prim_scan_1d(
+    ctx.backend().prim_scan(
         n,
         inclusive,
         &SCAN_PROFILE,

@@ -57,6 +57,6 @@ mod steal;
 pub use latch::CountLatch;
 pub use pool::{PoolError, ThreadPool};
 pub use reduce::ordered_tiled_fold;
-pub use schedule::{chunk_count, chunks, parse_grain, Schedule};
+pub use schedule::{chunk_count, chunks, parse_positive, Schedule};
 pub use scratch::RawScratch;
 pub use steal::{StealCounters, StealStats};

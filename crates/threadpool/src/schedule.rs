@@ -83,15 +83,16 @@ fn auto_grain(n: usize, participants: usize) -> usize {
 /// auto grain; unset, zero, or garbage leaves the heuristic in charge.
 fn env_grain() -> Option<usize> {
     static GRAIN: OnceLock<Option<usize>> = OnceLock::new();
-    *GRAIN.get_or_init(|| parse_grain(std::env::var("RACC_GRAIN").ok().as_deref()))
+    *GRAIN.get_or_init(|| parse_positive(std::env::var("RACC_GRAIN").ok().as_deref()))
 }
 
-/// The testable core of the `RACC_GRAIN` parse: positive integers pass,
-/// anything else (unset, 0, garbage) means "no override".
-pub fn parse_grain(value: Option<&str>) -> Option<usize> {
+/// The positive-integer rule every count knob shares (`RACC_GRAIN` here,
+/// the shard and serve knobs through `racc_core::config`): `None` for
+/// unset, zero or garbage — a bad knob must never panic a working program.
+pub fn parse_positive(value: Option<&str>) -> Option<usize> {
     value
         .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&g| g > 0)
+        .filter(|&n| n > 0)
 }
 
 /// How a launch's index space is cut into steal-able tiles. Tile boundaries
@@ -299,13 +300,14 @@ mod tests {
     }
 
     #[test]
-    fn grain_parse_accepts_positive_integers_only() {
-        assert_eq!(parse_grain(Some("64")), Some(64));
-        assert_eq!(parse_grain(Some(" 8 ")), Some(8));
-        assert_eq!(parse_grain(Some("0")), None);
-        assert_eq!(parse_grain(Some("")), None);
-        assert_eq!(parse_grain(Some("lots")), None);
-        assert_eq!(parse_grain(None), None);
+    fn positive_integers_only() {
+        assert_eq!(parse_positive(Some("64")), Some(64));
+        assert_eq!(parse_positive(Some(" 8 ")), Some(8));
+        assert_eq!(parse_positive(Some("0")), None);
+        assert_eq!(parse_positive(Some("-3")), None);
+        assert_eq!(parse_positive(Some("")), None);
+        assert_eq!(parse_positive(Some("lots")), None);
+        assert_eq!(parse_positive(None), None);
     }
 
     #[test]

@@ -52,8 +52,8 @@
 use std::sync::OnceLock;
 
 pub use racc_core::{
-    cpumodel, AccScalar, Array1, Array2, Array3, Backend, Context, CpuSpec, DeviceToken,
-    KernelProfile, Max, Min, Numeric, Prod, RaccError, ReduceOp, SerialBackend, Sum,
+    cpumodel, AccScalar, Array1, Array2, Array3, Backend, Context, CpuSpec, DeviceToken, Extent,
+    Instrument, KernelProfile, Max, Min, Numeric, Prod, RaccError, ReduceOp, SerialBackend, Sum,
     ThreadsBackend, Timeline, TimelineSnapshot, View1, View2, View3, ViewMut1, ViewMut2, ViewMut3,
 };
 
@@ -225,37 +225,8 @@ impl Backend for AnyBackend {
     fn timeline(&self) -> &Timeline {
         dispatch!(self, b => b.timeline())
     }
-    // Must forward rather than rely on the trait default: ThreadsBackend
-    // additionally installs the recorder into its worker pool.
-    #[cfg(feature = "trace")]
-    fn attach_tracer(&self, recorder: &std::sync::Arc<trace::TraceRecorder>) {
-        dispatch!(self, b => b.attach_tracer(recorder))
-    }
-    // Forwarded (not defaulted) so simulator back ends reach their devices.
-    fn set_sanitizer(&self, enabled: bool) -> bool {
-        dispatch!(self, b => b.set_sanitizer(enabled))
-    }
-    fn sanitizer_report(&self) -> Option<String> {
-        dispatch!(self, b => b.sanitizer_report())
-    }
-    // Forwarded (not defaulted) so every pool-backed variant — threads and
-    // the simulated accelerators — reports its work-stealing counters.
-    fn steal_stats(&self) -> Option<racc_core::StealStats> {
-        dispatch!(self, b => b.steal_stats())
-    }
-    // Forwarded (not defaulted) for the same reason: the simulator back
-    // ends own the chaos engine, retry policy, and fault log.
-    fn set_chaos(&self, plan: FaultPlan) -> bool {
-        dispatch!(self, b => b.set_chaos(plan))
-    }
-    fn set_retry(&self, policy: RetryPolicy) -> bool {
-        dispatch!(self, b => b.set_retry(policy))
-    }
-    fn fault_log(&self) -> Vec<FaultEvent> {
-        dispatch!(self, b => b.fault_log())
-    }
-    fn self_check(&self) -> Result<(), RaccError> {
-        dispatch!(self, b => b.self_check())
+    fn instrument(&self) -> &dyn Instrument {
+        dispatch!(self, b => b.instrument())
     }
     fn on_alloc(&self, bytes: usize, upload: bool) -> Result<DeviceToken, RaccError> {
         dispatch!(self, b => b.on_alloc(bytes, upload))
@@ -263,61 +234,23 @@ impl Backend for AnyBackend {
     fn on_download(&self, bytes: usize) {
         dispatch!(self, b => b.on_download(bytes))
     }
-    fn parallel_for_1d<F: Fn(usize) + Sync>(&self, n: usize, p: &KernelProfile, f: F) {
-        dispatch!(self, b => b.parallel_for_1d(n, p, f))
-    }
-    fn parallel_for_2d<F: Fn(usize, usize) + Sync>(
-        &self,
-        m: usize,
-        n: usize,
-        p: &KernelProfile,
-        f: F,
-    ) {
-        dispatch!(self, b => b.parallel_for_2d(m, n, p, f))
-    }
-    fn parallel_for_3d<F: Fn(usize, usize, usize) + Sync>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        p: &KernelProfile,
-        f: F,
-    ) {
-        dispatch!(self, b => b.parallel_for_3d(m, n, l, p, f))
-    }
-    fn parallel_reduce_1d<T, F, O>(&self, n: usize, p: &KernelProfile, f: F, op: O) -> T
+    #[inline(always)]
+    fn parallel_for<F>(&self, extent: Extent, p: &KernelProfile, f: F)
     where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        O: ReduceOp<T>,
+        F: Fn(usize, usize, usize) + Sync,
     {
-        dispatch!(self, b => b.parallel_reduce_1d(n, p, f, op))
+        dispatch!(self, b => b.parallel_for(extent, p, f))
     }
-    fn parallel_reduce_2d<T, F, O>(&self, m: usize, n: usize, p: &KernelProfile, f: F, op: O) -> T
-    where
-        T: AccScalar,
-        F: Fn(usize, usize) -> T + Sync,
-        O: ReduceOp<T>,
-    {
-        dispatch!(self, b => b.parallel_reduce_2d(m, n, p, f, op))
-    }
-    fn parallel_reduce_3d<T, F, O>(
-        &self,
-        m: usize,
-        n: usize,
-        l: usize,
-        p: &KernelProfile,
-        f: F,
-        op: O,
-    ) -> T
+    #[inline(always)]
+    fn parallel_reduce<T, F, O>(&self, extent: Extent, p: &KernelProfile, f: F, op: O) -> T
     where
         T: AccScalar,
         F: Fn(usize, usize, usize) -> T + Sync,
         O: ReduceOp<T>,
     {
-        dispatch!(self, b => b.parallel_reduce_3d(m, n, l, p, f, op))
+        dispatch!(self, b => b.parallel_reduce(extent, p, f, op))
     }
-    fn prim_scan_1d<T, F, W, O>(
+    fn prim_scan<T, F, W, O>(
         &self,
         n: usize,
         inclusive: bool,
@@ -331,21 +264,21 @@ impl Backend for AnyBackend {
         W: Fn(usize, T) + Sync,
         O: ReduceOp<T>,
     {
-        dispatch!(self, b => b.prim_scan_1d(n, inclusive, p, read, write, op))
+        dispatch!(self, b => b.prim_scan(n, inclusive, p, read, write, op))
     }
-    fn prim_histogram_1d<F, W>(&self, n: usize, bins: usize, p: &KernelProfile, key: F, write: W)
+    fn prim_histogram<F, W>(&self, n: usize, bins: usize, p: &KernelProfile, key: F, write: W)
     where
         F: Fn(usize) -> usize + Sync,
         W: Fn(usize, u64) + Sync,
     {
-        dispatch!(self, b => b.prim_histogram_1d(n, bins, p, key, write))
+        dispatch!(self, b => b.prim_histogram(n, bins, p, key, write))
     }
-    fn prim_sort_pairs_1d<F, W>(&self, n: usize, key_bits: u32, p: &KernelProfile, key: F, write: W)
+    fn prim_sort_pairs<F, W>(&self, n: usize, key_bits: u32, p: &KernelProfile, key: F, write: W)
     where
         F: Fn(usize) -> u64 + Sync,
         W: Fn(usize, usize) + Sync,
     {
-        dispatch!(self, b => b.prim_sort_pairs_1d(n, key_bits, p, key, write))
+        dispatch!(self, b => b.prim_sort_pairs(n, key_bits, p, key, write))
     }
 }
 
@@ -645,16 +578,17 @@ impl ContextBuilder {
         if !self.fallback || !backend.is_accelerator() {
             return (backend, None);
         }
+        let hooks = backend.instrument();
         let plan = self.options.chaos.clone().or_else(FaultPlan::from_env);
         if let Some(plan) = plan {
-            if backend.set_chaos(plan) {
-                backend.set_retry(self.options.retry.unwrap_or_default());
+            if hooks.set_chaos(plan) {
+                hooks.set_retry(self.options.retry.unwrap_or_default());
             }
         }
-        match backend.self_check() {
+        match hooks.self_check() {
             Ok(()) => (backend, None),
             Err(err) => {
-                let faults = backend.fault_log();
+                let faults = hooks.fault_log();
                 eprintln!(
                     "racc: backend {:?} failed its self-check ({err}); falling back to \
                      \"threads\" after {} injected fault(s)",
@@ -849,6 +783,42 @@ mod tests {
             assert!(
                 (dot - first).abs() < 1e-9 * first.abs(),
                 "{key}: {dot} vs {first}"
+            );
+        }
+    }
+
+    /// Which hooks each key supports, checked through the enum: a hook that
+    /// `AnyBackend` failed to forward would read as unsupported here.
+    #[test]
+    fn every_hook_reaches_every_backend_that_supports_it() {
+        for key in available_backends() {
+            let sim = !matches!(key, "serial" | "threads");
+            let mut b = builder()
+                .backend(key)
+                // Off on the CPU: there it is the process-global racecheck.
+                .sanitizer(sim)
+                .chaos(FaultPlan::parse("launch:nth-1").unwrap())
+                .retry(RetryPolicy::default())
+                .trace(true);
+            if key == "threads" {
+                b = b.threads(4);
+            }
+            let ctx = b.build().unwrap();
+            ctx.parallel_for(4096, &KernelProfile::axpy(), |_| {});
+
+            let stats = ctx.stats();
+            assert_eq!(stats.sanitizer.is_some(), sim, "{key}: sanitizer report");
+            assert_eq!(!ctx.fault_log().is_empty(), sim, "{key}: fault log");
+            assert_eq!(stats.faults.injected > 0, sim, "{key}: fault stats");
+            assert_eq!(stats.steal.is_some(), key != "serial", "{key}: steal stats");
+            // The pool below `threads` received the recorder.
+            #[cfg(feature = "trace")]
+            assert_eq!(
+                ctx.trace_spans()
+                    .iter()
+                    .any(|s| s.kind == trace::ConstructKind::WorkerChunk),
+                key == "threads",
+                "{key}: worker-chunk spans"
             );
         }
     }
