@@ -1,12 +1,12 @@
 //! # racc-backend-common
 //!
-//! The one implementation of [`racc_core::Backend`] over the
-//! [`racc_gpusim`] simulator. A vendor is a value, not a type: each vendor
-//! crate (`racc-backend-cuda`, `racc-backend-hip`, `racc-backend-oneapi`)
-//! is a `const` [`Vendor`] — stock device profile, launch geometry, two
-//! modeled overheads, the pieces that genuinely differ between the paper's
-//! CUDA.jl / AMDGPU.jl / oneAPI.jl back ends (Figs. 6 and 7) — and
-//! [`SimBackend`] reads it once per launch. Nothing branches on the vendor
+//! The one implementation of [`racc_core::Backend`] (and of
+//! [`racc_prim::PrimBackend`], in `prim.rs`) over the [`racc_gpusim`]
+//! simulator. A vendor is a value, not a type: [`CUDA`], [`HIP`] and
+//! [`ONEAPI`] are each a `const` [`Vendor`] — stock device profile, launch
+//! geometry, two modeled overheads, the pieces that genuinely differ
+//! between the paper's CUDA.jl / AMDGPU.jl / oneAPI.jl back ends (Figs. 6
+//! and 7) — and [`SimBackend`] reads it once per launch. Nothing branches on the vendor
 //! at compile time, so there is no type parameter and every kernel closure
 //! is instantiated once whichever vendor runs it.
 //!
@@ -28,6 +28,7 @@
 
 mod kernels;
 mod prim;
+mod vendors;
 
 use std::sync::Arc;
 
@@ -45,6 +46,7 @@ use racc_gpusim::{
 use racc_core::trace::{ConstructKind, Span};
 
 use kernels::{BlockReduceMap, Cover, FinalReduce};
+pub use vendors::{cuda_backend, hip_backend, oneapi_backend, CUDA, HIP, ONEAPI};
 
 /// What distinguishes one vendor back end from another: its stock device,
 /// launch parameters and overheads. Plain data, read once per launch.
@@ -536,45 +538,6 @@ impl Backend for SimBackend {
             ),
         }
     }
-
-    fn prim_scan<T, F, W, O>(
-        &self,
-        n: usize,
-        inclusive: bool,
-        profile: &KernelProfile,
-        read: F,
-        write: W,
-        op: O,
-    ) where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        W: Fn(usize, T) + Sync,
-        O: ReduceOp<T>,
-    {
-        self.sim_prim_scan(n, inclusive, profile, read, write, op)
-    }
-
-    fn prim_histogram<F, W>(&self, n: usize, bins: usize, profile: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> usize + Sync,
-        W: Fn(usize, u64) + Sync,
-    {
-        self.sim_prim_histogram(n, bins, profile, key, write)
-    }
-
-    fn prim_sort_pairs<F, W>(
-        &self,
-        n: usize,
-        key_bits: u32,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
-        F: Fn(usize) -> u64 + Sync,
-        W: Fn(usize, usize) + Sync,
-    {
-        self.sim_prim_sort_pairs(n, key_bits, profile, key, write)
-    }
 }
 
 #[cfg(test)]
@@ -582,6 +545,7 @@ mod tests {
     use super::*;
     use racc_core::{Context, Max, Sum};
     use racc_gpusim::profiles;
+    use racc_prim::PrimBackend;
 
     fn backend() -> SimBackend {
         SimBackend::stock(&Vendor {
@@ -868,7 +832,7 @@ mod tests {
             for n in [1usize, 7, 255, 256, 257, 1000, 5000] {
                 let read = |i: usize| ((i as f32) * 0.37).sin() + 1.0e-3;
                 let expect = std::cell::RefCell::new(vec![0.0f32; n]);
-                racc_core::prim::scan_canonical(
+                racc_prim::reference::scan_canonical(
                     n,
                     true,
                     &read,
@@ -933,7 +897,9 @@ mod tests {
         ] {
             let key = |i: usize| (i * 2654435761) % bins;
             let expect = std::cell::RefCell::new(vec![u64::MAX; bins]);
-            racc_core::prim::histogram_canonical(n, bins, &key, &|b, c| expect.borrow_mut()[b] = c);
+            racc_prim::reference::histogram_canonical(n, bins, &key, &|b, c| {
+                expect.borrow_mut()[b] = c
+            });
             let expect = expect.into_inner();
             let got: Vec<std::sync::atomic::AtomicU64> = (0..bins)
                 .map(|_| std::sync::atomic::AtomicU64::new(u64::MAX))
@@ -979,7 +945,7 @@ mod tests {
             let n = 4000usize;
             let key = |i: usize| ((i * 48271) % 97) as u64 * 65536 + ((i * 16807) % 13) as u64;
             let expect = std::cell::RefCell::new(vec![usize::MAX; n]);
-            racc_core::prim::sort_pairs_canonical(n, &key, &|r, i| expect.borrow_mut()[r] = i);
+            racc_prim::reference::sort_pairs_canonical(n, &key, &|r, i| expect.borrow_mut()[r] = i);
             let expect = expect.into_inner();
             let got: Vec<std::sync::atomic::AtomicUsize> = (0..n)
                 .map(|_| std::sync::atomic::AtomicUsize::new(usize::MAX))

@@ -1,10 +1,10 @@
-//! Simulator implementations of the portable device primitives: scan,
-//! histogram and sort-by-key, in the same block-local-phases + cross-block
-//! combine shape real GPU primitive libraries use, so the modeled costs are
-//! realistic.
+//! `impl PrimBackend for SimBackend`: the simulator implementations of the
+//! portable device primitives — scan, histogram and sort-by-key — in the
+//! same block-local-phases + cross-block combine shape real GPU primitive
+//! libraries use, so the modeled costs are realistic.
 //!
 //! Determinism: all cross-tile combines follow the canonical association of
-//! `racc_core::prim` — tile boundaries are `PRIM_TILE`-wide (a pure
+//! `racc_prim::reference` — tile boundaries are `PRIM_TILE`-wide (a pure
 //! function of `n`, never of device geometry), and the cross-tile fold is
 //! one sequential chain executed by a single simulated thread. Block sizes
 //! differ per vendor profile, but they only change *which thread* computes
@@ -26,7 +26,6 @@
 //! and cost — so `results/baselines/BENCH_prim.json` and
 //! `tests/vendor_pins.rs` hold to the last digit.
 
-use racc_core::prim::{self, PRIM_TILE};
 use racc_core::{AccScalar, KernelProfile, ReduceOp};
 use racc_gpusim::perf::KernelCost;
 use racc_gpusim::{
@@ -38,6 +37,9 @@ use racc_gpusim::{
 use racc_core::trace::{ConstructKind, Span};
 #[cfg(feature = "trace")]
 use racc_core::Timeline;
+
+use racc_prim::reference::{self as prim, PRIM_TILE};
+use racc_prim::PrimBackend;
 
 use crate::SimBackend;
 
@@ -157,7 +159,7 @@ where
 
 /// Scan kernel 3: one thread per tile re-folds its tile and writes the
 /// outputs through the `write` closure, combining with its device-read
-/// offset (tile 0 ignores it — see `racc_core::prim::scan_tile_write`).
+/// offset (tile 0 ignores it — see `racc_prim::reference::scan_tile_write`).
 struct TileWrite<'a, T: AccScalar, F, W, O> {
     n: usize,
     tiles: usize,
@@ -514,8 +516,10 @@ impl SimBackend {
         let max_for_shared = self.device().spec().shared_mem_per_block / bytes_per_thread;
         (self.block_1d(n) as usize).min(max_for_shared.max(1))
     }
+}
 
-    pub(crate) fn sim_prim_scan<T, F, W, O>(
+impl PrimBackend for SimBackend {
+    fn prim_scan<T, F, W, O>(
         &self,
         n: usize,
         inclusive: bool,
@@ -597,14 +601,8 @@ impl SimBackend {
         );
     }
 
-    pub(crate) fn sim_prim_histogram<F, W>(
-        &self,
-        n: usize,
-        bins: usize,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
+    fn prim_histogram<F, W>(&self, n: usize, bins: usize, profile: &KernelProfile, key: F, write: W)
+    where
         F: Fn(usize) -> usize + Sync,
         W: Fn(usize, u64) + Sync,
     {
@@ -691,7 +689,7 @@ impl SimBackend {
         );
     }
 
-    pub(crate) fn sim_prim_sort_pairs<F, W>(
+    fn prim_sort_pairs<F, W>(
         &self,
         n: usize,
         key_bits: u32,

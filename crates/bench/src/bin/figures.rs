@@ -1557,7 +1557,7 @@ fn bench_shard() {
 /// admission and batching counters). `RACC_BENCH_QUICK=1` shrinks the
 /// load; `RACC_SERVE_LOAD=<k>` scales the job counts.
 fn bench_serve() {
-    use racc_backend_cuda::{cuda_backend, CudaBackend};
+    use racc_backend_common::{cuda_backend, SimBackend};
     use racc_core::{Backend, Context, RaccError, RetryPolicy};
     use racc_fuse::{lit, load, LazyExt};
     use racc_serve::{job_fn, JobCtx, Server, ServerOptions, TenantConfig};
@@ -1701,7 +1701,7 @@ fn bench_serve() {
         let mut handles = Vec::new();
         for (kind, &(tenant, _, n, alpha, shape, jobs, rate_ns)) in mix.iter().enumerate() {
             for i in 0..jobs {
-                let mut job = job_fn(move |job: &JobCtx<CudaBackend>| {
+                let mut job = job_fn(move |job: &JobCtx<SimBackend>| {
                     cg_value(job.ctx(), Some(job), n, alpha)
                 });
                 if let Some(s) = shape {

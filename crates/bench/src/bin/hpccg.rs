@@ -5,7 +5,7 @@
 //! modeled FLOP rates per backend.
 //!
 //! ```text
-//! cargo run --release -p racc-cg --bin hpccg -- [options]
+//! cargo run --release -p racc-bench --bin hpccg -- [options]
 //!   --n <int>        tridiagonal dimension (default 1_000_000)
 //!   --grid <int>     also solve a 2D Laplacian of grid x grid (default 48)
 //!   --nx <int>       also solve the HPCCG 27-point 3D system, nx^3 (default 0 = skip)

@@ -7,9 +7,9 @@
 //! |---|---|---|
 //! | [`crate::SerialBackend`]  | racc-core | (baseline) |
 //! | [`crate::ThreadsBackend`] | racc-core | `Base.Threads` |
-//! | `SimBackend` by `CUDA`    | racc-backend-common, described by racc-backend-cuda | `CUDA.jl` |
-//! | `SimBackend` by `HIP`     | racc-backend-common, described by racc-backend-hip | `AMDGPU.jl` |
-//! | `SimBackend` by `ONEAPI`  | racc-backend-common, described by racc-backend-oneapi | `oneAPI.jl` |
+//! | `SimBackend` by `CUDA`    | racc-backend-common | `CUDA.jl` |
+//! | `SimBackend` by `HIP`     | racc-backend-common | `AMDGPU.jl` |
+//! | `SimBackend` by `ONEAPI`  | racc-backend-common | `oneAPI.jl` |
 //!
 //! The three simulated-GPU rows are one type: a vendor is a value the
 //! simulator back end reads per launch, not a `Backend` implementation.
@@ -184,6 +184,10 @@ pub trait Instrument {
 /// `#[inline(always)]` — as all in this workspace do — and every call
 /// compiles to its one arm; left to the inliner's judgement, each body
 /// closure would instantiate the traversals of all three ranks.
+///
+/// These nine methods are all a back end provides. A library that wants
+/// more from one — a device-wide algorithm with a kernel per engine —
+/// declares a `trait X: Backend` in its own crate; this trait does not grow.
 pub trait Backend: Send + Sync + 'static {
     /// Human-readable name, e.g. `"RACC Threads (64 cores)"`.
     fn name(&self) -> String;
@@ -221,57 +225,4 @@ pub trait Backend: Send + Sync + 'static {
         T: AccScalar,
         F: Fn(usize, usize, usize) -> T + Sync,
         O: ReduceOp<T>;
-
-    /// Portable scan primitive: writes the inclusive (or exclusive) scan of
-    /// `read(0..n)` under `op` through `write(i, value)`, following the
-    /// canonical two-level tiling of [`crate::prim`] exactly — results are
-    /// bit-identical across backends and run-to-run. `n == 0` writes
-    /// nothing.
-    fn prim_scan<T, F, W, O>(
-        &self,
-        n: usize,
-        inclusive: bool,
-        profile: &KernelProfile,
-        read: F,
-        write: W,
-        op: O,
-    ) where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        W: Fn(usize, T) + Sync,
-        O: ReduceOp<T>;
-
-    /// Portable histogram primitive: counts `key(i)` for `i in 0..n` into
-    /// `bins` buckets and writes **every** bin's `u64` count (zeros
-    /// included) through `write(bin, count)`. The caller guarantees
-    /// `key(i) < bins`; out-of-range keys are library-level UB that the
-    /// simulators' bounds checks / simsan turn into a panic (the validated
-    /// `racc-prim` wrapper reports them as a typed error first).
-    fn prim_histogram<F, W>(
-        &self,
-        n: usize,
-        bins: usize,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
-        F: Fn(usize) -> usize + Sync,
-        W: Fn(usize, u64) + Sync;
-
-    /// Portable sort primitive: stable ascending sort of the order-encoded
-    /// `key(i)` bits (ties toward the smaller index), reporting the
-    /// permutation through `write(rank, original_index)` for `rank in
-    /// 0..n`. `key_bits` bounds the significant low bits of every key (the
-    /// simulators size their radix passes from it). The output permutation
-    /// is unique, so every backend agrees exactly.
-    fn prim_sort_pairs<F, W>(
-        &self,
-        n: usize,
-        key_bits: u32,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
-        F: Fn(usize) -> u64 + Sync,
-        W: Fn(usize, usize) + Sync;
 }

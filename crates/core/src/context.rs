@@ -99,7 +99,7 @@ impl<B: Backend> Context<B> {
     }
 
     /// Start building a context over `backend` with explicit observability
-    /// options — the primary construction path:
+    /// options — the main construction path:
     ///
     /// ```
     /// use racc_core::{Context, SerialBackend};

@@ -6,6 +6,10 @@
 //! The bracket is two straight-line calls around the loop, not a closure
 //! wrapped round it: wrapping the hot loop in an immediately-invoked
 //! closure measurably blocks loop optimization.
+//!
+//! It is public for a library that gives the CPU back ends a construct of
+//! its own — several pool launches charged and traced as one: [`Host::open`],
+//! [`tag`] per iteration, [`Host::close_launch`].
 
 use crate::backend::{DeviceToken, Extent};
 use crate::cpumodel::CpuSpec;
@@ -15,7 +19,7 @@ use crate::racecheck;
 use crate::timeline::Timeline;
 
 /// The CPU a back end models and the clock it charges.
-pub(crate) struct Host {
+pub struct Host {
     pub(crate) key: &'static str,
     /// Participants a construct is spread over; only spans report it.
     #[cfg_attr(not(feature = "trace"), allow(dead_code))]
@@ -24,11 +28,19 @@ pub(crate) struct Host {
     pub(crate) timeline: Timeline,
 }
 
-/// A construct in flight, from [`Host::open`] to [`Host::close`].
-/// Zero-sized without the `trace` feature.
-pub(crate) struct Open {
+/// A construct in flight, from [`Host::open`] to its close. Zero-sized
+/// without the `trace` feature.
+pub struct Open {
     #[cfg(feature = "trace")]
     started: Option<std::time::Instant>,
+}
+
+/// Tell the `racecheck` feature's checker which logical iteration the
+/// calling thread is about to run; nothing without the feature. Called
+/// before every body invocation inside an open bracket.
+#[inline(always)]
+pub fn tag(iter: u64) {
+    racecheck::set_current_iteration(iter);
 }
 
 /// What ran inside the bracket: decides the model's formula, the timeline
@@ -37,39 +49,14 @@ pub(crate) struct Open {
 pub(crate) enum Construct {
     For(Extent),
     Reduce(Extent),
-    /// A device primitive: charged as a launch over `visits` element
-    /// visits, reported with `dims`.
-    Prim {
+    /// Not one of the two constructs: charged as a launch over `visits`
+    /// element visits, reported with `dims`.
+    Launch {
         visits: usize,
         dims: [usize; 3],
+        #[cfg(feature = "trace")]
+        kind: racc_trace::ConstructKind,
     },
-}
-
-impl Construct {
-    /// A scan sweeps the data twice: tile totals, then the output pass.
-    pub(crate) fn scan(n: usize) -> Self {
-        Construct::Prim {
-            visits: 2 * n,
-            dims: [n, 1, 1],
-        }
-    }
-
-    /// A histogram visits every element and writes every bin.
-    pub(crate) fn histogram(n: usize, bins: usize) -> Self {
-        Construct::Prim {
-            visits: n + bins,
-            dims: [n, bins, 1],
-        }
-    }
-
-    /// A comparison sort: `n log2 n` element visits.
-    pub(crate) fn sort(n: usize, key_bits: u32) -> Self {
-        let log_n = usize::BITS - n.max(1).leading_zeros();
-        Construct::Prim {
-            visits: n * (log_n as usize).max(1),
-            dims: [n, key_bits as usize, 1],
-        }
-    }
 }
 
 impl Host {
@@ -82,8 +69,9 @@ impl Host {
         }
     }
 
+    /// Racecheck bookkeeping and, when tracing, the wall-clock start.
     #[inline]
-    pub(crate) fn open(&self) -> Open {
+    pub fn open(&self) -> Open {
         let open = Open {
             #[cfg(feature = "trace")]
             started: self.timeline.trace_start(),
@@ -92,13 +80,48 @@ impl Host {
         open
     }
 
+    /// Close a construct that is neither `parallel_for` nor
+    /// `parallel_reduce`: the model charges one launch over `visits`
+    /// element visits, and the span — a 1D `parallel_for` one unless
+    /// [`Host::close_launch_as`] names its kind — reports `dims`.
+    #[inline]
+    pub fn close_launch(
+        &self,
+        open: Open,
+        visits: usize,
+        dims: [usize; 3],
+        profile: &KernelProfile,
+    ) {
+        let what = Construct::Launch {
+            visits,
+            dims,
+            #[cfg(feature = "trace")]
+            kind: racc_trace::ConstructKind::For1d,
+        };
+        self.close(open, what, profile);
+    }
+
+    /// [`Host::close_launch`] with the span reported as `kind`.
+    #[cfg(feature = "trace")]
+    #[inline]
+    pub fn close_launch_as(
+        &self,
+        open: Open,
+        kind: racc_trace::ConstructKind,
+        visits: usize,
+        dims: [usize; 3],
+        profile: &KernelProfile,
+    ) {
+        self.close(open, Construct::Launch { visits, dims, kind }, profile);
+    }
+
     #[inline]
     #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     pub(crate) fn close(&self, open: Open, what: Construct, profile: &KernelProfile) {
         racecheck::end_launch();
         let (visits, dims) = match what {
             Construct::For(extent) | Construct::Reduce(extent) => (extent.len(), extent.dims()),
-            Construct::Prim { visits, dims } => (visits, dims),
+            Construct::Launch { visits, dims, .. } => (visits, dims),
         };
         let ns = if let Construct::Reduce(_) = what {
             let ns = self.cpu.reduce_time_ns(visits, profile);
@@ -120,7 +143,7 @@ impl Host {
                 _ if profile.fused => ConstructKind::Fused,
                 Construct::For(extent) => ConstructKind::for_rank(extent.rank()),
                 Construct::Reduce(extent) => ConstructKind::reduce_rank(extent.rank()),
-                Construct::Prim { .. } => ConstructKind::Prim,
+                Construct::Launch { kind, .. } => kind,
             };
             let dims = dims.map(|d| d as u64);
             let (workers, iters) = (self.workers as u64, dims.iter().product::<u64>());

@@ -15,10 +15,11 @@
 //!
 //! A back end implements the [`Backend`] trait. This crate ships the two CPU
 //! back ends ([`SerialBackend`] and [`ThreadsBackend`], the latter being the
-//! `Base.Threads` analog built on `racc-threadpool`); the GPU back ends over
-//! the simulator live in their own crates (`racc-backend-cuda/hip/oneapi`),
-//! mirroring JACC's weak-dependency structure, and the `racc` crate ties
-//! them together behind preferences-driven selection.
+//! `Base.Threads` analog built on `racc-threadpool`); the GPU back end over
+//! the simulator lives in its own crate (`racc-backend-common`, one vendor
+//! description each for CUDA, HIP and oneAPI), mirroring JACC's
+//! weak-dependency structure, and the `racc` crate ties them together
+//! behind preferences-driven selection.
 //!
 //! All constructs are **synchronous**: when a call returns, the computation
 //! (and, on accelerators, its modeled completion) has happened.
@@ -55,8 +56,7 @@ pub mod config;
 mod context;
 pub mod cpumodel;
 mod error;
-mod host;
-pub mod prim;
+pub mod host;
 mod profile;
 #[cfg(feature = "racecheck")]
 pub mod racecheck;

@@ -5,7 +5,7 @@ pub trait AccScalar: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static 
 impl<T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static> AccScalar for T {}
 
 /// Arithmetic needed by the built-in reduction operators. Implemented for
-/// the primitive numeric types.
+/// the integer and floating-point types.
 pub trait Numeric: AccScalar + PartialOrd {
     /// Additive identity.
     const ZERO: Self;

@@ -41,6 +41,12 @@ impl SerialBackend {
     pub fn cpu(&self) -> &CpuSpec {
         &self.host.cpu
     }
+
+    /// The construct bracket (see [`crate::host`]).
+    #[inline]
+    pub fn host(&self) -> &Host {
+        &self.host
+    }
 }
 
 impl Instrument for SerialBackend {
@@ -133,78 +139,6 @@ impl Backend for SerialBackend {
         };
         self.host.close(open, Construct::Reduce(extent), profile);
         acc
-    }
-
-    fn prim_scan<T, F, W, O>(
-        &self,
-        n: usize,
-        inclusive: bool,
-        profile: &KernelProfile,
-        read: F,
-        write: W,
-        op: O,
-    ) where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        W: Fn(usize, T) + Sync,
-        O: ReduceOp<T>,
-    {
-        let open = self.host.open();
-        // The canonical two-level association *is* the reference the other
-        // backends are pinned against (see `crate::prim`).
-        crate::prim::scan_canonical(
-            n,
-            inclusive,
-            &|i| {
-                tag(i as u64);
-                read(i)
-            },
-            &write,
-            op,
-        );
-        self.host.close(open, Construct::scan(n), profile);
-    }
-
-    fn prim_histogram<F, W>(&self, n: usize, bins: usize, profile: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> usize + Sync,
-        W: Fn(usize, u64) + Sync,
-    {
-        let open = self.host.open();
-        crate::prim::histogram_canonical(
-            n,
-            bins,
-            &|i| {
-                tag(i as u64);
-                key(i)
-            },
-            &write,
-        );
-        self.host
-            .close(open, Construct::histogram(n, bins), profile);
-    }
-
-    fn prim_sort_pairs<F, W>(
-        &self,
-        n: usize,
-        key_bits: u32,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
-        F: Fn(usize) -> u64 + Sync,
-        W: Fn(usize, usize) + Sync,
-    {
-        let open = self.host.open();
-        crate::prim::sort_pairs_canonical(
-            n,
-            &|i| {
-                tag(i as u64);
-                key(i)
-            },
-            &write,
-        );
-        self.host.close(open, Construct::sort(n, key_bits), profile);
     }
 }
 

@@ -68,13 +68,26 @@ impl ThreadsBackend {
     }
 
     /// The executing pool.
+    #[inline]
     pub fn pool(&self) -> &Arc<ThreadPool> {
         &self.pool
+    }
+
+    /// The loop schedule in use.
+    #[inline]
+    pub fn schedule(&self) -> Schedule {
+        self.schedule
     }
 
     /// The CPU model in use.
     pub fn cpu(&self) -> &CpuSpec {
         &self.host.cpu
+    }
+
+    /// The construct bracket (see [`crate::host`]).
+    #[inline]
+    pub fn host(&self) -> &Host {
+        &self.host
     }
 }
 
@@ -203,158 +216,6 @@ impl Backend for ThreadsBackend {
         };
         self.host.close(open, Construct::Reduce(extent), profile);
         acc
-    }
-
-    fn prim_scan<T, F, W, O>(
-        &self,
-        n: usize,
-        inclusive: bool,
-        profile: &KernelProfile,
-        read: F,
-        write: W,
-        op: O,
-    ) where
-        T: AccScalar,
-        F: Fn(usize) -> T + Sync,
-        W: Fn(usize, T) + Sync,
-        O: ReduceOp<T>,
-    {
-        use crate::prim::{self, SlotVec};
-        let open = self.host.open();
-        // Same fixed PRIM_TILE tiling as the serial reference: tile totals
-        // in parallel (each tile owns its slot), one sequential fold over
-        // the totals, then the output pass in parallel. Tile boundaries are
-        // a pure function of n, so stealing cannot change any combine.
-        let tiles = prim::scan_tiles(n);
-        let totals = SlotVec::new(tiles, op.identity());
-        self.pool.parallel_for(tiles, self.schedule, |t| {
-            let total = prim::tile_total(
-                t,
-                n,
-                &|i| {
-                    tag(i as u64);
-                    read(i)
-                },
-                op,
-            );
-            totals.set(t, total);
-        });
-        let offsets = prim::tile_offsets(&totals.into_vec(), op);
-        self.pool.parallel_for(tiles, self.schedule, |t| {
-            prim::scan_tile_write(
-                t,
-                n,
-                inclusive,
-                offsets[t],
-                &|i| {
-                    tag(i as u64);
-                    read(i)
-                },
-                &write,
-                op,
-            );
-        });
-        self.host.close(open, Construct::scan(n), profile);
-    }
-
-    fn prim_histogram<F, W>(&self, n: usize, bins: usize, profile: &KernelProfile, key: F, write: W)
-    where
-        F: Fn(usize) -> usize + Sync,
-        W: Fn(usize, u64) + Sync,
-    {
-        use crate::prim::{self, SlotVec};
-        let open = self.host.open();
-        // Privatized histogram: each tile counts into its own row of the
-        // scratch matrix, then bins are summed across rows in ascending
-        // tile order. Counts are u64, so any order would do — the fixed
-        // order keeps the discipline uniform with the float primitives.
-        // A tile is at least `bins` wide, so the scratch matrix (allocated,
-        // zeroed and re-summed per call) is O(n) cells, never
-        // O(n / PRIM_TILE × bins); exact counts make any width bit-identical.
-        let w = prim::cpu_tile_width(n).max(bins);
-        let tiles = n.div_ceil(w);
-        let counts = SlotVec::new(tiles * bins, 0u64);
-        self.pool.parallel_for(tiles, self.schedule, |t| {
-            let row = unsafe { counts.slice_mut(t * bins, (t + 1) * bins) };
-            let (start, end) = (t * w, ((t + 1) * w).min(n));
-            for i in start..end {
-                tag(i as u64);
-                row[key(i)] += 1;
-            }
-        });
-        self.pool.parallel_for(bins, self.schedule, |bin| {
-            tag(bin as u64);
-            let mut sum = 0u64;
-            for t in 0..tiles {
-                sum += counts.get(t * bins + bin);
-            }
-            write(bin, sum);
-        });
-        self.host
-            .close(open, Construct::histogram(n, bins), profile);
-    }
-
-    fn prim_sort_pairs<F, W>(
-        &self,
-        n: usize,
-        key_bits: u32,
-        profile: &KernelProfile,
-        key: F,
-        write: W,
-    ) where
-        F: Fn(usize) -> u64 + Sync,
-        W: Fn(usize, usize) + Sync,
-    {
-        use crate::prim::{self, SlotVec};
-        let open = self.host.open();
-        // Tiled merge sort over (bits, index) pairs: tile-local sorts in
-        // parallel, then deterministic pairwise merge rounds with fixed run
-        // boundaries. Ties break toward the smaller original index, so the
-        // result is the unique stable order — identical to the canonical
-        // reference regardless of thread count or stealing.
-        let w = prim::cpu_tile_width(n);
-        let tiles = n.div_ceil(w);
-        let a = SlotVec::new(n, (0u64, 0u64));
-        let b = SlotVec::new(n, (0u64, 0u64));
-        self.pool.parallel_for(tiles, self.schedule, |t| {
-            let (start, end) = (t * w, ((t + 1) * w).min(n));
-            let run = unsafe { a.slice_mut(start, end) };
-            for (off, slot) in run.iter_mut().enumerate() {
-                let i = start + off;
-                tag(i as u64);
-                *slot = (key(i), i as u64);
-            }
-            run.sort_unstable();
-        });
-        let (mut src, mut dst) = (&a, &b);
-        let mut width = w;
-        while width < n {
-            let pairs = n.div_ceil(2 * width);
-            self.pool.parallel_for(pairs, self.schedule, |p| {
-                let lo = p * 2 * width;
-                let mid = (lo + width).min(n);
-                let hi = (lo + 2 * width).min(n);
-                let out = unsafe { dst.slice_mut(lo, hi) };
-                let (mut i, mut j) = (lo, mid);
-                for slot in out.iter_mut() {
-                    let take_left = j >= hi || (i < mid && src.get(i) <= src.get(j));
-                    if take_left {
-                        *slot = src.get(i);
-                        i += 1;
-                    } else {
-                        *slot = src.get(j);
-                        j += 1;
-                    }
-                }
-            });
-            std::mem::swap(&mut src, &mut dst);
-            width *= 2;
-        }
-        self.pool.parallel_for(n, self.schedule, |rank| {
-            tag(rank as u64);
-            write(rank, src.get(rank).1 as usize);
-        });
-        self.host.close(open, Construct::sort(n, key_bits), profile);
     }
 }
 

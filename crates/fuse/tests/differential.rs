@@ -255,13 +255,17 @@ fn check_all_backends(spec: &Spec, sizes: &[usize]) {
     check_backend(&Context::new(SerialBackend::new()), spec, sizes);
     check_backend(&Context::new(ThreadsBackend::with_threads(3)), spec, sizes);
     check_backend(
-        &Context::new(racc_backend_cuda::cuda_backend()),
+        &Context::new(racc_backend_common::cuda_backend()),
         spec,
         sizes,
     );
-    check_backend(&Context::new(racc_backend_hip::hip_backend()), spec, sizes);
     check_backend(
-        &Context::new(racc_backend_oneapi::oneapi_backend()),
+        &Context::new(racc_backend_common::hip_backend()),
+        spec,
+        sizes,
+    );
+    check_backend(
+        &Context::new(racc_backend_common::oneapi_backend()),
         spec,
         sizes,
     );

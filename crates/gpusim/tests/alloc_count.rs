@@ -255,7 +255,7 @@ fn execute_grid_steady_state_is_allocation_free() {
     // consulted outside the launch path, so turning fusion machinery into
     // the tree must not cost the eager path anything.
     let a100 = Device::with_pool(profiles::nvidia_a100(), Arc::new(ThreadPool::new(1)));
-    let backend = racc_backend_cuda::CudaBackend::new(Arc::new(a100), &racc_backend_cuda::CUDA);
+    let backend = racc_backend_common::SimBackend::new(Arc::new(a100), &racc_backend_common::CUDA);
     let ctx = racc_core::Context::builder(backend)
         .sanitizer(false)
         .fusion(false)

@@ -262,7 +262,7 @@ mod tests {
         }
         let a = flow(&Context::new(SerialBackend::new()));
         let b = flow(&Context::new(ThreadsBackend::with_threads(3)));
-        let c = flow(&Context::new(racc_backend_cuda::cuda_backend()));
+        let c = flow(&Context::new(racc_backend_common::cuda_backend()));
         for ((x, y), z) in a.iter().zip(&b).zip(&c) {
             assert!((x - y).abs() < 1e-13);
             assert!((x - z).abs() < 1e-13);

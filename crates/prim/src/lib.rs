@@ -2,17 +2,22 @@
 //!
 //! Portable device primitives for the RACC front end: inclusive/exclusive
 //! **scan**, **histogram**, and **sort-by-key**, running on every back end
-//! (serial, threads, and the three simulated GPUs) through the
-//! [`racc_core::Backend`] primitive entry points.
+//! (serial, threads, and the three simulated GPUs).
+//!
+//! The primitives are a library *over* the kernel abstraction, not part of
+//! it: `racc_core::Backend` knows nothing of them. A back end that offers
+//! them implements [`PrimBackend`], the three entry points declared here;
+//! this crate implements it for the two CPU back ends, `racc-backend-common`
+//! for the simulator, and [`PrimExt`] puts the user-facing calls on every
+//! `Context` over such a back end.
 //!
 //! The contract that makes them composable:
 //!
 //! * **Bit-identical everywhere.** Every backend follows the canonical
-//!   fixed-tile association of [`racc_core::prim`] (re-exported here as
-//!   [`reference`](mod@reference)), so results agree *bitwise* across backends and
-//!   run-to-run — including `f32` scans under work stealing, and
-//!   including NaN payloads (see the `ReduceOp` NaN contract in
-//!   `racc-core`).
+//!   fixed-tile association of [`reference`](mod@reference), so results
+//!   agree *bitwise* across backends and run-to-run — including `f32`
+//!   scans under work stealing, and including NaN payloads (see the
+//!   `ReduceOp` NaN contract in `racc-core`).
 //! * **Validated inputs.** [`PrimExt::histogram`] checks every key against
 //!   the bin count and reports the first offender as a typed
 //!   [`PrimError::BinOutOfRange`] instead of library-level UB.
@@ -38,9 +43,66 @@ use racc_core::{
     AccScalar, Array1, Backend, Context, KernelProfile, Min, Numeric, RaccError, ReduceOp, Sum,
 };
 
-/// The canonical sequential reference implementations every backend must
-/// match bitwise (re-export of [`racc_core::prim`]).
-pub use racc_core::prim as reference;
+mod cpu;
+pub mod reference;
+
+/// A back end that runs the device primitives. All three entry points are
+/// required: a primitive is a kernel per execution engine (tile folds on
+/// the pool, shared-memory blocks on the simulator), and there is no
+/// generic fallback to be silently slower or differently rounded.
+pub trait PrimBackend: Backend {
+    /// Writes the inclusive (or exclusive) scan of `read(0..n)` under `op`
+    /// through `write(i, value)`, following the canonical two-level tiling
+    /// of [`reference`](mod@reference) exactly — results are bit-identical
+    /// across backends and run-to-run. `n == 0` writes nothing.
+    fn prim_scan<T, F, W, O>(
+        &self,
+        n: usize,
+        inclusive: bool,
+        profile: &KernelProfile,
+        read: F,
+        write: W,
+        op: O,
+    ) where
+        T: AccScalar,
+        F: Fn(usize) -> T + Sync,
+        W: Fn(usize, T) + Sync,
+        O: ReduceOp<T>;
+
+    /// Counts `key(i)` for `i in 0..n` into `bins` buckets and writes
+    /// **every** bin's `u64` count (zeros included) through
+    /// `write(bin, count)`. The caller guarantees `key(i) < bins`;
+    /// out-of-range keys are library-level UB that the simulators' bounds
+    /// checks / simsan turn into a panic ([`PrimExt::histogram_by`]
+    /// reports them as a typed error first).
+    fn prim_histogram<F, W>(
+        &self,
+        n: usize,
+        bins: usize,
+        profile: &KernelProfile,
+        key: F,
+        write: W,
+    ) where
+        F: Fn(usize) -> usize + Sync,
+        W: Fn(usize, u64) + Sync;
+
+    /// Stable ascending sort of the order-encoded `key(i)` bits (ties
+    /// toward the smaller index), reporting the permutation through
+    /// `write(rank, original_index)` for `rank in 0..n`. `key_bits` bounds
+    /// the significant low bits of every key (the simulators size their
+    /// radix passes from it). The output permutation is unique, so every
+    /// backend agrees exactly.
+    fn prim_sort_pairs<F, W>(
+        &self,
+        n: usize,
+        key_bits: u32,
+        profile: &KernelProfile,
+        key: F,
+        write: W,
+    ) where
+        F: Fn(usize) -> u64 + Sync,
+        W: Fn(usize, usize) + Sync;
+}
 
 /// Cost annotation for scan launches: two passes over the input, one
 /// output write per element.
@@ -173,7 +235,7 @@ impl SortKey for f64 {
 }
 
 /// Device primitives on a [`Context`]. Implemented for `Context<B>` over
-/// any backend; `racc::Ctx` (enum dispatch) gets it transitively.
+/// any [`PrimBackend`]; `racc::Ctx` (enum dispatch) gets it transitively.
 pub trait PrimExt {
     /// Inclusive prefix sum: `out[i] = in[0] + ... + in[i]`, with
     /// `out[0] == in[0]` bitwise.
@@ -238,7 +300,7 @@ pub trait PrimExt {
     ) -> Result<(Array1<K>, Array1<V>), PrimError>;
 }
 
-impl<B: Backend> PrimExt for Context<B> {
+impl<B: PrimBackend> PrimExt for Context<B> {
     fn inclusive_scan<T: Numeric>(&self, input: &Array1<T>) -> Result<Array1<T>, PrimError> {
         self.inclusive_scan_with(input, Sum)
     }
@@ -362,7 +424,7 @@ impl<B: Backend> PrimExt for Context<B> {
     }
 }
 
-fn scan_impl<B: Backend, T: AccScalar, O: ReduceOp<T>>(
+fn scan_impl<B: PrimBackend, T: AccScalar, O: ReduceOp<T>>(
     ctx: &Context<B>,
     input: &Array1<T>,
     inclusive: bool,

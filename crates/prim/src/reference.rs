@@ -1,9 +1,10 @@
 //! Canonical reference algorithms for the portable device primitives
-//! (`scan`, `histogram`, `sort_by_key`) shipped by `racc-prim`.
+//! (`scan`, `histogram`, `sort_by_key`).
 //!
-//! Every backend implements [`crate::Backend::prim_scan`] /
-//! [`crate::Backend::prim_histogram`] / [`crate::Backend::prim_sort_pairs`]
-//! against the *same* specification, defined here as plain sequential code.
+//! Every backend implements [`crate::PrimBackend::prim_scan`] /
+//! [`crate::PrimBackend::prim_histogram`] /
+//! [`crate::PrimBackend::prim_sort_pairs`] against the *same*
+//! specification, defined here as plain sequential code.
 //! The specification fixes not just the values but the **association** of
 //! every combine, so floating-point results are bit-identical on all five
 //! backends and run-to-run under work stealing:
@@ -28,16 +29,11 @@
 //!   index, which makes the output permutation unique — so every backend
 //!   (LSD radix on the simulators, tiled merge on threads) agrees exactly.
 
-use crate::scalar::ReduceOp;
-use crate::AccScalar;
+use racc_core::{AccScalar, ReduceOp};
 
 /// Fixed scan tile width. Part of the determinism contract: tile boundaries
 /// are a pure function of `n`, never of the backend or device geometry.
 pub const PRIM_TILE: usize = 256;
-
-/// Cap on CPU-side tiles for histogram/sort so per-tile scratch stays
-/// bounded on huge inputs (mirrors the threadpool's `REDUCE_MAX_TILES`).
-pub const PRIM_MAX_CPU_TILES: usize = 1024;
 
 /// Number of scan tiles covering `n` elements.
 #[inline]
@@ -50,13 +46,6 @@ pub fn scan_tiles(n: usize) -> usize {
 pub fn tile_bounds(t: usize, n: usize) -> (usize, usize) {
     let start = t * PRIM_TILE;
     (start, (start + PRIM_TILE).min(n))
-}
-
-/// CPU tile width for histogram/sort: at least [`PRIM_TILE`], growing so no
-/// more than [`PRIM_MAX_CPU_TILES`] tiles exist. Pure function of `n`.
-#[inline]
-pub fn cpu_tile_width(n: usize) -> usize {
-    PRIM_TILE.max(n.div_ceil(PRIM_MAX_CPU_TILES))
 }
 
 /// The tile-local fold of tile `t`: a left fold seeded from the tile's
@@ -194,68 +183,10 @@ where
     }
 }
 
-/// A fixed-size slot vector writable from many threads, where the caller
-/// guarantees each index is written by exactly one task (disjoint tiles).
-/// Used by the CPU backends to collect per-tile partials deterministically.
-pub struct SlotVec<T> {
-    slots: Vec<std::cell::UnsafeCell<T>>,
-}
-
-// Safety: the contract above — disjoint indices per task — makes concurrent
-// `set` calls race-free; reads only happen after the parallel phase joins.
-unsafe impl<T: Send> Sync for SlotVec<T> {}
-
-impl<T: Copy> SlotVec<T> {
-    pub fn new(len: usize, fill: T) -> Self {
-        SlotVec {
-            slots: (0..len).map(|_| std::cell::UnsafeCell::new(fill)).collect(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Store `v` at `i`. Caller guarantees no other task touches `i`
-    /// during the parallel phase.
-    #[inline]
-    pub fn set(&self, i: usize, v: T) {
-        unsafe { *self.slots[i].get() = v }
-    }
-
-    #[inline]
-    pub fn get(&self, i: usize) -> T {
-        unsafe { *self.slots[i].get() }
-    }
-
-    /// Exclusive view of the half-open slot range `[start, end)`. Caller
-    /// guarantees no other task overlaps the range during the parallel
-    /// phase.
-    ///
-    /// # Safety
-    /// Ranges handed out concurrently must be disjoint.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, end: usize) -> &mut [T] {
-        assert!(start <= end && end <= self.slots.len());
-        // UnsafeCell<T> is layout-identical to T.
-        let base = self.slots.as_ptr() as *mut T;
-        std::slice::from_raw_parts_mut(base.add(start), end - start)
-    }
-
-    pub fn into_vec(self) -> Vec<T> {
-        self.slots.into_iter().map(|c| c.into_inner()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::{Max, Sum};
+    use racc_core::{Max, Sum};
 
     fn naive_inclusive(xs: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();

@@ -2,7 +2,7 @@
 //! fairness, admission shed, cross-tenant batching over one cached plan,
 //! the chaos degradation ladder, and modeled multi-device speedup.
 
-use racc_backend_cuda::{cuda_backend, CudaBackend};
+use racc_backend_common::{cuda_backend, SimBackend};
 use racc_core::{
     Backend, Context, FaultPlan, KernelProfile, RaccError, RetryPolicy, SerialBackend,
 };
@@ -267,7 +267,7 @@ fn retry_rescues_a_transient_fault_bit_identically() {
     let done = server
         .submit(
             "alice",
-            job_fn(|job: &JobCtx<CudaBackend>| {
+            job_fn(|job: &JobCtx<SimBackend>| {
                 let ctx = job.ctx();
                 let x = ctx.array_from_fn(256, |i| (i % 7) as f64)?;
                 job.uploaded();
@@ -313,7 +313,7 @@ fn fallback_context_rescues_a_persistently_faulting_device() {
     let done = server
         .submit(
             "alice",
-            job_fn(|job: &JobCtx<CudaBackend>| {
+            job_fn(|job: &JobCtx<SimBackend>| {
                 let ctx = job.ctx();
                 let x = ctx.array_from_fn(128, |i| i as f64)?;
                 let xs = x.view();
@@ -378,7 +378,7 @@ fn four_devices_beat_one_on_modeled_makespan() {
                 server.submit_at(
                     "alice",
                     0,
-                    job_fn(move |job: &JobCtx<CudaBackend>| cg_step(job, 1024, 0.5)),
+                    job_fn(move |job: &JobCtx<SimBackend>| cg_step(job, 1024, 0.5)),
                 )
             })
             .collect();
@@ -413,7 +413,7 @@ fn overlap_shortens_the_modeled_makespan_on_one_device() {
                 server.submit_at(
                     "alice",
                     0,
-                    job_fn(move |job: &JobCtx<CudaBackend>| cg_step(job, 4096, 0.5)),
+                    job_fn(move |job: &JobCtx<SimBackend>| cg_step(job, 4096, 0.5)),
                 )
             })
             .collect();

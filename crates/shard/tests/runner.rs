@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use racc_backend_cuda::cuda_backend;
+use racc_backend_common::cuda_backend;
 use racc_core::{
     Backend, Context, FaultPlan, KernelProfile, RetryPolicy, SerialBackend, ThreadsBackend,
 };

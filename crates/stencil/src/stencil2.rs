@@ -208,7 +208,7 @@ mod tests {
             ctx.to_host2(&dst).unwrap()
         });
         let gpu = on(&|| {
-            let ctx = Context::new(racc_backend_cuda::cuda_backend());
+            let ctx = Context::new(racc_backend_common::cuda_backend());
             let src = ctx.array2_from(m, n, &data).unwrap();
             let dst = ctx.zeros2::<f64>(m, n).unwrap();
             Stencil2::laplacian_5pt().apply(&ctx, &src, &dst, Boundary::Periodic);

@@ -8,9 +8,9 @@
 //! ```
 
 use racc::serve::{job_fn, JobCtx, Server, ServerOptions, TenantConfig};
-use racc::{cuda_backend, fuse::lit, fuse::load, fuse::LazyExt, Context, CudaBackend, RaccError};
+use racc::{cuda_backend, fuse::lit, fuse::load, fuse::LazyExt, Context, RaccError, SimBackend};
 
-fn cg_update(job: &JobCtx<'_, CudaBackend>, n: usize, alpha: f64) -> Result<f64, RaccError> {
+fn cg_update(job: &JobCtx<'_, SimBackend>, n: usize, alpha: f64) -> Result<f64, RaccError> {
     let ctx = job.ctx();
     let mk = |k: usize| ctx.array_from_fn(n, move |i| ((i * k) % 13) as f64 * 0.5 - 3.0);
     let (x, p, r, s) = (mk(3)?, mk(5)?, mk(7)?, mk(11)?);
@@ -51,27 +51,24 @@ fn main() {
     // same-shape jobs (keyed "cg-64k") may batch onto one device.
     let mut handles = Vec::new();
     for i in 0..24u64 {
-        handles.push(
-            server.submit_at(
-                "interactive",
-                i * 40_000,
-                job_fn(|job: &JobCtx<CudaBackend>| cg_update(job, 1 << 16, 0.8125))
-                    .with_shape("cg-64k"),
-            ),
-        );
+        handles.push(server.submit_at(
+            "interactive",
+            i * 40_000,
+            job_fn(|job: &JobCtx<SimBackend>| cg_update(job, 1 << 16, 0.8125)).with_shape("cg-64k"),
+        ));
     }
     for i in 0..12u64 {
         handles.push(server.submit_at(
             "batch",
             i * 80_000,
-            job_fn(|job: &JobCtx<CudaBackend>| cg_update(job, 1 << 18, 0.5)),
+            job_fn(|job: &JobCtx<SimBackend>| cg_update(job, 1 << 18, 0.5)),
         ));
     }
     for i in 0..12u64 {
         handles.push(server.submit_at(
             "best-effort",
             i * 80_000,
-            job_fn(|job: &JobCtx<CudaBackend>| cg_update(job, 1 << 16, 0.25)).with_shape("cg-64k"),
+            job_fn(|job: &JobCtx<SimBackend>| cg_update(job, 1 << 16, 0.25)).with_shape("cg-64k"),
         ));
     }
     server.release();

@@ -17,9 +17,9 @@
 //! | `hipsim`    | [`SimBackend`] by `HIP`    | `AMDGPU.jl` | simulated AMD MI100 |
 //! | `oneapisim` | [`SimBackend`] by `ONEAPI` | `oneAPI.jl` | simulated Intel Max 1550 |
 //!
-//! The three GPU rows are one type: a vendor is a [`Vendor`] value the
-//! simulator back end reads per launch (`CudaBackend`, `HipBackend` and
-//! `OneApiBackend` are aliases of [`SimBackend`]).
+//! The three GPU rows are one type, [`SimBackend`]: a vendor is a
+//! [`Vendor`] value (`CUDA`, `HIP`, `ONEAPI`) the simulator back end reads
+//! per launch.
 //!
 //! Back-end selection mirrors JACC's `Preferences.jl` flow: the default
 //! context consults the `RACC_BACKEND` environment variable, then the
@@ -50,6 +50,8 @@
 //! ```
 
 use std::sync::OnceLock;
+
+use racc_prim::PrimBackend;
 
 pub use racc_core::{
     cpumodel, AccScalar, Array1, Array2, Array3, Backend, Context, CpuSpec, DeviceToken, Extent,
@@ -113,12 +115,18 @@ pub use racc_serve::{ServeJob, Server, ServerOptions, TenantConfig};
 /// Portable device primitives (`racc-prim`): inclusive/exclusive scan,
 /// histogram, and stable sort-by-key, bit-identical across every backend
 /// (including `f32` under work stealing) via the canonical fixed-tile
-/// combine in `racc_core::prim`. Import [`PrimExt`] (in the prelude) to
+/// combine in `racc_prim::reference`. Import [`PrimExt`] (in the prelude) to
 /// call them as `ctx.inclusive_scan(..)` / `ctx.histogram(..)` /
 /// `ctx.sort_by_key(..)`.
 pub use racc_prim as prim;
 pub use racc_prim::{PrimError, PrimExt, SortKey};
 
+#[cfg(feature = "backend-cuda")]
+pub use racc_backend_common::{cuda_backend, CUDA};
+#[cfg(feature = "backend-hip")]
+pub use racc_backend_common::{hip_backend, HIP};
+#[cfg(feature = "backend-oneapi")]
+pub use racc_backend_common::{oneapi_backend, ONEAPI};
 /// The simulated-GPU back end and the vendor description it launches by;
 /// one type for all three vendors. Present when any `backend-*` feature is.
 #[cfg(any(
@@ -127,12 +135,6 @@ pub use racc_prim::{PrimError, PrimExt, SortKey};
     feature = "backend-oneapi"
 ))]
 pub use racc_backend_common::{SimBackend, Vendor};
-#[cfg(feature = "backend-cuda")]
-pub use racc_backend_cuda::{cuda_backend, CudaBackend, CUDA};
-#[cfg(feature = "backend-hip")]
-pub use racc_backend_hip::{hip_backend, HipBackend, HIP};
-#[cfg(feature = "backend-oneapi")]
-pub use racc_backend_oneapi::{oneapi_backend, OneApiBackend, ONEAPI};
 
 /// Convenience prelude: the curated surface application code typically
 /// needs, and nothing else.
@@ -250,6 +252,9 @@ impl Backend for AnyBackend {
     {
         dispatch!(self, b => b.parallel_reduce(extent, p, f, op))
     }
+}
+
+impl PrimBackend for AnyBackend {
     fn prim_scan<T, F, W, O>(
         &self,
         n: usize,

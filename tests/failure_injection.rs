@@ -3,17 +3,18 @@
 
 use racc::prelude::*;
 
+#[cfg(feature = "backend-cuda")]
 #[test]
 fn simulated_device_oom_is_a_clean_error() {
     // A CUDA backend over a deliberately small device (64 MiB) so the OOM
     // path is exercised without large host allocations.
-    use racc::{CudaBackend, CUDA};
+    use racc::{SimBackend, CUDA};
     use racc_gpusim::{profiles, Device};
 
     let mut spec = profiles::nvidia_a100();
     spec.memory_bytes = 64 << 20;
     let device = std::sync::Arc::new(Device::new(spec));
-    let ctx = racc_core::Context::new(CudaBackend::new(device, &CUDA));
+    let ctx = racc_core::Context::new(SimBackend::new(device, &CUDA));
     let mib = 1usize << 20;
     let big = ctx.zeros::<u8>(48 * mib).expect("48 MiB fits");
     let err = ctx.zeros::<u8>(32 * mib).expect_err("must not fit");
