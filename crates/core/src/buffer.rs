@@ -5,7 +5,7 @@
 //! which is what makes the shared-write view model (`ViewMut*`) sound under
 //! the disjoint-writes kernel contract.
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
 use std::marker::PhantomData;
 
 use crate::scalar::AccScalar;
@@ -24,12 +24,18 @@ unsafe impl<T: AccScalar> Send for RawStorage<T> {}
 unsafe impl<T: AccScalar> Sync for RawStorage<T> {}
 
 impl<T: AccScalar> RawStorage<T> {
-    /// Allocate `len` zero-initialized elements.
-    pub(crate) fn zeroed(len: usize) -> Self {
+    /// Allocate `len` elements, zero-initialized if `zero`.
+    fn allocate(len: usize, zero: bool) -> Self {
         let bytes = len * std::mem::size_of::<T>();
         let layout = Layout::from_size_align(bytes.max(1), 64).expect("valid layout");
         // SAFETY: non-zero-size layout.
-        let ptr = unsafe { alloc_zeroed(layout) } as *mut T;
+        let ptr = unsafe {
+            if zero {
+                alloc_zeroed(layout)
+            } else {
+                alloc(layout)
+            }
+        } as *mut T;
         assert!(!ptr.is_null(), "array allocation failed");
         RawStorage {
             ptr,
@@ -39,10 +45,16 @@ impl<T: AccScalar> RawStorage<T> {
         }
     }
 
+    /// Allocate `len` zero-initialized elements.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        Self::allocate(len, true)
+    }
+
     /// Allocate and fill from a host slice.
     pub(crate) fn from_slice(data: &[T]) -> Self {
-        let storage = Self::zeroed(data.len());
-        // SAFETY: freshly allocated with exactly data.len() elements.
+        let storage = Self::allocate(data.len(), false);
+        // SAFETY: freshly allocated with exactly data.len() elements, all
+        // of which this copy initializes.
         unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), storage.ptr, data.len()) };
         storage
     }
@@ -76,7 +88,7 @@ impl<T: AccScalar> RawStorage<T> {
 
 impl<T: AccScalar> Drop for RawStorage<T> {
     fn drop(&mut self) {
-        // SAFETY: allocated with this layout in `zeroed`.
+        // SAFETY: allocated with this layout in `allocate`.
         unsafe { dealloc(self.ptr as *mut u8, self.layout) };
     }
 }

@@ -80,14 +80,21 @@ impl Allocation {
     /// allocations perform **no** host allocation: they hold a dangling,
     /// well-aligned pointer and charge 0, so accounting matches reality.
     pub(crate) fn new(bytes: usize, used_counter: Arc<AtomicUsize>) -> Self {
-        let layout = Layout::from_size_align(bytes.max(1), 64).expect("valid layout");
+        // Asking the allocator for 64-byte alignment makes std zero the
+        // block by hand (`aligned_alloc` + `memset`), which touches every
+        // page of memory nobody may ever read. At the platform's natural
+        // 16 it takes `calloc`, whose large blocks are untouched zero pages;
+        // the payload is aligned to 64 inside 64 bytes of slack instead.
+        let layout = Layout::from_size_align(bytes + 64, 16).expect("valid layout");
         let (raw, ptr) = if bytes == 0 {
             (std::ptr::null_mut(), std::ptr::without_provenance_mut(64))
         } else {
             // SAFETY: layout has non-zero size.
             let p = unsafe { alloc_zeroed(layout) };
             assert!(!p.is_null(), "host allocation for device heap failed");
-            (p, p)
+            // SAFETY: the offset is below 64 and the block has 64 bytes
+            // more than the payload.
+            (p, unsafe { p.add(p.addr().wrapping_neg() % 64) })
         };
         used_counter.fetch_add(bytes, Ordering::Relaxed);
         Allocation {

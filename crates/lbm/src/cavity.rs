@@ -13,8 +13,9 @@
 
 use racc_core::{Array1, Backend, Context, RaccError};
 
-use crate::lattice::{equilibrium, fidx, CX, CY, OPPOSITE, Q};
+use crate::lattice::{equilibrium, fidx, moments, site, CX, CY, OPPOSITE, Q, W};
 use crate::lbm_profile;
+use crate::portable::collide_into;
 
 /// A lid-driven cavity simulation on an `s × s` grid.
 pub struct CavitySim<'c, B: Backend> {
@@ -87,16 +88,17 @@ impl<'c, B: Backend> CavitySim<'c, B> {
         let f1 = self.f1.view();
         let f2 = self.f2.view_mut();
         self.ctx
-            .parallel_for_2d((s, s), &lbm_profile(), move |x, y| {
+            .parallel_for_2d((s, s), &lbm_profile(), move |fast, slow| {
+                let (x, y) = site(fast, slow);
                 // Streaming with boundary handling: for each direction,
                 // pull from the upwind site; if that site is outside the
                 // cavity, the particle came off a wall: bounce it back
                 // (reverse direction at this site), adding the lid's
                 // momentum when the wall is the moving top lid.
-                for k in 0..Q {
+                let pulled = std::array::from_fn(|k| {
                     let sx = x as isize - CX[k] as isize;
                     let sy = y as isize - CY[k] as isize;
-                    let value = if sx >= 0 && sx < s as isize && sy >= 0 && sy < s as isize {
+                    if sx >= 0 && sx < s as isize && sy >= 0 && sy < s as isize {
                         f1.get(fidx(k, sx as usize, sy as usize, s))
                     } else {
                         // Came through a wall: take the opposite-direction
@@ -106,30 +108,12 @@ impl<'c, B: Backend> CavitySim<'c, B> {
                         if sy >= s as isize {
                             // The moving lid (top wall): halfway bounce-back
                             // with momentum injection, rho_w ~ 1.
-                            v -= 6.0 * crate::lattice::W[ko] * (CX[ko] * u_lid);
+                            v -= 6.0 * W[ko] * (CX[ko] * u_lid);
                         }
                         v
-                    };
-                    f.set(fidx(k, x, y, s), value);
-                }
-                // Moments.
-                let mut p = 0.0;
-                let mut u = 0.0;
-                let mut v = 0.0;
-                for k in 0..Q {
-                    let fk = f.get(fidx(k, x, y, s));
-                    p += fk;
-                    u += fk * CX[k];
-                    v += fk * CY[k];
-                }
-                u /= p;
-                v /= p;
-                // Collision.
-                for k in 0..Q {
-                    let feq = equilibrium(k, p, u, v);
-                    let ind = fidx(k, x, y, s);
-                    f2.set(ind, f.get(ind) * (1.0 - 1.0 / tau) + feq / tau);
-                }
+                    }
+                });
+                collide_into(&pulled, tau, |k| fidx(k, x, y, s), &f, &f2);
             });
         std::mem::swap(&mut self.f1, &mut self.f2);
         self.steps += 1;
@@ -150,17 +134,8 @@ impl<'c, B: Backend> CavitySim<'c, B> {
         let mut uy = vec![0.0; s * s];
         for x in 0..s {
             for y in 0..s {
-                let mut p = 0.0;
-                let mut u = 0.0;
-                let mut v = 0.0;
-                for k in 0..Q {
-                    let fk = f1[fidx(k, x, y, s)];
-                    p += fk;
-                    u += fk * CX[k];
-                    v += fk * CY[k];
-                }
-                ux[x * s + y] = u / p;
-                uy[x * s + y] = v / p;
+                let site = std::array::from_fn(|k| f1[fidx(k, x, y, s)]);
+                (_, ux[x * s + y], uy[x * s + y]) = moments(&site);
             }
         }
         Ok((ux, uy))

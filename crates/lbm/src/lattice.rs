@@ -32,12 +32,83 @@ pub fn fidx(k: usize, x: usize, y: usize, s: usize) -> usize {
     (k * s + x) * s + y
 }
 
+/// The site `(x, y)` a D2Q9 kernel updates at launch indices `(fast, slow)`
+/// — the one place that decides it, used by every launch site of this
+/// crate. The fast index (the construct's first, innermost-running one; a
+/// simulated GPU's `x` thread id) is the contiguous `y` of [`fidx`], so
+/// neighbouring iterations touch neighbouring addresses on every back end.
+#[inline(always)]
+pub fn site(fast: usize, slow: usize) -> (usize, usize) {
+    (slow, fast)
+}
+
+/// The paper's guard: the interior-only scheme leaves the edge rows and
+/// columns of the grid untouched.
+#[inline(always)]
+pub fn is_interior(x: usize, y: usize, s: usize) -> bool {
+    x > 0 && x < s - 1 && y > 0 && y < s - 1
+}
+
+/// Streaming (pull) at an interior site: `src(k, xs, ys)` reads direction
+/// `k` at the upwind neighbour `(x − cx[k], y − cy[k])`.
+#[inline(always)]
+pub fn pull(x: usize, y: usize, src: impl Fn(usize, usize, usize) -> f64) -> [f64; Q] {
+    std::array::from_fn(|k| {
+        let xs = (x as isize - CX[k] as isize) as usize;
+        let ys = (y as isize - CY[k] as isize) as usize;
+        src(k, xs, ys)
+    })
+}
+
+/// Streaming (pull) with wrap-around neighbours on an `s × s` grid.
+#[inline(always)]
+pub fn pull_periodic(
+    x: usize,
+    y: usize,
+    s: usize,
+    src: impl Fn(usize, usize, usize) -> f64,
+) -> [f64; Q] {
+    std::array::from_fn(|k| {
+        let xs = (x + s).wrapping_sub(CX[k] as isize as usize) % s;
+        let ys = (y + s).wrapping_sub(CY[k] as isize as usize) % s;
+        src(k, xs, ys)
+    })
+}
+
 /// The BGK equilibrium distribution for direction `k` at density `rho` and
 /// velocity `(ux, uy)`.
 #[inline]
 pub fn equilibrium(k: usize, rho: f64, ux: f64, uy: f64) -> f64 {
     let cu = CX[k] * ux + CY[k] * uy;
     W[k] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * (ux * ux + uy * uy))
+}
+
+/// Density and velocity `(ρ, u_x, u_y)` of one site's nine distributions.
+#[inline(always)]
+pub fn moments(f: &[f64; Q]) -> (f64, f64, f64) {
+    let mut p = 0.0;
+    let mut u = 0.0;
+    let mut v = 0.0;
+    for k in 0..Q {
+        p += f[k];
+        u += f[k] * CX[k];
+        v += f[k] * CY[k];
+    }
+    (p, u / p, v / p)
+}
+
+/// Moments and BGK collision of one site (the second half of the paper's
+/// Fig. 10 `lbm` function): from the nine streamed-in values, the
+/// post-collision distributions. The single body behind every kernel of
+/// this crate — accumulation order and relaxation expression are what the
+/// cross-implementation bit-identity tests pin.
+#[inline(always)]
+pub fn bgk_collide(pulled: &[f64; Q], tau: f64) -> [f64; Q] {
+    let (p, u, v) = moments(pulled);
+    std::array::from_fn(|k| {
+        let feq = equilibrium(k, p, u, v);
+        pulled[k] * (1.0 - 1.0 / tau) + feq / tau
+    })
 }
 
 /// Kinematic viscosity of the BGK collision operator at relaxation time
@@ -119,6 +190,20 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn fast_launch_index_walks_memory_in_order() {
+        let s = 7;
+        for k in 0..Q {
+            for slow in 0..s {
+                for fast in 0..s - 1 {
+                    let (x, y) = site(fast, slow);
+                    let (xn, yn) = site(fast + 1, slow);
+                    assert_eq!(fidx(k, xn, yn, s), fidx(k, x, y, s) + 1);
+                }
+            }
+        }
     }
 
     #[test]

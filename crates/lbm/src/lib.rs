@@ -14,11 +14,16 @@
 //!    writing into the second lattice `f2`.
 //!
 //! Storage matches the paper's indexing `f[(k−1)·S² + x·S + y]` (0-based
-//! here: `k·S² + x·S + y`): the `y` coordinate is contiguous while the 2D
-//! construct's fast index is `x` — so device accesses are *strided*, which
-//! is why the paper's LBM GPU speedups sit far below the pure-bandwidth
-//! ratio (see `EXPERIMENTS.md`). [`lbm_profile`] encodes that with a zero
-//! coalescing factor.
+//! here: `k·S² + x·S + y`): the `y` coordinate is contiguous. The paper
+//! launches the kernel with `x` on the construct's fast index, so its
+//! device accesses are *strided*, which is why the paper's LBM GPU speedups
+//! sit far below the pure-bandwidth ratio (see `EXPERIMENTS.md`).
+//! [`lbm_profile`] describes that launch — zero coalescing — because the
+//! modeled figures reproduce the paper's. The kernels of this crate bind the
+//! fast index to `y` instead ([`lattice::site`], the one place that decides
+//! it): on a real CPU the paper's mapping costs about 3× in wall time
+//! (`EXPERIMENTS.md`, *Known deviations*), and the modeled time does not
+//! depend on which of the two square-tiled axes is which.
 //!
 //! [`portable::LbmSim`] is the RACC implementation (one multidimensional
 //! `parallel_for`, as in the paper); [`vendor`] holds the device-specific
@@ -38,8 +43,9 @@ pub mod vendor;
 use racc_core::KernelProfile;
 
 /// Kernel profile of one D2Q9 pull-update per site: ~150 FLOPs, 9 gathered
-/// reads + 9 writes of f64 plus constant tables, strided (uncoalesced)
-/// device access as analysed in the module docs.
+/// reads + 9 writes of f64 plus constant tables. The zero coalescing factor
+/// models the *paper's* launch (fast thread index on the strided `x`), which
+/// is what Fig. 11 measures; the code here launches `y`-fast (module docs).
 pub const fn lbm_profile() -> KernelProfile {
     KernelProfile::new("lbm-d2q9", 150.0, 144.0, 72.0).with_coalescing(0.0)
 }

@@ -16,7 +16,9 @@
 
 use racc_core::{Array1, Backend, Context, RaccError};
 
-use crate::lattice::{equilibrium, fidx, viscosity, CX, CY, OPPOSITE, Q, W};
+use crate::lattice::{
+    bgk_collide, equilibrium, fidx, moments, site, viscosity, CX, CY, OPPOSITE, Q, W,
+};
 use crate::lbm_profile;
 
 /// A Poiseuille channel simulation through the RACC constructs.
@@ -74,35 +76,25 @@ impl<'c, B: Backend> PoiseuilleSim<'c, B> {
         let f1 = self.f1.view();
         let f2 = self.f2.view_mut();
         self.ctx
-            .parallel_for_2d((s, s), &lbm_profile(), move |x, y| {
-                for k in 0..Q {
+            .parallel_for_2d((s, s), &lbm_profile(), move |fast, slow| {
+                let (x, y) = site(fast, slow);
+                let pulled = std::array::from_fn(|k| {
                     // Periodic in x.
                     let sx = (x + s).wrapping_sub(CX[k] as isize as usize) % s;
                     let sy = y as isize - CY[k] as isize;
-                    let value = if sy >= 0 && sy < s as isize {
+                    if sy >= 0 && sy < s as isize {
                         f1.get(fidx(k, sx, sy as usize, s))
                     } else {
                         // Wall: halfway bounce-back at this site.
                         f1.get(fidx(OPPOSITE[k], x, y, s))
-                    };
-                    f.set(fidx(k, x, y, s), value);
-                }
-                let mut p = 0.0;
-                let mut u = 0.0;
-                let mut v = 0.0;
+                    }
+                });
+                let next = bgk_collide(&pulled, tau);
                 for k in 0..Q {
-                    let fk = f.get(fidx(k, x, y, s));
-                    p += fk;
-                    u += fk * CX[k];
-                    v += fk * CY[k];
-                }
-                u /= p;
-                v /= p;
-                for k in 0..Q {
-                    let feq = equilibrium(k, p, u, v);
                     let forcing = 3.0 * W[k] * CX[k] * g;
                     let ind = fidx(k, x, y, s);
-                    f2.set(ind, f.get(ind) * (1.0 - 1.0 / tau) + feq / tau + forcing);
+                    f.set(ind, pulled[k]);
+                    f2.set(ind, next[k] + forcing);
                 }
             });
         std::mem::swap(&mut self.f1, &mut self.f2);
@@ -123,14 +115,7 @@ impl<'c, B: Backend> PoiseuilleSim<'c, B> {
         for (y, entry) in profile.iter_mut().enumerate() {
             let mut u_avg = 0.0;
             for x in 0..s {
-                let mut p = 0.0;
-                let mut u = 0.0;
-                for k in 0..Q {
-                    let fk = f1[fidx(k, x, y, s)];
-                    p += fk;
-                    u += fk * CX[k];
-                }
-                u_avg += u / p;
+                u_avg += moments(&std::array::from_fn(|k| f1[fidx(k, x, y, s)])).1;
             }
             *entry = u_avg / s as f64;
         }

@@ -1,8 +1,10 @@
 //! The portable RACC LBM simulation (the paper's Fig. 10 code).
 
-use racc_core::{Array1, Backend, Context, RaccError};
+use racc_core::{Array1, Backend, Context, RaccError, ViewMut1};
 
-use crate::lattice::{equilibrium, fidx, CX, CY, Q};
+use crate::lattice::{
+    bgk_collide, equilibrium, fidx, is_interior, moments, pull, pull_periodic, site, Q,
+};
 
 /// Density, x-velocity and y-velocity fields, each of length `s * s`
 /// (row `x`, column `y`, linearized as `x * s + y`).
@@ -85,29 +87,11 @@ impl<'c, B: Backend> LbmSim<'c, B> {
         let f1 = self.f1.view();
         let f2 = self.f2.view_mut();
         self.ctx
-            .parallel_for_2d((s, s), &lbm_profile(), move |x, y| {
-                if x > 0 && x < s - 1 && y > 0 && y < s - 1 {
-                    for k in 0..Q {
-                        let xs = (x as isize - CX[k] as isize) as usize;
-                        let ys = (y as isize - CY[k] as isize) as usize;
-                        f.set(fidx(k, x, y, s), f1.get(fidx(k, xs, ys, s)));
-                    }
-                    let mut p = 0.0;
-                    let mut u = 0.0;
-                    let mut v = 0.0;
-                    for k in 0..Q {
-                        let fk = f.get(fidx(k, x, y, s));
-                        p += fk;
-                        u += fk * CX[k];
-                        v += fk * CY[k];
-                    }
-                    u /= p;
-                    v /= p;
-                    for k in 0..Q {
-                        let feq = equilibrium(k, p, u, v);
-                        let ind = fidx(k, x, y, s);
-                        f2.set(ind, f.get(ind) * (1.0 - 1.0 / tau) + feq / tau);
-                    }
+            .parallel_for_2d((s, s), &lbm_profile(), move |fast, slow| {
+                let (x, y) = site(fast, slow);
+                if is_interior(x, y, s) {
+                    let pulled = pull(x, y, |k, xs, ys| f1.get(fidx(k, xs, ys, s)));
+                    collide_into(&pulled, tau, |k| fidx(k, x, y, s), &f, &f2);
                 }
             });
         std::mem::swap(&mut self.f1, &mut self.f2);
@@ -120,66 +104,28 @@ impl<'c, B: Backend> LbmSim<'c, B> {
         let f1 = self.f1.view();
         let f2 = self.f2.view_mut();
         self.ctx
-            .parallel_for_2d((s, s), &lbm_profile(), move |x, y| {
-                for k in 0..Q {
-                    let xs = (x + s).wrapping_sub(CX[k] as isize as usize) % s;
-                    let ys = (y + s).wrapping_sub(CY[k] as isize as usize) % s;
-                    f.set(fidx(k, x, y, s), f1.get(fidx(k, xs, ys, s)));
-                }
-                let mut p = 0.0;
-                let mut u = 0.0;
-                let mut v = 0.0;
-                for k in 0..Q {
-                    let fk = f.get(fidx(k, x, y, s));
-                    p += fk;
-                    u += fk * CX[k];
-                    v += fk * CY[k];
-                }
-                u /= p;
-                v /= p;
-                for k in 0..Q {
-                    let feq = equilibrium(k, p, u, v);
-                    let ind = fidx(k, x, y, s);
-                    f2.set(ind, f.get(ind) * (1.0 - 1.0 / tau) + feq / tau);
-                }
+            .parallel_for_2d((s, s), &lbm_profile(), move |fast, slow| {
+                let (x, y) = site(fast, slow);
+                let pulled = pull_periodic(x, y, s, |k, xs, ys| f1.get(fidx(k, xs, ys, s)));
+                collide_into(&pulled, tau, |k| fidx(k, x, y, s), &f, &f2);
             });
         std::mem::swap(&mut self.f1, &mut self.f2);
     }
 
     /// One time step launched as a *flattened 1D* `parallel_for` over
-    /// `s*s` sites (x fastest) instead of the native 2D construct — the
-    /// launch-shape ablation of `DESIGN.md` §7. Functionally identical to
-    /// [`LbmSim::step`].
+    /// `s*s` sites (`y` fastest, as in [`LbmSim::step`]) instead of the
+    /// native 2D construct — the launch-shape ablation of `DESIGN.md` §7.
+    /// Functionally identical to [`LbmSim::step`].
     pub fn step_flat(&mut self) {
         let (s, tau) = (self.s, self.tau);
         let f = self.f.view_mut();
         let f1 = self.f1.view();
         let f2 = self.f2.view_mut();
         self.ctx.parallel_for(s * s, &lbm_profile(), move |idx| {
-            let x = idx % s;
-            let y = idx / s;
-            if x > 0 && x < s - 1 && y > 0 && y < s - 1 {
-                for k in 0..Q {
-                    let xs = (x as isize - CX[k] as isize) as usize;
-                    let ys = (y as isize - CY[k] as isize) as usize;
-                    f.set(fidx(k, x, y, s), f1.get(fidx(k, xs, ys, s)));
-                }
-                let mut p = 0.0;
-                let mut u = 0.0;
-                let mut v = 0.0;
-                for k in 0..Q {
-                    let fk = f.get(fidx(k, x, y, s));
-                    p += fk;
-                    u += fk * CX[k];
-                    v += fk * CY[k];
-                }
-                u /= p;
-                v /= p;
-                for k in 0..Q {
-                    let feq = equilibrium(k, p, u, v);
-                    let ind = fidx(k, x, y, s);
-                    f2.set(ind, f.get(ind) * (1.0 - 1.0 / tau) + feq / tau);
-                }
+            let (x, y) = site(idx % s, idx / s);
+            if is_interior(x, y, s) {
+                let pulled = pull(x, y, |k, xs, ys| f1.get(fidx(k, xs, ys, s)));
+                collide_into(&pulled, tau, |k| fidx(k, x, y, s), &f, &f2);
             }
         });
         std::mem::swap(&mut self.f1, &mut self.f2);
@@ -217,18 +163,8 @@ impl<'c, B: Backend> LbmSim<'c, B> {
         let mut uy = vec![0.0; s * s];
         for x in 0..s {
             for y in 0..s {
-                let mut p = 0.0;
-                let mut u = 0.0;
-                let mut v = 0.0;
-                for k in 0..Q {
-                    let fk = f1[fidx(k, x, y, s)];
-                    p += fk;
-                    u += fk * CX[k];
-                    v += fk * CY[k];
-                }
-                rho[x * s + y] = p;
-                ux[x * s + y] = u / p;
-                uy[x * s + y] = v / p;
+                let site = std::array::from_fn(|k| f1[fidx(k, x, y, s)]);
+                (rho[x * s + y], ux[x * s + y], uy[x * s + y]) = moments(&site);
             }
         }
         Ok((rho, ux, uy))
@@ -242,6 +178,26 @@ impl<'c, B: Backend> LbmSim<'c, B> {
             .zip(&reference.f1)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// Collide `pulled`; direction `k` lives at linear index `at(k)`. The
+/// streamed values go to the scratch lattice `f` (as in the paper's
+/// Fig. 10), the BGK result to `f2`.
+#[inline(always)]
+pub(crate) fn collide_into(
+    pulled: &[f64; Q],
+    tau: f64,
+    at: impl Fn(usize) -> usize,
+    f: &ViewMut1<f64>,
+    f2: &ViewMut1<f64>,
+) {
+    let next = bgk_collide(pulled, tau);
+    for (k, &v) in pulled.iter().enumerate() {
+        f.set(at(k), v);
+    }
+    for (k, &v) in next.iter().enumerate() {
+        f2.set(at(k), v);
     }
 }
 
@@ -268,7 +224,7 @@ mod tests {
             sim.step();
             refsim.step();
         }
-        assert!(sim.max_diff_vs(&refsim) < 1e-13);
+        assert_eq!(sim.max_diff_vs(&refsim), 0.0);
     }
 
     #[test]
@@ -283,7 +239,7 @@ mod tests {
             sim.step_periodic();
             refsim.step_periodic();
         }
-        assert!(sim.max_diff_vs(&refsim) < 1e-13);
+        assert_eq!(sim.max_diff_vs(&refsim), 0.0);
     }
 
     #[test]

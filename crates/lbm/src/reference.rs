@@ -1,7 +1,9 @@
 //! Serial reference implementation — test ground truth and the exact
 //! transcription of the paper's Fig. 10 site update.
 
-use crate::lattice::{equilibrium, fidx, CX, CY, Q, W};
+use crate::lattice::{
+    bgk_collide, equilibrium, fidx, is_interior, moments, pull, pull_periodic, Q, W,
+};
 
 /// One site of the paper's `lbm` kernel (Fig. 10), 0-based: pull-stream
 /// the 9 upwind distributions from `f1` into the scratch lattice `f`,
@@ -14,32 +16,29 @@ use crate::lattice::{equilibrium, fidx, CX, CY, Q, W};
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lbm_site(x: usize, y: usize, f: &mut [f64], f1: &[f64], f2: &mut [f64], tau: f64, s: usize) {
-    if !(x > 0 && x < s - 1 && y > 0 && y < s - 1) {
-        return;
+    if is_interior(x, y, s) {
+        let pulled = pull(x, y, |k, xs, ys| f1[fidx(k, xs, ys, s)]);
+        collide_into(x, y, s, tau, &pulled, f, f2);
     }
-    // Streaming (pull).
-    for k in 0..Q {
-        let x_stream = (x as isize - CX[k] as isize) as usize;
-        let y_stream = (y as isize - CY[k] as isize) as usize;
-        f[fidx(k, x, y, s)] = f1[fidx(k, x_stream, y_stream, s)];
+}
+
+/// Moments and BGK collision at `(x, y)`: the streamed values go to the
+/// scratch lattice `f`, the relaxed ones to `f2`.
+fn collide_into(
+    x: usize,
+    y: usize,
+    s: usize,
+    tau: f64,
+    pulled: &[f64; Q],
+    f: &mut [f64],
+    f2: &mut [f64],
+) {
+    let next = bgk_collide(pulled, tau);
+    for (k, &v) in pulled.iter().enumerate() {
+        f[fidx(k, x, y, s)] = v;
     }
-    // Moments.
-    let mut p = 0.0;
-    let mut u = 0.0;
-    let mut v = 0.0;
-    for k in 0..Q {
-        let fk = f[fidx(k, x, y, s)];
-        p += fk;
-        u += fk * CX[k];
-        v += fk * CY[k];
-    }
-    u /= p;
-    v /= p;
-    // Collision (BGK).
-    for k in 0..Q {
-        let feq = equilibrium(k, p, u, v);
-        let ind = fidx(k, x, y, s);
-        f2[ind] = f[ind] * (1.0 - 1.0 / tau) + feq / tau;
+    for (k, &v) in next.iter().enumerate() {
+        f2[fidx(k, x, y, s)] = v;
     }
 }
 
@@ -56,27 +55,8 @@ pub fn lbm_site_periodic(
     tau: f64,
     s: usize,
 ) {
-    for k in 0..Q {
-        let x_stream = (x + s).wrapping_sub(CX[k] as isize as usize) % s;
-        let y_stream = (y + s).wrapping_sub(CY[k] as isize as usize) % s;
-        f[fidx(k, x, y, s)] = f1[fidx(k, x_stream, y_stream, s)];
-    }
-    let mut p = 0.0;
-    let mut u = 0.0;
-    let mut v = 0.0;
-    for k in 0..Q {
-        let fk = f[fidx(k, x, y, s)];
-        p += fk;
-        u += fk * CX[k];
-        v += fk * CY[k];
-    }
-    u /= p;
-    v /= p;
-    for k in 0..Q {
-        let feq = equilibrium(k, p, u, v);
-        let ind = fidx(k, x, y, s);
-        f2[ind] = f[ind] * (1.0 - 1.0 / tau) + feq / tau;
-    }
+    let pulled = pull_periodic(x, y, s, |k, xs, ys| f1[fidx(k, xs, ys, s)]);
+    collide_into(x, y, s, tau, &pulled, f, f2);
 }
 
 /// A serial LBM state: the three lattices of the 2-lattice pull scheme
@@ -154,16 +134,8 @@ impl SerialLbm {
 
     /// Velocity at a site.
     pub fn velocity(&self, x: usize, y: usize) -> (f64, f64) {
-        let mut p = 0.0;
-        let mut u = 0.0;
-        let mut v = 0.0;
-        for k in 0..Q {
-            let fk = self.f1[fidx(k, x, y, self.s)];
-            p += fk;
-            u += fk * CX[k];
-            v += fk * CY[k];
-        }
-        (u / p, v / p)
+        let (_, u, v) = moments(&std::array::from_fn(|k| self.f1[fidx(k, x, y, self.s)]));
+        (u, v)
     }
 
     /// Total mass over the grid.

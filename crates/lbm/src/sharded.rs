@@ -13,8 +13,9 @@
 use racc_core::{Array1, Backend, Context, KernelProfile};
 use racc_shard::{Shard, ShardApp, ShardError, ShardHandle, Topology};
 
-use crate::lattice::{equilibrium, CX, CY, Q};
+use crate::lattice::{equilibrium, is_interior, pull, site, Q};
 use crate::lbm_profile;
+use crate::portable::collide_into;
 
 /// Local lattice index: distribution `k` at local row `xl`, column `y`,
 /// on a shard holding `le` rows of an `s`-wide grid.
@@ -114,33 +115,14 @@ impl ShardedLbm {
         let f = state.f.view_mut();
         let f1 = state.f1.view();
         let f2 = state.f2.view_mut();
-        ctx.parallel_for_2d((x_to - x_from, s), &lbm_profile(), move |xi, y| {
+        ctx.parallel_for_2d((s, x_to - x_from), &lbm_profile(), move |fast, slow| {
+            let (xi, y) = site(fast, slow);
             let xl = x_from + xi;
             let x = glo + xl - os; // global row
-            if x > 0 && x < s - 1 && y > 0 && y < s - 1 {
-                for k in 0..Q {
-                    let xs = (x as isize - CX[k] as isize) as usize;
-                    let ys = (y as isize - CY[k] as isize) as usize;
-                    // The source row is local: xl ± the same offset.
-                    let xsl = (xl as isize - (x as isize - xs as isize)) as usize;
-                    f.set(lidx(k, xl, y, le, s), f1.get(lidx(k, xsl, ys, le, s)));
-                }
-                let mut p = 0.0;
-                let mut u = 0.0;
-                let mut v = 0.0;
-                for k in 0..Q {
-                    let fk = f.get(lidx(k, xl, y, le, s));
-                    p += fk;
-                    u += fk * CX[k];
-                    v += fk * CY[k];
-                }
-                u /= p;
-                v /= p;
-                for k in 0..Q {
-                    let feq = equilibrium(k, p, u, v);
-                    let ind = lidx(k, xl, y, le, s);
-                    f2.set(ind, f.get(ind) * (1.0 - 1.0 / tau) + feq / tau);
-                }
+            if is_interior(x, y, s) {
+                // The source row is local: `xl` less the same offset.
+                let pulled = pull(xl, y, |k, xsl, ys| f1.get(lidx(k, xsl, ys, le, s)));
+                collide_into(&pulled, tau, |k| lidx(k, xl, y, le, s), &f, &f2);
             }
         });
     }
