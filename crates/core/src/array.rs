@@ -41,7 +41,7 @@ macro_rules! array_common {
 
             /// Size in bytes.
             pub fn size_bytes(&self) -> usize {
-                self.len() * std::mem::size_of::<T>()
+                self.storage.size_bytes()
             }
 
             /// Id of the context this array belongs to.

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::array::{Array1, Array2, Array3};
-use crate::backend::{Backend, Extent};
+use crate::backend::{Backend, DeviceToken, Extent};
 use crate::buffer::RawStorage;
 use crate::config::{PlanCacheMode, RuntimeConfig};
 use crate::error::RaccError;
@@ -19,6 +19,14 @@ use crate::stats::{
 use crate::timeline::TimelineSnapshot;
 
 static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Element count of an array of shape `dims`; a product that does not fit
+/// a `usize` is an allocation nobody can serve, not a number to wrap.
+fn shape_len(dims: &[usize]) -> Result<usize, RaccError> {
+    dims.iter()
+        .try_fold(1usize, |len, &d| len.checked_mul(d))
+        .ok_or_else(|| RaccError::Allocation(format!("shape {dims:?} overflows the address space")))
+}
 
 /// A RACC context: one backend plus the front-end API. The JACC analog is
 /// the module-level `JACC.*` API after a back end has been selected through
@@ -143,15 +151,13 @@ impl<B: Backend> Context<B> {
     /// `JACC.Array(host_vector)`: create a 1D array from host data
     /// (modeling the host-to-device transfer on accelerator back ends).
     pub fn array_from<T: AccScalar>(&self, data: &[T]) -> Result<Array1<T>, RaccError> {
-        let storage = RawStorage::from_slice(data);
-        let token = self.backend.on_alloc(std::mem::size_of_val(data), true)?;
+        let (storage, token) = self.upload_storage(data)?;
         Ok(Array1::new(storage, token, self.id))
     }
 
     /// A zero-initialized 1D array of `n` elements.
     pub fn zeros<T: AccScalar>(&self, n: usize) -> Result<Array1<T>, RaccError> {
-        let storage = RawStorage::zeroed(n);
-        let token = self.backend.on_alloc(n * std::mem::size_of::<T>(), false)?;
+        let (storage, token) = self.zeroed_storage(&[n])?;
         Ok(Array1::new(storage, token, self.id))
     }
 
@@ -173,23 +179,19 @@ impl<B: Backend> Context<B> {
         n: usize,
         data: &[T],
     ) -> Result<Array2<T>, RaccError> {
-        if data.len() != m * n {
+        if shape_len(&[m, n]).ok() != Some(data.len()) {
             return Err(RaccError::ShapeMismatch(format!(
                 "{} elements for a {m} x {n} array",
                 data.len()
             )));
         }
-        let storage = RawStorage::from_slice(data);
-        let token = self.backend.on_alloc(std::mem::size_of_val(data), true)?;
+        let (storage, token) = self.upload_storage(data)?;
         Ok(Array2::new(storage, token, self.id, m, n))
     }
 
     /// A zero-initialized `m × n` 2D array.
     pub fn zeros2<T: AccScalar>(&self, m: usize, n: usize) -> Result<Array2<T>, RaccError> {
-        let storage = RawStorage::zeroed(m * n);
-        let token = self
-            .backend
-            .on_alloc(m * n * std::mem::size_of::<T>(), false)?;
+        let (storage, token) = self.zeroed_storage(&[m, n])?;
         Ok(Array2::new(storage, token, self.id, m, n))
     }
 
@@ -200,7 +202,7 @@ impl<B: Backend> Context<B> {
         n: usize,
         mut f: impl FnMut(usize, usize) -> T,
     ) -> Result<Array2<T>, RaccError> {
-        let mut data = Vec::with_capacity(m * n);
+        let mut data = Vec::with_capacity(shape_len(&[m, n])?);
         for j in 0..n {
             for i in 0..m {
                 data.push(f(i, j));
@@ -217,14 +219,13 @@ impl<B: Backend> Context<B> {
         l: usize,
         data: &[T],
     ) -> Result<Array3<T>, RaccError> {
-        if data.len() != m * n * l {
+        if shape_len(&[m, n, l]).ok() != Some(data.len()) {
             return Err(RaccError::ShapeMismatch(format!(
                 "{} elements for a {m} x {n} x {l} array",
                 data.len()
             )));
         }
-        let storage = RawStorage::from_slice(data);
-        let token = self.backend.on_alloc(std::mem::size_of_val(data), true)?;
+        let (storage, token) = self.upload_storage(data)?;
         Ok(Array3::new(storage, token, self.id, m, n, l))
     }
 
@@ -235,11 +236,30 @@ impl<B: Backend> Context<B> {
         n: usize,
         l: usize,
     ) -> Result<Array3<T>, RaccError> {
-        let storage = RawStorage::zeroed(m * n * l);
-        let token = self
-            .backend
-            .on_alloc(m * n * l * std::mem::size_of::<T>(), false)?;
+        let (storage, token) = self.zeroed_storage(&[m, n, l])?;
         Ok(Array3::new(storage, token, self.id, m, n, l))
+    }
+
+    /// Zeroed storage for an array of shape `dims`, and the back end's
+    /// token for it.
+    fn zeroed_storage<T: AccScalar>(
+        &self,
+        dims: &[usize],
+    ) -> Result<(RawStorage<T>, DeviceToken), RaccError> {
+        let storage = RawStorage::zeroed(shape_len(dims)?)?;
+        let token = self.backend.on_alloc(storage.size_bytes(), false)?;
+        Ok((storage, token))
+    }
+
+    /// Storage holding a copy of `data`, and the back end's token for it
+    /// (charged as an upload).
+    fn upload_storage<T: AccScalar>(
+        &self,
+        data: &[T],
+    ) -> Result<(RawStorage<T>, DeviceToken), RaccError> {
+        let storage = RawStorage::from_slice(data)?;
+        let token = self.backend.on_alloc(std::mem::size_of_val(data), true)?;
+        Ok((storage, token))
     }
 
     /// Copy a 1D array back to host memory (modeling the device-to-host

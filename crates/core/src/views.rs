@@ -431,7 +431,7 @@ mod tests {
     use super::*;
 
     fn storage_from(data: &[f64]) -> Arc<RawStorage<f64>> {
-        Arc::new(RawStorage::from_slice(data))
+        Arc::new(RawStorage::from_slice(data).unwrap())
     }
 
     #[test]

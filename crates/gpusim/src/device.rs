@@ -372,21 +372,23 @@ impl Device {
                 capacity: self.spec.memory_bytes,
             });
         }
-        let alloc = if self.sanitizer_enabled() {
-            let meta = self.sanitizer.new_meta::<T>(len, bytes);
-            let alloc = Arc::new(Allocation::new_sanitized(
-                bytes,
-                Arc::clone(&self.used_bytes),
-                Arc::clone(&meta),
-            ));
+        let meta = self
+            .sanitizer_enabled()
+            .then(|| self.sanitizer.new_meta::<T>(len, bytes));
+        // A size the host cannot back presents like one the device cannot.
+        let alloc = Allocation::new(bytes, Arc::clone(&self.used_bytes), meta.clone())
+            .map(Arc::new)
+            .ok_or(SimError::OutOfMemory {
+                requested: bytes,
+                in_use,
+                capacity: self.spec.memory_bytes,
+            })?;
+        if let Some(meta) = meta {
             // Install the back-pointer before registering so the canary
             // sweep can always reach the live memory.
             let _ = meta.alloc.set(Arc::downgrade(&alloc));
             self.sanitizer.register(meta);
-            alloc
-        } else {
-            Arc::new(Allocation::new(bytes, Arc::clone(&self.used_bytes)))
-        };
+        }
         Ok(DeviceBuffer {
             alloc,
             len,

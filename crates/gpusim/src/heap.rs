@@ -52,10 +52,41 @@ fn use_after_free(meta: &AllocMeta) -> ! {
 pub trait Element: Copy + Send + Sync + 'static {}
 impl<T: Copy + Send + Sync + 'static> Element for T {}
 
+/// Cache-line size, and the alignment of every payload.
+const LINE_BYTES: usize = 64;
+
+/// One way of the host's L1d, which is also the page size: addresses this
+/// far apart share a cache set, and a load 4K-aliases an earlier store.
+const WAY_BYTES: usize = 4096;
+
+/// Blocks at least this large are placed: twice glibc's 128 KiB mmap
+/// threshold. Such a block is a mapping of its own and starts at one fixed
+/// page offset. Between one and two thresholds glibc's dynamic threshold
+/// moves a size from mmap into the arena after its first frees, where
+/// offsets vary already — and a page more per block there changed how often
+/// the arena is trimmed and re-faulted (128 KiB arrays allocated per job:
+/// 2.5× the page faults in the first pass over 240 jobs).
+const PLACED_MIN_BYTES: usize = 256 * 1024;
+
+/// Large blocks handed out so far in this process.
+static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes to skip from `at` so that the `k`-th large block starts on line
+/// `k mod 64` of its page: consecutive blocks visit every L1 set once
+/// before an offset repeats. Without it element `i` of every large buffer
+/// shares address bits 11:0 with element `i` of every other, and a kernel
+/// that walks several of them at one index keeps all of its streams in a
+/// single set. (`racc-core`'s array storage has the same function.)
+fn skew(at: usize, k: usize) -> usize {
+    let line = k % (WAY_BYTES / LINE_BYTES);
+    (line * LINE_BYTES).wrapping_sub(at) % WAY_BYTES
+}
+
 /// One raw allocation on the device heap. Deallocates itself (and returns
 /// its bytes to the heap accounting) when the last handle drops.
 pub(crate) struct Allocation {
-    /// Payload pointer (the canary region precedes it when sanitized).
+    /// Payload pointer, [`skew`]ed into the host block (a canary region
+    /// precedes and follows the payload when sanitized).
     ptr: *mut u8,
     /// Base of the real host allocation; null when nothing was allocated
     /// (zero-byte payloads are truly dangling).
@@ -76,71 +107,66 @@ unsafe impl Send for Allocation {}
 unsafe impl Sync for Allocation {}
 
 impl Allocation {
-    /// Allocate `bytes` zeroed bytes, charging `used_counter`. Zero-byte
-    /// allocations perform **no** host allocation: they hold a dangling,
-    /// well-aligned pointer and charge 0, so accounting matches reality.
-    pub(crate) fn new(bytes: usize, used_counter: Arc<AtomicUsize>) -> Self {
+    /// Allocate `bytes` zeroed bytes, charging `used_counter` the payload
+    /// only; `None` when the host cannot provide them. With `meta`, the
+    /// payload is flanked by [`CANARY_BYTES`] canary regions (checker
+    /// overhead, not user memory). Zero-byte allocations perform **no**
+    /// host allocation: they hold a dangling, well-aligned pointer and
+    /// charge 0, so accounting matches reality.
+    pub(crate) fn new(
+        bytes: usize,
+        used_counter: Arc<AtomicUsize>,
+        meta: Option<Arc<AllocMeta>>,
+    ) -> Option<Self> {
+        let canary = if meta.is_some() { CANARY_BYTES } else { 0 };
+        let placed = bytes >= PLACED_MIN_BYTES;
+        let slack = if placed { WAY_BYTES } else { LINE_BYTES };
         // Asking the allocator for 64-byte alignment makes std zero the
         // block by hand (`aligned_alloc` + `memset`), which touches every
         // page of memory nobody may ever read. At the platform's natural
         // 16 it takes `calloc`, whose large blocks are untouched zero pages;
-        // the payload is aligned to 64 inside 64 bytes of slack instead.
-        let layout = Layout::from_size_align(bytes + 64, 16).expect("valid layout");
+        // the payload is aligned inside the slack instead.
+        let layout = bytes
+            .checked_add(2 * canary + slack)
+            .and_then(|total| Layout::from_size_align(total, 16).ok())?;
         let (raw, ptr) = if bytes == 0 {
-            (std::ptr::null_mut(), std::ptr::without_provenance_mut(64))
+            (
+                std::ptr::null_mut(),
+                std::ptr::without_provenance_mut(LINE_BYTES),
+            )
         } else {
             // SAFETY: layout has non-zero size.
-            let p = unsafe { alloc_zeroed(layout) };
-            assert!(!p.is_null(), "host allocation for device heap failed");
-            // SAFETY: the offset is below 64 and the block has 64 bytes
-            // more than the payload.
-            (p, unsafe { p.add(p.addr().wrapping_neg() % 64) })
+            let raw = unsafe { alloc_zeroed(layout) };
+            if raw.is_null() {
+                return None;
+            }
+            let at = raw.addr() + canary;
+            let skew = if placed {
+                // Relaxed: the count publishes nothing, and two threads
+                // that allocate at once still get different lines.
+                skew(at, LARGE_BLOCKS.fetch_add(1, Ordering::Relaxed))
+            } else {
+                // The next cache line.
+                at.wrapping_neg() % LINE_BYTES
+            };
+            // SAFETY: the skew is below the slack, so the canary regions
+            // and the payload between them are inside the block.
+            unsafe {
+                let ptr = raw.add(canary + skew);
+                std::ptr::write_bytes(ptr.sub(canary), CANARY_PATTERN, canary);
+                std::ptr::write_bytes(ptr.add(bytes), CANARY_PATTERN, canary);
+                (raw, ptr)
+            }
         };
         used_counter.fetch_add(bytes, Ordering::Relaxed);
-        Allocation {
+        Some(Allocation {
             ptr,
             raw,
             bytes,
             layout,
             used_counter,
-            meta: None,
-        }
-    }
-
-    /// Allocate a sanitized payload flanked by [`CANARY_BYTES`] canary
-    /// regions on both sides. Only the payload is charged to the heap
-    /// accounting (the canaries are checker overhead, not user memory).
-    pub(crate) fn new_sanitized(
-        bytes: usize,
-        used_counter: Arc<AtomicUsize>,
-        meta: Arc<AllocMeta>,
-    ) -> Self {
-        if bytes == 0 {
-            let mut a = Self::new(0, used_counter);
-            a.meta = Some(meta);
-            return a;
-        }
-        let layout = Layout::from_size_align(bytes + 2 * CANARY_BYTES, 64).expect("valid layout");
-        // SAFETY: layout has non-zero size.
-        let raw = unsafe { alloc_zeroed(layout) };
-        assert!(!raw.is_null(), "host allocation for device heap failed");
-        // SAFETY: the allocation spans 2 * CANARY_BYTES + bytes; both canary
-        // regions are in bounds.
-        unsafe {
-            std::ptr::write_bytes(raw, CANARY_PATTERN, CANARY_BYTES);
-            std::ptr::write_bytes(raw.add(CANARY_BYTES + bytes), CANARY_PATTERN, CANARY_BYTES);
-        }
-        used_counter.fetch_add(bytes, Ordering::Relaxed);
-        Allocation {
-            // SAFETY: CANARY_BYTES is within the allocation; 64-byte offset
-            // keeps 64-byte alignment.
-            ptr: unsafe { raw.add(CANARY_BYTES) },
-            raw,
-            bytes,
-            layout,
-            used_counter,
-            meta: Some(meta),
-        }
+            meta,
+        })
     }
 
     pub(crate) fn ptr(&self) -> *mut u8 {
@@ -160,7 +186,7 @@ impl Allocation {
         }
         for k in 0..CANARY_BYTES {
             // SAFETY: both canary regions are within the allocation.
-            let before = unsafe { *self.raw.add(k) };
+            let before = unsafe { *self.ptr.sub(CANARY_BYTES).add(k) };
             if before != CANARY_PATTERN {
                 return Some(format!(
                     "{}: canary before the payload corrupted {} B before the start \
@@ -169,7 +195,7 @@ impl Allocation {
                     CANARY_BYTES - k
                 ));
             }
-            let after = unsafe { *self.raw.add(CANARY_BYTES + self.bytes + k) };
+            let after = unsafe { *self.ptr.add(self.bytes + k) };
             if after != CANARY_PATTERN {
                 return Some(format!(
                     "{}: canary after the payload corrupted {} B past the end \
@@ -192,7 +218,7 @@ impl Drop for Allocation {
                 eprintln!("simsan: heap corruption (detected during unwind): {desc}");
             } else {
                 // Deallocate first so the panic does not leak the block.
-                // SAFETY: allocated with this exact layout in `new_sanitized`.
+                // SAFETY: allocated with this exact layout in `new`.
                 unsafe { dealloc(self.raw, self.layout) };
                 self.used_counter.fetch_sub(self.bytes, Ordering::Relaxed);
                 panic!("simsan: heap corruption: {desc}");
@@ -200,7 +226,7 @@ impl Drop for Allocation {
         }
         self.used_counter.fetch_sub(self.bytes, Ordering::Relaxed);
         if !self.raw.is_null() {
-            // SAFETY: allocated with this exact layout in `new`/`new_sanitized`.
+            // SAFETY: allocated with this exact layout in `new`.
             unsafe { dealloc(self.raw, self.layout) };
         }
     }
@@ -498,7 +524,7 @@ mod tests {
 
     fn make_buffer<T: Element>(len: usize) -> DeviceBuffer<T> {
         let used = Arc::new(AtomicUsize::new(0));
-        let alloc = Arc::new(Allocation::new(len * std::mem::size_of::<T>(), used));
+        let alloc = Arc::new(Allocation::new(len * std::mem::size_of::<T>(), used, None).unwrap());
         DeviceBuffer {
             alloc,
             len,
@@ -512,7 +538,7 @@ mod tests {
         let bytes = len * std::mem::size_of::<T>();
         let san = crate::sanitizer::Sanitizer::new(true);
         let meta = san.new_meta::<T>(len, bytes);
-        let alloc = Arc::new(Allocation::new_sanitized(bytes, used, meta));
+        let alloc = Arc::new(Allocation::new(bytes, used, Some(meta)).unwrap());
         DeviceBuffer {
             alloc,
             len,
@@ -524,9 +550,9 @@ mod tests {
     #[test]
     fn allocation_charges_and_releases_counter() {
         let used = Arc::new(AtomicUsize::new(0));
-        let a = Allocation::new(1024, Arc::clone(&used));
+        let a = Allocation::new(1024, Arc::clone(&used), None).unwrap();
         assert_eq!(used.load(Ordering::Relaxed), 1024);
-        let b = Allocation::new(512, Arc::clone(&used));
+        let b = Allocation::new(512, Arc::clone(&used), None).unwrap();
         assert_eq!(used.load(Ordering::Relaxed), 1536);
         drop(a);
         assert_eq!(used.load(Ordering::Relaxed), 512);
@@ -534,10 +560,111 @@ mod tests {
         assert_eq!(used.load(Ordering::Relaxed), 0);
     }
 
+    /// Tests that allocate large blocks by the dozen take this: 64 of them
+    /// between two blocks of another test would bring the second back to
+    /// the line of the first.
+    static PLACEMENT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn large_blocks_sit_at_different_page_offsets() {
+        let _serial = PLACEMENT.lock().unwrap();
+        let used = Arc::new(AtomicUsize::new(0));
+        // A 512² D2Q9 lattice, then 32 MiB: both far above the mmap
+        // threshold, where the allocator alone puts every block at one
+        // page offset. Plain and sanitized blocks follow one rule.
+        for bytes in [9 * 512 * 512 * 8, 32 << 20] {
+            for sanitized in [false, true] {
+                let blocks: Vec<_> = (0..3)
+                    .map(|_| {
+                        let meta = sanitized.then(|| {
+                            crate::sanitizer::Sanitizer::new(true).new_meta::<u8>(bytes, bytes)
+                        });
+                        Allocation::new(bytes, Arc::clone(&used), meta).unwrap()
+                    })
+                    .collect();
+                assert_eq!(used.load(Ordering::Relaxed), 3 * bytes, "payload only");
+                let at: Vec<usize> = blocks.iter().map(|b| b.ptr().addr()).collect();
+                assert!(at.iter().all(|a| a % LINE_BYTES == 0), "{at:x?}");
+                let offset = |i: usize| at[i] % WAY_BYTES;
+                assert_ne!(offset(0), offset(1), "{at:x?}");
+                assert_ne!(offset(0), offset(2), "{at:x?}");
+                assert_ne!(offset(1), offset(2), "{at:x?}");
+                assert!(blocks.iter().all(|b| b.verify_canaries().is_none()));
+            }
+        }
+    }
+
+    #[test]
+    fn the_skew_puts_block_k_on_line_k_wherever_the_allocator_put_it() {
+        // `calloc` aligns to 16, and a canary may precede the payload.
+        for at in [0x7f00_0000_0010usize, 0x5555_0000_0ff0, 0x1050, 0x2a80] {
+            for k in [0usize, 1, 2, 63, 64, 65, 1000] {
+                let skew = skew(at, k);
+                assert!(skew < WAY_BYTES);
+                assert_eq!((at + skew) % WAY_BYTES, k % 64 * LINE_BYTES);
+            }
+        }
+    }
+
+    #[test]
+    fn small_blocks_start_on_the_next_line() {
+        let used = Arc::new(AtomicUsize::new(0));
+        let a = Allocation::new(4096, used, None).unwrap();
+        assert_eq!(a.ptr().addr() % LINE_BYTES, 0);
+        assert!(a.ptr().addr() - a.raw.addr() < LINE_BYTES);
+        assert_eq!(a.layout.size(), 4096 + LINE_BYTES);
+    }
+
+    #[test]
+    fn placed_blocks_are_zeroed_and_writable_to_the_last_byte() {
+        let _serial = PLACEMENT.lock().unwrap();
+        let len = PLACED_MIN_BYTES / 8 + 5;
+        // Every line of the page once, the farthest skew included.
+        for round in 0..WAY_BYTES / LINE_BYTES {
+            let buf = if round % 2 == 0 {
+                make_buffer::<u64>(len)
+            } else {
+                make_sanitized_buffer::<u64>(len)
+            };
+            let w = DeviceSliceMut::new_tracked(&buf, None, None);
+            for i in 0..len {
+                assert_eq!(w.get(i), 0);
+                w.set(i, i as u64);
+            }
+            let r = DeviceSlice::new(&buf);
+            assert!((0..len).all(|i| r.get(i) == i as u64));
+            assert!(buf.alloc.verify_canaries().is_none());
+            let a = &buf.alloc;
+            assert!(a.ptr.addr() + a.bytes <= a.raw.addr() + a.layout.size());
+        }
+    }
+
+    #[test]
+    fn alloc_drop_cycles_leave_the_counter_at_zero() {
+        let _serial = PLACEMENT.lock().unwrap();
+        let used = Arc::new(AtomicUsize::new(0));
+        for cycle in 0..200 {
+            let bytes = if cycle % 2 == 0 { 1 << 20 } else { 1000 };
+            let a = Allocation::new(bytes, Arc::clone(&used), None).unwrap();
+            assert_eq!(used.load(Ordering::Relaxed), bytes, "payload only");
+            drop(a);
+        }
+        assert_eq!(used.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_size_the_host_cannot_back_is_refused() {
+        let used = Arc::new(AtomicUsize::new(0));
+        for bytes in [usize::MAX, usize::MAX - 64, isize::MAX as usize] {
+            assert!(Allocation::new(bytes, Arc::clone(&used), None).is_none());
+        }
+        assert_eq!(used.load(Ordering::Relaxed), 0);
+    }
+
     #[test]
     fn zero_byte_allocation_is_dangling_and_uncharged() {
         let used = Arc::new(AtomicUsize::new(0));
-        let a = Allocation::new(0, Arc::clone(&used));
+        let a = Allocation::new(0, Arc::clone(&used), None).unwrap();
         assert_eq!(used.load(Ordering::Relaxed), 0, "zero bytes charge nothing");
         assert!(!a.ptr().is_null(), "pointer is dangling but non-null");
         assert_eq!(a.ptr() as usize % 64, 0, "and well-aligned");
@@ -571,7 +698,7 @@ mod tests {
     #[test]
     fn slices_keep_allocation_alive() {
         let used = Arc::new(AtomicUsize::new(0));
-        let alloc = Arc::new(Allocation::new(8 * 4, Arc::clone(&used)));
+        let alloc = Arc::new(Allocation::new(8 * 4, Arc::clone(&used), None).unwrap());
         let buf = DeviceBuffer::<f32> {
             alloc,
             len: 8,

@@ -69,6 +69,12 @@ impl<'c, B: Backend> LbmSim<'c, B> {
         Self::new(ctx, s, tau, |_, _| (rho, ux, uy))
     }
 
+    /// Addresses of `f`, `f1`, `f2`.
+    #[cfg(test)]
+    pub(crate) fn lattice_addrs(&self) -> [usize; 3] {
+        [&self.f, &self.f1, &self.f2].map(Array1::buffer_id)
+    }
+
     /// Grid edge length.
     pub fn size(&self) -> usize {
         self.s

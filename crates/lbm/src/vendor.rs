@@ -251,6 +251,24 @@ fn site_update_slices(
     }
 }
 
+/// Doubles per cache line and per page.
+const LINE: usize = 8;
+const PAGE: usize = 512;
+
+/// Where the three lattices of `n` doubles start inside one block: lattice
+/// `j` on line `j` of a page — the placement `racc-core` gives the portable
+/// side's three arrays. Three separate `Vec`s of a 512² lattice start at
+/// one page offset, and with planes 2 MiB and rows 4 KiB apart the 27
+/// streams of a site then share a single L1 set.
+fn lattice_starts(n: usize) -> [usize; 3] {
+    let mut starts = [0; 3];
+    for j in 1..3 {
+        let end = starts[j - 1] + n;
+        starts[j] = end + (j * LINE).wrapping_sub(end) % PAGE;
+    }
+    starts
+}
+
 /// CPU device-specific LBM: direct thread-pool code with the column-wise
 /// decomposition, timed by the CPU machine model.
 pub struct ThreadsLbm {
@@ -258,39 +276,46 @@ pub struct ThreadsLbm {
     cpu: CpuSpec,
     s: usize,
     tau: f64,
-    f: Vec<f64>,
-    f1: Vec<f64>,
-    f2: Vec<f64>,
-    flip: bool,
+    /// One block holding the paper's `f`, `f1` (current) and `f2` (next),
+    /// `Q * s * s` doubles each, at `starts`; a step swaps the last two.
+    lattices: Vec<f64>,
+    starts: [usize; 3],
 }
 
 impl ThreadsLbm {
     /// Build over a fresh pool with `threads` participants.
     pub fn new(threads: usize, s: usize, tau: f64, init: &[f64]) -> Self {
-        assert_eq!(init.len(), Q * s * s);
+        let n = Q * s * s;
+        assert_eq!(init.len(), n);
+        let starts = lattice_starts(n);
+        let mut lattices = vec![0.0; starts[2] + n];
+        lattices[starts[1]..][..n].copy_from_slice(init);
+        lattices[starts[2]..][..n].copy_from_slice(init);
         ThreadsLbm {
             pool: ThreadPool::new(threads),
             cpu: CpuSpec::epyc_7742_rome(),
             s,
             tau,
-            f: vec![0.0; Q * s * s],
-            f1: init.to_vec(),
-            f2: init.to_vec(),
-            flip: false,
+            lattices,
+            starts,
         }
     }
 
     /// One time step; returns modeled nanoseconds.
     pub fn step(&mut self) -> u64 {
         let (s, tau) = (self.s, self.tau);
-        let (cur, next) = if self.flip {
-            (&self.f2, &self.f1)
-        } else {
-            (&self.f1, &self.f2)
+        let n = Q * s * s;
+        let [scratch, cur, next] = self.starts;
+        let base = self.lattices.as_mut_ptr();
+        // SAFETY: the three lattices are disjoint `n`-long ranges of the
+        // block; the current one is only read during the step.
+        let (fp, f2p, f1s) = unsafe {
+            (
+                SendMut(base.add(scratch)),
+                SendMut(base.add(next)),
+                std::slice::from_raw_parts(base.add(cur) as *const f64, n),
+            )
         };
-        let fp = SendMut(self.f.as_ptr() as *mut f64);
-        let f2p = SendMut(next.as_ptr() as *mut f64);
-        let f1s: &[f64] = cur;
         self.pool.parallel_for(s, Schedule::Static, |slow| {
             for fast in 0..s {
                 let (x, y) = site(fast, slow);
@@ -317,17 +342,19 @@ impl ThreadsLbm {
                 }
             }
         });
-        self.flip = !self.flip;
+        self.starts.swap(1, 2);
         self.cpu.kernel_time_ns(s * s, &lbm_profile()) as u64
     }
 
     /// The current distributions.
     pub fn distributions(&self) -> &[f64] {
-        if self.flip {
-            &self.f2
-        } else {
-            &self.f1
-        }
+        &self.lattices[self.starts[1]..][..Q * self.s * self.s]
+    }
+
+    /// Addresses of `f`, `f1`, `f2`.
+    #[cfg(test)]
+    pub(crate) fn lattice_addrs(&self) -> [usize; 3] {
+        self.starts.map(|at| self.lattices[at..].as_ptr() as usize)
     }
 }
 
@@ -412,6 +439,29 @@ mod tests {
             sim.step();
         }
         assert_eq!(sim.distributions(), &reference_steps(s, &init, 5)[..]);
+    }
+
+    #[test]
+    fn lattices_of_a_512_grid_sit_at_different_page_offsets() {
+        // At 512² planes are 2 MiB and rows 4 KiB apart: lattices that also
+        // share a page offset put every stream of a site into one L1 set.
+        let s = 512;
+        let ctx = racc_core::Context::new(racc_core::SerialBackend::new());
+        let portable = crate::portable::LbmSim::uniform(&ctx, s, 0.8, 1.0, 0.02, 0.0).unwrap();
+        let native = ThreadsLbm::new(1, s, 0.8, &uniform_init(s, 1.0, 0.02, 0.0));
+        for addrs in [portable.lattice_addrs(), native.lattice_addrs()] {
+            let [f, f1, f2] = addrs.map(|a| a % 4096);
+            assert!(f != f1 && f != f2 && f1 != f2, "{addrs:x?}");
+        }
+    }
+
+    #[test]
+    fn lattice_starts_rotate_lines_at_any_size() {
+        for n in [9 * 20 * 20, 9 * 500 * 500, 9 * 512 * 512, 9 * 513 * 513] {
+            let starts = lattice_starts(n);
+            assert_eq!(starts.map(|at| at % PAGE), [0, LINE, 2 * LINE], "n = {n}");
+            assert!(starts[0] + n <= starts[1] && starts[1] + n <= starts[2]);
+        }
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The paper's claim on the one real device here: the portable LBM costs
 //! what the device-specific CPU code costs. Both sides run the same kernel
 //! over the same pool shape; a portable step that walks memory across
-//! `fidx`'s stride reads 2.3–3× here, in-order reads ≈ 1.0.
+//! `fidx`'s stride reads 2.3–3× here, in-order reads ≈ 1.0. 512² is the size
+//! at which placement decides the time (planes 2 MiB and rows 4 KiB apart:
+//! lattices at one page offset keep a site's 27 streams in one L1 set, ≈ 2×);
+//! a side that lost its staggered placement shows there and not at 256².
 //!
 //! Wall-clock, so release only: `cargo test --release -p racc-lbm --test
 //! native_parity`.
@@ -12,7 +15,7 @@ use racc_core::{Context, ThreadsBackend};
 use racc_lbm::portable::LbmSim;
 use racc_lbm::vendor::{uniform_init, ThreadsLbm};
 
-const S: usize = 256;
+const SIZES: [usize; 2] = [256, 512];
 const TAU: f64 = 0.8;
 const STEPS: usize = 4;
 const PAIRS: usize = 7;
@@ -39,8 +42,14 @@ fn portable_step_costs_what_the_native_step_costs() {
     }
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ctx = Context::new(ThreadsBackend::with_threads(threads));
-    let mut portable = LbmSim::uniform(&ctx, S, TAU, 1.0, 0.02, 0.0).unwrap();
-    let mut native = ThreadsLbm::new(threads, S, TAU, &uniform_init(S, 1.0, 0.02, 0.0));
+    for s in SIZES {
+        parity_at(&ctx, threads, s);
+    }
+}
+
+fn parity_at(ctx: &Context<ThreadsBackend>, threads: usize, s: usize) {
+    let mut portable = LbmSim::uniform(ctx, s, TAU, 1.0, 0.02, 0.0).unwrap();
+    let mut native = ThreadsLbm::new(threads, s, TAU, &uniform_init(s, 1.0, 0.02, 0.0));
     // One untimed pass each: pool start-up and first touch of the lattices.
     time(|| portable.step());
     time(|| _ = native.step());
@@ -58,7 +67,7 @@ fn portable_step_costs_what_the_native_step_costs() {
     let (p, n) = (median(p), median(n));
     assert!(
         p <= 1.5 * n,
-        "portable {:.3} ms vs native {:.3} ms per {STEPS} steps at {S}^2 on {threads} threads: \
+        "portable {:.3} ms vs native {:.3} ms per {STEPS} steps at {s}^2 on {threads} threads: \
          ratio {:.2} > 1.5",
         p * 1e3,
         n * 1e3,

@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# AddressSanitizer over the two allocators that hand out a payload pointer
+# away from the base of its block (`RawStorage`, the simulator heap) and the
+# unsafe code beside the second: a `dealloc` of the payload where the block
+# was meant, or a write past a skewed payload, is what ASan reports and
+# `cargo test` does not. Needs the nightly toolchain's ASan runtime; builds
+# offline into `target/x86_64-unknown-linux-gnu/`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export RUSTFLAGS="-Zsanitizer=address"
+# Leak detection stays on; the one test that forgets a buffer on purpose (to
+# read the simulator's own leak report) is named, not switched off with it.
+supp="$(mktemp)"
+trap 'rm -f "$supp"' EXIT
+echo "leak:sanitizer_reports_leaked_allocations" > "$supp"
+export LSAN_OPTIONS="suppressions=$supp:print_suppressions=0"
+asan() {
+  cargo +nightly test --offline --target x86_64-unknown-linux-gnu "$@"
+}
+asan -p racc-core --lib buffer
+asan -p racc-gpusim --lib -- heap arena sanitizer
+echo "asan clean"

@@ -64,6 +64,40 @@ fn shape_mismatches_are_rejected() {
     ));
 }
 
+/// A shape whose element or byte count does not fit a `usize` used to wrap
+/// in a release build: `zeros::<f64>(1 << 61)` returned a `2^61`-long array
+/// over a one-byte block. Same answer in debug and release.
+#[test]
+fn shapes_that_overflow_are_typed_errors_not_wrapped_sizes() {
+    for key in racc::available_backends() {
+        let ctx = racc::context_for(key).unwrap();
+        let refused = |r: Result<(), RaccError>| {
+            assert!(
+                matches!(
+                    r,
+                    Err(RaccError::Allocation(_) | RaccError::ShapeMismatch(_))
+                ),
+                "{key}: {r:?}"
+            );
+        };
+        refused(ctx.zeros::<f64>(1 << 61).map(drop));
+        refused(ctx.zeros::<u8>(usize::MAX).map(drop));
+        refused(ctx.zeros2::<f64>(1 << 32, 1 << 32).map(drop));
+        refused(ctx.zeros2::<u8>(1 << 32, 1 << 32).map(drop));
+        refused(ctx.zeros3::<f64>(1 << 21, 1 << 21, 1 << 22).map(drop));
+        refused(ctx.array2_from::<f64>(usize::MAX, 2, &[]).map(drop));
+        refused(ctx.array3_from::<f64>(1 << 32, 1 << 32, 2, &[]).map(drop));
+        refused(
+            ctx.array2_from_fn(1 << 32, 1 << 32, |_, _| 0.0f64)
+                .map(drop),
+        );
+        assert!(matches!(
+            ctx.zeros::<f64>(1 << 61),
+            Err(RaccError::Allocation(_))
+        ));
+    }
+}
+
 #[test]
 fn unknown_backend_keys_error_and_name_the_key() {
     match racc::context_for("tpu") {
