@@ -6,7 +6,11 @@
 //! the block's thread range, and their per-thread `phase()` is that same
 //! body on the unit range, so the block form the plain executor runs and
 //! the per-thread form racecheck, the sanitizer and the reference executor
-//! visit cannot drift apart.
+//! visit cannot drift apart. The covering kernel also overrides
+//! [`PhasedKernel::run_band`] — with that same body again, its rows
+//! continued through a band of x-adjacent blocks — and the first reduction
+//! kernel maps a block's run of linear indices row by row for ranks 2 and 3
+//! ([`RowWise`]): both walk memory in rows, not in tiles or by division.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -37,8 +41,13 @@ fn run_thread<K: PhasedKernel>(
 
 /// The covering kernel of `parallel_for`: one simulated thread per point of
 /// a grid of thread tiles laid over the index space, the threads past the
-/// extent idle. As a block loop that is the block's rows, each clamped to
-/// the extent, and a plain counted loop over the global index along each.
+/// extent idle. As a loop that is the rows of a tile, each clamped to the
+/// extent, and a plain counted loop over the global index along each — and
+/// the plain executor hands it a whole *band* of x-adjacent tiles at a time
+/// ([`PhasedKernel::run_band`]), so each of those rows runs across all the
+/// band's tiles before the next one starts: a 512² plane under 16 × 16
+/// tiles is walked as 16 rows of 512 contiguous points per band, not as
+/// 32 × 16 fragments of 16.
 pub(crate) struct Cover<F> {
     /// Extent of the index space, padded with 1s past the rank.
     pub extent: [usize; 3],
@@ -47,6 +56,30 @@ pub(crate) struct Cover<F> {
     /// reference, the body's own stores would force a reload of everything
     /// it captures on every iteration.
     pub f: F,
+}
+
+impl<F: Fn(usize, usize, usize) + Sync> Cover<F> {
+    /// The one body: the threads `threads` of the block `first`, row by
+    /// row, each row's run of `x` continued through the `blocks - 1` blocks
+    /// to the right of `first` (`blocks >= 1`, and whole blocks only:
+    /// `threads` covers the block whenever `blocks > 1`).
+    #[inline]
+    fn rows(&self, first: &BlockCtx, blocks: usize, threads: Range<usize>) {
+        let (i0, j0, k0) = first.origin();
+        let [m, n, l] = self.extent;
+        let further = (blocks - 1) * first.block_dim.x as usize;
+        first.for_each_row(threads, |xs, ty, tz| {
+            let (j, k) = (j0 + ty as usize, k0 + tz as usize);
+            if j < n && k < l {
+                // The global index itself is the counter, clamped by `min`:
+                // `i < m` is then plain to the optimizer, which a local
+                // index offset by `i0` inside the body was not.
+                for i in i0 + xs.start as usize..(i0 + xs.end as usize + further).min(m) {
+                    (self.f)(i, j, k);
+                }
+            }
+        });
+    }
 }
 
 impl<F: Fn(usize, usize, usize) + Sync> PhasedKernel for Cover<F> {
@@ -68,19 +101,11 @@ impl<F: Fn(usize, usize, usize) + Sync> PhasedKernel for Cover<F> {
         _states: &mut [()],
         _shared: &SharedMem,
     ) {
-        let (i0, j0, k0) = block.origin();
-        let [m, n, l] = self.extent;
-        block.for_each_row(threads, |xs, ty, tz| {
-            let (j, k) = (j0 + ty as usize, k0 + tz as usize);
-            if j < n && k < l {
-                // The global index itself is the counter, clamped by `min`:
-                // `i < m` is then plain to the optimizer, which a local
-                // index offset by `i0` inside the body was not.
-                for i in i0 + xs.start as usize..(i0 + xs.end as usize).min(m) {
-                    (self.f)(i, j, k);
-                }
-            }
-        });
+        self.rows(block, 1, threads);
+    }
+
+    fn run_band(&self, first: &BlockCtx, blocks: usize) {
+        self.rows(first, blocks, 0..first.block_dim.count());
     }
 }
 
@@ -100,27 +125,91 @@ fn combine_step<T: AccScalar, O: ReduceOp<T>>(
     }
 }
 
+/// How kernel 1's map phase turns a run of linear indices into the values
+/// its threads store: thread `t` of the run holds linear index `first + t`.
+pub(crate) trait MapRun<T>: Sync {
+    /// `cells[t] = value at linear index first + t`, in order.
+    fn map_run(&self, first: usize, cells: &[Cell<T>]);
+}
+
+/// Rank 1: the linear index is the index, and no arithmetic is done on it.
+pub(crate) struct Linear<F>(pub F);
+
+impl<T: AccScalar, F: Fn(usize) -> T + Sync> MapRun<T> for Linear<F> {
+    #[inline]
+    fn map_run(&self, first: usize, cells: &[Cell<T>]) {
+        for (t, cell) in cells.iter().enumerate() {
+            cell.set((self.0)(first + t));
+        }
+    }
+}
+
+/// Ranks 2 and 3: the linear index is the column-major position in an
+/// `m × n × l` extent, `(k * n + j) * m + i`. One division finds `(i, j, k)`
+/// of `first`; from there the run is walked row by row with counters, each
+/// row a plain counted loop over `i` at a fixed `(j, k)` — what
+/// `idx % m, idx / m` per element kept the optimizer from seeing.
+pub(crate) struct RowWise<F> {
+    m: usize,
+    n: usize,
+    f: F,
+}
+
+impl<F> RowWise<F> {
+    /// The row-wise map of `f(i, j, k)` over `extent` (1s past the rank).
+    pub fn new(extent: [usize; 3], f: F) -> Self {
+        // At least 1, so the divisions below are total; an empty extent
+        // maps nothing anyway.
+        RowWise {
+            m: extent[0].max(1),
+            n: extent[1].max(1),
+            f,
+        }
+    }
+}
+
+impl<T: AccScalar, F: Fn(usize, usize, usize) -> T + Sync> MapRun<T> for RowWise<F> {
+    #[inline]
+    fn map_run(&self, first: usize, mut cells: &[Cell<T>]) {
+        let (m, n) = (self.m, self.n);
+        let (mut i, row) = (first % m, first / m);
+        let (mut j, mut k) = (row % n, row / n);
+        while !cells.is_empty() {
+            let (run, rest) = cells.split_at((m - i).min(cells.len()));
+            for (cell, i) in run.iter().zip(i..) {
+                cell.set((self.f)(i, j, k));
+            }
+            cells = rest;
+            i = 0;
+            j += 1;
+            if j == n {
+                (j, k) = (0, k + 1);
+            }
+        }
+    }
+}
+
 /// Kernel 1 of the two-kernel reduction: each thread maps one index, the
 /// block tree-reduces in shared memory, thread 0 writes the block partial.
 /// Launched over 1D blocks, so thread `t` of a block is its `x`.
-pub(crate) struct BlockReduceMap<T: AccScalar, F, O> {
-    /// Extent of the index space.
+pub(crate) struct BlockReduceMap<T: AccScalar, M, O> {
+    /// Extent of the (linearised) index space.
     pub n: usize,
     /// The block's reduction tree (block size, a power of two).
     pub tree: TreeShape,
-    /// The map function, by value for the reason [`Cover::f`] is (here the
-    /// stores are the ones to shared memory).
-    pub f: F,
+    /// The map, by value for the reason [`Cover::f`] is (here the stores
+    /// are the ones to shared memory).
+    pub map: M,
     /// The reduction operator.
     pub op: O,
     /// One partial per block.
     pub partials: DeviceSliceMut<T>,
 }
 
-impl<T, F, O> PhasedKernel for BlockReduceMap<T, F, O>
+impl<T, M, O> PhasedKernel for BlockReduceMap<T, M, O>
 where
     T: AccScalar,
-    F: Fn(usize) -> T + Sync,
+    M: MapRun<T>,
     O: ReduceOp<T>,
 {
     type State = ();
@@ -153,9 +242,7 @@ where
                 // of the (last) block pads the tree with the identity.
                 let inside = self.n.saturating_sub(first).min(threads.len());
                 let (mapped, padded) = s[threads].split_at(inside);
-                for (k, cell) in mapped.iter().enumerate() {
-                    cell.set((self.f)(first + k));
-                }
+                self.map.map_run(first, mapped);
                 for cell in padded {
                     cell.set(self.op.identity());
                 }
@@ -243,18 +330,22 @@ where
 mod tests {
     //! The block forms against the per-thread forms. Each overriding kernel
     //! is run three ways — the plain executor (one `run_phase` per phase
-    //! over the whole prefix), `Device::execute_grid_reference` on the same
+    //! over the whole prefix; for the covering kernel one `run_band` per
+    //! band of blocks), `Device::execute_grid_reference` on the same
     //! kernel (its `phase()`, i.e. `run_phase` on unit ranges, every thread
     //! of every phase) and the reference executor on the per-thread kernel
     //! this file held before the block forms (kept below, verbatim, as the
     //! oracle) — and all three must agree bit for bit.
 
     use super::*;
-    use racc_core::{Max, Min, Sum};
+    use crate::{SimBackend, Vendor};
+    use racc_core::{Backend, Extent, KernelProfile, Max, Min, Sum};
     use racc_gpusim::{
         profiles, Device, DeviceBuffer, DeviceSpec, Dim3, KernelCost, LaunchConfig, SinglePhase,
     };
+    use racc_threadpool::ThreadPool;
     use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// The per-thread `BlockReduceMap` (Fig. 3 as one thread's script).
     struct RefBlockReduceMap<'a, T: AccScalar, F, O> {
@@ -369,7 +460,16 @@ mod tests {
 
     /// A device with neither checker on, whatever `RACC_SANITIZER` says.
     fn plain(spec: DeviceSpec) -> Device {
-        let dev = Device::new(spec);
+        unchecked(Device::new(spec))
+    }
+
+    /// [`plain`] over a pool of `threads` participants: how many there are
+    /// decides how the executor cuts a row of blocks into bands.
+    fn plain_on(spec: DeviceSpec, threads: usize) -> Device {
+        unchecked(Device::with_pool(spec, Arc::new(ThreadPool::new(threads))))
+    }
+
+    fn unchecked(dev: Device) -> Device {
         dev.set_sanitizer(false);
         dev.set_racecheck(false);
         dev
@@ -431,7 +531,7 @@ mod tests {
         let block_form = |buf: &DeviceBuffer<T>| BlockReduceMap {
             n,
             tree,
-            f,
+            map: Linear(f),
             op,
             partials: dev.slice_mut(buf).unwrap(),
         };
@@ -509,6 +609,125 @@ mod tests {
         }
     }
 
+    /// `parallel_reduce` over a rank-2 or rank-3 `extent` — the row-wise map
+    /// on the plain executor — against the map it replaced: a division and
+    /// a remainder per element, thread by thread through the reference
+    /// executor. Partials and result must agree bit for bit.
+    fn check_row_wise<T: Bits, O: ReduceOp<T>>(
+        backend: &SimBackend,
+        extent: Extent,
+        f: fn(usize, usize, usize) -> T,
+        op: O,
+    ) {
+        let dev = backend.device();
+        let what = format!(
+            "{} {:?} {} {}",
+            dev.spec().name,
+            extent.dims(),
+            std::any::type_name::<T>(),
+            std::any::type_name::<O>()
+        );
+        let got: T = backend.parallel_reduce(extent, &KernelProfile::dot(), f, op);
+        let total = extent.len();
+        if total == 0 {
+            assert_eq!(got.bits(), op.identity().bits(), "{what}");
+            return;
+        }
+
+        let [m, n, _] = extent.dims();
+        let mn = m * n;
+        let old: Box<dyn Fn(usize) -> T + Sync> = match extent.rank() {
+            2 => Box::new(move |idx| f(idx % m, idx / m, 0)),
+            _ => Box::new(move |idx| {
+                let (k, r) = (idx / mn, idx % mn);
+                f(r % m, r / m, k)
+            }),
+        };
+        let block = backend.reduce_block();
+        let tree = TreeShape::new(block);
+        let blocks = total.div_ceil(block);
+        let shared = block * std::mem::size_of::<T>();
+        let cfg = LaunchConfig::linear(total, block as u32).with_shared_mem(shared);
+        let partials = [(); 2].map(|()| dev.alloc::<T>(blocks).unwrap());
+        dev.launch_phased(
+            cfg,
+            KernelCost::default(),
+            &BlockReduceMap {
+                n: total,
+                tree,
+                map: RowWise::new(extent.dims(), f),
+                op,
+                partials: dev.slice_mut(&partials[0]).unwrap(),
+            },
+        )
+        .unwrap();
+        dev.execute_grid_reference(
+            cfg,
+            &BlockReduceMap {
+                n: total,
+                tree,
+                map: Linear(old),
+                op,
+                partials: dev.slice_mut(&partials[1]).unwrap(),
+            },
+        );
+        assert_eq!(
+            bits_of(dev, &partials[0]),
+            bits_of(dev, &partials[1]),
+            "{what}: partials"
+        );
+        let out = dev.alloc::<T>(1).unwrap();
+        dev.execute_grid_reference(
+            LaunchConfig::new(1u32, block as u32).with_shared_mem(shared),
+            &FinalReduce {
+                len: blocks,
+                tree,
+                op,
+                partials: dev.slice(&partials[1]).unwrap(),
+                out: dev.slice_mut(&out).unwrap(),
+            },
+        );
+        assert_eq!(got.bits(), bits_of(dev, &out)[0], "{what}: result");
+    }
+
+    #[test]
+    fn row_wise_map_equals_the_division_per_element_it_replaced() {
+        // Depends on each of `i`, `j`, `k` by itself, not on their linear
+        // combination alone: a row-wise walk that lost its place differs.
+        fn at(i: usize, j: usize, k: usize) -> f64 {
+            value(i) + 0.5 * value(7 * j + 1) - 0.25 * value(13 * k + 2)
+        }
+        // Reduce blocks of 64 and of 512.
+        for spec in [profiles::test_device(), profiles::nvidia_a100()] {
+            let backend = SimBackend::new(Arc::new(plain(spec)), &Vendor::default());
+            let extents = [
+                // Rows of one element, a few, one short of the larger
+                // block, the block, one over, four blocks.
+                Extent::d2(1, 1300),
+                Extent::d2(3, 700),
+                Extent::d2(511, 3),
+                Extent::d2(512, 3),
+                Extent::d2(513, 3),
+                Extent::d2(2048, 2),
+                // Planes of 35 and of 900 elements: a block's run crosses
+                // many `k` boundaries, or one in mid-row.
+                Extent::d3(5, 7, 40),
+                Extent::d3(300, 3, 3),
+                Extent::d3(1, 1, 70),
+                Extent::d2(0, 5),
+                Extent::d3(4, 0, 3),
+            ];
+            for extent in extents {
+                check_row_wise::<f64, _>(&backend, extent, at, Sum);
+                check_row_wise::<f64, _>(&backend, extent, at, Min);
+                check_row_wise::<f64, _>(&backend, extent, at, Max);
+                check_row_wise::<i64, _>(&backend, extent, |i, j, k| at(i, j, k) as i64, Sum);
+                check_row_wise::<i64, _>(&backend, extent, |i, j, k| at(i, j, k) as i64, Min);
+                check_row_wise::<i64, _>(&backend, extent, |i, j, k| at(i, j, k) as i64, Max);
+            }
+        }
+    }
+
     /// How often a body was called, in all and per point of an extent.
     struct Hits {
         extent: [usize; 3],
@@ -537,6 +756,18 @@ mod tests {
             self.per_point[(k * n + j) * m + i].fetch_add(1, Ordering::Relaxed);
         }
 
+        /// The per-thread covering closure: records the thread's global
+        /// index if it is inside the extent.
+        fn per_thread(&self) -> SinglePhase<impl Fn(&ThreadCtx) + Sync + '_> {
+            let [m, n, l] = self.extent;
+            SinglePhase(move |t: &ThreadCtx| {
+                let (i, j, k) = (t.global_id_x(), t.global_id_y(), t.global_id_z());
+                if i < m && j < n && k < l {
+                    self.record(i, j, k);
+                }
+            })
+        }
+
         /// Panics unless every point was visited exactly once and nothing
         /// else was.
         fn assert_each_once(self, what: &str) {
@@ -551,9 +782,10 @@ mod tests {
         }
     }
 
-    /// The covering kernel three ways over `extent` with `cfg`.
+    /// The covering kernel three ways over `extent` with `cfg` — the plain
+    /// executor's is the band walk — and the per-thread closure a fourth
+    /// way, banded through the provided `run_band`.
     fn check_cover(dev: &Device, extent: [usize; 3], cfg: LaunchConfig) {
-        let [m, n, l] = extent;
         let what = format!("{} {extent:?}", dev.spec().name);
 
         let hits = Hits::new(extent);
@@ -575,48 +807,70 @@ mod tests {
 
         // The closure `parallel_for_3d` launched before the covering kernel.
         let hits = Hits::new(extent);
-        let per_thread = SinglePhase(|t: &ThreadCtx| {
-            let (i, j, k) = (t.global_id_x(), t.global_id_y(), t.global_id_z());
-            if i < m && j < n && k < l {
-                hits.record(i, j, k);
-            }
-        });
-        dev.execute_grid_reference(cfg, &per_thread);
+        dev.execute_grid_reference(cfg, &hits.per_thread());
         hits.assert_each_once(&format!("{what}: per-thread closure"));
+
+        // And as a native kernel on the plain executor: banded through the
+        // provided `run_band`.
+        let hits = Hits::new(extent);
+        dev.launch_phased(cfg, KernelCost::default(), &hits.per_thread())
+            .unwrap();
+        hits.assert_each_once(&format!("{what}: per-thread closure, banded"));
     }
 
     #[test]
     fn cover_kernel_equals_the_per_thread_form() {
-        for (spec, ((tx, ty), (bx, by, bz))) in devices() {
-            let dev = plain(spec);
-            let block = dev.spec().max_block_dim_x as usize;
-            for n in [1, block - 1, block, block + 1, 3 * block + 17] {
-                let cfg = LaunchConfig::linear(n, n.min(block) as u32);
-                check_cover(&dev, [n, 1, 1], cfg);
-            }
-            // Smaller than a tile, a tile, ragged on one axis, on both.
-            let (sx, sy) = (tx as usize, ty as usize);
-            for (m, n) in [
-                (sx - 3, sy - 5),
-                (sx, sy),
-                (2 * sx + 1, sy),
-                (sx, 2 * sy + 3),
-                (2 * sx + 5, 2 * sy + 9),
-                (1, 3 * sy),
-            ] {
-                check_cover(&dev, [m, n, 1], LaunchConfig::tiled_2d(m, n, tx, ty));
-            }
-            let (sx, sy, sz) = (bx as usize, by as usize, bz as usize);
-            for (m, n, l) in [
-                (sx - 1, sy - 2, 1),
-                (sx, sy, sz),
-                (2 * sx + 1, sy, sz),
-                (sx, sy + 3, sz),
-                (sx, sy, 2 * sz + 1),
-                (sx + 1, sy + 2, sz + 3),
-            ] {
-                let cfg = LaunchConfig::tiled_3d(m, n, l, bx, by, bz);
-                check_cover(&dev, [m, n, l], cfg);
+        // One participant runs a row of blocks as one band; two and four cut
+        // it into segments of `block_chunk`'s blocks per grab.
+        for threads in [1, 2, 4] {
+            for (spec, ((tx, ty), (bx, by, bz))) in devices() {
+                let dev = plain_on(spec, threads);
+                let block = dev.spec().max_block_dim_x as usize;
+                // The last: eleven blocks, so segments of 4, 4, 3 (or 5, 5,
+                // 1; or 2 five times and 1) — a short last one.
+                for n in [
+                    1,
+                    block - 1,
+                    block,
+                    block + 1,
+                    3 * block + 17,
+                    11 * block - 17,
+                ] {
+                    let cfg = LaunchConfig::linear(n, n.min(block) as u32);
+                    check_cover(&dev, [n, 1, 1], cfg);
+                }
+                // Smaller than a tile, a tile, ragged on one axis, on both,
+                // one point wide; one row of three tiles (one band on one
+                // participant); seventy tiles wide less three points, which
+                // every pool but the first cuts into several segments and a
+                // short last one.
+                let (sx, sy) = (tx as usize, ty as usize);
+                for (m, n) in [
+                    (sx - 3, sy - 5),
+                    (sx, sy),
+                    (2 * sx + 1, sy),
+                    (sx, 2 * sy + 3),
+                    (2 * sx + 5, 2 * sy + 9),
+                    (1, 3 * sy),
+                    (3 * sx, sy),
+                    (70 * sx - 3, 2 * sy + 1),
+                ] {
+                    check_cover(&dev, [m, n, 1], LaunchConfig::tiled_2d(m, n, tx, ty));
+                }
+                let (sx, sy, sz) = (bx as usize, by as usize, bz as usize);
+                for (m, n, l) in [
+                    (sx - 1, sy - 2, 1),
+                    (sx, sy, sz),
+                    (2 * sx + 1, sy, sz),
+                    (sx, sy + 3, sz),
+                    (sx, sy, 2 * sz + 1),
+                    (sx + 1, sy + 2, sz + 3),
+                    (1, sy, 2 * sz),
+                    (19 * sx - 3, sy + 1, sz + 1),
+                ] {
+                    let cfg = LaunchConfig::tiled_3d(m, n, l, bx, by, bz);
+                    check_cover(&dev, [m, n, l], cfg);
+                }
             }
         }
     }
@@ -714,7 +968,7 @@ mod tests {
                 kernel: BlockReduceMap {
                     n: N,
                     tree,
-                    f: value,
+                    map: Linear(value),
                     op: Sum,
                     partials: dev.slice_mut(&partials).unwrap(),
                 },

@@ -45,7 +45,7 @@ use racc_gpusim::{
 #[cfg(feature = "trace")]
 use racc_core::trace::{ConstructKind, Span};
 
-use kernels::{BlockReduceMap, Cover, FinalReduce};
+use kernels::{BlockReduceMap, Cover, FinalReduce, Linear, MapRun, RowWise};
 pub use vendors::{cuda_backend, hip_backend, oneapi_backend, CUDA, HIP, ONEAPI};
 
 /// What distinguishes one vendor back end from another: its stock device,
@@ -236,12 +236,12 @@ impl SimBackend {
     }
 
     /// The two-kernel reduction over the column-major linearisation of
-    /// `extent`: `f` maps a linear index. The extent itself is what the
-    /// span reports.
-    fn reduce_linear<T, F, O>(&self, extent: Extent, profile: &KernelProfile, f: F, op: O) -> T
+    /// `extent`: `map` fills each block's run of linear indices. The extent
+    /// itself is what the span reports.
+    fn reduce_linear<T, M, O>(&self, extent: Extent, profile: &KernelProfile, map: M, op: O) -> T
     where
         T: AccScalar,
-        F: Fn(usize) -> T + Sync,
+        M: MapRun<T>,
         O: ReduceOp<T>,
     {
         let total = extent.len();
@@ -278,11 +278,13 @@ impl SimBackend {
         let k1 = BlockReduceMap {
             n: total,
             tree,
-            f,
+            map,
             op,
             partials: self.device.slice_mut(&partials).expect("own buffer"),
         };
-        let cfg1 = LaunchConfig::new(blocks as u32, block as u32).with_shared_mem(block * elem);
+        // `linear` saturates where a cast would wrap: a `total` needing more
+        // blocks than a grid axis holds fails validation, not coverage.
+        let cfg1 = LaunchConfig::linear(total, block as u32).with_shared_mem(block * elem);
         let ns1 = Self::unwrap_launch(self.with_retry("launch", || {
             self.device
                 .launch_phased(cfg1, Self::cost_from_profile(profile), &k1)
@@ -512,6 +514,13 @@ impl Backend for SimBackend {
         );
     }
 
+    /// The two-kernel tree reduction over the column-major linearisation
+    /// of `extent`. The tree is the same for every rank; what differs is how
+    /// a block's run of linear indices is mapped: as is for rank 1, row by
+    /// row for ranks 2 and 3 — `(i, j, k)` of the run's first index found
+    /// once per block, then counters — so `f` is called with the indices a
+    /// `%` and a `/` per element used to recover, in the same order, and
+    /// every partial and result bit is what it was.
     #[inline(always)]
     fn parallel_reduce<T, F, O>(&self, extent: Extent, profile: &KernelProfile, f: F, op: O) -> T
     where
@@ -521,21 +530,12 @@ impl Backend for SimBackend {
     {
         // Fine-grain mapping: one simulated thread per element, linearized
         // column-major so the fast thread index follows the fast array
-        // axis. Rank 1 is already linear and pays no index arithmetic.
-        let [m, n, _] = extent.dims();
-        let (m, mn) = (m.max(1), (m * n).max(1));
+        // axis. Rank 1 is already linear and pays no index arithmetic;
+        // ranks 2 and 3 find `(i, j, k)` once per block of the tree and
+        // count from there, row by row.
         match extent.rank() {
-            1 => self.reduce_linear(extent, profile, move |idx| f(idx, 0, 0), op),
-            2 => self.reduce_linear(extent, profile, move |idx| f(idx % m, idx / m, 0), op),
-            _ => self.reduce_linear(
-                extent,
-                profile,
-                move |idx| {
-                    let (k, r) = (idx / mn, idx % mn);
-                    f(r % m, r / m, k)
-                },
-                op,
-            ),
+            1 => self.reduce_linear(extent, profile, Linear(move |idx| f(idx, 0, 0)), op),
+            _ => self.reduce_linear(extent, profile, RowWise::new(extent.dims(), f), op),
         }
     }
 }

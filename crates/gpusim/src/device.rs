@@ -15,7 +15,7 @@ use crate::event::Event;
 use crate::heap::{Allocation, DeviceBuffer, DeviceSlice, DeviceSliceMut, Element};
 use crate::launch::{BlockCtx, LaunchConfig, ThreadCtx};
 use crate::perf::{self, KernelCost, OpKind, OpRecord};
-use crate::phased::{PhasedKernel, SharedMem, SinglePhase};
+use crate::phased::{run_phases, PhasedKernel, SharedMem, SinglePhase};
 use crate::racecheck::{self, RaceTracker};
 use crate::sanitizer::{self, Sanitizer, SanitizerReport};
 use crate::spec::DeviceSpec;
@@ -662,14 +662,22 @@ impl Device {
     /// [`PhasedKernel::phase`].
     ///
     /// Non-cooperative kernels (single phase, zero-sized state, no shared
-    /// memory) keep a branch of their own that runs the same [`run_phases`]
-    /// without the arena. Routed through the arena instead — even taken
-    /// once per chunk of blocks rather than per block — an empty-bodied
-    /// 1024 × 32 launch measured 35–55 ns → 1.5–1.8 µs: the arena's stores
-    /// keep alive a block loop that otherwise compiles to nothing, which is
-    /// what the `empty` rows of `BENCH_launch_overhead.json` gate. (A
-    /// one-word body, `gpusim.empty_launch_ns`, measured the same either
-    /// way.) So the branch stays.
+    /// memory) keep a branch of their own, without the arena, whose unit of
+    /// work is a *band*: a run of x-adjacent blocks at one `(y, z)` of the
+    /// grid, handed to [`PhasedKernel::run_band`] — whose provided body is
+    /// the same [`run_phases`] per block, and which the covering kernel of
+    /// `parallel_for` overrides to walk the band row by row. The pool loop
+    /// runs over rows of blocks × segments per row, a segment being
+    /// [`block_chunk`]'s blocks per grab (the whole row on a one-participant
+    /// pool). Routed through the arena instead — even taken once per chunk
+    /// of blocks rather than per block — an empty-bodied 1024 × 32 launch
+    /// measured 35–55 ns → 1.5–1.8 µs: the arena's stores keep alive a
+    /// block loop that otherwise compiles to nothing, which is what the
+    /// `empty` rows of `BENCH_launch_overhead.json` gate. (A one-word body,
+    /// `gpusim.empty_launch_ns`, measured the same either way.) So the
+    /// branch stays, and everything in it that divides does so by a value
+    /// the optimizer can see is not zero: a panic edge would keep the same
+    /// loop alive.
     fn execute_grid<K: PhasedKernel>(&self, cfg: LaunchConfig, kernel: &K) {
         let racecheck = self.racecheck_enabled();
         let sanitize = self.sanitizer_enabled();
@@ -681,25 +689,33 @@ impl Device {
         let blocks = cfg.grid.count();
         let block_threads = cfg.block.count();
         let phases = kernel.num_phases();
-        let schedule = Schedule::Dynamic {
-            chunk: block_chunk(blocks, block_threads, self.pool.num_threads()),
-        };
+        let chunk = block_chunk(blocks, block_threads, self.pool.num_threads());
 
         if phases == 1
             && std::mem::size_of::<K::State>() == 0
             && cfg.shared_mem_bytes == 0
             && !tracked
         {
-            let empty = SharedMem::new(0);
-            self.pool.parallel_for(blocks, schedule, |b| {
-                // Zero-sized slots need no storage (a `Vec` of them never
-                // allocates); they are still built and dropped per block.
-                let mut states: Vec<K::State> = Vec::new();
-                states.resize_with(block_threads, K::State::default);
-                run_phases(kernel, &block_ctx(&cfg, b), phases, &mut states, &empty);
+            let (gx, gy) = (cfg.grid.x as usize, (cfg.grid.y as usize).max(1));
+            let segment = chunk.min(gx).max(1);
+            let per_row = gx.div_ceil(segment).max(1);
+            let bands = per_row * gy * cfg.grid.z as usize;
+            // The grab stays `chunk` blocks where a row is shorter than that.
+            let schedule = Schedule::Dynamic {
+                chunk: (chunk / segment).max(1),
+            };
+            self.pool.parallel_for(bands, schedule, |band| {
+                let (row, bx) = (band / per_row, band % per_row * segment);
+                let first = BlockCtx {
+                    block_idx: (bx as u32, (row % gy) as u32, (row / gy) as u32),
+                    block_dim: cfg.block,
+                    grid_dim: cfg.grid,
+                };
+                kernel.run_band(&first, segment.min(gx - bx));
             });
             return;
         }
+        let schedule = Schedule::Dynamic { chunk };
 
         let san = sanitize.then_some(&*self.sanitizer);
         self.pool.parallel_for(blocks, schedule, |b| {
@@ -879,28 +895,6 @@ fn block_ctx(cfg: &LaunchConfig, b: usize) -> BlockCtx {
     }
 }
 
-/// The phases of one block of a plain launch: each is one
-/// [`PhasedKernel::run_phase`] call over the prefix the kernel declares
-/// active, so no tracking code — and, for a kernel that overrides
-/// `run_phase`, no per-thread code at all — is on this path. `states` holds
-/// one slot per thread of the block.
-#[inline]
-fn run_phases<K: PhasedKernel>(
-    kernel: &K,
-    block: &BlockCtx,
-    phases: usize,
-    states: &mut [K::State],
-    shared: &SharedMem,
-) {
-    let block_threads = states.len();
-    for phase in 0..phases {
-        let active = kernel
-            .active_threads(phase, block_threads)
-            .min(block_threads);
-        kernel.run_phase(phase, block, 0..active, &mut states[..active], shared);
-    }
-}
-
 /// Execute one block of a tracked launch (racecheck or the sanitizer on):
 /// every thread of every phase is visited through [`PhasedKernel::phase`],
 /// whatever the kernel declares or overrides, so race, divergence and canary
@@ -952,7 +946,11 @@ fn run_block_tracked<K: PhasedKernel>(
     }
 }
 
-/// Blocks per dynamic-schedule grab for the block loop.
+/// Blocks per dynamic-schedule grab for the block loop — and, for the
+/// one-phase launches run by bands, the length of a band: a row of the grid
+/// is cut into segments of this many x-adjacent blocks (the whole row where
+/// it is shorter, or on a one-participant pool). A band is what a grab was,
+/// so the tuning below carries over and there is no second number to tune.
 ///
 /// Tuned against `ablate_sched` on a 4-participant pool (see EXPERIMENTS.md):
 /// single-block grabs were ~4x slower than 16+-block grabs for cheap
@@ -1135,6 +1133,52 @@ mod tests {
         let host = dev.read_vec(&buf).unwrap();
         for (idx, v) in host.iter().enumerate() {
             assert_eq!(*v, idx as u32);
+        }
+    }
+
+    #[test]
+    fn bands_cut_each_row_of_blocks_into_segments_of_the_grab() {
+        /// First block and length of a band.
+        type Band = ((u32, u32, u32), usize);
+        /// Records the bands it is handed; a band's blocks do nothing.
+        struct Bands(std::sync::Mutex<Vec<Band>>);
+        impl PhasedKernel for Bands {
+            type State = ();
+            fn num_phases(&self) -> usize {
+                1
+            }
+            fn phase(&self, _: usize, _: &ThreadCtx, _: &mut (), _: &SharedMem) {
+                panic!("a plain one-phase launch is run by bands");
+            }
+            fn run_band(&self, first: &BlockCtx, blocks: usize) {
+                self.0.lock().unwrap().push((first.block_idx, blocks));
+            }
+        }
+        // 70 × 2 × 3 blocks of 8 × 8 threads.
+        let cfg = LaunchConfig::new((70u32, 2u32, 3u32), (8u32, 8u32));
+        for threads in [1, 2, 4] {
+            let dev =
+                Device::with_pool(profiles::test_device(), Arc::new(ThreadPool::new(threads)));
+            dev.set_sanitizer(false);
+            dev.set_racecheck(false);
+            let kernel = Bands(Default::default());
+            dev.launch_phased(cfg, KernelCost::default(), &kernel)
+                .unwrap();
+            let mut got = kernel.0.into_inner().unwrap();
+            got.sort_by_key(|&((x, y, z), _)| (z, y, x));
+            // One participant: the row. More: the grab — 32 blocks of 64
+            // threads — twice, and the six blocks left.
+            let segment = block_chunk(cfg.grid.count(), cfg.block.count(), threads).min(70);
+            assert_eq!(segment, if threads == 1 { 70 } else { 32 });
+            let mut want = Vec::new();
+            for z in 0..3 {
+                for y in 0..2 {
+                    for x in (0..70).step_by(segment) {
+                        want.push(((x as u32, y, z), segment.min(70 - x)));
+                    }
+                }
+            }
+            assert_eq!(got, want, "{threads} participants");
         }
     }
 

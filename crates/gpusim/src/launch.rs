@@ -18,6 +18,15 @@ pub struct LaunchConfig {
     pub shared_mem_bytes: usize,
 }
 
+/// Blocks of `tile` threads that cover `extent` indices along one axis (at
+/// least one: an empty axis still launches its guard block), **saturating**
+/// at `u32::MAX` — the mark [`LaunchConfig::validate`] rejects. An `as u32`
+/// here wrapped: `linear(1 << 40, 64)` became a small valid grid covering a
+/// fraction of the index space.
+fn blocks_to_cover(extent: usize, tile: u32) -> u32 {
+    u32::try_from(extent.div_ceil(tile as usize).max(1)).unwrap_or(u32::MAX)
+}
+
 impl LaunchConfig {
     /// A 1D launch with explicit grid and block extents.
     pub fn new(grid: impl Into<Dim3>, block: impl Into<Dim3>) -> Self {
@@ -32,28 +41,28 @@ impl LaunchConfig {
     /// `block` threads — how the paper's `parallel_for` picks its shape.
     pub fn linear(n: usize, block: u32) -> Self {
         let block = block.max(1);
-        let blocks = n.div_ceil(block as usize).max(1);
-        LaunchConfig::new(Dim3::x(blocks as u32), Dim3::x(block))
+        LaunchConfig::new(Dim3::x(blocks_to_cover(n, block)), Dim3::x(block))
     }
 
     /// The canonical 2D covering launch with `bx × by` thread tiles, as the
     /// paper's multidimensional `parallel_for` does with 16×16 tiles.
     pub fn tiled_2d(m: usize, n: usize, bx: u32, by: u32) -> Self {
-        let bx = bx.max(1);
-        let by = by.max(1);
-        let gx = m.div_ceil(bx as usize).max(1);
-        let gy = n.div_ceil(by as usize).max(1);
-        LaunchConfig::new(Dim3::xy(gx as u32, gy as u32), Dim3::xy(bx, by))
+        let (bx, by) = (bx.max(1), by.max(1));
+        LaunchConfig::new(
+            Dim3::xy(blocks_to_cover(m, bx), blocks_to_cover(n, by)),
+            Dim3::xy(bx, by),
+        )
     }
 
     /// The canonical 3D covering launch.
     pub fn tiled_3d(m: usize, n: usize, l: usize, bx: u32, by: u32, bz: u32) -> Self {
         let (bx, by, bz) = (bx.max(1), by.max(1), bz.max(1));
-        let gx = m.div_ceil(bx as usize).max(1);
-        let gy = n.div_ceil(by as usize).max(1);
-        let gz = l.div_ceil(bz as usize).max(1);
         LaunchConfig::new(
-            Dim3::xyz(gx as u32, gy as u32, gz as u32),
+            Dim3::xyz(
+                blocks_to_cover(m, bx),
+                blocks_to_cover(n, by),
+                blocks_to_cover(l, bz),
+            ),
             Dim3::xyz(bx, by, bz),
         )
     }
@@ -81,6 +90,14 @@ impl LaunchConfig {
         }
         if self.block.is_degenerate() {
             return Err(fail("block has a zero dimension".into()));
+        }
+        // `u32::MAX` blocks along an axis is where the covering
+        // constructors saturate, never a grid they computed exactly.
+        if [self.grid.x, self.grid.y, self.grid.z].contains(&u32::MAX) {
+            return Err(fail(
+                "grid does not cover the index space: an axis needs more than u32::MAX - 1 blocks"
+                    .into(),
+            ));
         }
         if self.block.count() > spec.max_threads_per_block as usize {
             return Err(fail(format!(
@@ -161,6 +178,21 @@ impl BlockCtx {
         (self.block_idx.2 as usize * self.grid_dim.y as usize + self.block_idx.1 as usize)
             * self.grid_dim.x as usize
             + self.block_idx.0 as usize
+    }
+
+    /// The block `b` places to the right of this one in its row of the
+    /// grid (same `y` and `z`): the `b`-th block of a band that starts here
+    /// ([`PhasedKernel::run_band`](crate::PhasedKernel::run_band)).
+    #[inline]
+    pub fn along_x(&self, b: usize) -> BlockCtx {
+        BlockCtx {
+            block_idx: (
+                self.block_idx.0 + b as u32,
+                self.block_idx.1,
+                self.block_idx.2,
+            ),
+            ..*self
+        }
     }
 
     /// Walk the threads `threads` of the block (a range of
@@ -358,6 +390,40 @@ mod tests {
     }
 
     #[test]
+    fn an_extent_beyond_the_grid_saturates_and_is_rejected_not_wrapped() {
+        let spec = profiles::test_device();
+        let max = u32::MAX as usize;
+        // `(1 << 40) / 64` is `1 << 34` blocks: an `as u32` made it 0 -> 1.
+        let cfg = LaunchConfig::linear(1 << 40, 64);
+        assert_eq!(cfg.grid, Dim3::x(u32::MAX));
+        let err = cfg.validate(&spec).unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidLaunch { reason, .. }
+                if reason.starts_with("grid does not cover")),
+            "{err}"
+        );
+        // Each axis of each constructor, and the axis only.
+        let wide = LaunchConfig::tiled_2d(max * 8 + 1, 60, 8, 8);
+        assert_eq!(wide.grid, Dim3::xy(u32::MAX, 8));
+        assert!(wide.validate(&spec).is_err());
+        let tall = LaunchConfig::tiled_2d(60, max * 8 + 1, 8, 8);
+        assert_eq!(tall.grid, Dim3::xy(8, u32::MAX));
+        assert!(tall.validate(&spec).is_err());
+        let deep = LaunchConfig::tiled_3d(4, 4, usize::MAX, 4, 4, 4);
+        assert_eq!(deep.grid, Dim3::xyz(1, 1, u32::MAX));
+        assert!(deep.validate(&spec).is_err());
+        // The largest grid that is exact still passes: one block fewer
+        // than the mark.
+        let exact = LaunchConfig::linear((max - 1) * 64, 64);
+        assert_eq!(exact.grid, Dim3::x(u32::MAX - 1));
+        assert!(exact.validate(&spec).is_ok());
+        // ... and one more element is one more block: the mark.
+        assert!(LaunchConfig::linear((max - 1) * 64 + 1, 64)
+            .validate(&spec)
+            .is_err());
+    }
+
+    #[test]
     fn block_ctx_walks_any_thread_range_in_linear_order() {
         for block_dim in [
             Dim3::x(7),
@@ -399,6 +465,10 @@ mod tests {
         let block = ctx.block();
         assert_eq!(block.origin(), (4, 4, 6));
         assert_eq!(block.block_linear(), (3 * 4 + 2) * 3 + 1);
+        let right = block.along_x(1);
+        assert_eq!(right.block_idx, (2, 2, 3));
+        assert_eq!(right.origin(), (8, 4, 6));
+        assert_eq!(right.block_linear(), block.block_linear() + 1);
         let again = block.thread(ctx.thread_idx);
         assert_eq!(again.global_linear(), ctx.global_linear());
         assert_eq!(

@@ -87,6 +87,29 @@ use crate::launch::{BlockCtx, ThreadCtx};
 /// * **One body.** Where natural, an overriding kernel writes its
 ///   `phase()` as its own `run_phase` on the unit range `t..t + 1` of
 ///   [`ThreadCtx::block`], so the two forms cannot drift apart.
+///
+/// # Bands
+///
+/// A launch of one phase, zero-sized [`State`](PhasedKernel::State) and no
+/// shared memory — every `parallel_for`-style launch — has nothing that
+/// ties a thread to its block, yet walked block by block a 16 × 16 tile
+/// over a 512-wide plane is 16 row fragments of 16 elements, 512 elements
+/// apart, which no prefetcher follows. The plain executor therefore hands
+/// such a launch to the kernel a *band* at a time: a run of x-adjacent
+/// blocks at one `(y, z)` of the grid, through
+/// [`run_band`](PhasedKernel::run_band), whose provided body is the blocks
+/// in order, each through `run_phase`. A kernel may override it and walk the
+/// band row by row — each row of the tile once, across all the band's
+/// blocks — under `run_phase`'s three rules:
+///
+/// * **Observationally equal** to running the band's blocks one after the
+///   other, left to right, except for the order in which the threads of
+///   *different* blocks run — which a launch never promises: every thread
+///   of every block of the band does exactly what it would have done, once.
+/// * **Tracked launches and the reference stay per-thread**: neither ever
+///   forms a band.
+/// * **One body**: where natural the band walk and `run_phase` are one
+///   function, a band of one block being the block.
 pub trait PhasedKernel: Sync {
     /// Per-thread private state surviving across phases (the thread's
     /// registers).
@@ -132,6 +155,49 @@ pub trait PhasedKernel: Sync {
                 self.phase(phase, ctx, state, shared);
             }
         });
+    }
+
+    /// Execute a whole launch of one phase, zero-sized `State` and no
+    /// shared memory — the only launches the executor forms bands for — for
+    /// the `blocks >= 1` x-adjacent blocks that start at `first`: `first`
+    /// itself and the `blocks - 1` to its right in the grid's row. The provided
+    /// body runs them in that order, each as the plain executor runs a
+    /// block (fresh state slots, the declared prefix through
+    /// [`run_phase`](PhasedKernel::run_phase)). See the trait docs for what
+    /// an override must preserve.
+    #[inline]
+    fn run_band(&self, first: &BlockCtx, blocks: usize) {
+        let block_threads = first.block_dim.count();
+        let shared = SharedMem::new(0);
+        for b in 0..blocks {
+            // Zero-sized slots need no storage (a `Vec` of them never
+            // allocates); they are still built and dropped per block.
+            let mut states: Vec<Self::State> = Vec::new();
+            states.resize_with(block_threads, Self::State::default);
+            run_phases(self, &first.along_x(b), 1, &mut states, &shared);
+        }
+    }
+}
+
+/// The phases of one block of a plain launch: each is one
+/// [`PhasedKernel::run_phase`] call over the prefix the kernel declares
+/// active, so no tracking code — and, for a kernel that overrides
+/// `run_phase`, no per-thread code at all — is on this path. `states` holds
+/// one slot per thread of the block.
+#[inline]
+pub(crate) fn run_phases<K: PhasedKernel + ?Sized>(
+    kernel: &K,
+    block: &BlockCtx,
+    phases: usize,
+    states: &mut [K::State],
+    shared: &SharedMem,
+) {
+    let block_threads = states.len();
+    for phase in 0..phases {
+        let active = kernel
+            .active_threads(phase, block_threads)
+            .min(block_threads);
+        kernel.run_phase(phase, block, 0..active, &mut states[..active], shared);
     }
 }
 

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # AddressSanitizer over the two allocators that hand out a payload pointer
-# away from the base of its block (`RawStorage`, the simulator heap) and the
-# unsafe code beside the second: a `dealloc` of the payload where the block
-# was meant, or a write past a skewed payload, is what ASan reports and
-# `cargo test` does not. Needs the nightly toolchain's ASan runtime; builds
-# offline into `target/x86_64-unknown-linux-gnu/`.
+# away from the base of its block (`RawStorage`, the simulator heap), the
+# unsafe code beside the second, and a block's shared memory as the kernels
+# see it (`SharedMem::cells`: a raw slice over the chunk store, which the
+# reduction kernels fill through sub-slices): a `dealloc` of the payload
+# where the block was meant, or a write past a skewed payload or past the
+# cells, is what ASan reports and `cargo test` does not. Needs the nightly
+# toolchain's ASan runtime; builds offline into
+# `target/x86_64-unknown-linux-gnu/`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export RUSTFLAGS="-Zsanitizer=address"
@@ -18,5 +21,6 @@ asan() {
   cargo +nightly test --offline --target x86_64-unknown-linux-gnu "$@"
 }
 asan -p racc-core --lib buffer
-asan -p racc-gpusim --lib -- heap arena sanitizer
+asan -p racc-gpusim --lib -- heap arena sanitizer phased
+asan -p racc-backend-common --lib kernels
 echo "asan clean"
