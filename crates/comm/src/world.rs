@@ -64,10 +64,15 @@ pub const DEFAULT_COLLECTIVE_TIMEOUT: std::time::Duration = std::time::Duration:
 pub struct Rank {
     rank: usize,
     size: usize,
+    /// `receivers[p]` receives messages *from* rank p. Declared before
+    /// `senders` so that it is dropped first: when a rank's body returns, a
+    /// peer that sees the death (a receive from it disconnects, because
+    /// its senders are gone) must also find it unable to receive — else a
+    /// send issued after that observation can still succeed into the dead
+    /// rank's open receiver.
+    receivers: Vec<Receiver<Payload>>,
     /// `senders[p]` sends to rank p; entry for self unused.
     senders: Vec<Sender<Payload>>,
-    /// `receivers[p]` receives messages *from* rank p.
-    receivers: Vec<Receiver<Payload>>,
     /// Per-receive deadline (in milliseconds) applied to every internal
     /// receive inside the collectives, so a rank dying mid-collective
     /// surfaces as an error at the survivors instead of hanging them.

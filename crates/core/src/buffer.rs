@@ -5,7 +5,7 @@
 //! which is what makes the shared-write view model (`ViewMut*`) sound under
 //! the disjoint-writes kernel contract.
 
-use std::alloc::{alloc, alloc_zeroed, dealloc, Layout};
+use std::alloc::{alloc, dealloc, Layout};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -28,8 +28,45 @@ const WAY_BYTES: usize = 4096;
 /// 2.5× the page faults in the first pass over 240 jobs).
 const PLACED_MIN_BYTES: usize = 256 * 1024;
 
+/// A transparent huge page (x86-64 and aarch64 with 4 KiB base pages).
+const HUGE_BYTES: usize = 2 << 20;
+
 /// Large blocks handed out so far in this process.
 static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
+
+/// The whole huge pages inside the block `[raw, raw + size)`, as
+/// `(start, len)`: the range `madvise` may back with 2 MiB pages. `None`
+/// when no aligned 2 MiB page fits — every block under 2 MiB, and most
+/// blocks under 4 MiB.
+fn huge_span(raw: usize, size: usize) -> Option<(usize, usize)> {
+    let start = raw.checked_next_multiple_of(HUGE_BYTES)?;
+    let end = raw.checked_add(size)? / HUGE_BYTES * HUGE_BYTES;
+    (end > start).then(|| (start, end - start))
+}
+
+/// Ask the kernel to back the block's whole 2 MiB pages with huge pages,
+/// before anything touches them: the first touch then faults 2 MiB at a
+/// time instead of 4 KiB. Under THP mode `madvise` a block gets huge pages
+/// only when asked; under `always` it gets them anyway, under `never` not
+/// at all. Advice only — the block holds the same bytes either way.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(raw: *mut u8, size: usize) {
+    extern "C" {
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+    /// `asm-generic/mman-common.h`.
+    const MADV_HUGEPAGE: i32 = 14;
+    if let Some((start, len)) = huge_span(raw.addr(), size) {
+        // SAFETY: the range is page-aligned and lies inside the block the
+        // allocator just handed out; the advice changes how it is backed,
+        // not what it holds. The result is ignored: refused advice is the
+        // 4 KiB pages the block would have had anyway.
+        unsafe { madvise(raw.add(start - raw.addr()), len, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_raw: *mut u8, _size: usize) {}
 
 /// Bytes to skip from `raw` so that the `k`-th large block starts on line
 /// `k mod 64` of its page: consecutive blocks visit every L1 set once
@@ -79,17 +116,21 @@ impl<T: AccScalar> RawStorage<T> {
             .and_then(|total| Layout::from_size_align(total.max(1), LINE_BYTES).ok())
             .ok_or_else(too_large)?;
         // SAFETY: non-zero-size layout.
-        let raw = unsafe {
-            if zero {
-                alloc_zeroed(layout)
-            } else {
-                alloc(layout)
-            }
-        };
+        let raw = unsafe { alloc(layout) };
         if raw.is_null() {
             return Err(RaccError::Allocation(format!(
                 "the host allocator has no {bytes} bytes"
             )));
+        }
+        advise_huge_pages(raw, layout.size());
+        if zero {
+            // What `alloc_zeroed` does at this alignment (`aligned_alloc`,
+            // then a memset), moved after the advice so that the memset is
+            // the first touch. Not `calloc`: off the `aligned_alloc` path
+            // glibc trims and re-faults the rank threads' arenas every rep
+            // (DESIGN.md §3 "Memory placement").
+            // SAFETY: `raw` holds `layout.size()` writable bytes.
+            unsafe { raw.write_bytes(0, layout.size()) };
         }
         let skew = if placed {
             // Relaxed: the count publishes nothing, and two threads that
@@ -223,9 +264,16 @@ mod tests {
     /// the line of the first.
     static PLACEMENT: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+    /// Take `PLACEMENT`, past a test that failed holding it.
+    fn placement() -> std::sync::MutexGuard<'static, ()> {
+        PLACEMENT
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn large_blocks_sit_at_different_page_offsets() {
-        let _serial = PLACEMENT.lock().unwrap();
+        let _serial = placement();
         // A 512² D2Q9 lattice, then 32 MiB: both far above the mmap
         // threshold, where the allocator alone puts every block at one
         // page offset.
@@ -251,18 +299,102 @@ mod tests {
 
     #[test]
     fn placed_blocks_zero_and_round_trip_the_whole_payload() {
-        let _serial = PLACEMENT.lock().unwrap();
-        let len = PLACED_MIN_BYTES / 8 + 5;
-        let data: Vec<f64> = (0..len).map(|i| i as f64).collect();
-        // Every line of the page once, the farthest skew included.
-        for _ in 0..WAY_BYTES / LINE_BYTES {
-            let z = RawStorage::<f64>::zeroed(len).unwrap();
-            assert!(z.to_vec().iter().all(|&x| x == 0.0));
-            z.copy_from_slice(&data);
-            assert_eq!(z.to_vec(), data);
-            let c = RawStorage::from_slice(&data).unwrap();
-            assert_eq!(c.to_vec(), data);
-            assert!(c.ptr() as usize + c.size_bytes() <= c.raw as usize + c.layout.size());
+        let _serial = placement();
+        // The smallest placed size, and one that always holds a whole huge
+        // page (advised before it is zeroed). Each pass frees blocks it
+        // wrote, so later passes get dirty memory back from the arena.
+        for len in [PLACED_MIN_BYTES / 8 + 5, 2 * HUGE_BYTES / 8 + 5] {
+            let data: Vec<f64> = (0..len).map(|i| i as f64 + 1.0).collect();
+            // Every line of the page once, the farthest skew included.
+            for _ in 0..WAY_BYTES / LINE_BYTES {
+                let z = RawStorage::<f64>::zeroed(len).unwrap();
+                assert!(z.to_vec().iter().all(|&x| x.to_bits() == 0));
+                z.copy_from_slice(&data);
+                assert_eq!(z.to_vec(), data);
+                let c = RawStorage::from_slice(&data).unwrap();
+                assert_eq!(c.to_vec(), data);
+                assert!(c.ptr() as usize + c.size_bytes() <= c.raw as usize + c.layout.size());
+            }
         }
+    }
+
+    #[test]
+    fn the_huge_span_is_the_aligned_interior_of_the_block() {
+        const MIB: usize = 1 << 20;
+        let base = 0x7f00_0000_0000usize; // 2 MiB-aligned
+        for (raw, size, want) in [
+            // Exactly one aligned huge page, and exactly two.
+            (base, 2 * MIB, Some((base, 2 * MIB))),
+            (base, 4 * MIB, Some((base, 4 * MIB))),
+            // Unaligned at both ends: only the whole pages inside.
+            (base + 64, 32 * MIB + 4032, Some((base + 2 * MIB, 30 * MIB))),
+            (base - 4096 + 64, 4 * MIB, Some((base, 2 * MIB))),
+            // 4 MiB less a line, off alignment: no whole page fits.
+            (base + 64, 4 * MIB - 128, None),
+            // Blocks under 2 MiB, and a 2 MiB block off alignment.
+            (base, 2 * MIB - 1, None),
+            (base + 64, 1 << 18, None),
+            (base + 64, 2 * MIB + 4032, None),
+            // Ranges that would run past the end of the address space.
+            (usize::MAX - 4 * MIB, 4 * MIB + 1, None),
+            (usize::MAX - 100, 64, None),
+        ] {
+            let got = huge_span(raw, size);
+            assert_eq!(got, want, "raw {raw:#x} size {size:#x}");
+            if let Some((start, len)) = got {
+                assert!(start >= raw && start + len <= raw + size);
+                assert_eq!((start % HUGE_BYTES, len % HUGE_BYTES), (0, 0));
+            }
+        }
+    }
+
+    /// Under THP mode `always` or `madvise`, the mapping that holds a large
+    /// array may be backed by huge pages — in mode `madvise` only because
+    /// `allocate` asked. Whether it *is* backed depends on free memory, so
+    /// `AnonHugePages` is not asserted.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_large_block_is_eligible_for_huge_pages() {
+        let _serial = placement();
+        let mode = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .unwrap_or_default();
+        if !mode.contains("[always]") && !mode.contains("[madvise]") {
+            eprintln!("skipped: transparent huge pages are {:?}", mode.trim());
+            return;
+        }
+        let s = RawStorage::<f64>::zeroed((32 << 20) / 8).unwrap();
+        let middle = s.ptr() as usize + s.size_bytes() / 2;
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let Some(eligible) = smaps_field(&smaps, middle, "THPeligible:") else {
+            eprintln!("skipped: this kernel's smaps has no THPeligible field");
+            return;
+        };
+        assert_eq!(eligible, "1", "the mapping at {middle:#x}");
+    }
+
+    /// The value of `field` in the `/proc/self/smaps` entry of the mapping
+    /// that contains `addr`.
+    #[cfg(target_os = "linux")]
+    fn smaps_field<'a>(smaps: &'a str, addr: usize, field: &str) -> Option<&'a str> {
+        let mut inside = false;
+        for line in smaps.lines() {
+            // A mapping's header starts `start-end ` in hex; its fields
+            // start with a capitalised name.
+            let range = line.split(' ').next().and_then(|r| r.split_once('-'));
+            if let Some((lo, hi)) = range {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    inside = (lo..hi).contains(&addr);
+                    continue;
+                }
+            }
+            if inside {
+                if let Some(value) = line.strip_prefix(field) {
+                    return Some(value.trim());
+                }
+            }
+        }
+        None
     }
 }

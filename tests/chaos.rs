@@ -3,7 +3,7 @@
 //! graceful degradation to `threads` on hard device failure.
 
 use racc::prelude::*;
-use racc::{FaultPlan, FaultSite, RetryPolicy};
+use racc::{FaultPlan, RetryPolicy};
 
 /// Serializes the tests that read or write `RACC_CHAOS`: the variable is
 /// process-global, and `Context` construction consults it.
@@ -30,6 +30,7 @@ fn chaos_workload(ctx: &Ctx) -> f64 {
     acc
 }
 
+#[cfg(feature = "backend-cuda")]
 #[test]
 fn same_seed_gives_identical_fault_logs_and_results() {
     let _env = env_guard();
@@ -67,8 +68,10 @@ fn chaos_is_a_noop_on_cpu_backends() {
     );
 }
 
+#[cfg(feature = "backend-cuda")]
 #[test]
 fn env_armed_chaos_auto_installs_retries() {
+    use racc::FaultSite;
     let _env = env_guard();
     std::env::set_var("RACC_CHAOS", "h2d:every-5");
     // Context construction is where the env is consulted; arming from the
@@ -87,8 +90,10 @@ fn env_armed_chaos_auto_installs_retries() {
 /// transfer-fault schedule, with retries, produces a residual history
 /// bit-identical to the fault-free run — faults are injected before the
 /// operation's side effects, so a retried operation replays exactly.
+#[cfg(feature = "backend-cuda")]
 #[test]
 fn cg_residual_history_is_bit_identical_under_transient_faults() {
+    use racc::FaultSite;
     use racc_cg::solver::CgWorkspace;
     use racc_cg::tridiag::{DeviceTridiag, Tridiag};
 
@@ -132,6 +137,7 @@ fn cg_residual_history_is_bit_identical_under_transient_faults() {
 /// launch fails, beyond what retries can absorb) falls back to `threads`
 /// when requested, still computes correct results, and reports the
 /// observed faults plus a `fallback` marker as trace spans.
+#[cfg(feature = "backend-cuda")]
 #[test]
 fn hard_device_failure_falls_back_to_threads() {
     let _env = env_guard();
@@ -175,6 +181,7 @@ fn hard_device_failure_falls_back_to_threads() {
 /// Without `fallback`, the same hard failure surfaces as an error from
 /// the construct (the retry policy exhausts) rather than silently
 /// degrading — the context keeps the backend the caller asked for.
+#[cfg(feature = "backend-cuda")]
 #[test]
 fn without_fallback_the_backend_is_kept() {
     let _env = env_guard();

@@ -6,6 +6,7 @@ use racc_comm::World;
 
 /// A distributed dot product: each rank reduces its chunk with the RACC
 /// constructs on a *simulated GPU*, then the ranks allreduce.
+#[cfg(feature = "backend-cuda")]
 #[test]
 fn distributed_dot_across_simulated_gpus() {
     let n_total = 40_000usize;

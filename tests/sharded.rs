@@ -4,7 +4,7 @@
 //! lanes.
 
 use racc::shard::{run_sharded, ShardOptions, ShardOutcome};
-use racc::{Ctx, FaultPlan, RetryPolicy};
+use racc::Ctx;
 use racc_cg::pipelined::PipelinedCg;
 use racc_lbm::sharded::ShardedLbm;
 use racc_stencil::ShardedHeat3;
@@ -78,8 +78,11 @@ fn sharded_lbm_and_cg_are_bit_identical_across_device_counts() {
 /// A rank killed mid-step by injected launch faults is detected by the
 /// survivors, who reshard the domain, replay from the last checkpoint,
 /// and finish with the exact bits of the fault-free run.
+#[cfg(feature = "backend-cuda")]
 #[test]
 fn chaos_rank_death_recovers_bit_identically() {
+    use racc::{FaultPlan, RetryPolicy};
+
     let fault_free = heat3d(4, backend_factory("cudasim"));
 
     let doomed = heat3d(4, |rank| {
