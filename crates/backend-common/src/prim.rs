@@ -11,19 +11,29 @@
 //! a tile, never the combine tree — so every simulator matches the serial
 //! reference bitwise, including for `f32`.
 //!
-//! Leader sweep: the block-local counting kernels (`BlockHistogram`,
-//! `BlockHistogramGlobal`, `DigitCount`, `Scatter`) get their counts and
-//! ranks from **one pass over the block's span by the block's first
-//! thread** ([`LeaderPhases`]), so the host does O(n) work per launch and
-//! calls a key closure once per element. It is race-free without atomics
-//! because each leader phase has exactly one writer per block — to its own
-//! shared memory or its own row of the scratch buffer — and the barrier
-//! that ends the phase orders it before the block-wide phase that reads;
-//! blocks ascend and the sweep ascends, so ranks are the stable order. The
-//! `KernelCost` each launch declares is *not* re-derived from the sweep:
-//! it stays the calibrated per-thread charge of the cooperative device
-//! pass the sweep stands in for, and the model reads only spec, grid, block
-//! and cost — so `results/baselines/BENCH_prim.json` and
+//! Leader sweep: every block-local phase of the histogram and the radix
+//! sort is **one in-order pass by the block's first thread**
+//! ([`LeaderPhases`]) instead of a slice of one writer's work per thread,
+//! so the host visits one simulated thread per block and calls a key
+//! closure once per element. What each leader writes:
+//! * `BlockHistogram` (also the sort's digit count, over 256 bins): counts
+//!   its span into shared memory, then copies the counters to its block's
+//!   row of the count matrix;
+//! * `BlockHistogramGlobal`: zeroes, then counts into, that row directly;
+//! * `CombineBins`: adds the count rows, in ascending block order and one
+//!   row at a time, into its block of bins, then writes the sums;
+//! * `Scatter`: loads its block's 256 bases into a running counter and
+//!   writes each key and index to `base[digit]++`.
+//!
+//! Race-free without atomics: each output cell has one writer per launch
+//! (a block's own row or bins, or a destination the bases make unique),
+//! and a barrier orders each sweep before the next. Blocks ascend and the
+//! sweeps ascend, so the scatter is stable; every owned cell is assigned,
+//! never accumulated, so a retried launch rewrites the same values. The
+//! `KernelCost` each launch declares is *not* re-derived from the sweep: it
+//! stays the calibrated per-thread charge of the cooperative device pass
+//! the sweep stands in for, and the model reads only spec, grid, block and
+//! cost — so `results/baselines/BENCH_prim.json`, `tests/prim_oplog.rs` and
 //! `tests/vendor_pins.rs` hold to the last digit.
 
 use racc_core::{AccScalar, KernelProfile, ReduceOp};
@@ -53,12 +63,11 @@ fn digit(key: u64, shift: u32) -> usize {
     ((key >> shift) & 0xFF) as usize
 }
 
-/// One leader phase (thread 0 sweeps the block's span), then whole-block
-/// phases that consume what it left.
-const SWEEP_THEN_BLOCK: LeaderPhases = LeaderPhases::new(1);
+/// One leader phase and nothing else: the combine and the scatter.
+const ONE_SWEEP: LeaderPhases = LeaderPhases::new(1);
 
-/// Two leader phases and nothing else: the large-bins histogram's zeroing
-/// sweep and its counting sweep.
+/// Two leader phases and nothing else: count then copy out, or (large-bins
+/// histogram) zero then count.
 const TWO_SWEEPS: LeaderPhases = LeaderPhases::new(2);
 
 /// Half-open element span of block `blk` in a 1D launch over `n` elements.
@@ -200,12 +209,13 @@ where
     }
 }
 
-/// Histogram kernel 1 (shared-memory path): the block privatizes the whole
-/// bin range in shared memory (zeroed at block start). Leader phase: thread
-/// 0 sweeps the block's element span once, counting each key's bin — one
-/// writer, so no atomics. Block phase: thread `ti` copies bins `ti`,
-/// `ti + block`, … to the block's scratch row; every cell of the row is
-/// assigned, so a retried launch is idempotent.
+/// Histogram kernel 1 (shared-memory path), and the radix sort's per-block
+/// digit count (256 bins): the block privatizes the whole bin range in
+/// shared memory (zeroed at block start). The leader sweeps the block's
+/// element span once, counting each key's bin (phase 0), then copies every
+/// counter to the block's scratch row (phase 1): every cell of the row is
+/// assigned, so retried launches and count-buffer reuse across radix passes
+/// are safe.
 struct BlockHistogram<'a, F> {
     n: usize,
     bins: usize,
@@ -225,11 +235,11 @@ where
     }
 
     fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
-        SWEEP_THEN_BLOCK.active_threads(phase, block_threads)
+        TWO_SWEEPS.active_threads(phase, block_threads)
     }
 
     fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), shared: &SharedMem) {
-        if !SWEEP_THEN_BLOCK.runs(phase, ctx) {
+        if !TWO_SWEEPS.runs(phase, ctx) {
             return;
         }
         let blk = ctx.block_linear();
@@ -241,11 +251,9 @@ where
                 shared.set::<u64>(bin, shared.get::<u64>(bin) + 1);
             }
         } else {
-            let mut bin = ctx.thread_linear();
-            while bin < self.bins {
+            for bin in 0..self.bins {
                 self.scratch
                     .set(blk * self.bins + bin, shared.get::<u64>(bin));
-                bin += self.block_size;
             }
         }
     }
@@ -295,12 +303,14 @@ where
     }
 }
 
-/// Histogram kernel 2: one thread per bin sums its column of the scratch
-/// matrix in ascending block order (u64 — exactly associative) and reports
-/// it through the `write` closure.
+/// Histogram kernel 2: the leader of each block of `block_size` bins adds
+/// the scratch rows' cells for its bins, in ascending row order and one row
+/// at a time (u64 — exactly associative), and reports each sum through the
+/// `write` closure.
 struct CombineBins<'a, W> {
     bins: usize,
-    blocks: usize,
+    block_size: usize,
+    rows: usize,
     scratch: DeviceSlice<u64>,
     write: &'a W,
 }
@@ -315,13 +325,22 @@ where
         1
     }
 
-    fn phase(&self, _phase: usize, ctx: &ThreadCtx, _state: &mut (), _shared: &SharedMem) {
-        let bin = ctx.global_id_x();
-        if bin < self.bins {
-            let mut sum = 0u64;
-            for blk in 0..self.blocks {
-                sum += self.scratch.get(blk * self.bins + bin);
+    fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
+        ONE_SWEEP.active_threads(phase, block_threads)
+    }
+
+    fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), _shared: &SharedMem) {
+        if !ONE_SWEEP.runs(phase, ctx) {
+            return;
+        }
+        let span = block_span(ctx.block_linear(), self.block_size, self.bins);
+        let mut sums = vec![0u64; span.len()];
+        for row in 0..self.rows {
+            for (sum, bin) in sums.iter_mut().zip(span.clone()) {
+                *sum += self.scratch.get(row * self.bins + bin);
             }
+        }
+        for (sum, bin) in sums.into_iter().zip(span) {
             (self.write)(bin, sum);
         }
     }
@@ -351,51 +370,6 @@ where
         if i < self.n {
             self.keys.set(i, (self.key)(i));
             self.idx.set(i, i as u64);
-        }
-    }
-}
-
-/// Radix kernel 1: per-block digit counts. Leader phase: thread 0 sweeps
-/// the block's span once, counting digits into shared memory (zeroed at
-/// block start; one writer, no atomics). Block phase: thread `ti` writes
-/// cells `ti`, `ti + block`, … of the block's count row — assignment to
-/// every cell, so retried launches and count-buffer reuse across passes are
-/// safe.
-struct DigitCount {
-    n: usize,
-    block_size: usize,
-    shift: u32,
-    keys: DeviceSlice<u64>,
-    counts: DeviceSliceMut<u64>,
-}
-
-impl PhasedKernel for DigitCount {
-    type State = ();
-
-    fn num_phases(&self) -> usize {
-        2
-    }
-
-    fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
-        SWEEP_THEN_BLOCK.active_threads(phase, block_threads)
-    }
-
-    fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), shared: &SharedMem) {
-        if !SWEEP_THEN_BLOCK.runs(phase, ctx) {
-            return;
-        }
-        let blk = ctx.block_linear();
-        if phase == 0 {
-            for i in block_span(blk, self.block_size, self.n) {
-                let d = digit(self.keys.get(i), self.shift);
-                shared.set::<u64>(d, shared.get::<u64>(d) + 1);
-            }
-        } else {
-            let mut d = ctx.thread_linear();
-            while d < RADIX {
-                self.counts.set(blk * RADIX + d, shared.get::<u64>(d));
-                d += self.block_size;
-            }
         }
     }
 }
@@ -431,13 +405,11 @@ impl PhasedKernel for ScanDigits {
     }
 }
 
-/// Radix kernel 3: scatter. Leader phase: thread 0 sweeps the block's span
-/// once and leaves, at `shared[ti]`, element `ti`'s rank among the
-/// same-digit elements before it in the block (a 256-entry running counter
-/// in the leader's registers). Block phase: every thread reads its own rank
-/// and writes key+index to their unique destination in the other ping-pong
-/// buffer. Blocks ascend and in-block ranks ascend, so each pass is stable;
-/// the destinations depend only on the source buffers, so a retried launch
+/// Radix kernel 3: scatter. The leader loads its block's 256 bases into a
+/// running counter (its registers) and sweeps the block's span once,
+/// writing each key and index to `base[digit]++` in the other ping-pong
+/// buffer. Blocks ascend and the sweep ascends, so each pass is stable; the
+/// destinations depend only on the source buffers, so a retried launch
 /// rewrites the same cells.
 struct Scatter {
     n: usize,
@@ -454,36 +426,27 @@ impl PhasedKernel for Scatter {
     type State = ();
 
     fn num_phases(&self) -> usize {
-        2
+        1
     }
 
     fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
-        SWEEP_THEN_BLOCK.active_threads(phase, block_threads)
+        ONE_SWEEP.active_threads(phase, block_threads)
     }
 
-    fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), shared: &SharedMem) {
-        if !SWEEP_THEN_BLOCK.runs(phase, ctx) {
+    fn phase(&self, phase: usize, ctx: &ThreadCtx, _state: &mut (), _shared: &SharedMem) {
+        if !ONE_SWEEP.runs(phase, ctx) {
             return;
         }
         let blk = ctx.block_linear();
-        if phase == 0 {
-            let mut seen = [0u64; RADIX];
-            for (ti, i) in block_span(blk, self.block_size, self.n).enumerate() {
-                let d = digit(self.keys_src.get(i), self.shift);
-                shared.set::<u64>(ti, seen[d]);
-                seen[d] += 1;
-            }
-            return;
+        let mut next: [usize; RADIX] =
+            std::array::from_fn(|d| self.bases.get(blk * RADIX + d) as usize);
+        for i in block_span(blk, self.block_size, self.n) {
+            let key = self.keys_src.get(i);
+            let dst = &mut next[digit(key, self.shift)];
+            self.keys_dst.set(*dst, key);
+            self.idx_dst.set(*dst, self.idx_src.get(i));
+            *dst += 1;
         }
-        let i = ctx.global_id_x();
-        if i >= self.n {
-            return;
-        }
-        let key = self.keys_src.get(i);
-        let rank = shared.get::<u64>(ctx.thread_linear());
-        let dst = (self.bases.get(blk * RADIX + digit(key, self.shift)) + rank) as usize;
-        self.keys_dst.set(dst, key);
-        self.idx_dst.set(dst, self.idx_src.get(i));
     }
 }
 
@@ -509,13 +472,6 @@ impl SimBackend {
                 .modeled(Timeline::quantize(total))
         });
     }
-
-    /// [`block_1d`](Self::block_1d) bounded by shared capacity too, for
-    /// kernels that stage `bytes_per_thread` of shared memory per thread.
-    fn block_1d_staging(&self, n: usize, bytes_per_thread: usize) -> usize {
-        let max_for_shared = self.device().spec().shared_mem_per_block / bytes_per_thread;
-        (self.block_1d(n) as usize).min(max_for_shared.max(1))
-    }
 }
 
 impl PrimBackend for SimBackend {
@@ -540,8 +496,10 @@ impl PrimBackend for SimBackend {
         let device = self.device();
         let tiles = prim::scan_tiles(n);
         let elem = std::mem::size_of::<T>();
-        // Kernel 1 stages one tile total per thread in shared memory.
-        let block = self.block_1d_staging(tiles, elem);
+        // Kernel 1 stages one tile total per thread in shared memory, so
+        // shared capacity bounds the block too.
+        let block =
+            (self.block_1d(tiles) as usize).min((device.spec().shared_mem_per_block / elem).max(1));
 
         let totals = self
             .with_retry("alloc", || device.alloc::<T>(tiles))
@@ -669,14 +627,15 @@ impl PrimBackend for SimBackend {
             }))
         };
 
-        // Kernel 2: sum each bin's column across blocks, in block order.
+        // Kernel 2: each bin-block's leader adds the rows, in block order.
+        let cfg2 = LaunchConfig::linear(bins, self.block_1d(bins));
         let k2 = CombineBins {
             bins,
-            blocks,
+            block_size: cfg2.block.count(),
+            rows: blocks,
             scratch: device.slice(&scratch).expect("own buffer"),
             write: &write,
         };
-        let cfg2 = LaunchConfig::linear(bins, self.block_1d(bins));
         let ns2 = Self::unwrap_launch(self.with_retry("launch", || {
             device.launch_phased(cfg2, scaled_cost(profile, blocks), &k2)
         }));
@@ -705,10 +664,7 @@ impl PrimBackend for SimBackend {
             return;
         }
         let device = self.device();
-        // The scatter stages one 8-byte rank per thread in shared memory (a
-        // no-op clamp on every stock profile: capacity covers a full block).
-        let rank_bytes = std::mem::size_of::<u64>();
-        let block = self.block_1d_staging(n, rank_bytes);
+        let block = self.block_1d(n) as usize;
         let blocks = n.div_ceil(block);
         let passes = (key_bits.div_ceil(8).max(1) as usize).min(8);
 
@@ -735,24 +691,25 @@ impl PrimBackend for SimBackend {
             device.launch_phased(cfg_n, Self::cost_from_profile(profile), &k0)
         }));
 
-        let shared_bytes = RADIX * std::mem::size_of::<u64>();
+        let cfg_count = cfg_n.with_shared_mem(RADIX * std::mem::size_of::<u64>());
         let buffers = [(&keys_a, &idx_a), (&keys_b, &idx_b)];
         for pass in 0..passes {
             let (src, dst) = (buffers[pass % 2], buffers[(pass + 1) % 2]);
             let shift = (pass * 8) as u32;
             // Count and scatter keep their calibrated `block`-elements-per-
             // thread charge (module docs), whatever the host sweep costs.
-
-            let k1 = DigitCount {
+            // The count is the shared-memory histogram over 256 digit bins.
+            let keys = device.slice(src.0).expect("own buffer");
+            let digit_of = |i: usize| digit(keys.get(i), shift);
+            let k1 = BlockHistogram {
                 n,
+                bins: RADIX,
                 block_size: block,
-                shift,
-                keys: device.slice(src.0).expect("own buffer"),
-                counts: device.slice_mut(&counts).expect("own buffer"),
+                key: &digit_of,
+                scratch: device.slice_mut(&counts).expect("own buffer"),
             };
-            let cfg1 = LaunchConfig::linear(n, block as u32).with_shared_mem(shared_bytes);
             total_ns += Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(cfg1, scaled_cost(profile, block), &k1)
+                device.launch_phased(cfg_count, scaled_cost(profile, block), &k1)
             }));
 
             let k2 = ScanDigits {
@@ -778,9 +735,8 @@ impl PrimBackend for SimBackend {
                 keys_dst: device.slice_mut(dst.0).expect("own buffer"),
                 idx_dst: device.slice_mut(dst.1).expect("own buffer"),
             };
-            let cfg3 = cfg_n.with_shared_mem(block * rank_bytes);
             total_ns += Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(cfg3, scaled_cost(profile, block), &k3)
+                device.launch_phased(cfg_n, scaled_cost(profile, block), &k3)
             }));
         }
 
@@ -808,15 +764,15 @@ impl PrimBackend for SimBackend {
 
 #[cfg(test)]
 mod tests {
-    //! The four leader-sweep kernels, one at a time, on the 64-thread /
-    //! 4 KiB test device: outputs against a host loop, idempotence under a
+    //! The leader-sweep kernels, one at a time, on the 64-thread / 4 KiB
+    //! test device: outputs against a host loop, idempotence under a
     //! repeated launch (what a retry does), and the visits the executor
-    //! makes — one thread per block in a leader phase on a plain launch,
-    //! the whole block under racecheck or the sanitizer.
+    //! makes — one thread per block in every phase on a plain launch, the
+    //! whole block under racecheck or the sanitizer.
 
     use super::*;
     use racc_gpusim::{profiles, Device};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     const N: usize = 200;
     const BLOCK: usize = 64;
@@ -863,14 +819,13 @@ mod tests {
     }
 
     /// Launch `kernel` over `N` elements twice, asserting after each launch
-    /// that its first `leader_phases` phases visited one thread per block
-    /// (plain) or every thread (tracked), and every other phase the whole
-    /// block; `check` then reads the outputs back.
+    /// that every phase — each one a leader sweep — visited one thread per
+    /// block (plain) or every thread (tracked); `check` then reads the
+    /// outputs back.
     fn launch_twice<K: PhasedKernel>(
         dev: &Device,
         checker: Checker,
         shared_bytes: usize,
-        leader_phases: usize,
         kernel: K,
         check: impl Fn(),
     ) {
@@ -881,6 +836,11 @@ mod tests {
             kernel,
         };
         let cfg = LaunchConfig::linear(N, BLOCK as u32).with_shared_mem(shared_bytes);
+        let per_phase = if checker == Checker::Plain {
+            BLOCKS
+        } else {
+            BLOCKS * BLOCK
+        };
         for launch in 0..2 {
             dev.launch_phased(cfg, KernelCost::default(), &counted)
                 .unwrap();
@@ -889,16 +849,11 @@ mod tests {
                 .iter()
                 .map(|v| v.swap(0, Ordering::Relaxed))
                 .collect();
-            let expect: Vec<usize> = (0..visits.len())
-                .map(|p| {
-                    if checker == Checker::Plain && p < leader_phases {
-                        BLOCKS
-                    } else {
-                        BLOCKS * BLOCK
-                    }
-                })
-                .collect();
-            assert_eq!(visits, expect, "{checker:?}, launch {launch}");
+            assert_eq!(
+                visits,
+                vec![per_phase; visits.len()],
+                "{checker:?}, launch {launch}"
+            );
             check();
         }
     }
@@ -917,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn block_histogram_counts_its_span_in_one_leader_sweep() {
+    fn block_histogram_counts_then_copies_out_from_the_leader() {
         let bins = 37;
         for checker in CHECKERS {
             let dev = device(checker);
@@ -930,7 +885,7 @@ mod tests {
                 key: &key,
                 scratch: dev.slice_mut(&scratch).unwrap(),
             };
-            launch_twice(&dev, checker, bins * 8, 1, kernel, || {
+            launch_twice(&dev, checker, bins * 8, kernel, || {
                 assert_eq!(dev.read_vec(&scratch).unwrap(), block_counts(bins, key));
             });
         }
@@ -952,45 +907,48 @@ mod tests {
                 key: &key,
                 scratch: dev.slice_mut(&scratch).unwrap(),
             };
-            launch_twice(&dev, checker, 0, 2, kernel, || {
+            launch_twice(&dev, checker, 0, kernel, || {
                 assert_eq!(dev.read_vec(&scratch).unwrap(), block_counts(bins, key));
             });
         }
     }
 
-    /// 24-bit keys with plenty of equal digits at `SHIFT`.
-    fn sort_keys() -> Vec<u64> {
-        (0..N as u64)
-            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) & 0xFF_0FFF)
-            .collect()
-    }
-
     #[test]
-    fn digit_count_counts_its_span_in_one_leader_sweep() {
-        let host_keys = sort_keys();
-        let expect = block_counts(RADIX, |i| digit(host_keys[i], SHIFT));
+    fn combine_bins_adds_the_rows_in_each_bin_blocks_leader() {
+        // 200 bins over 64-thread blocks (three full bin-blocks and one of
+        // 8), summed over three rows.
+        let (bins, rows) = (N, 3);
+        let host: Vec<u64> = (0..(rows * bins) as u64).map(|c| c * c % 1009).collect();
+        let expect: Vec<u64> = (0..bins)
+            .map(|bin| (0..rows).map(|row| host[row * bins + bin]).sum())
+            .collect();
         for checker in CHECKERS {
             let dev = device(checker);
-            let keys = dev.alloc_from(&host_keys).unwrap();
-            let counts = dev.alloc::<u64>(BLOCKS * RADIX).unwrap();
-            let kernel = DigitCount {
-                n: N,
+            let scratch = dev.alloc_from(&host).unwrap();
+            let got: Vec<AtomicU64> = (0..bins).map(|_| AtomicU64::new(u64::MAX)).collect();
+            let write = |bin: usize, sum: u64| got[bin].store(sum, Ordering::Relaxed);
+            let kernel = CombineBins {
+                bins,
                 block_size: BLOCK,
-                shift: SHIFT,
-                keys: dev.slice(&keys).unwrap(),
-                counts: dev.slice_mut(&counts).unwrap(),
+                rows,
+                scratch: dev.slice(&scratch).unwrap(),
+                write: &write,
             };
-            launch_twice(&dev, checker, RADIX * 8, 1, kernel, || {
-                assert_eq!(dev.read_vec(&counts).unwrap(), expect);
+            launch_twice(&dev, checker, 0, kernel, || {
+                let sums: Vec<u64> = got
+                    .iter()
+                    .map(|g| g.swap(u64::MAX, Ordering::Relaxed))
+                    .collect();
+                assert_eq!(sums, expect);
             });
         }
     }
 
-    #[test]
-    fn scatter_ranks_from_one_leader_sweep_and_stays_stable() {
-        let host_keys = sort_keys();
+    /// One scatter pass over `host_keys` from the bases `ScanDigits` leaves
+    /// (digit-major, block-minor), against a stable host sort by the digit
+    /// at `SHIFT`: ties keep the original index order.
+    fn check_scatter(host_keys: &[u64]) {
         let host_idx: Vec<u64> = (0..N as u64).collect();
-        // Bases as `ScanDigits` leaves them: digit-major, block-minor.
         let counts = block_counts(RADIX, |i| digit(host_keys[i], SHIFT));
         let mut host_bases = vec![0u64; BLOCKS * RADIX];
         let mut running = 0;
@@ -1000,7 +958,6 @@ mod tests {
                 running += counts[blk * RADIX + d];
             }
         }
-        // One stable pass: order by this digit, ties by original index.
         let mut order: Vec<usize> = (0..N).collect();
         order.sort_by_key(|&i| digit(host_keys[i], SHIFT));
         let expect_keys: Vec<u64> = order.iter().map(|&i| host_keys[i]).collect();
@@ -1008,7 +965,7 @@ mod tests {
 
         for checker in CHECKERS {
             let dev = device(checker);
-            let keys_src = dev.alloc_from(&host_keys).unwrap();
+            let keys_src = dev.alloc_from(host_keys).unwrap();
             let idx_src = dev.alloc_from(&host_idx).unwrap();
             let bases = dev.alloc_from(&host_bases).unwrap();
             let keys_dst = dev.alloc::<u64>(N).unwrap();
@@ -1023,11 +980,33 @@ mod tests {
                 keys_dst: dev.slice_mut(&keys_dst).unwrap(),
                 idx_dst: dev.slice_mut(&idx_dst).unwrap(),
             };
-            launch_twice(&dev, checker, BLOCK * 8, 1, kernel, || {
+            launch_twice(&dev, checker, 0, kernel, || {
                 assert_eq!(dev.read_vec(&keys_dst).unwrap(), expect_keys);
                 assert_eq!(dev.read_vec(&idx_dst).unwrap(), expect_idx);
             });
         }
+    }
+
+    #[test]
+    fn scatter_writes_from_one_leader_sweep_and_stays_stable() {
+        // 24-bit keys with plenty of equal digits at `SHIFT`.
+        let keys: Vec<u64> = (0..N as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) & 0xFF_0FFF)
+            .collect();
+        check_scatter(&keys);
+    }
+
+    #[test]
+    fn scatter_handles_single_digit_blocks_and_digits_absent_from_a_block() {
+        // Blocks 0 and 2 hold only digit 5, block 1 only 200 and the short
+        // block 3 only 0: each block lacks 255 digits, and block 2's run of
+        // 5s starts where block 0's ends. The low byte falls with `i`, so a
+        // sort by the whole key would reverse what stability keeps.
+        let digits = [5u64, 200, 5, 0];
+        let keys: Vec<u64> = (0..N)
+            .map(|i| (digits[i / BLOCK] << SHIFT) | (255 - i as u64 % 256))
+            .collect();
+        check_scatter(&keys);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 # see it (`SharedMem::cells`: a raw slice over the chunk store, which the
 # reduction kernels fill through sub-slices): a `dealloc` of the payload
 # where the block was meant, or a write past a skewed payload or past the
-# cells, is what ASan reports and `cargo test` does not. Needs the nightly
+# cells, is what ASan reports and `cargo test` does not. The primitives'
+# leader sweeps (`prim`) run under it too: each walks a whole block's span
+# through shared memory and device slices. Needs the nightly
 # toolchain's ASan runtime; builds offline into
 # `target/x86_64-unknown-linux-gnu/`.
 set -euo pipefail
@@ -22,5 +24,5 @@ asan() {
 }
 asan -p racc-core --lib buffer
 asan -p racc-gpusim --lib -- heap arena sanitizer phased
-asan -p racc-backend-common --lib kernels
+asan -p racc-backend-common --lib -- kernels prim
 echo "asan clean"

@@ -38,7 +38,9 @@ this before any quick-mode smoke regenerates them):
 2. Baseline drift — every ``results/baselines/BENCH_*.json`` is compared
    row-by-row against its committed counterpart. A row regresses when it
    is worse than baseline by more than ``TOLERANCE`` (1.05x): speedups may
-   drop at most 5%, per-launch nanoseconds may grow at most 5%. Rows are
+   drop at most 5%, per-launch nanoseconds may grow at most 5%. Modeled
+   nanoseconds (the prim rows) are deterministic and must equal the
+   baseline exactly, in either direction. Rows are
    keyed by (section/workload, backend, shape) so reordering is harmless;
    a row *missing* from the current results is a failure, new rows are
    fine. To accept an intentional change, regenerate the full-size series
@@ -173,14 +175,12 @@ def gate_baseline(name, cur, base):
                 f"{name} {fmt(key)}: ns_per_launch {c} within {TOLERANCE}x of baseline {b}",
             )
         elif "modeled_ns" in brow:
-            # Analytic-model times are deterministic: drift means the
-            # modeled cost of the primitives changed. (Wall-clock rows
-            # carry ``wall_ns`` instead and are informational only.)
+            # Analytic-model times are deterministic, so the gate is exact
+            # in both directions: any drift means the modeled cost of the
+            # primitives changed. (Wall-clock rows carry ``wall_ns`` instead
+            # and are informational only.)
             b, c = brow["modeled_ns"], crow["modeled_ns"]
-            check(
-                c <= b * TOLERANCE,
-                f"{name} {fmt(key)}: modeled_ns {c} within {TOLERANCE}x of baseline {b}",
-            )
+            check(c == b, f"{name} {fmt(key)}: modeled_ns {c} equals baseline {b}")
 
 
 def main():
