@@ -5,8 +5,8 @@
 //! All three override [`PhasedKernel::run_phase`] with counted loops over
 //! the block's thread range, and their per-thread `phase()` is that same
 //! body on the unit range, so the block form the plain executor runs and
-//! the per-thread form racecheck, the sanitizer and the reference executor
-//! visit cannot drift apart. The covering kernel also overrides
+//! the per-thread form the sanitizer and the reference executor visit
+//! cannot drift apart. The covering kernel also overrides
 //! [`PhasedKernel::run_band`] — with that same body again, its rows
 //! continued through a band of x-adjacent blocks — and the first reduction
 //! kernel maps a block's run of linear indices row by row for ranks 2 and 3
@@ -458,7 +458,7 @@ mod tests {
     /// A 2D and a 3D thread tile.
     type Tiles = ((u32, u32), (u32, u32, u32));
 
-    /// A device with neither checker on, whatever `RACC_SANITIZER` says.
+    /// A device without the sanitizer, whatever `RACC_SANITIZER` says.
     fn plain(spec: DeviceSpec) -> Device {
         unchecked(Device::new(spec))
     }
@@ -471,7 +471,6 @@ mod tests {
 
     fn unchecked(dev: Device) -> Device {
         dev.set_sanitizer(false);
-        dev.set_racecheck(false);
         dev
     }
 
@@ -944,19 +943,11 @@ mod tests {
         const N: usize = 3 * BLOCK + 8;
         let blocks = N.div_ceil(BLOCK);
         let tree = TreeShape::new(BLOCK);
-        type Track = Option<fn(&Device, bool)>;
-        let checkers: [(&str, Track); 3] = [
-            ("plain", None),
-            ("racecheck", Some(Device::set_racecheck)),
-            ("simsan", Some(Device::set_sanitizer)),
-        ];
-        for (name, track) in checkers {
+        for (name, sanitize) in [("plain", false), ("simsan", true)] {
             let dev = plain(profiles::test_device());
-            if let Some(track) = track {
-                track(&dev, true);
-            }
+            dev.set_sanitizer(sanitize);
             let every_thread = |blocks: usize| {
-                if track.is_some() {
+                if sanitize {
                     blocks * BLOCK * tree.num_phases()
                 } else {
                     0
@@ -1003,7 +994,7 @@ mod tests {
             let cfg = LaunchConfig::linear(N, BLOCK as u32);
             dev.launch_phased(cfg, KernelCost::default(), &cover)
                 .unwrap();
-            let expect = if track.is_some() { blocks * BLOCK } else { 0 };
+            let expect = if sanitize { blocks * BLOCK } else { 0 };
             assert_eq!(cover.visits.into_inner(), expect, "{name}: cover");
 
             // Whatever was visited, the sum is the per-thread sum.

@@ -115,7 +115,7 @@ impl SimBackend {
         Self::new(Arc::new(Device::new((vendor.stock_device)())), vendor)
     }
 
-    /// The simulator device (vendor clock, op log, racecheck toggle).
+    /// The simulator device (vendor clock, op log, sanitizer toggle).
     pub fn device(&self) -> &Arc<Device> {
         &self.device
     }
@@ -600,18 +600,9 @@ mod tests {
                 .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_default()
         }
-        type Track = Option<fn(&Device, bool)>;
-        let checkers: [Track; 3] = [
-            None,
-            Some(Device::set_racecheck),
-            Some(Device::set_sanitizer),
-        ];
-        for track in checkers {
+        for sanitize in [false, true] {
             let [small, _] = tiled_backends();
-            let ctx = Context::builder(small).sanitizer(false).build();
-            if let Some(track) = track {
-                track(ctx.backend().device(), true);
-            }
+            let ctx = Context::builder(small).sanitizer(sanitize).build();
             let p = KernelProfile::unknown();
             // A map and a body that panic, one index each, in the second
             // block and the first.

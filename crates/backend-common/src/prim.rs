@@ -768,7 +768,7 @@ mod tests {
     //! test device: outputs against a host loop, idempotence under a
     //! repeated launch (what a retry does), and the visits the executor
     //! makes — one thread per block in every phase on a plain launch, the
-    //! whole block under racecheck or the sanitizer.
+    //! whole block under the sanitizer.
 
     use super::*;
     use racc_gpusim::{profiles, Device};
@@ -780,21 +780,12 @@ mod tests {
     const BLOCKS: usize = 4;
     const SHIFT: u32 = 8;
 
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Checker {
-        Plain,
-        Racecheck,
-        Sanitizer,
-    }
-
-    const CHECKERS: [Checker; 3] = [Checker::Plain, Checker::Racecheck, Checker::Sanitizer];
-
-    /// A test device with exactly `checker` on (whatever `RACC_SANITIZER`
-    /// says), set before anything is allocated on it.
-    fn device(checker: Checker) -> Device {
+    /// A test device with the sanitizer on or off as `sanitize` says
+    /// (whatever `RACC_SANITIZER` says), set before anything is allocated
+    /// on it.
+    fn device(sanitize: bool) -> Device {
         let dev = Device::new(profiles::test_device());
-        dev.set_sanitizer(checker == Checker::Sanitizer);
-        dev.set_racecheck(checker == Checker::Racecheck);
+        dev.set_sanitizer(sanitize);
         dev
     }
 
@@ -820,11 +811,11 @@ mod tests {
 
     /// Launch `kernel` over `N` elements twice, asserting after each launch
     /// that every phase — each one a leader sweep — visited one thread per
-    /// block (plain) or every thread (tracked); `check` then reads the
+    /// block (plain) or every thread (sanitized); `check` then reads the
     /// outputs back.
     fn launch_twice<K: PhasedKernel>(
         dev: &Device,
-        checker: Checker,
+        sanitize: bool,
         shared_bytes: usize,
         kernel: K,
         check: impl Fn(),
@@ -836,11 +827,7 @@ mod tests {
             kernel,
         };
         let cfg = LaunchConfig::linear(N, BLOCK as u32).with_shared_mem(shared_bytes);
-        let per_phase = if checker == Checker::Plain {
-            BLOCKS
-        } else {
-            BLOCKS * BLOCK
-        };
+        let per_phase = if sanitize { BLOCKS * BLOCK } else { BLOCKS };
         for launch in 0..2 {
             dev.launch_phased(cfg, KernelCost::default(), &counted)
                 .unwrap();
@@ -852,7 +839,7 @@ mod tests {
             assert_eq!(
                 visits,
                 vec![per_phase; visits.len()],
-                "{checker:?}, launch {launch}"
+                "sanitize {sanitize}, launch {launch}"
             );
             check();
         }
@@ -874,8 +861,8 @@ mod tests {
     #[test]
     fn block_histogram_counts_then_copies_out_from_the_leader() {
         let bins = 37;
-        for checker in CHECKERS {
-            let dev = device(checker);
+        for sanitize in [false, true] {
+            let dev = device(sanitize);
             let scratch = dev.alloc::<u64>(BLOCKS * bins).unwrap();
             let key = |i: usize| bin_of(i, bins);
             let kernel = BlockHistogram {
@@ -885,7 +872,7 @@ mod tests {
                 key: &key,
                 scratch: dev.slice_mut(&scratch).unwrap(),
             };
-            launch_twice(&dev, checker, bins * 8, kernel, || {
+            launch_twice(&dev, sanitize, bins * 8, kernel, || {
                 assert_eq!(dev.read_vec(&scratch).unwrap(), block_counts(bins, key));
             });
         }
@@ -895,8 +882,8 @@ mod tests {
     fn global_histogram_fallback_zeroes_then_counts_from_the_leader() {
         // 1500 bins × 8 B = 12 000 B: past the test device's 4 KiB.
         let bins = 1500;
-        for checker in CHECKERS {
-            let dev = device(checker);
+        for sanitize in [false, true] {
+            let dev = device(sanitize);
             assert!(bins * 8 > dev.spec().shared_mem_per_block);
             let scratch = dev.alloc::<u64>(BLOCKS * bins).unwrap();
             let key = |i: usize| bin_of(i, bins);
@@ -907,7 +894,7 @@ mod tests {
                 key: &key,
                 scratch: dev.slice_mut(&scratch).unwrap(),
             };
-            launch_twice(&dev, checker, 0, kernel, || {
+            launch_twice(&dev, sanitize, 0, kernel, || {
                 assert_eq!(dev.read_vec(&scratch).unwrap(), block_counts(bins, key));
             });
         }
@@ -922,8 +909,8 @@ mod tests {
         let expect: Vec<u64> = (0..bins)
             .map(|bin| (0..rows).map(|row| host[row * bins + bin]).sum())
             .collect();
-        for checker in CHECKERS {
-            let dev = device(checker);
+        for sanitize in [false, true] {
+            let dev = device(sanitize);
             let scratch = dev.alloc_from(&host).unwrap();
             let got: Vec<AtomicU64> = (0..bins).map(|_| AtomicU64::new(u64::MAX)).collect();
             let write = |bin: usize, sum: u64| got[bin].store(sum, Ordering::Relaxed);
@@ -934,7 +921,7 @@ mod tests {
                 scratch: dev.slice(&scratch).unwrap(),
                 write: &write,
             };
-            launch_twice(&dev, checker, 0, kernel, || {
+            launch_twice(&dev, sanitize, 0, kernel, || {
                 let sums: Vec<u64> = got
                     .iter()
                     .map(|g| g.swap(u64::MAX, Ordering::Relaxed))
@@ -963,8 +950,8 @@ mod tests {
         let expect_keys: Vec<u64> = order.iter().map(|&i| host_keys[i]).collect();
         let expect_idx: Vec<u64> = order.iter().map(|&i| i as u64).collect();
 
-        for checker in CHECKERS {
-            let dev = device(checker);
+        for sanitize in [false, true] {
+            let dev = device(sanitize);
             let keys_src = dev.alloc_from(host_keys).unwrap();
             let idx_src = dev.alloc_from(&host_idx).unwrap();
             let bases = dev.alloc_from(&host_bases).unwrap();
@@ -980,7 +967,7 @@ mod tests {
                 keys_dst: dev.slice_mut(&keys_dst).unwrap(),
                 idx_dst: dev.slice_mut(&idx_dst).unwrap(),
             };
-            launch_twice(&dev, checker, 0, kernel, || {
+            launch_twice(&dev, sanitize, 0, kernel, || {
                 assert_eq!(dev.read_vec(&keys_dst).unwrap(), expect_keys);
                 assert_eq!(dev.read_vec(&idx_dst).unwrap(), expect_idx);
             });
@@ -1012,7 +999,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn an_unchecked_key_past_the_bins_dies_in_shared_memory() {
-        let dev = device(Checker::Plain);
+        let dev = device(false);
         let bins = 8;
         let scratch = dev.alloc::<u64>(BLOCKS * bins).unwrap();
         let key = |i: usize| if i == 130 { 40 } else { i % bins };

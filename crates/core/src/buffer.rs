@@ -1,4 +1,5 @@
-//! Raw element storage backing RACC arrays.
+//! Raw element storage backing RACC arrays, and the placement rule it
+//! shares with the simulator's device heap (`racc-gpusim`).
 //!
 //! Storage is a manually managed, 64-byte-aligned allocation accessed only
 //! through raw pointers — no `&`/`&mut` references to the buffer ever exist,
@@ -13,11 +14,11 @@ use crate::error::RaccError;
 use crate::scalar::AccScalar;
 
 /// Cache-line size, and the alignment of every payload.
-const LINE_BYTES: usize = 64;
+pub const LINE_BYTES: usize = 64;
 
 /// One way of the L1d, which is also the page size: addresses this far
 /// apart share a cache set, and a load 4K-aliases an earlier store.
-const WAY_BYTES: usize = 4096;
+pub const WAY_BYTES: usize = 4096;
 
 /// Blocks at least this large are placed: twice glibc's 128 KiB mmap
 /// threshold. Such a block is a mapping of its own and starts at one fixed
@@ -26,13 +27,53 @@ const WAY_BYTES: usize = 4096;
 /// offsets vary already — and a page more per block there changed how often
 /// the arena is trimmed and re-faulted (128 KiB arrays allocated per job:
 /// 2.5× the page faults in the first pass over 240 jobs).
-const PLACED_MIN_BYTES: usize = 256 * 1024;
+pub const PLACED_MIN_BYTES: usize = 256 * 1024;
 
 /// A transparent huge page (x86-64 and aarch64 with 4 KiB base pages).
 const HUGE_BYTES: usize = 2 << 20;
 
-/// Large blocks handed out so far in this process.
-static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
+/// Where the payloads of one allocator's blocks start: the `k`-th placed
+/// block (at least [`PLACED_MIN_BYTES`]) on line `k mod 64` of its page, so
+/// consecutive blocks visit every L1 set once before an offset repeats;
+/// smaller blocks on the next cache line. Without the rotation element `i`
+/// of every large array shares address bits 11:0 with element `i` of every
+/// other, and a kernel that walks several arrays (or several 4 KiB-multiple
+/// strides of one) at one index keeps all of its streams in a single set.
+///
+/// Each allocator keeps a `static` sequence of its own, so one allocator's
+/// blocks do not move the other's.
+#[derive(Debug, Default)]
+pub struct BlockSequence {
+    /// Placed blocks handed out so far.
+    placed: AtomicUsize,
+}
+
+impl BlockSequence {
+    /// A sequence that has placed nothing yet.
+    pub const fn new() -> Self {
+        BlockSequence {
+            placed: AtomicUsize::new(0),
+        }
+    }
+
+    /// Bytes to skip from `at`, where the allocator put a block whose
+    /// payload is `bytes` long, to where the payload starts. Below
+    /// [`WAY_BYTES`] for a placed block and below [`LINE_BYTES`] for any
+    /// other: that is the slack the allocator must add.
+    pub fn skew(&self, at: usize, bytes: usize) -> usize {
+        if bytes < PLACED_MIN_BYTES {
+            return at.wrapping_neg() % LINE_BYTES;
+        }
+        // Relaxed: the count publishes nothing, and two threads that
+        // allocate at once still get different lines.
+        let k = self.placed.fetch_add(1, Ordering::Relaxed);
+        let line = k % (WAY_BYTES / LINE_BYTES);
+        (line * LINE_BYTES).wrapping_sub(at) % WAY_BYTES
+    }
+}
+
+/// Where array storage is placed.
+static BLOCKS: BlockSequence = BlockSequence::new();
 
 /// The whole huge pages inside the block `[raw, raw + size)`, as
 /// `(start, len)`: the range `madvise` may back with 2 MiB pages. `None`
@@ -68,18 +109,6 @@ fn advise_huge_pages(raw: *mut u8, size: usize) {
 #[cfg(not(target_os = "linux"))]
 fn advise_huge_pages(_raw: *mut u8, _size: usize) {}
 
-/// Bytes to skip from `raw` so that the `k`-th large block starts on line
-/// `k mod 64` of its page: consecutive blocks visit every L1 set once
-/// before an offset repeats. Without it element `i` of every large array
-/// shares address bits 11:0 with element `i` of every other, and a kernel
-/// that walks several arrays (or several 4 KiB-multiple strides of one) at
-/// one index keeps all of its streams in a single set. (`racc-gpusim`'s
-/// device heap has the same function.)
-fn skew(raw: usize, k: usize) -> usize {
-    let line = k % (WAY_BYTES / LINE_BYTES);
-    (line * LINE_BYTES).wrapping_sub(raw) % WAY_BYTES
-}
-
 /// A fixed-size, heap-allocated element buffer.
 pub(crate) struct RawStorage<T: AccScalar> {
     /// First element: `raw` plus this block's skew.
@@ -109,8 +138,12 @@ impl<T: AccScalar> RawStorage<T> {
         let bytes = len
             .checked_mul(std::mem::size_of::<T>())
             .ok_or_else(too_large)?;
-        let placed = bytes >= PLACED_MIN_BYTES;
-        let slack = if placed { WAY_BYTES - LINE_BYTES } else { 0 };
+        // `raw` is line-aligned, so a skew is a whole number of lines.
+        let slack = if bytes >= PLACED_MIN_BYTES {
+            WAY_BYTES - LINE_BYTES
+        } else {
+            0
+        };
         let layout = bytes
             .checked_add(slack)
             .and_then(|total| Layout::from_size_align(total.max(1), LINE_BYTES).ok())
@@ -132,16 +165,11 @@ impl<T: AccScalar> RawStorage<T> {
             // SAFETY: `raw` holds `layout.size()` writable bytes.
             unsafe { raw.write_bytes(0, layout.size()) };
         }
-        let skew = if placed {
-            // Relaxed: the count publishes nothing, and two threads that
-            // allocate at once still get different lines.
-            skew(raw.addr(), LARGE_BLOCKS.fetch_add(1, Ordering::Relaxed))
-        } else {
-            0
-        };
+        let skew = BLOCKS.skew(raw.addr(), bytes);
         Ok(RawStorage {
-            // SAFETY: `raw` is a multiple of the line size, so the skew is one
-            // below the way size: within the slack.
+            // SAFETY: `raw` is a multiple of the line size, so the skew is a
+            // line below the way size for a placed block and zero for any
+            // other: within the slack.
             ptr: unsafe { raw.add(skew) } as *mut T,
             len,
             raw,
@@ -250,12 +278,26 @@ mod tests {
 
     #[test]
     fn the_skew_puts_block_k_on_line_k_wherever_the_allocator_put_it() {
-        for raw in [0x7f00_0000_0040usize, 0x5555_0000_0fc0, 0x1000, 0x2a80] {
-            for k in [0usize, 1, 2, 63, 64, 65, 1000] {
-                let skew = skew(raw, k);
-                assert!(skew <= WAY_BYTES - LINE_BYTES);
-                assert_eq!((raw + skew) % WAY_BYTES, k % 64 * LINE_BYTES);
+        // Where `RawStorage` gets its blocks (line-aligned), then where the
+        // device heap does: `calloc` aligns to 16, and a canary may precede
+        // the payload.
+        let line_aligned = [0x7f00_0000_0040usize, 0x5555_0000_0fc0, 0x1000, 0x2a80];
+        let calloc_plus_canary = [0x7f00_0000_0010usize, 0x5555_0000_0ff0, 0x1050, 0x2a90];
+        for at in line_aligned.into_iter().chain(calloc_plus_canary) {
+            let blocks = BlockSequence::new();
+            for k in 0..=1000 {
+                // A small block between two placed ones takes no line.
+                let small = blocks.skew(at, PLACED_MIN_BYTES - 1);
+                assert!(small < LINE_BYTES && (at + small).is_multiple_of(LINE_BYTES));
+                let skew = blocks.skew(at, PLACED_MIN_BYTES);
+                assert!(skew < WAY_BYTES);
+                assert_eq!((at + skew) % WAY_BYTES, k % 64 * LINE_BYTES, "{at:#x}");
             }
+        }
+        // Line-aligned blocks: a whole number of lines, within one page.
+        for at in line_aligned {
+            assert!(BlockSequence::new().skew(at, PLACED_MIN_BYTES) <= WAY_BYTES - LINE_BYTES);
+            assert_eq!(BlockSequence::new().skew(at, 64), 0);
         }
     }
 

@@ -70,7 +70,7 @@ impl<B: Backend> std::fmt::Debug for Context<B> {
 }
 
 impl<B: Backend> Context<B> {
-    /// Wrap a backend in a context (no tracing, no racecheck changes). Use
+    /// Wrap a backend in a context (no tracing, no sanitizer changes). Use
     /// [`Context::builder`] to configure observability at construction.
     pub fn new(backend: B) -> Self {
         // Direct construction honors the environment knobs so harnesses
@@ -605,8 +605,6 @@ pub struct ContextOptions {
     /// [`ContextBuilder::trace_capacity`]; `None` is
     /// `racc_trace::DEFAULT_CAPACITY`.
     pub trace_capacity: Option<usize>,
-    /// [`ContextBuilder::racecheck`].
-    pub racecheck: Option<bool>,
     /// [`ContextBuilder::sanitizer`].
     pub sanitizer: Option<bool>,
     /// [`ContextBuilder::fusion`].
@@ -622,10 +620,6 @@ pub struct ContextOptions {
 impl ContextOptions {
     /// Build a context over `backend`, applying the selected options.
     pub fn build<B: Backend>(self, backend: B) -> Context<B> {
-        #[cfg(feature = "racecheck")]
-        if let Some(enabled) = self.racecheck {
-            crate::racecheck::set_enabled(enabled);
-        }
         if let Some(enabled) = self.sanitizer {
             backend.instrument().set_sanitizer(enabled);
         }
@@ -694,14 +688,6 @@ impl<B: Backend> ContextBuilder<B> {
     /// is `racc_trace::DEFAULT_CAPACITY`.
     pub fn trace_capacity(mut self, spans: usize) -> Self {
         self.options.trace_capacity = Some(spans);
-        self
-    }
-
-    /// Switch the data-race checker on or off (process-global, like the
-    /// checker itself). Leaving it unset keeps the current state. No-op
-    /// unless the `racecheck` feature is compiled in.
-    pub fn racecheck(mut self, enabled: bool) -> Self {
-        self.options.racecheck = Some(enabled);
         self
     }
 

@@ -36,8 +36,9 @@ pub struct Open {
 }
 
 /// Tell the `racecheck` feature's checker which logical iteration the
-/// calling thread is about to run; nothing without the feature. Called
-/// before every body invocation inside an open bracket.
+/// calling thread is about to run (see [`crate::racecheck`]); nothing
+/// without the feature. Called before every body invocation inside an open
+/// bracket.
 #[inline(always)]
 pub fn tag(iter: u64) {
     racecheck::set_current_iteration(iter);

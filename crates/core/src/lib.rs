@@ -51,29 +51,14 @@
 
 mod array;
 mod backend;
-mod buffer;
+pub mod buffer;
 pub mod config;
 mod context;
 pub mod cpumodel;
 mod error;
 pub mod host;
 mod profile;
-#[cfg(feature = "racecheck")]
 pub mod racecheck;
-/// Without the `racecheck` feature, what the CPU back ends call around and
-/// inside every construct is nothing.
-#[cfg(not(feature = "racecheck"))]
-mod racecheck {
-    #[inline(always)]
-    pub(crate) fn begin_launch() {}
-    #[inline(always)]
-    pub(crate) fn end_launch() {}
-    #[inline(always)]
-    pub(crate) fn set_current_iteration(_iter: u64) {}
-    pub(crate) fn set_sanitizer(_enabled: bool) -> bool {
-        false
-    }
-}
 mod scalar;
 mod serial;
 pub mod stats;

@@ -55,14 +55,14 @@ const MEASURED: usize = 16;
 // One #[test] so nothing else in this process races the global counter.
 #[test]
 fn threads_share_one_plan_and_the_hit_path_never_allocates() {
-    // This test asserts the chaos-OFF, sanitizer-OFF, racecheck-OFF
-    // guarantees (each of those layers allocates by design when armed);
-    // keep it meaningful even when the suite runs under the CI's
-    // RACC_CHAOS / RACC_SANITIZER=1 / --features racecheck soak.
+    // This test asserts the chaos-OFF, sanitizer-OFF guarantees (each of
+    // those layers allocates by design when armed; on the CPU the sanitizer
+    // is the race checker); keep it meaningful even when the suite runs
+    // under the CI's RACC_CHAOS / RACC_SANITIZER=1 / --features racecheck
+    // soak.
     std::env::remove_var("RACC_CHAOS");
     let ctx = Context::builder(SerialBackend::new())
         .sanitizer(false)
-        .racecheck(false)
         .build();
 
     // Per-thread arrays with identical structure: the shape key classes

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use racc_chaos::{ChaosEngine, FaultAction, FaultEvent, FaultPlan, FaultSite};
+use racc_core::racecheck::{self, RaceTracker};
 use racc_threadpool::{Schedule, ThreadPool};
 
 use crate::arena;
@@ -16,8 +17,7 @@ use crate::heap::{Allocation, DeviceBuffer, DeviceSlice, DeviceSliceMut, Element
 use crate::launch::{BlockCtx, LaunchConfig, ThreadCtx};
 use crate::perf::{self, KernelCost, OpKind, OpRecord};
 use crate::phased::{run_phases, PhasedKernel, SharedMem, SinglePhase};
-use crate::racecheck::{self, RaceTracker};
-use crate::sanitizer::{self, Sanitizer, SanitizerReport};
+use crate::sanitizer::{self, AllocMeta, Sanitizer, SanitizerReport};
 use crate::spec::DeviceSpec;
 use crate::stream::Stream;
 
@@ -38,7 +38,7 @@ pub struct Device {
     pool: Arc<ThreadPool>,
     clock_ns: AtomicU64,
     used_bytes: Arc<AtomicUsize>,
-    racecheck: std::sync::atomic::AtomicBool,
+    /// The sanitizer's race tracker.
     tracker: Arc<RaceTracker>,
     sanitizer: Arc<Sanitizer>,
     /// Fast-path gate for fault injection: one relaxed load per injection
@@ -99,7 +99,6 @@ impl Device {
             pool,
             clock_ns: AtomicU64::new(0),
             used_bytes: Arc::new(AtomicUsize::new(0)),
-            racecheck: std::sync::atomic::AtomicBool::new(false),
             tracker: Arc::new(RaceTracker::new()),
             sanitizer: Arc::new(Sanitizer::new(sanitizer::env_enabled())),
             chaos_on: std::sync::atomic::AtomicBool::new(false),
@@ -131,20 +130,11 @@ impl Device {
         self.pool.steal_stats()
     }
 
-    /// Enable or disable the dynamic write-race checker (slow; tests only).
-    pub fn set_racecheck(&self, enabled: bool) {
-        self.racecheck.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether racecheck is enabled.
-    pub fn racecheck_enabled(&self) -> bool {
-        self.racecheck.load(Ordering::Relaxed)
-    }
-
     /// Enable or disable **simsan**, the device sanitizer (slow; tests and
     /// debugging only). Also settable at device creation via
-    /// `RACC_SANITIZER=1`. On top of the write-race checker this tracks
-    /// reads (phase-aware read-write races), verifies barrier arrival in
+    /// `RACC_SANITIZER=1`. It tracks every device-slice read and write
+    /// against the SIMT contract (phase-aware write-write and read-write
+    /// races, `racc_core::racecheck`), verifies barrier arrival in
     /// cooperative kernels, instruments allocations with canaries and
     /// live/freed state, and reports leaks — see [`Device::sanitizer_report`].
     ///
@@ -590,40 +580,37 @@ impl Device {
         Ok(())
     }
 
-    /// A read-only view for kernel bodies (participates in the sanitizer's
-    /// read tracking when enabled at view-creation time).
+    /// A read-only view for kernel bodies (checked by the sanitizer when it
+    /// is on at view-creation time).
     pub fn slice<T: Element>(&self, buf: &DeviceBuffer<T>) -> Result<DeviceSlice<T>, SimError> {
         self.check_owned(buf)?;
-        if self.sanitizer_enabled() {
-            Ok(DeviceSlice::new_tracked(
-                buf,
-                Some(Arc::clone(&self.tracker)),
-                buf.alloc.meta().cloned(),
-            ))
-        } else {
-            Ok(DeviceSlice::new(buf))
-        }
+        let (tracker, meta) = self.checks(buf);
+        Ok(DeviceSlice::new_tracked(buf, tracker, meta))
     }
 
-    /// A writable view for kernel bodies (participates in racecheck and the
-    /// sanitizer when enabled at view-creation time).
+    /// A writable view for kernel bodies (checked by the sanitizer when it
+    /// is on at view-creation time).
     pub fn slice_mut<T: Element>(
         &self,
         buf: &DeviceBuffer<T>,
     ) -> Result<DeviceSliceMut<T>, SimError> {
         self.check_owned(buf)?;
-        let sanitize = self.sanitizer_enabled();
-        let tracker = if self.racecheck_enabled() || sanitize {
-            Some(Arc::clone(&self.tracker))
-        } else {
-            None
-        };
-        let meta = if sanitize {
-            buf.alloc.meta().cloned()
-        } else {
-            None
-        };
+        let (tracker, meta) = self.checks(buf);
         Ok(DeviceSliceMut::new_tracked(buf, tracker, meta))
+    }
+
+    /// What a new view of `buf` checks its accesses against: the race
+    /// tracker and the allocation's metadata under the sanitizer, nothing
+    /// otherwise.
+    fn checks<T: Element>(
+        &self,
+        buf: &DeviceBuffer<T>,
+    ) -> (Option<Arc<RaceTracker>>, Option<Arc<AllocMeta>>) {
+        if self.sanitizer_enabled() {
+            (Some(Arc::clone(&self.tracker)), buf.alloc.meta().cloned())
+        } else {
+            (None, None)
+        }
     }
 
     fn check_owned<T: Element>(&self, buf: &DeviceBuffer<T>) -> Result<(), SimError> {
@@ -657,8 +644,8 @@ impl Device {
     /// each block runs out of its host thread's reusable [`arena`] (zero
     /// steady-state allocations); a plain launch hands every phase's
     /// declared prefix ([`PhasedKernel::active_threads`]) to the kernel in
-    /// one [`PhasedKernel::run_phase`] call ([`run_phases`]), a tracked one
-    /// (racecheck, simsan) visits every thread of every phase through
+    /// one [`PhasedKernel::run_phase`] call ([`run_phases`]), a sanitized
+    /// one visits every thread of every phase through
     /// [`PhasedKernel::phase`].
     ///
     /// Non-cooperative kernels (single phase, zero-sized state, no shared
@@ -679,12 +666,9 @@ impl Device {
     /// the optimizer can see is not zero: a panic edge would keep the same
     /// loop alive.
     fn execute_grid<K: PhasedKernel>(&self, cfg: LaunchConfig, kernel: &K) {
-        let racecheck = self.racecheck_enabled();
         let sanitize = self.sanitizer_enabled();
-        let tracked = racecheck || sanitize;
-        if tracked {
+        if sanitize {
             self.tracker.begin_epoch();
-            self.tracker.set_track_reads(sanitize);
         }
         let blocks = cfg.grid.count();
         let block_threads = cfg.block.count();
@@ -694,7 +678,7 @@ impl Device {
         if phases == 1
             && std::mem::size_of::<K::State>() == 0
             && cfg.shared_mem_bytes == 0
-            && !tracked
+            && !sanitize
         {
             let (gx, gy) = (cfg.grid.x as usize, (cfg.grid.y as usize).max(1));
             let segment = chunk.min(gx).max(1);
@@ -717,11 +701,10 @@ impl Device {
         }
         let schedule = Schedule::Dynamic { chunk };
 
-        let san = sanitize.then_some(&*self.sanitizer);
         self.pool.parallel_for(blocks, schedule, |b| {
             arena::with_arena(|ar| {
-                if tracked {
-                    run_block_tracked(kernel, ar, &cfg, phases, b, san);
+                if sanitize {
+                    run_block_tracked(kernel, ar, &cfg, phases, b, &self.sanitizer);
                 } else {
                     ar.run_block::<K::State, _>(
                         cfg.shared_mem_bytes,
@@ -746,12 +729,9 @@ impl Device {
     /// config or charge the timeline.
     #[doc(hidden)]
     pub fn execute_grid_reference<K: PhasedKernel>(&self, cfg: LaunchConfig, kernel: &K) {
-        let racecheck = self.racecheck_enabled();
         let sanitize = self.sanitizer_enabled();
-        let track = racecheck || sanitize;
-        if track {
+        if sanitize {
             self.tracker.begin_epoch();
-            self.tracker.set_track_reads(sanitize);
         }
         let grid = cfg.grid;
         let block = cfg.block;
@@ -775,8 +755,8 @@ impl Device {
                             block_dim: block,
                             grid_dim: grid,
                         };
-                        if track {
-                            racecheck::set_sim_location(
+                        if sanitize {
+                            racecheck::set_location(
                                 ctx.global_linear() as u64,
                                 b as u64,
                                 phase as u32,
@@ -788,10 +768,8 @@ impl Device {
                         self.sanitizer.check_block_phase((bx, by, bz), block, phase);
                     }
                 }
-                if track {
-                    racecheck::clear_current_sim_thread();
-                }
                 if sanitize {
+                    racecheck::clear_location();
                     sanitizer::set_active(false);
                 }
             });
@@ -895,55 +873,44 @@ fn block_ctx(cfg: &LaunchConfig, b: usize) -> BlockCtx {
     }
 }
 
-/// Execute one block of a tracked launch (racecheck or the sanitizer on):
-/// every thread of every phase is visited through [`PhasedKernel::phase`],
-/// whatever the kernel declares or overrides, so race, divergence and canary
-/// checks see the whole block and attribute what they find to one thread.
-/// `san` is `Some` when the sanitizer is on, enabling barrier-arrival
-/// bookkeeping per phase boundary and the check that threads the kernel
-/// declared idle really are.
+/// Execute one block of a sanitized launch: every thread of every phase is
+/// visited through [`PhasedKernel::phase`], whatever the kernel declares or
+/// overrides, so race, divergence and canary checks see the whole block and
+/// attribute what they find to one thread. Each phase boundary gets its
+/// barrier-arrival check, and each thread the kernel declared idle is
+/// checked to be.
 fn run_block_tracked<K: PhasedKernel>(
     kernel: &K,
     arena: &mut arena::LaunchArena,
     cfg: &LaunchConfig,
     phases: usize,
     b: usize,
-    san: Option<&Sanitizer>,
+    san: &Sanitizer,
 ) {
     let block = block_ctx(cfg, b);
     let block_idx = block.block_idx;
     let block_threads = cfg.block.count();
-    if san.is_some() {
-        sanitizer::set_active(true);
-    }
+    sanitizer::set_active(true);
     arena.run_block::<K::State, _>(cfg.shared_mem_bytes, block_threads, |states, shared| {
         for phase in 0..phases {
             let declared = kernel.active_threads(phase, block_threads);
             let mut t = 0;
             block.for_each_thread(0..block_threads, |ctx| {
-                racecheck::set_sim_location(ctx.global_linear() as u64, b as u64, phase as u32);
-                if san.is_some() {
-                    sanitizer::set_declared_idle((t >= declared).then_some(
-                        sanitizer::DeclaredIdle {
-                            block_idx,
-                            thread_idx: ctx.thread_idx,
-                            phase,
-                            declared,
-                        },
-                    ));
-                }
+                racecheck::set_location(ctx.global_linear() as u64, b as u64, phase as u32);
+                sanitizer::set_declared_idle((t >= declared).then_some(sanitizer::DeclaredIdle {
+                    block_idx,
+                    thread_idx: ctx.thread_idx,
+                    phase,
+                    declared,
+                }));
                 kernel.phase(phase, ctx, &mut states[t], shared);
                 t += 1;
             });
-            if let Some(san) = san {
-                san.check_block_phase(block_idx, cfg.block, phase);
-            }
+            san.check_block_phase(block_idx, cfg.block, phase);
         }
     });
-    racecheck::clear_current_sim_thread();
-    if san.is_some() {
-        sanitizer::set_active(false);
-    }
+    racecheck::clear_location();
+    sanitizer::set_active(false);
 }
 
 /// Blocks per dynamic-schedule grab for the block loop — and, for the
@@ -1160,7 +1127,6 @@ mod tests {
             let dev =
                 Device::with_pool(profiles::test_device(), Arc::new(ThreadPool::new(threads)));
             dev.set_sanitizer(false);
-            dev.set_racecheck(false);
             let kernel = Bands(Default::default());
             dev.launch_phased(cfg, KernelCost::default(), &kernel)
                 .unwrap();
@@ -1251,7 +1217,7 @@ mod tests {
     #[test]
     fn racecheck_catches_overlapping_writes() {
         let dev = small_device();
-        dev.set_racecheck(true);
+        dev.set_sanitizer(true);
         let buf = dev.alloc::<f64>(8).unwrap();
         let view = dev.slice_mut(&buf).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1259,13 +1225,14 @@ mod tests {
                 view.set(0, 1.0); // every simulated thread writes element 0
             })
         }));
-        assert!(result.is_err(), "racecheck must fire");
+        let msg = result.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("both wrote element 0"), "{msg}");
     }
 
     #[test]
     fn racecheck_passes_disjoint_writes() {
         let dev = small_device();
-        dev.set_racecheck(true);
+        dev.set_sanitizer(true);
         let n = 128usize;
         let buf = dev.alloc::<f64>(n).unwrap();
         let view = dev.slice_mut(&buf).unwrap();

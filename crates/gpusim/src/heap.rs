@@ -17,8 +17,10 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::racecheck::RaceTracker;
-use crate::sanitizer::{AllocMeta, CANARY_BYTES, CANARY_PATTERN};
+use racc_core::buffer::{BlockSequence, LINE_BYTES, PLACED_MIN_BYTES, WAY_BYTES};
+use racc_core::racecheck::RaceTracker;
+
+use crate::sanitizer::{self, AllocMeta, CANARY_BYTES, CANARY_PATTERN};
 
 /// Cold, outlined bounds failure (keeps formatting out of hot accessors).
 #[cold]
@@ -47,46 +49,36 @@ fn use_after_free(meta: &AllocMeta) -> ! {
     );
 }
 
+/// A sanitized read of element `i` of the allocation at `base`: the reader
+/// must be a thread its kernel declared active, and the read is raced
+/// against the launch's writes. Out of line, so the accessors stay small.
+#[inline(never)]
+fn tracked_read(tracker: &RaceTracker, base: usize, i: usize) {
+    sanitizer::check_declared_active("read device memory");
+    tracker.record_read(base, i);
+}
+
+/// A sanitized write: [`tracked_read`]'s checks, against reads and writes.
+#[inline(never)]
+fn tracked_write(tracker: &RaceTracker, base: usize, i: usize) {
+    sanitizer::check_declared_active("wrote device memory");
+    tracker.record_write(base, i);
+}
+
 /// Marker trait for element types storable in device memory. Blanket-implemented
 /// for all `Copy + Send + Sync + 'static` types.
 pub trait Element: Copy + Send + Sync + 'static {}
 impl<T: Copy + Send + Sync + 'static> Element for T {}
 
-/// Cache-line size, and the alignment of every payload.
-const LINE_BYTES: usize = 64;
-
-/// One way of the host's L1d, which is also the page size: addresses this
-/// far apart share a cache set, and a load 4K-aliases an earlier store.
-const WAY_BYTES: usize = 4096;
-
-/// Blocks at least this large are placed: twice glibc's 128 KiB mmap
-/// threshold. Such a block is a mapping of its own and starts at one fixed
-/// page offset. Between one and two thresholds glibc's dynamic threshold
-/// moves a size from mmap into the arena after its first frees, where
-/// offsets vary already — and a page more per block there changed how often
-/// the arena is trimmed and re-faulted (128 KiB arrays allocated per job:
-/// 2.5× the page faults in the first pass over 240 jobs).
-const PLACED_MIN_BYTES: usize = 256 * 1024;
-
-/// Large blocks handed out so far in this process.
-static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
-
-/// Bytes to skip from `at` so that the `k`-th large block starts on line
-/// `k mod 64` of its page: consecutive blocks visit every L1 set once
-/// before an offset repeats. Without it element `i` of every large buffer
-/// shares address bits 11:0 with element `i` of every other, and a kernel
-/// that walks several of them at one index keeps all of its streams in a
-/// single set. (`racc-core`'s array storage has the same function.)
-fn skew(at: usize, k: usize) -> usize {
-    let line = k % (WAY_BYTES / LINE_BYTES);
-    (line * LINE_BYTES).wrapping_sub(at) % WAY_BYTES
-}
+/// Where device payloads are placed: [`racc_core::buffer::BlockSequence`]'s
+/// rule, with a sequence of its own beside the array storage's.
+static BLOCKS: BlockSequence = BlockSequence::new();
 
 /// One raw allocation on the device heap. Deallocates itself (and returns
 /// its bytes to the heap accounting) when the last handle drops.
 pub(crate) struct Allocation {
-    /// Payload pointer, [`skew`]ed into the host block (a canary region
-    /// precedes and follows the payload when sanitized).
+    /// Payload pointer, [`BlockSequence::skew`]ed into the host block (a
+    /// canary region precedes and follows the payload when sanitized).
     ptr: *mut u8,
     /// Base of the real host allocation; null when nothing was allocated
     /// (zero-byte payloads are truly dangling).
@@ -119,8 +111,11 @@ impl Allocation {
         meta: Option<Arc<AllocMeta>>,
     ) -> Option<Self> {
         let canary = if meta.is_some() { CANARY_BYTES } else { 0 };
-        let placed = bytes >= PLACED_MIN_BYTES;
-        let slack = if placed { WAY_BYTES } else { LINE_BYTES };
+        let slack = if bytes >= PLACED_MIN_BYTES {
+            WAY_BYTES
+        } else {
+            LINE_BYTES
+        };
         // Asking the allocator for 64-byte alignment makes std zero the
         // block by hand (`aligned_alloc` + `memset`), which touches every
         // page of memory nobody may ever read. At the platform's natural
@@ -140,15 +135,7 @@ impl Allocation {
             if raw.is_null() {
                 return None;
             }
-            let at = raw.addr() + canary;
-            let skew = if placed {
-                // Relaxed: the count publishes nothing, and two threads
-                // that allocate at once still get different lines.
-                skew(at, LARGE_BLOCKS.fetch_add(1, Ordering::Relaxed))
-            } else {
-                // The next cache line.
-                at.wrapping_neg() % LINE_BYTES
-            };
+            let skew = BLOCKS.skew(raw.addr() + canary, bytes);
             // SAFETY: the skew is below the slack, so the canary regions
             // and the payload between them are inside the block.
             unsafe {
@@ -294,7 +281,8 @@ pub struct DeviceSlice<T: Element> {
     alloc: Arc<Allocation>,
     ptr: *const T,
     len: usize,
-    /// Present when the device tracks reads (sanitizer mode).
+    /// The device's race tracker; present when the sanitizer was on at
+    /// view creation.
     tracker: Option<Arc<RaceTracker>>,
     /// Present when the allocation is sanitized.
     meta: Option<Arc<AllocMeta>>,
@@ -325,6 +313,7 @@ impl<T: Element> std::fmt::Debug for DeviceSlice<T> {
 }
 
 impl<T: Element> DeviceSlice<T> {
+    #[cfg(test)]
     pub(crate) fn new(buffer: &DeviceBuffer<T>) -> Self {
         Self::new_tracked(buffer, None, None)
     }
@@ -368,7 +357,7 @@ impl<T: Element> DeviceSlice<T> {
             }
         }
         if let Some(t) = &self.tracker {
-            t.record_read(self.ptr as usize, i);
+            tracked_read(t, self.ptr as usize, i);
         }
         // SAFETY: index checked; allocation alive via `alloc`.
         unsafe { *self.ptr.add(i) }
@@ -390,9 +379,8 @@ impl<T: Element> DeviceSlice<T> {
 ///
 /// Writes use interior mutability under the SIMT contract: **distinct
 /// simulated threads must write distinct elements** within one launch.
-/// Enable the device's race checker ([`crate::Device::set_racecheck`]) to
-/// verify that contract dynamically, or the full sanitizer
-/// ([`crate::Device::set_sanitizer`]) to also track reads, freed state, and
+/// The device's sanitizer ([`crate::Device::set_sanitizer`]) verifies that
+/// contract dynamically — reads included — along with freed state and
 /// bounds canaries.
 pub struct DeviceSliceMut<T: Element> {
     alloc: Arc<Allocation>,
@@ -468,7 +456,7 @@ impl<T: Element> DeviceSliceMut<T> {
             }
         }
         if let Some(t) = &self.tracker {
-            t.record_read(self.ptr as usize, i);
+            tracked_read(t, self.ptr as usize, i);
         }
         // SAFETY: index checked; allocation alive via `alloc`.
         unsafe { *(self.ptr as *const T).add(i) }
@@ -488,8 +476,8 @@ impl<T: Element> DeviceSliceMut<T> {
                 use_after_free(m);
             }
         }
-        if let Some(tracker) = &self.tracker {
-            tracker.record_write(self.ptr as usize, i);
+        if let Some(t) = &self.tracker {
+            tracked_write(t, self.ptr as usize, i);
         }
         // SAFETY: index checked; disjoint-writes contract gives exclusive
         // access to this element within the launch.
@@ -590,18 +578,6 @@ mod tests {
                 assert_ne!(offset(0), offset(2), "{at:x?}");
                 assert_ne!(offset(1), offset(2), "{at:x?}");
                 assert!(blocks.iter().all(|b| b.verify_canaries().is_none()));
-            }
-        }
-    }
-
-    #[test]
-    fn the_skew_puts_block_k_on_line_k_wherever_the_allocator_put_it() {
-        // `calloc` aligns to 16, and a canary may precede the payload.
-        for at in [0x7f00_0000_0010usize, 0x5555_0000_0ff0, 0x1050, 0x2a80] {
-            for k in [0usize, 1, 2, 63, 64, 65, 1000] {
-                let skew = skew(at, k);
-                assert!(skew < WAY_BYTES);
-                assert_eq!((at + skew) % WAY_BYTES, k % 64 * LINE_BYTES);
             }
         }
     }

@@ -24,8 +24,9 @@
 //!   `launch overhead + max(compute, memory)` using the device profile's
 //!   bandwidth/throughput figures, occupancy-scaled at small grids. Figures
 //!   in the paper reproduction are regenerated from this clock;
-//! * an optional **write-race checker** for device buffers
-//!   ([`Device::set_racecheck`]).
+//! * **simsan**, an optional sanitizer ([`Device::set_sanitizer`]): races on
+//!   device buffers, barrier divergence, out-of-bounds and use-after-free
+//!   accesses, and leaks.
 //!
 //! Calibrated [`DeviceSpec`] profiles for the paper's three GPUs (NVIDIA
 //! A100, AMD MI100, Intel Data Center Max 1550) live in [`profiles`].
@@ -58,7 +59,6 @@ mod launch;
 pub mod perf;
 mod phased;
 pub mod profiles;
-mod racecheck;
 mod report;
 mod sanitizer;
 mod spec;

@@ -41,11 +41,10 @@ use crate::launch::{BlockCtx, ThreadCtx};
 ///   be a pure no-op: no shared-memory or device-memory access, no write to
 ///   its `State`, no [`ThreadCtx::barrier`] arrival. (A phase whose threads
 ///   all call `barrier()` therefore has to declare the whole block.)
-/// * **Plain launches skip, tracked launches do not.** With racecheck and
-///   the sanitizer off, the executor visits only the prefix. (The
-///   declaration is a permission to skip, never a promise that a thread
-///   will not run.) With racecheck or the sanitizer on, every thread of
-///   every phase is visited, exactly as if nothing were declared, so race,
+/// * **Plain launches skip, tracked launches do not.** With the sanitizer
+///   off, the executor visits only the prefix. (The declaration is a
+///   permission to skip, never a promise that a thread will not run.) With
+///   the sanitizer on, every thread of every phase is visited, exactly as if nothing were declared, so race,
 ///   barrier-divergence and canary checks see the whole block. `State`
 ///   slots of skipped threads are still default-constructed before the
 ///   block and dropped after it.
@@ -78,8 +77,8 @@ use crate::launch::{BlockCtx, ThreadCtx};
 ///   shared memory, device memory and the states exactly as calling
 ///   `phase(p, ..)` for threads `a, a + 1, .., b - 1` in that order would —
 ///   same values, bit for bit, same panics.
-/// * **Tracked launches and the reference stay per-thread.** With
-///   racecheck or the sanitizer on, and in
+/// * **Tracked launches and the reference stay per-thread.** With the
+///   sanitizer on, and in
 ///   `Device::execute_grid_reference`, every thread of every phase is
 ///   still visited through `phase()`, so per-thread race attribution,
 ///   barrier-divergence and declared-idle checks never see the override,

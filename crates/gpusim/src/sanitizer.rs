@@ -3,12 +3,13 @@
 //!
 //! Enabled per device via [`crate::Device::set_sanitizer`] (or the
 //! `RACC_SANITIZER=1` environment variable at device creation), the sanitizer
-//! layers five checks on top of the plain write-race checker:
+//! runs five checks:
 //!
-//! * **read-write races** — reads through device slices are tracked alongside
-//!   writes, phase-aware: values exchanged across a phase boundary (the
-//!   block-wide barrier of a cooperative kernel) are legal, unsynchronized
-//!   ones panic with both simulated-thread ids;
+//! * **races** — every read and write through a device slice is recorded by
+//!   the device's `racc_core::racecheck::RaceTracker`, phase-aware: values
+//!   exchanged across a phase boundary (the block-wide barrier of a
+//!   cooperative kernel) are legal, unsynchronized write-write and
+//!   read-write overlaps panic with both simulated-thread ids;
 //! * **barrier divergence** — kernels declare barrier arrival via
 //!   [`crate::ThreadCtx::barrier`]; if only a subset of a block's threads
 //!   reaches a phase boundary, the launch panics with block/thread
@@ -28,8 +29,8 @@
 //!
 //! The sanitizer is heavyweight (global hash tables, per-access bookkeeping)
 //! and meant for tests and debugging — never benchmarking. When disabled it
-//! costs the launch path nothing (the non-cooperative fast path is gated on
-//! it exactly like racecheck; see `tests/alloc_count.rs`).
+//! costs the launch path nothing (one relaxed load gates the non-cooperative
+//! fast path; see `tests/alloc_count.rs`).
 
 use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
@@ -39,9 +40,10 @@ use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
+use racc_core::racecheck::RaceTracker;
+
 use crate::dim::Dim3;
 use crate::heap::Allocation;
-use crate::racecheck::RaceTracker;
 
 /// Canary bytes on each side of a sanitized allocation's payload. 64 keeps
 /// the payload's 64-byte alignment intact.

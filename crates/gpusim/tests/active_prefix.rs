@@ -13,13 +13,12 @@ use racc_gpusim::{
     SharedMem, ThreadCtx, TreeShape,
 };
 
-/// A plain device: neither racecheck nor the sanitizer, whatever
-/// `RACC_SANITIZER` says (these tests are about the untracked executor
-/// unless they switch a checker on themselves).
+/// A plain device: no sanitizer, whatever `RACC_SANITIZER` says (these
+/// tests are about the untracked executor unless they switch it on
+/// themselves).
 fn plain(spec: racc_gpusim::DeviceSpec) -> Device {
     let dev = Device::new(spec);
     dev.set_sanitizer(false);
-    dev.set_racecheck(false);
     dev
 }
 
@@ -29,7 +28,6 @@ fn plain_in_order(spec: racc_gpusim::DeviceSpec) -> Device {
     let pool = std::sync::Arc::new(racc_threadpool::ThreadPool::new(1));
     let dev = Device::with_pool(spec, pool);
     dev.set_sanitizer(false);
-    dev.set_racecheck(false);
     dev
 }
 
@@ -110,13 +108,6 @@ fn tracked_launches_visit_every_thread_of_every_phase() {
     let every = vec![2 * 64; tree.num_phases()];
 
     let dev = plain(profiles::test_device());
-    dev.set_racecheck(true);
-    let kernel = Visits::new(tree.num_phases(), |p, _| tree.active_threads(p));
-    dev.launch_phased(cfg, KernelCost::default(), &kernel)
-        .unwrap();
-    assert_eq!(kernel.counts(), every, "racecheck must see the whole block");
-
-    let dev = plain(profiles::test_device());
     dev.set_sanitizer(true);
     let kernel = Visits::new(tree.num_phases(), |p, _| tree.active_threads(p));
     dev.launch_phased(cfg, KernelCost::default(), &kernel)
@@ -194,13 +185,11 @@ fn plain_launches_hand_each_phase_to_run_phase_once_tracked_ones_never() {
 
     // Tracked: every thread of every phase through `phase()`, the block
     // form never entered.
-    for track in [Device::set_racecheck, Device::set_sanitizer] {
-        let dev = plain(profiles::test_device());
-        track(&dev, true);
-        let (calls, visits) = launch(&dev);
-        assert_eq!(calls, []);
-        assert_eq!(visits, blocks * 16 * tree.num_phases());
-    }
+    let dev = plain(profiles::test_device());
+    dev.set_sanitizer(true);
+    let (calls, visits) = launch(&dev);
+    assert_eq!(calls, []);
+    assert_eq!(visits, blocks * 16 * tree.num_phases());
 
     // So is the reference executor.
     let dev = plain(profiles::test_device());

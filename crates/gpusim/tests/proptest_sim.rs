@@ -452,7 +452,6 @@ mod block_granular {
         // never enters the block form this is about.
         let dev = test_device();
         dev.set_sanitizer(false);
-        dev.set_racecheck(false);
         let n = data.len();
         let cfg = LaunchConfig::new(grid, block).with_shared_mem(block.count() * 8);
         let x = dev.alloc_from(data).unwrap();

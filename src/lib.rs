@@ -460,17 +460,12 @@ impl ContextBuilder {
         self
     }
 
-    /// Toggle the (process-global) data-race checker. No-op unless the
-    /// `racecheck` feature is compiled into `racc-core`.
-    pub fn racecheck(mut self, enabled: bool) -> Self {
-        self.options.racecheck = Some(enabled);
-        self
-    }
-
     /// Toggle the backend's dynamic sanitizer (`simsan`): out-of-bounds,
-    /// use-after-free, read-write race, barrier-divergence, and leak
-    /// checking. Simulator back ends also honor `RACC_SANITIZER=1`; CPU
-    /// back ends need the `racecheck` feature for this to take effect.
+    /// use-after-free, write-write and read-write race, barrier-divergence,
+    /// and leak checking. Simulator back ends also honor `RACC_SANITIZER=1`.
+    /// On the CPU back ends it is the process-global race checker of
+    /// `racc_core::racecheck`, and takes effect only with the `racecheck`
+    /// feature.
     pub fn sanitizer(mut self, enabled: bool) -> Self {
         self.options.sanitizer = Some(enabled);
         self
@@ -800,7 +795,7 @@ mod tests {
             let sim = !matches!(key, "serial" | "threads");
             let mut b = builder()
                 .backend(key)
-                // Off on the CPU: there it is the process-global racecheck.
+                // Off on the CPU: there it is the process-global race checker.
                 .sanitizer(sim)
                 .chaos(FaultPlan::parse("launch:nth-1").unwrap())
                 .retry(RetryPolicy::default())

@@ -1,5 +1,6 @@
-//! Dynamic write-race detection through the public front end
-//! (compiled only with `--features racecheck`).
+//! Dynamic race detection through the public front end (compiled only with
+//! `--features racecheck`): write-write and read-write overlaps between
+//! iterations of one construct.
 //!
 //! All scenarios share process-global checker state, so they run inside one
 //! `#[test]` sequentially.
@@ -50,6 +51,23 @@ fn racecheck_catches_seeded_races_and_passes_clean_kernels() {
         });
     }));
     assert!(result.is_err(), "overlapping stencil writes must be caught");
+
+    // An in-place shift: iteration i reads element i + 1, which iteration
+    // i + 1 writes. No two writes overlap, but the order of the two
+    // iterations decides what i reads.
+    let e = ctx.array_from_fn(16, |i| i as f64).unwrap();
+    let (er, ew) = (e.view(), e.view_mut());
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        ctx.parallel_for(15, &KernelProfile::unknown(), move |i| {
+            ew.set(i, er.get(i + 1));
+        });
+    }));
+    let payload = result.expect_err("read-write race must be detected");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(msg.contains("read-write race"), "{msg}");
 
     // The LBM kernel's writes are disjoint by construction: must pass.
     racecheck::set_enabled(true);
