@@ -528,10 +528,9 @@ fn host_folded_dot(
 /// vendor API plus the threads backend, for an empty kernel (pure dispatch),
 /// an AXPY-shaped vendor-native kernel (`axpy_native`), and — through one
 /// portable `Context` per backend, so the two are like for like — an AXPY
-/// (`axpy`) and a DOT (`reduce`, the two-kernel tree reduction). The first
-/// two are the same workloads as the `launch_overhead` criterion bench,
-/// packaged for CI: prints a table and writes
-/// `results/BENCH_launch_overhead.json`. `RACC_BENCH_QUICK=1` shrinks shapes
+/// (`axpy`) and a DOT (`reduce`, the two-kernel tree reduction). Prints a
+/// table and writes `results/BENCH_launch_overhead.json`, which
+/// `scripts/check_bench.py` gates. `RACC_BENCH_QUICK=1` shrinks shapes
 /// and iteration counts to smoke-test scale.
 fn bench_launch_overhead() {
     use racc_core::{Context, KernelProfile, ThreadsBackend};
@@ -1118,7 +1117,8 @@ fn bench_steal() {
     }
 
     // 2. Skewed triangular cost (iteration i costs ~i) and 3. uniform
-    //    cost — the `ablate_sched` shapes, measured core-vs-core.
+    //    cost — the scheduling ablation's shapes (EXPERIMENTS.md
+    //    "Ablations"), measured core-vs-core.
     fn work(units: usize) -> f64 {
         let mut acc = 0.0f64;
         for i in 0..units {

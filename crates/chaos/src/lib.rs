@@ -12,8 +12,8 @@
 //!   ([`FaultSite`]) and that logs every injected [`FaultEvent`],
 //! * a [`RetryPolicy`] describing how the portability layer recovers from
 //!   transient faults (bounded attempts with exponential modeled backoff),
-//! * the [`env_flag`] helper unifying truthy env-var parsing across
-//!   `RACC_FUSION`, `RACC_SANITIZER`, and `RACC_CHAOS`.
+//! * the [`truthy`] rule (and its [`env_flag`] helper) every `RACC_*`
+//!   flag shares: `RACC_FUSION`, `RACC_SANITIZER`, and `RACC_CHAOS`.
 //!
 //! Everything here is deterministic by construction: the schedule depends
 //! only on the plan and the per-site operation counters, never on wall
@@ -284,24 +284,6 @@ impl FaultPlan {
             FaultPlan::Script(rules) => FaultPlan::Script(rules.clone()),
         }
     }
-
-    /// Reads `RACC_CHAOS`: `None` when unset or falsy (per [`env_flag`]
-    /// semantics), otherwise the parsed plan. A malformed spec is reported
-    /// on stderr and treated as off — an env typo must not change program
-    /// behavior silently, but it must not abort a run either.
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var("RACC_CHAOS").ok()?;
-        if !truthy(Some(&raw)) {
-            return None;
-        }
-        match FaultPlan::parse(&raw) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                eprintln!("racc-chaos: ignoring RACC_CHAOS: {e}");
-                None
-            }
-        }
-    }
 }
 
 /// Per-site failure odds of the seeded schedule, as 1-in-N draws.
@@ -463,9 +445,9 @@ pub fn truthy(value: Option<&str>) -> bool {
     }
 }
 
-/// [`truthy`] of an environment variable (non-UTF-8 is off). Used by
-/// `RACC_FUSION`, `RACC_SANITIZER`, and `RACC_CHAOS` so the knobs agree
-/// on what "on" means.
+/// [`truthy`] of an environment variable (non-UTF-8 is off), for a flag
+/// read outside `racc_core::RuntimeConfig` (`RACC_SANITIZER`), so every
+/// knob agrees on what "on" means.
 pub fn env_flag(name: &str) -> bool {
     truthy(std::env::var(name).ok().as_deref())
 }
@@ -609,27 +591,5 @@ mod tests {
             assert!(env_flag(name), "{on:?} must be on");
         }
         std::env::remove_var(name);
-    }
-
-    #[test]
-    fn from_env_parses_seed_spec_and_falsy() {
-        let name = "RACC_CHAOS";
-        let old = std::env::var(name).ok();
-        std::env::set_var(name, "0");
-        assert_eq!(FaultPlan::from_env(), None);
-        std::env::set_var(name, "77");
-        assert_eq!(FaultPlan::from_env(), Some(FaultPlan::seeded(77)));
-        std::env::set_var(name, "d2h:nth-1");
-        assert!(matches!(FaultPlan::from_env(), Some(FaultPlan::Script(_))));
-        std::env::set_var(name, "not-a-plan!");
-        assert_eq!(
-            FaultPlan::from_env(),
-            None,
-            "malformed spec is off, not fatal"
-        );
-        match old {
-            Some(v) => std::env::set_var(name, v),
-            None => std::env::remove_var(name),
-        }
     }
 }

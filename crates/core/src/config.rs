@@ -2,57 +2,16 @@
 //! [`Context`](crate::Context) construction.
 //!
 //! [`RuntimeConfig`] holds the knobs a [`Context`](crate::Context)
-//! consumes — `RACC_FUSION`, `RACC_CHAOS`, `RACC_PLAN_CACHE` — and nothing
-//! else: a knob belongs to the layer that acts on it. The thread pool
-//! reads `RACC_GRAIN` and `RACC_NUM_THREADS`, the simulator device reads
-//! `RACC_SANITIZER` when it is created (before any `Context` exists),
-//! `racc-shard` and `racc-serve` read their own `RACC_SHARD*` /
-//! `RACC_SERVE_*` defaults. What they share is the parsing rule, exported
-//! from here so no layer invents its own truthiness: [`truthy`] (the
-//! [`racc_chaos::env_flag`] falsy set `""`, `"0"`, `"false"`, `"off"`) and
-//! [`parse_positive`]. The README lists every variable, its reader and
-//! its default.
+//! consumes — `RACC_FUSION` and `RACC_CHAOS` — and nothing else: a knob
+//! belongs to the layer that acts on it. The thread pool reads
+//! `RACC_NUM_THREADS`, the simulator device reads `RACC_SANITIZER` when it
+//! is created (before any `Context` exists). The flags share one truthy
+//! rule, [`racc_chaos::truthy`] (the falsy set `""`, `"0"`, `"false"`,
+//! `"off"`). The README lists every variable, its reader and its default.
 
-use racc_chaos::FaultPlan;
+use std::sync::Once;
 
-pub use racc_chaos::truthy;
-pub use racc_threadpool::parse_positive;
-
-/// Default number of compiled fused programs retained per context when
-/// `RACC_PLAN_CACHE` is unset.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 32;
-
-/// The plan-cache knob: how many compiled fused programs a context
-/// retains, or off entirely (`RACC_PLAN_CACHE=off` — every evaluation
-/// replans, which is the pre-cache behavior and useful for A/B runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanCacheMode {
-    /// Retain up to this many compiled programs (LRU beyond it).
-    Capacity(usize),
-    /// Never cache: every evaluation plans and compiles from scratch.
-    Off,
-}
-
-impl PlanCacheMode {
-    /// Entries the cache may hold (0 when off or `Capacity(0)`).
-    pub fn capacity(self) -> usize {
-        match self {
-            PlanCacheMode::Capacity(n) => n,
-            PlanCacheMode::Off => 0,
-        }
-    }
-
-    /// True when caching is disabled (off, or a zero capacity).
-    pub fn is_off(self) -> bool {
-        self.capacity() == 0
-    }
-}
-
-impl Default for PlanCacheMode {
-    fn default() -> Self {
-        PlanCacheMode::Capacity(DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-}
+use racc_chaos::{truthy, FaultPlan};
 
 /// Every environment knob a [`Context`](crate::Context) honors, parsed
 /// once.
@@ -63,8 +22,6 @@ pub struct RuntimeConfig {
     pub fusion: bool,
     /// `RACC_CHAOS` — the fault plan, when armed with a valid spec.
     pub chaos: Option<FaultPlan>,
-    /// `RACC_PLAN_CACHE` — plan-cache capacity or off.
-    pub plan_cache: PlanCacheMode,
 }
 
 impl RuntimeConfig {
@@ -79,27 +36,24 @@ impl RuntimeConfig {
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         RuntimeConfig {
             fusion: truthy(lookup("RACC_FUSION").as_deref()),
-            chaos: lookup("RACC_CHAOS")
-                .as_deref()
-                .filter(|raw| truthy(Some(raw)))
-                .and_then(|raw| FaultPlan::parse(raw).ok()),
-            plan_cache: parse_plan_cache(lookup("RACC_PLAN_CACHE").as_deref()),
+            chaos: parse_chaos(lookup("RACC_CHAOS").as_deref()),
         }
     }
 }
 
-/// `RACC_PLAN_CACHE`: unset → the default capacity; a falsy string or
-/// `"off"` → off; a number → that capacity. Anything unparsable keeps the
-/// default (a bad knob should never turn a working program off).
-fn parse_plan_cache(value: Option<&str>) -> PlanCacheMode {
-    match value {
-        None => PlanCacheMode::default(),
-        Some(v) if !truthy(Some(v)) => PlanCacheMode::Off,
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(0) => PlanCacheMode::Off,
-            Ok(n) => PlanCacheMode::Capacity(n),
-            Err(_) => PlanCacheMode::default(),
-        },
+/// `RACC_CHAOS`: unset or falsy → off; otherwise the parsed plan. A
+/// malformed spec is reported on stderr (once per process, however many
+/// contexts read it) and treated as off — an env typo must not change
+/// program behavior silently, but it must not abort a run either.
+fn parse_chaos(raw: Option<&str>) -> Option<FaultPlan> {
+    let raw = raw.filter(|raw| truthy(Some(raw)))?;
+    match FaultPlan::parse(raw) {
+        Ok(plan) => Some(plan),
+        Err(e) => {
+            static WARNED: Once = Once::new();
+            WARNED.call_once(|| eprintln!("racc: ignoring RACC_CHAOS: {e}"));
+            None
+        }
     }
 }
 
@@ -121,27 +75,14 @@ mod tests {
         let c = cfg(&[]);
         assert!(!c.fusion);
         assert!(c.chaos.is_none());
-        assert_eq!(
-            c.plan_cache,
-            PlanCacheMode::Capacity(DEFAULT_PLAN_CACHE_CAPACITY)
-        );
     }
 
     #[test]
     fn falsy_strings_disable_every_knob() {
         for falsy in ["", "0", "false", "off", " off ", " 0 "] {
-            let c = cfg(&[
-                ("RACC_FUSION", falsy),
-                ("RACC_CHAOS", falsy),
-                ("RACC_PLAN_CACHE", falsy),
-            ]);
+            let c = cfg(&[("RACC_FUSION", falsy), ("RACC_CHAOS", falsy)]);
             assert!(!c.fusion, "RACC_FUSION={falsy:?}");
             assert!(c.chaos.is_none(), "RACC_CHAOS={falsy:?}");
-            assert_eq!(
-                c.plan_cache,
-                PlanCacheMode::Off,
-                "RACC_PLAN_CACHE={falsy:?}"
-            );
         }
     }
 
@@ -163,30 +104,9 @@ mod tests {
             cfg(&[("RACC_CHAOS", "d2h:nth-1")]).chaos,
             Some(FaultPlan::Script(_))
         ));
-        assert_eq!(cfg(&[("RACC_CHAOS", "not-a-plan!")]).chaos, None);
-    }
-
-    #[test]
-    fn plan_cache_capacity_off_and_garbage() {
-        assert_eq!(
-            cfg(&[("RACC_PLAN_CACHE", "4")]).plan_cache,
-            PlanCacheMode::Capacity(4)
-        );
-        assert_eq!(
-            cfg(&[("RACC_PLAN_CACHE", "0")]).plan_cache,
-            PlanCacheMode::Off
-        );
-        assert_eq!(
-            cfg(&[("RACC_PLAN_CACHE", "off")]).plan_cache,
-            PlanCacheMode::Off
-        );
-        // Unparsable keeps the default rather than disabling the cache.
-        assert_eq!(
-            cfg(&[("RACC_PLAN_CACHE", "many")]).plan_cache,
-            PlanCacheMode::default()
-        );
-        assert!(PlanCacheMode::Off.is_off());
-        assert!(PlanCacheMode::Capacity(0).is_off());
-        assert_eq!(PlanCacheMode::Capacity(7).capacity(), 7);
+        // Malformed specs are off, not fatal — and every reader agrees.
+        for garbage in ["not-a-plan!", "h2d:evry-3"] {
+            assert_eq!(cfg(&[("RACC_CHAOS", garbage)]).chaos, None, "{garbage:?}");
+        }
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use crate::array::{Array1, Array2, Array3};
 use crate::backend::{Backend, DeviceToken, Extent};
 use crate::buffer::RawStorage;
-use crate::config::{PlanCacheMode, RuntimeConfig};
+use crate::config::RuntimeConfig;
 use crate::error::RaccError;
 use crate::profile::KernelProfile;
 use crate::scalar::{AccScalar, Numeric, ReduceOp, Sum};
@@ -40,7 +40,7 @@ pub struct Context<B: Backend> {
     /// should take their fused fast paths. Purely advisory: the core
     /// constructs behave identically either way.
     fusion: bool,
-    /// Home of the fused-plan cache: mode, counters, and the type-erased
+    /// Home of the fused-plan cache: counters and the type-erased
     /// cell `racc-fuse` parks its cache in (see [`crate::stats`]).
     plan_cache: PlanCacheSlot,
     /// Counters the sharded multi-device runner (`racc-shard`) bumps when
@@ -97,7 +97,7 @@ impl<B: Backend> Context<B> {
             backend,
             id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
             fusion: config.fusion,
-            plan_cache: PlanCacheSlot::new(config.plan_cache),
+            plan_cache: PlanCacheSlot::default(),
             shard: std::sync::Arc::new(ShardCounters::default()),
             serve: std::sync::Arc::new(ServeCounters::default()),
             prim: std::sync::Arc::new(PrimCounters::default()),
@@ -609,8 +609,6 @@ pub struct ContextOptions {
     pub sanitizer: Option<bool>,
     /// [`ContextBuilder::fusion`].
     pub fusion: Option<bool>,
-    /// [`ContextBuilder::plan_cache`].
-    pub plan_cache: Option<PlanCacheMode>,
     /// [`ContextBuilder::chaos`].
     pub chaos: Option<racc_chaos::FaultPlan>,
     /// [`ContextBuilder::retry`].
@@ -635,12 +633,6 @@ impl ContextOptions {
         }
         if let Some(enabled) = self.fusion {
             ctx.fusion = enabled;
-        }
-        if let Some(mode) = self.plan_cache {
-            // Nothing has touched the slot yet (the fusion layer installs
-            // its cache lazily, on first evaluation), so replacing it here
-            // is a plain reconfiguration.
-            ctx.plan_cache = PlanCacheSlot::new(mode);
         }
         #[cfg(feature = "trace")]
         if self.trace {
@@ -707,15 +699,6 @@ impl<B: Backend> ContextBuilder<B> {
     /// `RACC_FUSION` environment variable; off by default.
     pub fn fusion(mut self, enabled: bool) -> Self {
         self.options.fusion = Some(enabled);
-        self
-    }
-
-    /// Override the fused-plan cache mode (capacity or
-    /// [`PlanCacheMode::Off`]). Leaving it unset defers to the
-    /// `RACC_PLAN_CACHE` environment variable; the default retains
-    /// [`crate::config::DEFAULT_PLAN_CACHE_CAPACITY`] compiled programs.
-    pub fn plan_cache(mut self, mode: PlanCacheMode) -> Self {
-        self.options.plan_cache = Some(mode);
         self
     }
 

@@ -68,7 +68,7 @@ mod views;
 
 pub use array::{Array1, Array2, Array3};
 pub use backend::{Backend, DeviceToken, Extent, Instrument};
-pub use config::{PlanCacheMode, RuntimeConfig};
+pub use config::RuntimeConfig;
 // Fault-injection vocabulary, re-exported so the portability layer and
 // applications can arm chaos without naming the substrate crate.
 pub use context::{Context, ContextBuilder, ContextOptions};

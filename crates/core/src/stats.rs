@@ -15,15 +15,13 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::config::PlanCacheMode;
-
 /// Shared hit/miss/evict counters of one context's plan cache. The fusion
 /// layer increments; [`Context::stats`](crate::Context::stats) reads.
 #[derive(Debug, Default)]
 pub struct PlanCacheCounters {
     /// Evaluations served by a cached compiled program.
     pub hits: AtomicU64,
-    /// Evaluations that had to plan + compile (includes cache-off mode).
+    /// Evaluations that had to plan + compile.
     pub misses: AtomicU64,
     /// Cached programs dropped to make room at capacity.
     pub evictions: AtomicU64,
@@ -31,30 +29,16 @@ pub struct PlanCacheCounters {
     pub entries: AtomicU64,
 }
 
-/// Per-context home of the fused-plan cache: the configured mode, the
-/// counters `ctx.stats()` reports, and a type-erased cell the fusion
-/// layer lazily parks its cache structure in.
-#[derive(Debug)]
+/// Per-context home of the fused-plan cache: the counters `ctx.stats()`
+/// reports, and a type-erased cell the fusion layer lazily parks its cache
+/// structure in.
+#[derive(Debug, Default)]
 pub struct PlanCacheSlot {
-    mode: PlanCacheMode,
     counters: Arc<PlanCacheCounters>,
     cell: OnceLock<Box<dyn Any + Send + Sync>>,
 }
 
 impl PlanCacheSlot {
-    pub(crate) fn new(mode: PlanCacheMode) -> Self {
-        PlanCacheSlot {
-            mode,
-            counters: Arc::new(PlanCacheCounters::default()),
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The configured cache mode (capacity or off).
-    pub fn mode(&self) -> PlanCacheMode {
-        self.mode
-    }
-
     /// The counters this slot's cache reports through.
     pub fn counters(&self) -> &Arc<PlanCacheCounters> {
         &self.counters
@@ -80,10 +64,6 @@ impl PlanCacheSlot {
 /// Plan-cache snapshot inside [`RuntimeStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Whether caching is enabled for this context.
-    pub enabled: bool,
-    /// Configured capacity (0 when off).
-    pub capacity: usize,
     /// Programs currently cached.
     pub entries: usize,
     /// Evaluations served from the cache.
@@ -301,20 +281,15 @@ pub struct RuntimeStats {
 impl std::fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let pc = &self.plan_cache;
-        if pc.enabled {
-            write!(
-                f,
-                "plan-cache {}/{} entries, {} hits / {} misses ({:.0}% hit), {} evicted",
-                pc.entries,
-                pc.capacity,
-                pc.hits,
-                pc.misses,
-                pc.hit_rate() * 100.0,
-                pc.evictions
-            )?;
-        } else {
-            write!(f, "plan-cache off ({} compiles)", pc.misses)?;
-        }
+        write!(
+            f,
+            "plan-cache {} entries, {} hits / {} misses ({:.0}% hit), {} evicted",
+            pc.entries,
+            pc.hits,
+            pc.misses,
+            pc.hit_rate() * 100.0,
+            pc.evictions
+        )?;
         write!(
             f,
             "; faults {} ({} failed, {} delayed)",
@@ -368,8 +343,6 @@ impl std::fmt::Display for RuntimeStats {
 pub(crate) fn snapshot_plan_cache(slot: &PlanCacheSlot) -> PlanCacheStats {
     let c = slot.counters();
     PlanCacheStats {
-        enabled: !slot.mode().is_off(),
-        capacity: slot.mode().capacity(),
         entries: c.entries.load(Ordering::Relaxed) as usize,
         hits: c.hits.load(Ordering::Relaxed),
         misses: c.misses.load(Ordering::Relaxed),
@@ -451,8 +424,6 @@ mod tests {
     #[test]
     fn hit_rate_handles_empty_and_mixed() {
         let mut s = PlanCacheStats {
-            enabled: true,
-            capacity: 32,
             entries: 0,
             hits: 0,
             misses: 0,
@@ -493,8 +464,6 @@ mod tests {
     fn display_is_one_line() {
         let stats = RuntimeStats {
             plan_cache: PlanCacheStats {
-                enabled: true,
-                capacity: 32,
                 entries: 2,
                 hits: 18,
                 misses: 2,
@@ -516,8 +485,6 @@ mod tests {
     fn display_appends_steal_counters_when_present() {
         let stats = RuntimeStats {
             plan_cache: PlanCacheStats {
-                enabled: false,
-                capacity: 0,
                 entries: 0,
                 hits: 0,
                 misses: 0,

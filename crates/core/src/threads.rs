@@ -7,7 +7,8 @@
 //! sequentially, matching Julia's column-major storage. Modeled time comes
 //! from the CPU machine model, so figure generation is deterministic; real
 //! wall-clock time of this backend is additionally meaningful and is what
-//! the `overhead_cpu` criterion bench measures.
+//! the benchmark's `racc_over_native_wall` row measures
+//! (`examples/benchmark`).
 
 use std::sync::Arc;
 

@@ -6,10 +6,10 @@
 //! lowering entirely and goes straight to the specialized executors.
 //!
 //! The cache is deliberately small and flat: a linear-scanned `Vec` of
-//! entries behind one mutex, FNV-1a-prefiltered, LRU-evicted at the
-//! configured capacity. Contexts hold a handful of *distinct* program
-//! shapes (the key ignores array identities, extents class by slot, and
-//! scalar values), so a scan over ≤ 32 entries beats a hash table's
+//! entries behind one mutex, FNV-1a-prefiltered, LRU-evicted at
+//! [`CAPACITY`]. Contexts hold a handful of *distinct* program shapes (the
+//! key ignores array identities, extents class by slot, and scalar
+//! values), so a scan over ≤ 32 entries beats a hash table's
 //! indirections and keeps the hit path allocation-free. Counters live in
 //! the context's [`PlanCacheCounters`] so `ctx.stats()` reads them
 //! without reaching into this crate.
@@ -18,9 +18,12 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use racc_core::stats::PlanCacheCounters;
-use racc_core::PlanCacheMode;
 
 use crate::compile::CachedProgram;
+
+/// Compiled programs a context retains; the least recently used goes
+/// beyond this.
+pub(crate) const CAPACITY: usize = 32;
 
 /// One cached program keyed by `(hash, key, name)`. The profile name is
 /// compared separately from the token stream because it is a `&'static
@@ -41,8 +44,7 @@ struct CacheInner {
 /// The per-context plan cache, parked in the context's
 /// [`PlanCacheSlot`](racc_core::stats::PlanCacheSlot).
 pub(crate) struct PlanCache {
-    /// Capacity 0 means caching is off: every lookup misses and inserts
-    /// are dropped (misses still count, so `stats()` reports compiles).
+    /// Entries retained (>= 1): a full cache evicts before it inserts.
     capacity: usize,
     counters: Arc<PlanCacheCounters>,
     inner: Mutex<CacheInner>,
@@ -69,9 +71,9 @@ pub(crate) fn hash_key(key: &[u32], name: &str) -> u64 {
 }
 
 impl PlanCache {
-    pub(crate) fn new(mode: PlanCacheMode, counters: Arc<PlanCacheCounters>) -> Self {
+    pub(crate) fn new(capacity: usize, counters: Arc<PlanCacheCounters>) -> Self {
         PlanCache {
-            capacity: mode.capacity(),
+            capacity,
             counters,
             inner: Mutex::new(CacheInner {
                 entries: Vec::new(),
@@ -110,7 +112,7 @@ impl PlanCache {
     }
 
     /// Insert a freshly compiled program, evicting the least-recently-used
-    /// entry at capacity. A no-op when caching is off.
+    /// entry at capacity.
     pub(crate) fn insert(
         &self,
         hash: u64,
@@ -118,9 +120,6 @@ impl PlanCache {
         name: &'static str,
         program: Arc<CachedProgram>,
     ) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         // A racing evaluation of the same program may have inserted first;
         // keep the existing entry so the cache never holds duplicates.
@@ -138,7 +137,7 @@ impl PlanCache {
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
-                .expect("capacity >= 1 implies a candidate");
+                .expect("a full cache has a candidate");
             inner.entries.swap_remove(lru);
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -175,7 +174,7 @@ mod tests {
 
     #[test]
     fn hit_after_insert_and_name_discriminates() {
-        let cache = PlanCache::new(PlanCacheMode::Capacity(4), Arc::default());
+        let cache = PlanCache::new(4, Arc::default());
         let key = [1u32, 2, 3];
         let h = hash_key(&key, "fused");
         assert!(cache.lookup(h, &key, "fused").is_none());
@@ -189,7 +188,7 @@ mod tests {
 
     #[test]
     fn capacity_one_evicts_lru() {
-        let cache = PlanCache::new(PlanCacheMode::Capacity(1), Arc::default());
+        let cache = PlanCache::new(1, Arc::default());
         let (a, b) = ([1u32], [2u32]);
         let (ha, hb) = (hash_key(&a, "fused"), hash_key(&b, "fused"));
         cache.insert(ha, &a, "fused", program());
@@ -197,16 +196,5 @@ mod tests {
         assert!(cache.lookup(ha, &a, "fused").is_none(), "a was evicted");
         assert!(cache.lookup(hb, &b, "fused").is_some());
         assert_eq!(counters(&cache).2, 1);
-    }
-
-    #[test]
-    fn off_mode_never_stores() {
-        let cache = PlanCache::new(PlanCacheMode::Off, Arc::default());
-        let key = [7u32];
-        let h = hash_key(&key, "fused");
-        cache.insert(h, &key, "fused", program());
-        assert!(cache.lookup(h, &key, "fused").is_none());
-        let (hits, misses, _) = counters(&cache);
-        assert_eq!((hits, misses), (0, 1));
     }
 }

@@ -24,8 +24,8 @@
 //! cache of lowered programs, so steady-state loops like CG plan and
 //! lower **once** and then re-execute specialized tape or template
 //! executors against fresh bindings with zero allocation. Cache traffic
-//! is visible through `ctx.stats()`; `RACC_PLAN_CACHE=<capacity|off>`
-//! sizes or disables the cache. [`Lazy::interpreted`] keeps the
+//! is visible through `ctx.stats()`; the cache keeps the 32 most recently
+//! used programs. [`Lazy::interpreted`] keeps the
 //! walk-the-DAG-each-time path (for A/B measurement), and
 //! [`Lazy::eager`] forces one launch per statement — the reference
 //! semantics both other modes must reproduce bit-identically.
@@ -376,7 +376,7 @@ impl<'c, B: Backend> Lazy<'c, B> {
         let name = self.name;
         let slot = ctx.plan_cache_slot();
         let cache: &PlanCache =
-            slot.get_or_init(|| PlanCache::new(slot.mode(), Arc::clone(slot.counters())));
+            slot.get_or_init(|| PlanCache::new(cache::CAPACITY, Arc::clone(slot.counters())));
         let s = self.scratch.as_mut().expect("scratch present until drop");
         compile::ingest(s, ctx.id(), terminal.as_ref().map(|(e, k)| (e, *k)));
         let hash = cache::hash_key(&s.key, name);
@@ -430,7 +430,7 @@ impl<B: Backend> LazyExt<B> for Context<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use racc_core::{PlanCacheMode, SerialBackend};
+    use racc_core::SerialBackend;
 
     fn ctx() -> Context<SerialBackend> {
         Context::new(SerialBackend::new())
@@ -702,30 +702,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_capacity_and_off_modes_apply() {
-        // Capacity 1: two distinct shapes evict each other.
-        let ctx = Context::builder(SerialBackend::new())
-            .plan_cache(PlanCacheMode::Capacity(1))
-            .build();
+    fn a_full_cache_evicts_one_program_per_new_shape() {
+        // CAPACITY + 1 distinct shapes: sums over 0..=CAPACITY chained `abs`
+        // calls differ in their op sequence.
+        let ctx = ctx();
         let x = ctx.array_from_fn(8, |i| i as f64).unwrap();
-        ctx.lazy().sum(load(&x));
-        ctx.lazy().sum(load(&x).abs());
-        ctx.lazy().sum(load(&x));
+        for depth in 0..=cache::CAPACITY {
+            let e = (0..depth).fold(load(&x), |e, _| e.abs());
+            ctx.lazy().sum(e);
+        }
         let pc = ctx.stats().plan_cache;
-        assert_eq!(pc.misses, 3, "{pc:?}");
-        assert_eq!(pc.evictions, 2, "{pc:?}");
-        assert_eq!(pc.entries, 1);
-
-        // Off: correct results, no caching, misses still counted.
-        let ctx = Context::builder(SerialBackend::new())
-            .plan_cache(PlanCacheMode::Off)
-            .build();
-        let x = ctx.array_from_fn(8, |i| i as f64).unwrap();
-        let a = ctx.lazy().sum(load(&x));
-        let b = ctx.lazy().sum(load(&x));
-        assert_eq!(a.to_bits(), b.to_bits());
-        let pc = ctx.stats().plan_cache;
-        assert!(!pc.enabled);
-        assert_eq!((pc.hits, pc.misses, pc.entries), (0, 2, 0), "{pc:?}");
+        assert_eq!(pc.misses, cache::CAPACITY as u64 + 1, "{pc:?}");
+        assert_eq!(pc.evictions, 1, "{pc:?}");
+        assert_eq!(pc.entries, cache::CAPACITY, "{pc:?}");
     }
 }

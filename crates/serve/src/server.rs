@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
-use racc_core::config::parse_positive;
 use racc_core::{Backend, Context, RaccError, RetryPolicy, ServeStats};
 use racc_prefs::{Preferences, TenantPrefs};
 
@@ -86,8 +85,9 @@ impl TenantConfig {
     }
 }
 
-/// Server construction knobs. `Default` honors the `RACC_SERVE_DEVICES`,
-/// `RACC_SERVE_QUEUE` and `RACC_SERVE_BATCH` environment knobs.
+/// Server construction knobs. `Default` is one device, a 256-deep global
+/// queue and batches of up to 8; the builder methods and
+/// [`ServerOptions::with_prefs`] configure a deployment.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Pool width: how many contexts the factory is asked for.
@@ -118,21 +118,10 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        Self::from_lookup(|name| std::env::var(name).ok())
-    }
-}
-
-impl ServerOptions {
-    /// The testable core of `Default`: the three environment knobs
-    /// (positive integers; anything else keeps the default of 1 device, a
-    /// 256-deep queue, batches of 8) through an arbitrary lookup, so tests
-    /// never touch process-global state.
-    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
-        let count = |name: &str| parse_positive(lookup(name).as_deref());
         ServerOptions {
-            devices: count("RACC_SERVE_DEVICES").unwrap_or(1),
-            global_queue_depth: count("RACC_SERVE_QUEUE").unwrap_or(256),
-            batch_limit: count("RACC_SERVE_BATCH").unwrap_or(8),
+            devices: 1,
+            global_queue_depth: 256,
+            batch_limit: 8,
             overlap: true,
             retry: RetryPolicy::none(),
             fallback: false,
@@ -141,7 +130,9 @@ impl ServerOptions {
             hold: false,
         }
     }
+}
 
+impl ServerOptions {
     /// Set the pool width.
     pub fn devices(mut self, n: usize) -> Self {
         self.devices = n.max(1);
@@ -946,35 +937,9 @@ fn render_panic(panic: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
 
-    fn opts(vars: &[(&str, &str)]) -> ServerOptions {
-        ServerOptions::from_lookup(|name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        })
-    }
-
     #[test]
-    fn serve_knobs_parse_positive_integers_only() {
-        let o = opts(&[]);
-        assert_eq!(
-            (o.devices, o.batch_limit, o.global_queue_depth),
-            (1, 8, 256)
-        );
-        let o = opts(&[
-            ("RACC_SERVE_DEVICES", "4"),
-            ("RACC_SERVE_BATCH", " 16 "),
-            ("RACC_SERVE_QUEUE", "512"),
-        ]);
-        assert_eq!(
-            (o.devices, o.batch_limit, o.global_queue_depth),
-            (4, 16, 512)
-        );
-        let o = opts(&[
-            ("RACC_SERVE_DEVICES", "0"),
-            ("RACC_SERVE_BATCH", "-2"),
-            ("RACC_SERVE_QUEUE", "plenty"),
-        ]);
+    fn defaults_are_one_device_a_256_queue_and_batches_of_8() {
+        let o = ServerOptions::default();
         assert_eq!(
             (o.devices, o.batch_limit, o.global_queue_depth),
             (1, 8, 256)

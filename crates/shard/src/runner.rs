@@ -64,7 +64,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use racc_comm::{CommError, Rank, World};
-use racc_core::config::{parse_positive, truthy};
 use racc_core::{Backend, Context, ShardCounters, ShardStats};
 
 use crate::plan::{Shard, ShardPlan, Topology};
@@ -158,27 +157,19 @@ pub struct ShardOptions {
 }
 
 impl Default for ShardOptions {
-    /// Honors `RACC_SHARDS` (device count; 2 when unset, zero or
-    /// unparsable) and `RACC_SHARD_OVERLAP` (on when unset, otherwise the
-    /// shared truthy rule).
+    /// Two devices, overlap on, a checkpoint every four steps.
     fn default() -> Self {
-        Self::from_lookup(|name| std::env::var(name).ok())
-    }
-}
-
-impl ShardOptions {
-    /// The testable core of `Default`: the two environment knobs through
-    /// an arbitrary lookup, so tests never touch process-global state.
-    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         ShardOptions {
-            devices: parse_positive(lookup("RACC_SHARDS").as_deref()).unwrap_or(2),
-            overlap: lookup("RACC_SHARD_OVERLAP").is_none_or(|v| truthy(Some(&v))),
+            devices: 2,
+            overlap: true,
             checkpoint_every: 4,
             step_timeout: Duration::from_secs(60),
             recover_timeout: Duration::from_secs(30),
         }
     }
+}
 
+impl ShardOptions {
     /// Options for `devices` shards, everything else default.
     pub fn devices(devices: usize) -> Self {
         ShardOptions {
@@ -1121,24 +1112,10 @@ where
 mod tests {
     use super::*;
 
-    fn opts(vars: &[(&str, &str)]) -> ShardOptions {
-        ShardOptions::from_lookup(|name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        })
-    }
-
     #[test]
-    fn shard_knobs_parse_counts_and_tristate_overlap() {
-        assert_eq!(opts(&[]).devices, 2);
-        assert_eq!(opts(&[("RACC_SHARDS", "4")]).devices, 4);
-        assert_eq!(opts(&[("RACC_SHARDS", " 8 ")]).devices, 8);
-        assert_eq!(opts(&[("RACC_SHARDS", "0")]).devices, 2);
-        assert_eq!(opts(&[("RACC_SHARDS", "lots")]).devices, 2);
-        assert!(opts(&[]).overlap);
-        assert!(opts(&[("RACC_SHARD_OVERLAP", "1")]).overlap);
-        assert!(!opts(&[("RACC_SHARD_OVERLAP", "off")]).overlap);
-        assert!(!opts(&[("RACC_SHARD_OVERLAP", "")]).overlap);
+    fn defaults_are_two_overlapped_devices() {
+        let o = ShardOptions::default();
+        assert_eq!((o.devices, o.overlap), (2, true));
+        assert!(ShardOptions::devices(4).overlap);
     }
 }

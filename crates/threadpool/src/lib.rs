@@ -26,11 +26,10 @@
 //! split task ranges in half onto per-participant Chase–Lev deques (LIFO for
 //! the owner, FIFO for thieves) with a bounded global injector as overflow,
 //! and idle workers are woken lazily one at a time (see `pool.rs` module
-//! docs). The tile grain of `Schedule::Dynamic { chunk: 0 }` launches can be
-//! overridden with the `RACC_GRAIN` environment variable (a positive
-//! iteration count per tile); reductions stay bit-reproducible under
-//! stealing because every tile folds into its own slot and slots combine in
-//! tile order. Steal telemetry is available via
+//! docs). `Schedule::Dynamic { chunk }` sets the tile grain (`chunk: 0`
+//! picks `n / (8 P)`, see [`Schedule::dynamic_chunk`]); reductions stay
+//! bit-reproducible under stealing because every tile folds into its own
+//! slot and slots combine in tile order. Steal telemetry is available via
 //! [`ThreadPool::steal_stats`].
 //!
 //! ```
@@ -57,6 +56,6 @@ mod steal;
 pub use latch::CountLatch;
 pub use pool::{PoolError, ThreadPool};
 pub use reduce::ordered_tiled_fold;
-pub use schedule::{chunk_count, chunks, parse_positive, Schedule};
+pub use schedule::{chunk_count, chunks, Schedule};
 pub use scratch::RawScratch;
 pub use steal::{StealCounters, StealStats};

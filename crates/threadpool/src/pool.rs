@@ -910,16 +910,22 @@ impl<T> SendPtr<T> {
 /// Thread count for the global pool: `RACC_NUM_THREADS` if set and valid,
 /// otherwise the machine's available parallelism.
 pub(crate) fn default_thread_count() -> usize {
-    if let Ok(v) = std::env::var("RACC_NUM_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    thread_count_from(std::env::var("RACC_NUM_THREADS").ok().as_deref())
+}
+
+/// The testable core of [`default_thread_count`]: a positive integer
+/// (surrounding whitespace allowed) is the width; unset, zero or garbage
+/// falls back to `available_parallelism()` — a bad knob must never panic a
+/// working program.
+fn thread_count_from(value: Option<&str>) -> usize {
+    value
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 #[cfg(test)]
@@ -931,6 +937,17 @@ mod tests {
     #[test]
     fn try_new_rejects_zero() {
         assert_eq!(ThreadPool::try_new(0).unwrap_err(), PoolError::ZeroThreads);
+    }
+
+    #[test]
+    fn thread_count_knob_takes_positive_integers_only() {
+        let fallback = thread_count_from(None);
+        assert!(fallback >= 1);
+        assert_eq!(thread_count_from(Some("4")), 4);
+        assert_eq!(thread_count_from(Some(" 4 ")), 4);
+        for bad in ["0", "-3", "", "lots"] {
+            assert_eq!(thread_count_from(Some(bad)), fallback, "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Loop-scheduling policies, chunk arithmetic, and the tile lowering the
 //! work-stealing core executes.
 
-use std::sync::OnceLock;
-
 /// How a 1D iteration space is divided among participants.
 ///
 /// `Static` is the OpenMP-style blocked schedule Julia's `Threads.@threads`
@@ -19,17 +17,19 @@ pub enum Schedule {
     Static,
     /// The range is split into tiles of the given grain that participants
     /// pop locally (LIFO) and steal from each other (FIFO). A grain of 0
-    /// picks the `RACC_GRAIN` environment override if set, otherwise a
-    /// heuristic (`n / (8 P)` clamped to `[1, 4096]`).
+    /// picks a heuristic (`n / (8 P)` clamped to `[1, 4096]`).
     Dynamic {
-        /// Iterations per tile; 0 selects `RACC_GRAIN` or the heuristic.
+        /// Iterations per tile; 0 selects the heuristic.
         chunk: usize,
     },
 }
 
 impl Schedule {
-    /// Resolve the chunk size a dynamic schedule would use for `n` iterations
-    /// across `participants` threads.
+    /// Resolve the chunk size — the tile grain of the work-stealing core —
+    /// this schedule uses for `n` iterations across `participants` threads.
+    /// `Dynamic { chunk > 0 }` is honored verbatim; `Static` resolves to its
+    /// block size (the static tiling does not consume a grain, but callers
+    /// may still ask).
     ///
     /// An empty range resolves to 0 for **every** variant: there is nothing
     /// to chunk, matching `chunks(0, c)` yielding no chunks. (Earlier
@@ -37,62 +37,21 @@ impl Schedule {
     /// the chunk iterators and made callers special-case `n == 0`.)
     ///
     /// The auto heuristic (`chunk: 0`) is `n / (8 P)` clamped to
-    /// `[1, 4096]`, tuned against the `ablate_sched` bench (EXPERIMENTS.md):
+    /// `[1, 4096]`, set by the schedule sweep of EXPERIMENTS.md "Ablations":
     /// eight chunks per participant amortize the per-tile dispatch overhead
     /// — measured ~4x slower with single-iteration tiles on cheap work —
     /// while the cap bounds the tail imbalance a skewed workload can hit
-    /// when `n` is huge. The same heuristic is the work-stealing grain
-    /// default (see [`Schedule::grain`]).
+    /// when `n` is huge.
     pub fn dynamic_chunk(self, n: usize, participants: usize) -> usize {
         if n == 0 {
             return 0;
         }
         match self {
             Schedule::Static => split_block(n, participants, 0).1.max(1),
-            Schedule::Dynamic { chunk: 0 } => auto_grain(n, participants),
+            Schedule::Dynamic { chunk: 0 } => (n / (8 * participants.max(1))).clamp(1, 4096),
             Schedule::Dynamic { chunk } => chunk,
         }
     }
-
-    /// The tile grain the work-stealing core uses for this schedule:
-    /// `Dynamic { chunk > 0 }` is honored verbatim; `Dynamic { chunk: 0 }`
-    /// takes the `RACC_GRAIN` environment override when set (parsed once per
-    /// process), else the tuned heuristic. `Static` resolves to its block
-    /// size (the static tiling does not consume a grain, but callers may
-    /// still ask). Returns 0 for an empty range.
-    pub fn grain(self, n: usize, participants: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        match self {
-            Schedule::Dynamic { chunk: 0 } => {
-                env_grain().unwrap_or_else(|| auto_grain(n, participants))
-            }
-            other => other.dynamic_chunk(n, participants),
-        }
-    }
-}
-
-/// The tuned default grain: eight tiles per participant, clamped to
-/// `[1, 4096]`.
-fn auto_grain(n: usize, participants: usize) -> usize {
-    (n / (8 * participants.max(1))).clamp(1, 4096)
-}
-
-/// `RACC_GRAIN` parsed once per process: a positive integer overrides the
-/// auto grain; unset, zero, or garbage leaves the heuristic in charge.
-fn env_grain() -> Option<usize> {
-    static GRAIN: OnceLock<Option<usize>> = OnceLock::new();
-    *GRAIN.get_or_init(|| parse_positive(std::env::var("RACC_GRAIN").ok().as_deref()))
-}
-
-/// The positive-integer rule every count knob shares (`RACC_GRAIN` here,
-/// the shard and serve knobs through `racc_core::config`): `None` for
-/// unset, zero or garbage — a bad knob must never panic a working program.
-pub fn parse_positive(value: Option<&str>) -> Option<usize> {
-    value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 /// How a launch's index space is cut into steal-able tiles. Tile boundaries
@@ -120,7 +79,7 @@ impl Tiling {
             },
             dynamic => Tiling::Grain {
                 n,
-                grain: dynamic.grain(n, participants).max(1),
+                grain: dynamic.dynamic_chunk(n, participants).max(1),
             },
         }
     }
@@ -280,7 +239,9 @@ mod tests {
             Schedule::Dynamic { chunk: 0 }.dynamic_chunk(1_000_000, 4),
             4096
         );
+        // An explicit grain is honored verbatim.
         assert_eq!(Schedule::Dynamic { chunk: 7 }.dynamic_chunk(1600, 4), 7);
+        assert_eq!(Schedule::Dynamic { chunk: 13 }.dynamic_chunk(1000, 4), 13);
         // Static resolves to the per-participant block size.
         assert_eq!(Schedule::Static.dynamic_chunk(100, 4), 25);
     }
@@ -295,25 +256,7 @@ mod tests {
             Schedule::Dynamic { chunk: 7 },
         ] {
             assert_eq!(sched.dynamic_chunk(0, 4), 0, "{sched:?}");
-            assert_eq!(sched.grain(0, 4), 0, "{sched:?}");
         }
-    }
-
-    #[test]
-    fn positive_integers_only() {
-        assert_eq!(parse_positive(Some("64")), Some(64));
-        assert_eq!(parse_positive(Some(" 8 ")), Some(8));
-        assert_eq!(parse_positive(Some("0")), None);
-        assert_eq!(parse_positive(Some("-3")), None);
-        assert_eq!(parse_positive(Some("")), None);
-        assert_eq!(parse_positive(Some("lots")), None);
-        assert_eq!(parse_positive(None), None);
-    }
-
-    #[test]
-    fn explicit_grain_is_honored() {
-        assert_eq!(Schedule::Dynamic { chunk: 13 }.grain(1000, 4), 13);
-        assert_eq!(Schedule::Dynamic { chunk: 0 }.grain(1600, 4), 50);
     }
 
     #[test]

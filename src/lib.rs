@@ -579,7 +579,11 @@ impl ContextBuilder {
             return (backend, None);
         }
         let hooks = backend.instrument();
-        let plan = self.options.chaos.clone().or_else(FaultPlan::from_env);
+        let plan = self
+            .options
+            .chaos
+            .clone()
+            .or_else(|| racc_core::RuntimeConfig::from_env().chaos);
         if let Some(plan) = plan {
             if hooks.set_chaos(plan) {
                 hooks.set_retry(self.options.retry.unwrap_or_default());
