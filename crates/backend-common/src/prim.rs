@@ -33,8 +33,8 @@
 //! `KernelCost` each launch declares is *not* re-derived from the sweep: it
 //! stays the calibrated per-thread charge of the cooperative device pass
 //! the sweep stands in for, and the model reads only spec, grid, block and
-//! cost — so `results/baselines/BENCH_prim.json`, `tests/prim_oplog.rs` and
-//! `tests/vendor_pins.rs` hold to the last digit.
+//! cost — so `tests/prim_oplog.rs` and `tests/vendor_pins.rs` hold to the
+//! last digit.
 
 use racc_core::{AccScalar, KernelProfile, ReduceOp};
 use racc_gpusim::perf::KernelCost;

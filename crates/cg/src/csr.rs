@@ -146,44 +146,6 @@ impl Csr {
         Csr::from_triplets(n, n, &triplets).expect("valid 27-point operator")
     }
 
-    /// A ragged power-law matrix: deterministic in `seed`, square
-    /// `n × n`, where row `r`'s nonzero count follows a heavy-tailed
-    /// distribution (most rows are short, a few hold up to
-    /// `max_nnz_per_row` entries). This is the load-balance stress case
-    /// for the row-parallel matvec — a static row split gives a few
-    /// participants nearly all the work — used by the `steal` benchmark.
-    /// Every row keeps a dominant diagonal so the matrix stays usable as
-    /// a CG operator.
-    pub fn ragged_power_law(n: usize, max_nnz_per_row: usize, seed: u64) -> Self {
-        // Splitmix64: deterministic, dependency-free pseudo-randomness.
-        let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let cap = max_nnz_per_row.min(n).max(1);
-        let mut triplets = Vec::new();
-        for r in 0..n {
-            // u^3 concentrates mass near 0: ~1/8 of rows exceed half the cap.
-            let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
-            let extras = ((u * u * u) * cap as f64) as usize;
-            let mut row_sum = 0.0;
-            for _ in 0..extras {
-                let c = (next() % n as u64) as usize;
-                if c != r {
-                    let v = -((next() % 8) as f64 + 1.0) / 8.0;
-                    row_sum += v.abs();
-                    triplets.push((r, c, v));
-                }
-            }
-            triplets.push((r, r, row_sum + 1.0));
-        }
-        Csr::from_triplets(n, n, &triplets).expect("valid power-law matrix")
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.row_ptr.len() - 1
@@ -422,34 +384,6 @@ mod tests {
         let mut want = vec![0.0; n];
         m.matvec_ref(&hx, &mut want);
         assert_eq!(ctx.to_host(&y).unwrap(), want);
-    }
-
-    #[test]
-    fn ragged_power_law_is_deterministic_and_skewed() {
-        let a = Csr::ragged_power_law(2048, 256, 7);
-        let b = Csr::ragged_power_law(2048, 256, 7);
-        assert_eq!(a, b, "same seed, same matrix");
-        let c = Csr::ragged_power_law(2048, 256, 8);
-        assert_ne!(a, c, "different seed, different matrix");
-        // Every row holds its diagonal; row lengths are heavily skewed:
-        // the longest row is much longer than the median.
-        let mut lens: Vec<usize> = (0..a.nrows())
-            .map(|r| a.row_ptr[r + 1] - a.row_ptr[r])
-            .collect();
-        for r in 0..a.nrows() {
-            assert!(a.get(r, r) >= 1.0, "row {r} diagonal");
-        }
-        lens.sort_unstable();
-        let median = lens[lens.len() / 2];
-        let max = *lens.last().unwrap();
-        assert!(
-            max >= 8 * median.max(1),
-            "expected heavy tail, median {median} max {max}"
-        );
-        // Diagonally dominant rows keep it usable as a CG operator.
-        let x: Vec<f64> = (0..a.nrows()).map(|i| ((i % 13) as f64) - 6.0).collect();
-        let mut y = vec![0.0; a.nrows()];
-        a.matvec_ref(&x, &mut y);
     }
 
     #[test]

@@ -293,9 +293,10 @@ mod tests {
         )
     }
 
-    /// Fusion on vs off: the residual history must agree bit for bit, and
-    /// the fused iteration must run as 3 constructs (1 for + 2 fused
-    /// reductions) against the eager 6 (4 fors + 2 reductions).
+    /// Fusion on vs off: the residual history must agree bit for bit, the
+    /// fused iteration must run as 3 constructs (1 for + 2 fused
+    /// reductions) against the eager 6 (4 fors + 2 reductions), and the
+    /// fused loop must replay its plans from the cache (hit rate ≥ 0.9).
     fn check_fused_iteration_bitwise<B: racc_core::Backend>(make: impl Fn() -> B) {
         let n = 400;
         let iters = 25;
@@ -320,6 +321,8 @@ mod tests {
             assert_eq!(fused_hist, eager_hist, "residual history diverged");
             assert_eq!((eager_fors, eager_reds), (4, 2));
             assert_eq!((fused_fors, fused_reds), (1, 2));
+            let pc = fused_ctx.stats().plan_cache;
+            assert!(pc.hit_rate() >= 0.9, "fused CG missed the cache: {pc:?}");
         }
     }
 
@@ -327,6 +330,21 @@ mod tests {
     fn fused_iteration_is_bit_identical_and_three_constructs() {
         check_fused_iteration_bitwise(SerialBackend::new);
         check_fused_iteration_bitwise(|| ThreadsBackend::with_threads(4));
+    }
+
+    #[test]
+    fn fused_iteration_is_bit_identical_and_three_constructs_on_cudasim() {
+        check_fused_iteration_bitwise(racc_backend_common::cuda_backend);
+    }
+
+    #[test]
+    fn fused_iteration_is_bit_identical_and_three_constructs_on_hipsim() {
+        check_fused_iteration_bitwise(racc_backend_common::hip_backend);
+    }
+
+    #[test]
+    fn fused_iteration_is_bit_identical_and_three_constructs_on_oneapisim() {
+        check_fused_iteration_bitwise(racc_backend_common::oneapi_backend);
     }
 
     /// The CG loop re-issues the same fused update shape every iteration,

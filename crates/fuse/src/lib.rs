@@ -261,8 +261,9 @@ impl<'c, B: Backend> Lazy<'c, B> {
     }
 
     /// Fuse, but interpret the expression DAG each evaluation instead of
-    /// consulting the plan cache — the pre-compilation engine, kept for
-    /// A/B measurement (`figures -- bench-fusion` reports both).
+    /// consulting the plan cache — the pre-compilation engine, kept as the
+    /// reference grouping the compiled plans must reproduce
+    /// (`tests/differential.rs`).
     pub fn interpreted(mut self) -> Self {
         self.mode = Mode::Interpreted;
         self

@@ -659,9 +659,9 @@ impl Device {
     /// pool). Routed through the arena instead — even taken once per chunk
     /// of blocks rather than per block — an empty-bodied 1024 × 32 launch
     /// measured 35–55 ns → 1.5–1.8 µs: the arena's stores keep alive a
-    /// block loop that otherwise compiles to nothing, which is what the
-    /// `empty` rows of `BENCH_launch_overhead.json` gate. (A one-word body,
-    /// `gpusim.empty_launch_ns`, measured the same either way.) So the
+    /// block loop that otherwise compiles to nothing. (A one-word body,
+    /// the benchmark's `gpusim.empty_launch_ns`, measured the same either
+    /// way.) So the
     /// branch stays, and everything in it that divides does so by a value
     /// the optimizer can see is not zero: a panic edge would keep the same
     /// loop alive.

@@ -33,13 +33,17 @@ fn mk_arrays<B: Backend>(
     Ok([mk(3)?, mk(5)?, mk(7)?, mk(11)?])
 }
 
-fn solo_reference(n: usize, alpha: f64) -> f64 {
-    let ctx = Context::new(SerialBackend::new());
-    let [x, p, r, s] = mk_arrays(&ctx, n).unwrap();
+/// `cg_step`'s value on a fresh context of its own.
+fn solo_value<B: Backend>(ctx: &Context<B>, n: usize, alpha: f64) -> f64 {
+    let [x, p, r, s] = mk_arrays(ctx, n).unwrap();
     let mut l = ctx.lazy();
     l.store(&x, load(&x) + lit(alpha) * load(&p));
     let rv = l.assign(&r, load(&r) + lit(-alpha) * load(&s));
     l.sum(rv.clone() * rv)
+}
+
+fn solo_reference(n: usize, alpha: f64) -> f64 {
+    solo_value(&Context::new(SerialBackend::new()), n, alpha)
 }
 
 #[test]
@@ -396,6 +400,154 @@ fn four_devices_beat_one_on_modeled_makespan() {
         speedup >= 2.5,
         "4 modeled devices should cut the makespan ~4x, got {speedup:.2}x ({one} vs {four})"
     );
+}
+
+/// One tenant of the reference mix.
+struct Tenant {
+    name: &'static str,
+    weight: u32,
+    /// `cg_step`'s length and coefficient.
+    n: usize,
+    alpha: f64,
+    /// The batching shape (`None`: never batched).
+    shape: Option<&'static str>,
+    jobs: u64,
+    /// Modeled time between two arrivals.
+    gap_ns: u64,
+}
+
+/// The reference three-tenant open-loop mix: an interactive tenant (heavy
+/// weight, small jobs, the fastest arrivals), a batch tenant (unit weight,
+/// 4× the work per job), and a best-effort tenant whose jobs share the
+/// interactive shape — the cross-tenant batching case.
+const MIX: [Tenant; 3] = [
+    Tenant {
+        name: "interactive",
+        weight: 4,
+        n: 1 << 14,
+        alpha: 0.8125,
+        shape: Some("cg-small"),
+        jobs: 48,
+        gap_ns: 20_000,
+    },
+    Tenant {
+        name: "batch",
+        weight: 1,
+        n: 1 << 16,
+        alpha: 0.5,
+        shape: None,
+        jobs: 24,
+        gap_ns: 50_000,
+    },
+    Tenant {
+        name: "best-effort",
+        weight: 1,
+        n: 1 << 14,
+        alpha: 0.25,
+        shape: Some("cg-small"),
+        jobs: 24,
+        gap_ns: 40_000,
+    },
+];
+
+/// Serve [`MIX`] on `devices` pool contexts built by `factory`, staged with
+/// `hold` so the schedule is a function of the load alone. Every job must
+/// complete bit-identical to `want[tenant]`; returns the modeled makespan
+/// and the jobs' modeled latencies, ascending.
+fn serve_mix(
+    devices: usize,
+    want: &[u64],
+    factory: impl FnMut(usize) -> Context<SimBackend>,
+) -> (u64, Vec<u64>) {
+    let mut options = ServerOptions::default()
+        .devices(devices)
+        .batch_limit(8)
+        .overlap(true)
+        .fallback(true)
+        .retry(RetryPolicy {
+            max_attempts: 3,
+            base_backoff_ns: 1_000,
+            multiplier: 2,
+        })
+        .hold(true);
+    for tenant in &MIX {
+        options = options.tenant(
+            tenant.name,
+            TenantConfig {
+                weight: tenant.weight,
+                ..TenantConfig::default()
+            },
+        );
+    }
+    let server = Server::start(options, factory);
+    let mut handles = Vec::new();
+    for (kind, tenant) in MIX.iter().enumerate() {
+        let (n, alpha) = (tenant.n, tenant.alpha);
+        for i in 0..tenant.jobs {
+            let mut job = job_fn(move |job: &JobCtx<SimBackend>| cg_step(job, n, alpha));
+            if let Some(shape) = tenant.shape {
+                job = job.with_shape(shape);
+            }
+            handles.push((kind, server.submit_at(tenant.name, i * tenant.gap_ns, job)));
+        }
+    }
+    server.release();
+
+    let mut latencies: Vec<u64> = handles
+        .into_iter()
+        .map(|(kind, handle)| {
+            let done = handle.wait().expect("the mix fits every queue");
+            assert_eq!(
+                done.output.to_bits(),
+                want[kind],
+                "{} job on {devices} device(s) differs from a solo context",
+                MIX[kind].name
+            );
+            done.report.latency_ns()
+        })
+        .collect();
+    let jobs: u64 = MIX.iter().map(|tenant| tenant.jobs).sum();
+    let snap = server.shutdown();
+    assert_eq!((snap.totals.admitted, snap.totals.completed), (jobs, jobs));
+    latencies.sort_unstable();
+    (snap.makespan_ns, latencies)
+}
+
+/// The serving layer's reference load on 1, 2 and 4 simulated A100s:
+/// every job bit-identical to a solo fresh context, the 4-device pool at
+/// least 1.5× faster than one device with p99 ≤ 1 ms (it reads 3.17× and
+/// 136 µs) — and, under the seeded fault plan of the chaos soak with the
+/// default retry policy, still bit-identical. The plan does fire: its
+/// faults move the modeled latencies.
+#[test]
+fn the_reference_mix_scales_and_stays_bit_identical_under_chaos() {
+    let want: Vec<u64> = MIX
+        .iter()
+        .map(|tenant| {
+            let ctx = Context::new(cuda_backend());
+            solo_value(&ctx, tenant.n, tenant.alpha).to_bits()
+        })
+        .collect();
+    let clean = |_device: usize| Context::new(cuda_backend());
+
+    let (one, _) = serve_mix(1, &want, clean);
+    serve_mix(2, &want, clean);
+    let (four, latencies) = serve_mix(4, &want, clean);
+    let speedup = one as f64 / four as f64;
+    let p99 = latencies[(latencies.len() - 1) * 99 / 100];
+    assert!(
+        speedup >= 1.5,
+        "4 devices must serve the mix >= 1.5x faster, got {speedup:.2}x ({one} vs {four} ns)"
+    );
+    assert!(p99 <= 1_000_000, "p99 latency {p99} ns exceeds 1 ms");
+
+    let (_, faulted) = serve_mix(4, &want, |_device| {
+        Context::builder(cuda_backend())
+            .chaos(FaultPlan::seeded(20240809))
+            .retry(RetryPolicy::default())
+            .build()
+    });
+    assert_ne!(faulted, latencies, "the seeded plan injected no fault");
 }
 
 #[test]

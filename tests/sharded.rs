@@ -108,6 +108,41 @@ fn chaos_rank_death_recovers_bit_identically() {
     assert!(survivor.stats.replayed_steps >= 1, "steps were replayed");
 }
 
+/// The scaling claim of the sharded stencil, on an interior-dominated
+/// size: at 4 simulated A100s with halo/interior overlap the modeled
+/// makespan is at least 1.7× shorter than on one device, overlap itself
+/// is worth at least 1.0× (it reads 2.58× and 1.62×), and the field is the
+/// one-device field bit for bit. Smaller grids are halo-bound: the speedup
+/// reads 1.715× at n = 128 and 0.855× at n = 96.
+#[cfg(feature = "backend-cuda")]
+#[test]
+fn sharded_heat3d_scales_on_four_devices_and_overlap_pays() {
+    let run = |devices: usize, overlap: bool| {
+        run_sharded(
+            Arc::new(ShardedHeat3 { n: 160, sweeps: 8 }),
+            ShardOptions::devices(devices)
+                .overlap(overlap)
+                .checkpoint_every(0),
+            backend_factory("cudasim"),
+        )
+    };
+    let one = run(1, true);
+    let on = run(4, true);
+    let off = run(4, false);
+    assert_eq!(on.field, one.field, "4 devices vs 1");
+
+    let speedup = one.makespan_ns() as f64 / on.makespan_ns() as f64;
+    let overlap_gain = off.makespan_ns() as f64 / on.makespan_ns() as f64;
+    assert!(
+        speedup >= 1.7,
+        "4 devices must cut the modeled makespan >= 1.7x, got {speedup:.3}x"
+    );
+    assert!(
+        overlap_gain >= 1.0,
+        "overlap must not lengthen the modeled makespan, got {overlap_gain:.3}x"
+    );
+}
+
 /// Shard steps and halo exchanges land on their own trace lanes.
 #[cfg(feature = "trace")]
 #[test]
