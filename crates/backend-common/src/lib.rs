@@ -413,10 +413,12 @@ impl Backend for SimBackend {
     }
 
     fn on_alloc(&self, bytes: usize, upload: bool) -> Result<DeviceToken, RaccError> {
-        // Model device-memory pressure with a real simulator allocation held
-        // by the array for its lifetime.
+        // Model device-memory pressure with a device reservation held by
+        // the array for its lifetime: the heap accounting, the alloc fault
+        // schedule and simsan's leak table see a buffer of `bytes`, but no
+        // host block backs it — the array's data lives in its own storage.
         let token = self
-            .with_retry("alloc", || self.device.alloc::<u8>(bytes))
+            .with_retry("alloc", || self.device.reserve(bytes))
             .map_err(|e| RaccError::Allocation(e.to_string()))?;
         #[cfg(feature = "trace")]
         self.timeline.record_span(|| {

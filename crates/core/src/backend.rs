@@ -208,6 +208,10 @@ pub trait Backend: Send + Sync + 'static {
 
     /// Model an array allocation of `bytes` (with an upload of the initial
     /// contents when `upload`), returning a residency token the array holds.
+    /// The array's data lives in its own host storage; the token only
+    /// accounts for the device memory it stands for (a simulator charges
+    /// its heap without a block behind it), so nothing reads or writes
+    /// through it.
     fn on_alloc(&self, bytes: usize, upload: bool) -> Result<DeviceToken, RaccError>;
 
     /// Model a download of `bytes` back to the host (`to_host`).

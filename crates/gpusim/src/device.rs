@@ -13,7 +13,9 @@ use racc_threadpool::{Schedule, ThreadPool};
 use crate::arena;
 use crate::error::SimError;
 use crate::event::Event;
-use crate::heap::{Allocation, DeviceBuffer, DeviceSlice, DeviceSliceMut, Element};
+use crate::heap::{
+    Allocation, DeviceBuffer, DeviceReservation, DeviceSlice, DeviceSliceMut, Element,
+};
 use crate::launch::{BlockCtx, LaunchConfig, ThreadCtx};
 use crate::perf::{self, KernelCost, OpKind, OpRecord};
 use crate::phased::{run_phases, PhasedKernel, SharedMem, SinglePhase};
@@ -348,20 +350,7 @@ impl Device {
                 in_use,
                 capacity: self.spec.memory_bytes,
             })?;
-        // Injected alloc faults present as out-of-memory — the failure
-        // class a real driver reports for a failed `cudaMalloc`. (A delay
-        // at this site is logged but free: allocation advances no clock.)
-        if self.inject_fault(FaultSite::Alloc).is_err()
-            || in_use
-                .checked_add(bytes)
-                .is_none_or(|total| total > self.spec.memory_bytes)
-        {
-            return Err(SimError::OutOfMemory {
-                requested: bytes,
-                in_use,
-                capacity: self.spec.memory_bytes,
-            });
-        }
+        self.admit(bytes, in_use)?;
         let meta = self
             .sanitizer_enabled()
             .then(|| self.sanitizer.new_meta::<T>(len, bytes));
@@ -373,18 +362,62 @@ impl Device {
                 in_use,
                 capacity: self.spec.memory_bytes,
             })?;
-        if let Some(meta) = meta {
-            // Install the back-pointer before registering so the canary
-            // sweep can always reach the live memory.
-            let _ = meta.alloc.set(Arc::downgrade(&alloc));
-            self.sanitizer.register(meta);
-        }
+        self.track(meta, &alloc);
         Ok(DeviceBuffer {
             alloc,
             len,
             device_id: self.id,
             _marker: PhantomData,
         })
+    }
+
+    /// Charge `bytes` of device memory without backing them: [`Device::alloc`]'s
+    /// fault injection, capacity check, accounting and sanitizer tracking,
+    /// and no host block. For layers that keep the data host-side and only
+    /// model its residency (the portability back end's arrays).
+    pub fn reserve(&self, bytes: usize) -> Result<DeviceReservation, SimError> {
+        let in_use = self.used_bytes();
+        self.admit(bytes, in_use)?;
+        let meta = self
+            .sanitizer_enabled()
+            .then(|| self.sanitizer.new_meta::<u8>(bytes, bytes));
+        let alloc = Arc::new(Allocation::reserve(
+            bytes,
+            Arc::clone(&self.used_bytes),
+            meta.clone(),
+        ));
+        self.track(meta, &alloc);
+        Ok(DeviceReservation(alloc))
+    }
+
+    /// The checks every allocation passes, in order: the chaos schedule,
+    /// then capacity. Injected alloc faults present as out-of-memory — the
+    /// failure class a real driver reports for a failed `cudaMalloc`. (A
+    /// delay at this site is logged but free: allocation advances no
+    /// clock.)
+    fn admit(&self, bytes: usize, in_use: usize) -> Result<(), SimError> {
+        if self.inject_fault(FaultSite::Alloc).is_err()
+            || in_use
+                .checked_add(bytes)
+                .is_none_or(|total| total > self.spec.memory_bytes)
+        {
+            return Err(SimError::OutOfMemory {
+                requested: bytes,
+                in_use,
+                capacity: self.spec.memory_bytes,
+            });
+        }
+        Ok(())
+    }
+
+    /// Register a sanitized allocation with simsan.
+    fn track(&self, meta: Option<Arc<AllocMeta>>, alloc: &Arc<Allocation>) {
+        if let Some(meta) = meta {
+            // Install the back-pointer before registering so the canary
+            // sweep can always reach the live memory.
+            let _ = meta.alloc.set(Arc::downgrade(alloc));
+            self.sanitizer.register(meta);
+        }
     }
 
     /// Allocate and upload host data (charges the H2D transfer).

@@ -4,7 +4,9 @@
 //! Device memory is modeled as real host allocations owned by the simulated
 //! device, **distinct from the caller's data**: the only way data crosses the
 //! boundary is through the device's upload/download methods, which charge the
-//! link-transfer cost — exactly the discipline a discrete GPU imposes.
+//! link-transfer cost — exactly the discipline a discrete GPU imposes. A
+//! [`DeviceReservation`] is the one exception: heap accounting with no host
+//! block, for callers that model residency but keep the data themselves.
 //!
 //! Under the sanitizer (see [`crate::Device::set_sanitizer`]) every
 //! allocation additionally carries [`AllocMeta`]: live/freed state, canary
@@ -81,14 +83,16 @@ pub(crate) struct Allocation {
     /// canary region precedes and follows the payload when sanitized).
     ptr: *mut u8,
     /// Base of the real host allocation; null when nothing was allocated
-    /// (zero-byte payloads are truly dangling).
+    /// (zero-byte payloads and reservations are truly dangling).
     raw: *mut u8,
     /// Payload bytes charged to the device heap.
     bytes: usize,
     /// Layout of the real allocation behind `raw`.
     layout: Layout,
     used_counter: Arc<AtomicUsize>,
-    /// Sanitizer metadata; present iff the allocation has canary regions.
+    /// Sanitizer metadata; present iff the allocation was made under the
+    /// sanitizer (canary regions flank the payload when a host block backs
+    /// it).
     meta: Option<Arc<AllocMeta>>,
 }
 
@@ -103,13 +107,15 @@ impl Allocation {
     /// only; `None` when the host cannot provide them. With `meta`, the
     /// payload is flanked by [`CANARY_BYTES`] canary regions (checker
     /// overhead, not user memory). Zero-byte allocations perform **no**
-    /// host allocation: they hold a dangling, well-aligned pointer and
-    /// charge 0, so accounting matches reality.
+    /// host allocation: they are [`Allocation::reserve`]s of 0 bytes.
     pub(crate) fn new(
         bytes: usize,
         used_counter: Arc<AtomicUsize>,
         meta: Option<Arc<AllocMeta>>,
     ) -> Option<Self> {
+        if bytes == 0 {
+            return Some(Self::reserve(0, used_counter, meta));
+        }
         let canary = if meta.is_some() { CANARY_BYTES } else { 0 };
         let slack = if bytes >= PLACED_MIN_BYTES {
             WAY_BYTES
@@ -124,26 +130,19 @@ impl Allocation {
         let layout = bytes
             .checked_add(2 * canary + slack)
             .and_then(|total| Layout::from_size_align(total, 16).ok())?;
-        let (raw, ptr) = if bytes == 0 {
-            (
-                std::ptr::null_mut(),
-                std::ptr::without_provenance_mut(LINE_BYTES),
-            )
-        } else {
-            // SAFETY: layout has non-zero size.
-            let raw = unsafe { alloc_zeroed(layout) };
-            if raw.is_null() {
-                return None;
-            }
-            let skew = BLOCKS.skew(raw.addr() + canary, bytes);
-            // SAFETY: the skew is below the slack, so the canary regions
-            // and the payload between them are inside the block.
-            unsafe {
-                let ptr = raw.add(canary + skew);
-                std::ptr::write_bytes(ptr.sub(canary), CANARY_PATTERN, canary);
-                std::ptr::write_bytes(ptr.add(bytes), CANARY_PATTERN, canary);
-                (raw, ptr)
-            }
+        // SAFETY: layout has non-zero size.
+        let raw = unsafe { alloc_zeroed(layout) };
+        if raw.is_null() {
+            return None;
+        }
+        let skew = BLOCKS.skew(raw.addr() + canary, bytes);
+        // SAFETY: the skew is below the slack, so the canary regions and
+        // the payload between them are inside the block.
+        let ptr = unsafe {
+            let ptr = raw.add(canary + skew);
+            std::ptr::write_bytes(ptr.sub(canary), CANARY_PATTERN, canary);
+            std::ptr::write_bytes(ptr.add(bytes), CANARY_PATTERN, canary);
+            ptr
         };
         used_counter.fetch_add(bytes, Ordering::Relaxed);
         Some(Allocation {
@@ -156,6 +155,26 @@ impl Allocation {
         })
     }
 
+    /// Charge `used_counter` `bytes` with no host block behind them: the
+    /// pointer is dangling (well-aligned, never dereferenced), and `Drop`,
+    /// the accounting and the canary sweep take the null-`raw` path they
+    /// take for a zero-byte payload.
+    pub(crate) fn reserve(
+        bytes: usize,
+        used_counter: Arc<AtomicUsize>,
+        meta: Option<Arc<AllocMeta>>,
+    ) -> Self {
+        used_counter.fetch_add(bytes, Ordering::Relaxed);
+        Allocation {
+            ptr: std::ptr::without_provenance_mut(LINE_BYTES),
+            raw: std::ptr::null_mut(),
+            bytes,
+            layout: Layout::new::<u8>(),
+            used_counter,
+            meta,
+        }
+    }
+
     pub(crate) fn ptr(&self) -> *mut u8 {
         self.ptr
     }
@@ -165,7 +184,7 @@ impl Allocation {
     }
 
     /// Check both canary regions; `Some(description)` on corruption. Only
-    /// sanitized, non-empty allocations have canaries.
+    /// sanitized allocations with a host block have canaries.
     pub(crate) fn verify_canaries(&self) -> Option<String> {
         let meta = self.meta.as_ref()?;
         if self.raw.is_null() {
@@ -271,6 +290,29 @@ impl<T: Element> std::fmt::Debug for DeviceBuffer<T> {
         f.debug_struct("DeviceBuffer")
             .field("len", &self.len)
             .field("device_id", &self.device_id)
+            .finish()
+    }
+}
+
+/// Device memory charged to the heap with no memory behind it, created by
+/// [`crate::Device::reserve`]: what a buffer costs the device, for a caller
+/// whose data lives elsewhere. It has no accessors — no slice can be formed
+/// over it — and dropping it returns the bytes.
+pub struct DeviceReservation(pub(crate) Arc<Allocation>);
+
+impl Drop for DeviceReservation {
+    fn drop(&mut self) {
+        // Leaves the sanitizer's table of live allocations, as a buffer does.
+        if let Some(meta) = self.0.meta() {
+            meta.freed.store(true, Ordering::Release);
+        }
+    }
+}
+
+impl std::fmt::Debug for DeviceReservation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DeviceReservation")
+            .field("bytes", &self.0.bytes)
             .finish()
     }
 }
@@ -770,5 +812,84 @@ mod tests {
         let s = DeviceSlice::new_tracked(&buf, None, buf.alloc.meta().cloned());
         drop(buf); // DeviceBuffer::drop marks the allocation freed
         let _ = s.get(0);
+    }
+
+    // ---- device reservations ---------------------------------------------
+
+    fn test_device() -> crate::Device {
+        crate::Device::new(crate::profiles::test_device())
+    }
+
+    /// No host block: what sets a reservation apart from a buffer.
+    fn unbacked(r: &DeviceReservation) -> bool {
+        r.0.raw.is_null()
+    }
+
+    #[test]
+    fn reservation_charges_exactly_the_payload_with_no_host_block() {
+        let dev = test_device();
+        for bytes in [1000, 1 << 20, 12 << 20] {
+            let r = dev.reserve(bytes).unwrap();
+            assert!(unbacked(&r), "{bytes} B reserved a host block");
+            assert_eq!(dev.used_bytes(), bytes, "payload only");
+            drop(r);
+            assert_eq!(dev.used_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn reservation_oom_matches_alloc() {
+        let dev = test_device(); // 16 MiB
+        assert_eq!(
+            dev.reserve(80 << 20).unwrap_err(),
+            dev.alloc::<u8>(80 << 20).unwrap_err()
+        );
+        let held = dev.reserve(12 << 20).unwrap();
+        assert!(unbacked(&held));
+        let refused = dev.reserve(8 << 20).unwrap_err();
+        assert!(matches!(
+            refused,
+            crate::SimError::OutOfMemory {
+                requested: 0x80_0000,
+                in_use: 0xC0_0000,
+                ..
+            }
+        ));
+        assert_eq!(refused, dev.alloc::<u8>(8 << 20).unwrap_err());
+        drop(held);
+        assert!(unbacked(&dev.reserve(8 << 20).unwrap()));
+    }
+
+    #[test]
+    fn reservation_consumes_the_alloc_fault_schedule_like_alloc() {
+        let plan = || crate::FaultPlan::parse("alloc:nth-2").unwrap();
+        let (reserving, allocating) = (test_device(), test_device());
+        reserving.set_chaos(plan());
+        allocating.set_chaos(plan());
+        let first = reserving.reserve(64).unwrap();
+        assert!(unbacked(&first));
+        let _held = allocating.alloc::<u8>(64).unwrap();
+        let refused = reserving.reserve(64).unwrap_err();
+        assert!(refused.is_transient(), "{refused:?}");
+        assert_eq!(refused, allocating.alloc::<u8>(64).unwrap_err());
+        assert_eq!(reserving.fault_log(), allocating.fault_log());
+        assert_eq!(reserving.fault_log().len(), 1);
+    }
+
+    #[test]
+    fn live_reservation_appears_in_the_leak_report() {
+        let dev = test_device();
+        dev.set_sanitizer(true);
+        let r = dev.reserve(4096).unwrap();
+        assert!(unbacked(&r));
+        let report = dev.sanitizer_report().unwrap();
+        assert_eq!(report.allocations_tracked, 1);
+        assert_eq!(report.bytes_outstanding, 4096);
+        let leak = &report.live_allocations[..];
+        assert_eq!((leak.len(), leak[0].len, leak[0].elem), (1, 4096, "u8"));
+        drop(r);
+        let report = dev.sanitizer_report().unwrap();
+        assert!(report.live_allocations.is_empty(), "{report}");
+        assert_eq!(dev.used_bytes(), 0);
     }
 }

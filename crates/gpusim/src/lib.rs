@@ -68,7 +68,7 @@ pub use device::Device;
 pub use dim::Dim3;
 pub use error::SimError;
 pub use event::Event;
-pub use heap::{DeviceBuffer, DeviceSlice, DeviceSliceMut, Element};
+pub use heap::{DeviceBuffer, DeviceReservation, DeviceSlice, DeviceSliceMut, Element};
 pub use launch::{BlockCtx, LaunchConfig, ThreadCtx};
 pub use perf::{KernelCost, OpKind, OpRecord};
 pub use phased::{LeaderPhases, PhasedKernel, SharedMem, SinglePhase, TreeShape, TreeStep};

@@ -68,6 +68,21 @@ use racc_core::{Backend, Context, ShardCounters, ShardStats};
 
 use crate::plan::{Shard, ShardPlan, Topology};
 
+/// A canonical snapshot, or one shard's owned range of it. Shared, never
+/// copied: the initial snapshot by every rank, a checkpoint contribution by
+/// every peer it is sent to.
+type Part = Arc<Vec<f64>>;
+
+/// Concatenate shard contributions in index order into one snapshot,
+/// allocated at its exact length.
+fn assemble(parts: &[Part]) -> Vec<f64> {
+    let mut snapshot = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    for part in parts {
+        snapshot.extend_from_slice(part);
+    }
+    snapshot
+}
+
 /// Errors surfaced to a sharded app's `step`. Apps propagate them (`?`);
 /// the runner reacts by entering recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,12 +128,13 @@ enum Msg {
     },
     /// End-of-step liveness + lockstep marker.
     Status { epoch: u32, step: u64 },
-    /// One shard's contribution to a replicated checkpoint.
+    /// One shard's contribution to a replicated checkpoint, shared with
+    /// every peer rather than copied per peer.
     Ckpt {
         epoch: u32,
         step: u64,
         index: usize,
-        data: Vec<f64>,
+        data: Part,
     },
     /// One shard's contribution to an app-level allgather (CG dots).
     Gather {
@@ -546,7 +562,7 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         }
     }
 
-    fn expect_ckpt(&mut self, peer: usize) -> Result<(usize, Vec<f64>), ShardError> {
+    fn expect_ckpt(&mut self, peer: usize) -> Result<(usize, Part), ShardError> {
         loop {
             match self.recv_msg(peer, self.step_timeout)? {
                 Msg::Ckpt {
@@ -641,7 +657,7 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
     /// replicated checkpoint when `dump` is provided (the checkpoint
     /// doubles as the status). Returns the assembled global snapshot when
     /// a checkpoint was taken.
-    fn end_step(&mut self, dump: Option<Vec<f64>>) -> Result<Option<Vec<f64>>, ShardError> {
+    fn end_step(&mut self, dump: Option<Vec<f64>>) -> Result<Option<Part>, ShardError> {
         let total_ns = self.ctx.modeled_ns() - self.step_base_ns;
         let exchange_ns = total_ns.saturating_sub(self.interior_ns + self.boundary_ns);
         let charged = if self.overlap {
@@ -657,11 +673,11 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         self.record_step_spans(charged, exchange_ns);
 
         let result = if let Some(data) = dump {
-            let snapshot = self.exchange_ckpt(data)?;
+            let parts = self.exchange_ckpt(data)?;
             self.counters
                 .checkpoints
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Some(snapshot)
+            Some(Arc::new(assemble(&parts)))
         } else {
             self.exchange_status()?;
             None
@@ -766,10 +782,12 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         Ok(())
     }
 
-    /// Replicated checkpoint: everyone sends their owned dump to everyone,
-    /// and every rank assembles the identical global snapshot.
-    fn exchange_ckpt(&mut self, data: Vec<f64>) -> Result<Vec<f64>, ShardError> {
-        let mut parts: Vec<Option<Vec<f64>>> = vec![None; self.plan.count()];
+    /// Replicated checkpoint: everyone sends their owned dump to everyone
+    /// (one shared `Arc`, no copy per peer), and every rank ends up holding
+    /// the identical contributions in shard-index order.
+    fn exchange_ckpt(&mut self, data: Vec<f64>) -> Result<Vec<Part>, ShardError> {
+        let data = Arc::new(data);
+        let mut parts: Vec<Option<Part>> = vec![None; self.plan.count()];
         for peer in self.live_peers() {
             self.comm.send(
                 peer,
@@ -777,7 +795,7 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
                     epoch: self.epoch,
                     step: self.step,
                     index: self.my_index,
-                    data: data.clone(),
+                    data: Arc::clone(&data),
                 },
             )?;
         }
@@ -786,11 +804,10 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
             let (index, part) = self.expect_ckpt(peer)?;
             parts[index] = Some(part);
         }
-        let mut snapshot = Vec::new();
-        for part in parts {
-            snapshot.extend(part.expect("every shard contributed"));
-        }
-        Ok(snapshot)
+        Ok(parts
+            .into_iter()
+            .map(|part| part.expect("every shard contributed"))
+            .collect())
     }
 
     /// Reshard after an observed failure. Announces `Recover` to every
@@ -920,8 +937,10 @@ impl ShardOutcome {
 }
 
 enum RankResult {
+    /// The rank finished: every shard's final contribution, in index order
+    /// (identical on every survivor), and its report.
     Done {
-        field: Vec<f64>,
+        parts: Vec<Part>,
         report: RankReport,
     },
     /// The rank's device died (exhausted retries panic inside a launch);
@@ -952,10 +971,13 @@ where
         .clamp(1, ShardPlan::max_count(app.extent(), app.radius()))
         .min(app.extent());
     let opts = ShardOptions { devices, ..opts };
+    // One canonical initial snapshot for the whole run, shared by every
+    // rank's checkpoint history.
+    let initial = Arc::new(app.initial());
     let run_app = Arc::clone(&app);
     let results: Vec<RankResult> = World::run(devices, move |rank| {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rank_main(&*run_app, &opts, &factory, rank)
+            rank_main(&*run_app, &opts, &factory, &initial, rank)
         }));
         // A panic here is the simulated device dying (injected faults
         // exhausted the retry policy). Returning normally drops this
@@ -963,20 +985,20 @@ where
         // detect the death.
         outcome.unwrap_or(RankResult::Died)
     });
-    let mut field = None;
+    let mut final_parts = None;
     let mut reports = Vec::with_capacity(results.len());
     for result in results {
         match result {
-            RankResult::Done { field: f, report } => {
-                // Survivors assembled identical snapshots; keep one.
-                field.get_or_insert(f);
+            RankResult::Done { parts, report } => {
+                // Survivors hold identical contributions; assemble one.
+                final_parts.get_or_insert(parts);
                 reports.push(Some(report));
             }
             RankResult::Died => reports.push(None),
         }
     }
     ShardOutcome {
-        field: field.expect("at least one rank survives"),
+        field: assemble(&final_parts.expect("at least one rank survives")),
         reports,
         devices,
     }
@@ -986,6 +1008,7 @@ fn rank_main<B, A>(
     app: &A,
     opts: &ShardOptions,
     factory: &(impl Fn(usize) -> Context<B> + Send + Sync),
+    initial: &Part,
     rank: &Rank,
 ) -> RankResult
 where
@@ -1024,20 +1047,21 @@ where
     // waiting does not), and recovery agrees on the *minimum* announced
     // step — which the advanced rank only still holds via its previous
     // entry. Lockstep bounds the divergence to exactly one boundary.
-    let mut ckpts: Vec<(u64, Vec<f64>)> = vec![(0, app.initial())];
+    let mut ckpts: Vec<(u64, Part)> = vec![(0, Arc::clone(initial))];
     let mut state = app.init(&ctx, handle.shard(), &ckpts[0].1);
     let mut step: u64 = 0;
     let total = app.total_steps();
 
     loop {
         if step >= total {
-            // Final assembly: gather every shard's dump. A death here goes
-            // through the same recovery (replaying any steps past the last
-            // checkpoint).
+            // Final gather: collect every shard's dump (`run_sharded`
+            // assembles the field once, from one survivor's parts). A death
+            // here goes through the same recovery (replaying any steps past
+            // the last checkpoint).
             handle.begin_step(step);
             let dump = app.dump(&ctx, handle.shard(), &state);
             match handle.exchange_ckpt(dump) {
-                Ok(field) => {
+                Ok(parts) => {
                     let report = RankReport {
                         rank: rank.rank(),
                         shard_clock_ns: handle.shard_clock_ns,
@@ -1045,7 +1069,7 @@ where
                         stats: ctx.stats().shard.unwrap_or_default(),
                         epochs: handle.epoch,
                     };
-                    return RankResult::Done { field, report };
+                    return RankResult::Done { parts, report };
                 }
                 Err(_) => {
                     step = replay_from(&mut handle, app, &ctx, &mut ckpts, step, &mut state);
@@ -1082,7 +1106,7 @@ fn replay_from<B, A>(
     handle: &mut ShardHandle<'_, B>,
     app: &A,
     ctx: &Context<B>,
-    ckpts: &mut Vec<(u64, Vec<f64>)>,
+    ckpts: &mut Vec<(u64, Part)>,
     current_step: u64,
     state: &mut A::State,
 ) -> u64

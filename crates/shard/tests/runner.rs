@@ -2,6 +2,7 @@
 //! a single device, overlap accounting on the modeled clock, and
 //! reshard-and-replay recovery when a rank's device dies mid-run.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use racc_backend_common::cuda_backend;
@@ -301,6 +302,102 @@ fn death_before_any_checkpoint_replays_from_the_initial_state() {
         report.stats.replayed_steps >= 3,
         "everything replays from step 0"
     );
+}
+
+/// [`Diffuse`], counting how often the runner asks for the initial snapshot.
+struct CountedInitial {
+    inner: Diffuse,
+    initials: AtomicUsize,
+}
+
+impl<B: Backend> ShardApp<B> for CountedInitial {
+    type State = DiffState;
+
+    fn extent(&self) -> usize {
+        self.inner.extent
+    }
+    fn slab_len(&self) -> usize {
+        1
+    }
+    fn radius(&self) -> usize {
+        1
+    }
+    fn total_steps(&self) -> u64 {
+        self.inner.steps
+    }
+    fn initial(&self) -> Vec<f64> {
+        self.initials.fetch_add(1, Ordering::Relaxed);
+        <Diffuse as ShardApp<B>>::initial(&self.inner)
+    }
+    fn init(&self, ctx: &Context<B>, shard: racc_shard::Shard, snapshot: &[f64]) -> DiffState {
+        self.inner.init(ctx, shard, snapshot)
+    }
+    fn step(
+        &self,
+        h: &mut ShardHandle<'_, B>,
+        state: &mut DiffState,
+        step: u64,
+    ) -> Result<(), ShardError> {
+        self.inner.step(h, state, step)
+    }
+    fn dump(&self, ctx: &Context<B>, shard: racc_shard::Shard, state: &DiffState) -> Vec<f64> {
+        self.inner.dump(ctx, shard, state)
+    }
+}
+
+#[test]
+fn the_initial_snapshot_is_built_once_per_run() {
+    let counted = || {
+        Arc::new(CountedInitial {
+            inner: Diffuse {
+                extent: 24,
+                steps: 10,
+            },
+            initials: AtomicUsize::new(0),
+        })
+    };
+    let app = counted();
+    let clean = run_sharded(Arc::clone(&app), ShardOptions::devices(4), |_rank| {
+        Context::new(cuda_backend())
+    });
+    assert_eq!(clean.devices, 4);
+    assert_eq!(
+        app.initials.load(Ordering::Relaxed),
+        1,
+        "4 ranks, one snapshot"
+    );
+
+    // A rank death and a reshard, before any checkpoint (the survivors
+    // replay from the shared initial snapshot) and after one.
+    for every in [0, 3] {
+        let app = counted();
+        let chaotic = run_sharded(
+            Arc::clone(&app),
+            ShardOptions::devices(4).checkpoint_every(every),
+            |rank| {
+                if rank == 2 {
+                    Context::builder(cuda_backend())
+                        .chaos(FaultPlan::parse("launch:nth-6").unwrap())
+                        .retry(RetryPolicy::none())
+                        .build()
+                } else {
+                    Context::new(cuda_backend())
+                }
+            },
+        );
+        assert_eq!(chaotic.survivors(), 3);
+        assert!(chaotic
+            .reports
+            .iter()
+            .flatten()
+            .all(|r| r.stats.reshards >= 1));
+        assert_eq!(chaotic.field, clean.field);
+        assert_eq!(
+            app.initials.load(Ordering::Relaxed),
+            1,
+            "a reshard reuses the run's snapshot (checkpoint every {every})"
+        );
+    }
 }
 
 /// A tiny app exercising the app-level allgather: each shard contributes

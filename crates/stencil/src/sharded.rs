@@ -149,16 +149,15 @@ impl<B: Backend> ShardApp<B> for ShardedHeat3 {
         let n = self.n;
         let plane = n * n;
         let le = shard.local_extent();
-        let mut local = Vec::with_capacity(plane * le);
-        for k in 0..le {
-            let g = shard.global_of(k);
-            local.extend_from_slice(&snapshot[g * plane..(g + 1) * plane]);
-        }
+        // The split axis is open, so the local slabs, ghosts included, are
+        // one contiguous range of the snapshot.
+        let g0 = shard.global_of(0);
+        let local = &snapshot[g0 * plane..(g0 + le) * plane];
         // Both buffers start from the snapshot: the sweep rewrites every
         // non-Dirichlet site of `t1`, and the Dirichlet faces carry the
         // same fixed values in either buffer.
-        let t0 = ctx.array3_from(n, n, le, &local).expect("t0 alloc");
-        let t1 = ctx.array3_from(n, n, le, &local).expect("t1 alloc");
+        let t0 = ctx.array3_from(n, n, le, local).expect("t0 alloc");
+        let t1 = ctx.array3_from(n, n, le, local).expect("t1 alloc");
         let stage = ctx.zeros::<f64>(plane).expect("stage alloc");
         Heat3State { t0, t1, stage }
     }
@@ -210,9 +209,12 @@ impl<B: Backend> ShardApp<B> for ShardedHeat3 {
 
     fn dump(&self, ctx: &Context<B>, shard: Shard, state: &Heat3State) -> Vec<f64> {
         let plane = self.n * self.n;
-        let host = ctx.to_host3(&state.t0).expect("dump download");
+        let mut host = ctx.to_host3(&state.t0).expect("dump download");
+        // Trim the ghosts in place: the owned planes are the middle range.
         let os = shard.owned_start();
-        host[os * plane..(os + shard.owned()) * plane].to_vec()
+        host.truncate((os + shard.owned()) * plane);
+        host.drain(..os * plane);
+        host
     }
 }
 

@@ -7,7 +7,13 @@
 # where the block was meant, or a write past a skewed payload or past the
 # cells, is what ASan reports and `cargo test` does not. The primitives'
 # leader sweeps (`prim`) run under it too: each walks a whole block's span
-# through shared memory and device slices. Needs the nightly
+# through shared memory and device slices. The `heap` filter also runs the
+# device reservations' tests (`Device::reserve`, what every portable array
+# on a simulator holds): a reservation shares `Allocation`'s `Drop` with
+# real blocks but has no host block, only a null base and a dangling
+# payload pointer, so a `Drop` that handed either to `dealloc` would free
+# memory the allocator never gave out — ASan's bad-free report, where a
+# plain run may corrupt the heap silently. Needs the nightly
 # toolchain's ASan runtime; builds offline into
 # `target/x86_64-unknown-linux-gnu/`.
 set -euo pipefail
