@@ -4,7 +4,9 @@
 //! Storage is a manually managed, 64-byte-aligned allocation accessed only
 //! through raw pointers — no `&`/`&mut` references to the buffer ever exist,
 //! which is what makes the shared-write view model (`ViewMut*`) sound under
-//! the disjoint-writes kernel contract.
+//! the disjoint-writes kernel contract. On Linux a zeroed block of at least
+//! 2 MiB is an anonymous mapping of its own, whose pages stay the kernel's
+//! zero pages until something writes them.
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::marker::PhantomData;
@@ -31,6 +33,18 @@ pub const PLACED_MIN_BYTES: usize = 256 * 1024;
 
 /// A transparent huge page (x86-64 and aarch64 with 4 KiB base pages).
 const HUGE_BYTES: usize = 2 << 20;
+
+/// Zeroed blocks at least this large are mapped zero-on-demand (Linux
+/// only): one huge page, so every such mapping holds at least one whole
+/// huge page and nothing smaller pays for a syscall pair. Every other
+/// block comes from `aligned_alloc`, whose thresholds and arenas
+/// DESIGN.md §3 "Memory placement" records.
+const MAPPED_MIN_BYTES: usize = HUGE_BYTES;
+
+/// The alignment recorded in the `Layout` of a mapped block — the page,
+/// which no `aligned_alloc` block of `RawStorage` asks for: it is how
+/// `Drop` tells the two apart without a field of its own.
+const MAPPED_ALIGN: usize = WAY_BYTES;
 
 /// Where the payloads of one allocator's blocks start: the `k`-th placed
 /// block (at least [`PLACED_MIN_BYTES`]) on line `k mod 64` of its page, so
@@ -109,12 +123,88 @@ fn advise_huge_pages(raw: *mut u8, size: usize) {
 #[cfg(not(target_os = "linux"))]
 fn advise_huge_pages(_raw: *mut u8, _size: usize) {}
 
+/// Private anonymous mappings: `sys/mman.h`, with the values of
+/// `asm-generic/mman-common.h` (x86-64 and aarch64 alike).
+#[cfg(target_os = "linux")]
+mod mapping {
+    use super::{HUGE_BYTES, WAY_BYTES};
+
+    extern "C" {
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
+        fn munmap(addr: *mut u8, len: usize) -> i32;
+    }
+    const PROT_READ: i32 = 1;
+    const PROT_WRITE: i32 = 2;
+    const MAP_PRIVATE: i32 = 2;
+    const MAP_ANONYMOUS: i32 = 0x20;
+
+    /// A fresh zero-filled mapping of at least `size` bytes that starts on
+    /// a huge page, or null. Nothing is resident until it is touched.
+    pub(super) fn map(size: usize) -> *mut u8 {
+        let Some(over) = size.checked_add(HUGE_BYTES - WAY_BYTES) else {
+            return std::ptr::null_mut();
+        };
+        // SAFETY: a new private anonymous mapping aliases nothing.
+        let at = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                over,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if at.addr() == usize::MAX {
+            return std::ptr::null_mut(); // MAP_FAILED
+        }
+        // Over-mapped by a huge page less a page; give back what lies
+        // before the aligned start and after the block, whole pages both.
+        let head = at.addr().next_multiple_of(HUGE_BYTES) - at.addr();
+        let end = (head + size).next_multiple_of(WAY_BYTES);
+        let mapped = over.next_multiple_of(WAY_BYTES);
+        // SAFETY: both ranges lie inside the mapping just made, and nothing
+        // refers to them.
+        unsafe {
+            if head > 0 {
+                unmap(at, head);
+            }
+            if mapped > end {
+                unmap(at.add(end), mapped - end);
+            }
+            at.add(head)
+        }
+    }
+
+    /// Return `[at, at + size)`, a whole mapping `map` made.
+    ///
+    /// # Safety
+    /// Nothing may use the range afterwards.
+    pub(super) unsafe fn unmap(at: *mut u8, size: usize) {
+        let failed = unsafe { munmap(at, size) } != 0;
+        debug_assert!(!failed, "munmap({at:p}, {size:#x}) failed");
+    }
+}
+
+/// Other targets map nothing: `allocate` never asks them to.
+#[cfg(not(target_os = "linux"))]
+mod mapping {
+    pub(super) fn map(_size: usize) -> *mut u8 {
+        unreachable!("only Linux maps blocks")
+    }
+
+    pub(super) unsafe fn unmap(_at: *mut u8, _size: usize) {
+        unreachable!("only Linux maps blocks")
+    }
+}
+
 /// A fixed-size, heap-allocated element buffer.
 pub(crate) struct RawStorage<T: AccScalar> {
     /// First element: `raw` plus this block's skew.
     ptr: *mut T,
     len: usize,
-    /// What the allocator returned, with the layout it was asked for.
+    /// What the allocator returned, with the layout it was asked for; an
+    /// alignment of [`MAPPED_ALIGN`] marks a mapping of our own.
     raw: *mut u8,
     layout: Layout,
     _marker: PhantomData<T>,
@@ -144,19 +234,28 @@ impl<T: AccScalar> RawStorage<T> {
         } else {
             0
         };
+        let mapped = cfg!(target_os = "linux") && zero && bytes >= MAPPED_MIN_BYTES;
         let layout = bytes
             .checked_add(slack)
-            .and_then(|total| Layout::from_size_align(total.max(1), LINE_BYTES).ok())
+            .and_then(|total| {
+                let align = if mapped { MAPPED_ALIGN } else { LINE_BYTES };
+                Layout::from_size_align(total.max(1), align).ok()
+            })
             .ok_or_else(too_large)?;
-        // SAFETY: non-zero-size layout.
-        let raw = unsafe { alloc(layout) };
+        let raw = if mapped {
+            // Starts on a huge page, so every whole one it spans is whole.
+            mapping::map(layout.size())
+        } else {
+            // SAFETY: non-zero-size layout.
+            unsafe { alloc(layout) }
+        };
         if raw.is_null() {
             return Err(RaccError::Allocation(format!(
                 "the host allocator has no {bytes} bytes"
             )));
         }
         advise_huge_pages(raw, layout.size());
-        if zero {
+        if zero && !mapped {
             // What `alloc_zeroed` does at this alignment (`aligned_alloc`,
             // then a memset), moved after the advice so that the memset is
             // the first touch. Not `calloc`: off the `aligned_alloc` path
@@ -178,9 +277,28 @@ impl<T: AccScalar> RawStorage<T> {
         })
     }
 
+    /// Whether the block is a mapping of its own rather than an
+    /// `aligned_alloc` block.
+    fn is_mapped(&self) -> bool {
+        self.layout.align() == MAPPED_ALIGN
+    }
+
     /// Allocate `len` zero-initialized elements.
     pub(crate) fn zeroed(len: usize) -> Result<Self, RaccError> {
         Self::allocate(len, true)
+    }
+
+    /// Allocate `len` elements and write element `i` as `f(i)`, in index
+    /// order: the first touch of every byte, with no host copy beside it.
+    pub(crate) fn from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Result<Self, RaccError> {
+        let storage = Self::allocate(len, false)?;
+        for i in 0..len {
+            // SAFETY: `i < len`, inside the block. Elements are `Copy`, so
+            // those a panicking `f` leaves unwritten are never dropped, and
+            // nothing reads them before the block is freed.
+            unsafe { storage.ptr.add(i).write(f(i)) };
+        }
+        Ok(storage)
     }
 
     /// Allocate and fill from a host slice.
@@ -226,8 +344,14 @@ impl<T: AccScalar> RawStorage<T> {
 
 impl<T: AccScalar> Drop for RawStorage<T> {
     fn drop(&mut self) {
-        // SAFETY: `raw` is the block `allocate` got for this layout.
-        unsafe { dealloc(self.raw, self.layout) };
+        if self.is_mapped() {
+            // SAFETY: `raw` is the mapping `allocate` made for this layout,
+            // and `self` was its only owner.
+            unsafe { mapping::unmap(self.raw, self.layout.size()) };
+        } else {
+            // SAFETY: `raw` is the block `allocate` got for this layout.
+            unsafe { dealloc(self.raw, self.layout) };
+        }
     }
 }
 
@@ -340,11 +464,144 @@ mod tests {
     }
 
     #[test]
+    fn only_large_zeroed_blocks_are_mapped() {
+        let _serial = placement();
+        let large = MAPPED_MIN_BYTES / 8;
+        let old_path = [
+            RawStorage::<f64>::zeroed(100).unwrap(),
+            RawStorage::<f64>::zeroed(large - 1).unwrap(),
+            RawStorage::from_slice(&vec![1.0f64; large]).unwrap(),
+            RawStorage::from_fn(large, |i| i as f64).unwrap(),
+        ];
+        for s in &old_path {
+            assert!(!s.is_mapped(), "{} bytes", s.size_bytes());
+            assert_eq!(s.layout.align(), LINE_BYTES);
+        }
+        let mapped = RawStorage::<f64>::zeroed(large).unwrap();
+        assert_eq!(mapped.is_mapped(), cfg!(target_os = "linux"));
+    }
+
+    #[test]
+    fn from_fn_writes_every_element_in_index_order() {
+        let _serial = placement();
+        let value = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for len in [0, 7, PLACED_MIN_BYTES / 8 + 3] {
+            let mut calls = Vec::new();
+            let s = RawStorage::from_fn(len, |i| {
+                calls.push(i);
+                value(i)
+            })
+            .unwrap();
+            assert_eq!(calls, (0..len).collect::<Vec<_>>());
+            assert_eq!(s.to_vec(), calls.into_iter().map(value).collect::<Vec<_>>());
+        }
+    }
+
+    /// Which pages of `[at, at + len)` are resident, one flag per page.
+    #[cfg(target_os = "linux")]
+    fn resident_pages(at: *mut u8, len: usize) -> Vec<bool> {
+        extern "C" {
+            fn mincore(addr: *mut u8, length: usize, vec: *mut u8) -> i32;
+        }
+        let mut pages = vec![0u8; len.div_ceil(WAY_BYTES)];
+        // SAFETY: `at` is page-aligned and the range is mapped; `pages`
+        // holds one byte per page.
+        assert_eq!(unsafe { mincore(at, len, pages.as_mut_ptr()) }, 0);
+        pages.iter().map(|p| p & 1 == 1).collect()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_large_zeroed_block_has_no_resident_page_before_its_first_write() {
+        let _serial = placement();
+        // 9 MiB: a length the kernel does not align to a huge page itself.
+        let s = RawStorage::<f64>::zeroed((9 << 20) / 8).unwrap();
+        assert!(s.is_mapped());
+        assert_eq!(s.raw.addr() % HUGE_BYTES, 0);
+        let pages = || resident_pages(s.raw, s.layout.size());
+        assert!(pages().iter().all(|&p| !p), "resident before any write");
+        // One write faults in its own page (a huge page, if the kernel
+        // has one), and mincore sees it.
+        // SAFETY: element 0 is inside the payload.
+        unsafe { s.ptr().write(1.0) };
+        assert!(pages()[0]);
+        unsafe { s.ptr().write(0.0) };
+        assert!(s.to_vec().iter().all(|&x| x.to_bits() == 0));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn mapped_payloads_sit_on_their_block_sequence_line() {
+        let _serial = placement();
+        let len = MAPPED_MIN_BYTES / 8;
+        let blocks: Vec<_> = (0..3)
+            .map(|_| RawStorage::<f64>::zeroed(len).unwrap())
+            .collect();
+        let lines: Vec<usize> = blocks
+            .iter()
+            .map(|b| {
+                assert!(b.is_mapped());
+                let skew = b.ptr().addr() - b.raw.addr();
+                assert!(
+                    skew.is_multiple_of(LINE_BYTES) && skew < WAY_BYTES,
+                    "{skew:#x}"
+                );
+                assert!(skew + b.size_bytes() <= b.layout.size());
+                skew / LINE_BYTES
+            })
+            .collect();
+        // Consecutive placed blocks: consecutive lines of the page.
+        for pair in lines.windows(2) {
+            assert_eq!(
+                pair[1],
+                (pair[0] + 1) % (WAY_BYTES / LINE_BYTES),
+                "{lines:?}"
+            );
+        }
+    }
+
+    /// Lines of `/proc/self/maps`: one per mapping.
+    #[cfg(target_os = "linux")]
+    fn mappings() -> usize {
+        std::fs::read_to_string("/proc/self/maps")
+            .unwrap()
+            .lines()
+            .count()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn dropped_mapped_blocks_leave_no_mapping_behind() {
+        let _serial = placement();
+        // A leak adds a mapping per block; other tests' threads come and
+        // go, so a count that moved is measured again rather than trusted.
+        const BLOCKS: usize = 32;
+        let data = vec![2.5; 1 << 20]; // 8 MiB
+        let mut counts = Vec::new();
+        for _ in 0..5 {
+            let before = mappings();
+            for _ in 0..BLOCKS {
+                let s = RawStorage::<f64>::zeroed(data.len()).unwrap();
+                assert!(s.is_mapped());
+                s.copy_from_slice(&data);
+                drop(s);
+            }
+            let after = mappings();
+            if after <= before {
+                return;
+            }
+            counts.push((before, after));
+        }
+        panic!("mappings before and after {BLOCKS} blocks: {counts:?}");
+    }
+
+    #[test]
     fn placed_blocks_zero_and_round_trip_the_whole_payload() {
         let _serial = placement();
         // The smallest placed size, and one that always holds a whole huge
-        // page (advised before it is zeroed). Each pass frees blocks it
-        // wrote, so later passes get dirty memory back from the arena.
+        // page (mapped when zeroed; advised before the copy when not). Each
+        // pass frees blocks it wrote, so later passes get dirty memory back
+        // from the arena.
         for len in [PLACED_MIN_BYTES / 8 + 5, 2 * HUGE_BYTES / 8 + 5] {
             let data: Vec<f64> = (0..len).map(|i| i as f64 + 1.0).collect();
             // Every line of the page once, the farthest skew included.

@@ -151,7 +151,7 @@ impl<B: Backend> Context<B> {
     /// `JACC.Array(host_vector)`: create a 1D array from host data
     /// (modeling the host-to-device transfer on accelerator back ends).
     pub fn array_from<T: AccScalar>(&self, data: &[T]) -> Result<Array1<T>, RaccError> {
-        let (storage, token) = self.upload_storage(data)?;
+        let (storage, token) = self.upload(RawStorage::from_slice(data)?)?;
         Ok(Array1::new(storage, token, self.id))
     }
 
@@ -161,14 +161,17 @@ impl<B: Backend> Context<B> {
         Ok(Array1::new(storage, token, self.id))
     }
 
-    /// A 1D array built from a function of the index.
+    /// A 1D array built from a function of the index, called once per
+    /// index in ascending order. Charged as an upload, like
+    /// [`Context::array_from`]; the elements are written straight into the
+    /// array, with no host copy.
     pub fn array_from_fn<T: AccScalar>(
         &self,
         n: usize,
         f: impl FnMut(usize) -> T,
     ) -> Result<Array1<T>, RaccError> {
-        let data: Vec<T> = (0..n).map(f).collect();
-        self.array_from(&data)
+        let (storage, token) = self.upload(RawStorage::from_fn(n, f)?)?;
+        Ok(Array1::new(storage, token, self.id))
     }
 
     /// `JACC.Array(host_matrix)`: create an `m × n` column-major 2D array
@@ -185,7 +188,7 @@ impl<B: Backend> Context<B> {
                 data.len()
             )));
         }
-        let (storage, token) = self.upload_storage(data)?;
+        let (storage, token) = self.upload(RawStorage::from_slice(data)?)?;
         Ok(Array2::new(storage, token, self.id, m, n))
     }
 
@@ -195,20 +198,19 @@ impl<B: Backend> Context<B> {
         Ok(Array2::new(storage, token, self.id, m, n))
     }
 
-    /// A 2D array built from a function of `(i, j)`.
+    /// A 2D array built from a function of `(i, j)`, called once per
+    /// element in column-major order and written straight into the array
+    /// (charged as an upload, like [`Context::array2_from`]).
     pub fn array2_from_fn<T: AccScalar>(
         &self,
         m: usize,
         n: usize,
         mut f: impl FnMut(usize, usize) -> T,
     ) -> Result<Array2<T>, RaccError> {
-        let mut data = Vec::with_capacity(shape_len(&[m, n])?);
-        for j in 0..n {
-            for i in 0..m {
-                data.push(f(i, j));
-            }
-        }
-        self.array2_from(m, n, &data)
+        // `m > 0` whenever the closure runs.
+        let storage = RawStorage::from_fn(shape_len(&[m, n])?, |at| f(at % m, at / m))?;
+        let (storage, token) = self.upload(storage)?;
+        Ok(Array2::new(storage, token, self.id, m, n))
     }
 
     /// A 3D `m × n × l` column-major array from host data.
@@ -225,7 +227,7 @@ impl<B: Backend> Context<B> {
                 data.len()
             )));
         }
-        let (storage, token) = self.upload_storage(data)?;
+        let (storage, token) = self.upload(RawStorage::from_slice(data)?)?;
         Ok(Array3::new(storage, token, self.id, m, n, l))
     }
 
@@ -251,14 +253,13 @@ impl<B: Backend> Context<B> {
         Ok((storage, token))
     }
 
-    /// Storage holding a copy of `data`, and the back end's token for it
-    /// (charged as an upload).
-    fn upload_storage<T: AccScalar>(
+    /// `storage`, filled on the host, and the back end's token for it
+    /// (charged as an upload of the whole array).
+    fn upload<T: AccScalar>(
         &self,
-        data: &[T],
+        storage: RawStorage<T>,
     ) -> Result<(RawStorage<T>, DeviceToken), RaccError> {
-        let storage = RawStorage::from_slice(data)?;
-        let token = self.backend.on_alloc(std::mem::size_of_val(data), true)?;
+        let token = self.backend.on_alloc(storage.size_bytes(), true)?;
         Ok((storage, token))
     }
 
@@ -789,6 +790,29 @@ mod tests {
             .flat_map(|j| (0..size).map(move |i| (i + j) as f64 + 2.0))
             .sum();
         assert!((res - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn from_fn_arrays_are_built_in_storage_order() {
+        let ctx = ctx();
+        let mut calls = Vec::new();
+        let a = ctx
+            .array2_from_fn(3, 2, |i, j| {
+                calls.push((i, j));
+                (10 * i + j) as f64
+            })
+            .unwrap();
+        assert_eq!(calls, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]);
+        assert_eq!(
+            ctx.to_host2(&a).unwrap(),
+            [0.0, 10.0, 20.0, 1.0, 11.0, 21.0]
+        );
+        assert_eq!(a.view().get(2, 1), 21.0);
+        let b = ctx.array_from_fn(5, |i| (i * i) as u32).unwrap();
+        assert_eq!(ctx.to_host(&b).unwrap(), [0, 1, 4, 9, 16]);
+        assert!(ctx
+            .array2_from_fn(0, 4, |_, _| -> f64 { unreachable!() })
+            .is_ok());
     }
 
     #[test]

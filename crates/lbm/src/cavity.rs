@@ -13,9 +13,9 @@
 
 use racc_core::{Array1, Backend, Context, RaccError};
 
-use crate::lattice::{equilibrium, fidx, moments, site, CX, CY, OPPOSITE, Q, W};
+use crate::lattice::{fidx, moments, site, CX, CY, OPPOSITE, Q, W};
 use crate::lbm_profile;
-use crate::portable::collide_into;
+use crate::portable::{collide_into, equilibrium_lattice};
 
 /// A lid-driven cavity simulation on an `s × s` grid.
 pub struct CavitySim<'c, B: Backend> {
@@ -45,22 +45,14 @@ impl<'c, B: Backend> CavitySim<'c, B> {
             lid_velocity.abs() < 0.3,
             "lid velocity {lid_velocity} too large for a stable lattice Mach number"
         );
-        let mut init = vec![0.0f64; Q * s * s];
-        for x in 0..s {
-            for y in 0..s {
-                for k in 0..Q {
-                    init[fidx(k, x, y, s)] = equilibrium(k, 1.0, 0.0, 0.0);
-                }
-            }
-        }
         Ok(CavitySim {
             ctx,
             s,
             tau,
             lid_velocity,
             f: ctx.zeros(Q * s * s)?,
-            f1: ctx.array_from(&init)?,
-            f2: ctx.array_from(&init)?,
+            f1: equilibrium_lattice(ctx, s, |_, _| (1.0, 0.0, 0.0))?,
+            f2: equilibrium_lattice(ctx, s, |_, _| (1.0, 0.0, 0.0))?,
             steps: 0,
         })
     }

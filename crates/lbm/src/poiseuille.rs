@@ -16,10 +16,9 @@
 
 use racc_core::{Array1, Backend, Context, RaccError};
 
-use crate::lattice::{
-    bgk_collide, equilibrium, fidx, moments, site, viscosity, CX, CY, OPPOSITE, Q, W,
-};
+use crate::lattice::{bgk_collide, fidx, moments, site, viscosity, CX, CY, OPPOSITE, Q, W};
 use crate::lbm_profile;
+use crate::portable::equilibrium_lattice;
 
 /// A Poiseuille channel simulation through the RACC constructs.
 pub struct PoiseuilleSim<'c, B: Backend> {
@@ -44,22 +43,14 @@ impl<'c, B: Backend> PoiseuilleSim<'c, B> {
             peak < 0.15,
             "predicted peak velocity {peak} too large for a stable lattice Mach number"
         );
-        let mut init = vec![0.0f64; Q * s * s];
-        for x in 0..s {
-            for y in 0..s {
-                for k in 0..Q {
-                    init[fidx(k, x, y, s)] = equilibrium(k, 1.0, 0.0, 0.0);
-                }
-            }
-        }
         Ok(PoiseuilleSim {
             ctx,
             s,
             tau,
             force,
             f: ctx.zeros(Q * s * s)?,
-            f1: ctx.array_from(&init)?,
-            f2: ctx.array_from(&init)?,
+            f1: equilibrium_lattice(ctx, s, |_, _| (1.0, 0.0, 0.0))?,
+            f2: equilibrium_lattice(ctx, s, |_, _| (1.0, 0.0, 0.0))?,
         })
     }
 

@@ -27,9 +27,35 @@ pub struct LbmSim<'c, B: Backend> {
     f2: Array1<f64>,
 }
 
+/// A `Q · s²` lattice holding at each site `(x, y)` the equilibrium of
+/// `fields(x, y)`, written straight into a new array (charged as one
+/// upload) with no host lattice beside it.
+pub(crate) fn equilibrium_lattice<B: Backend>(
+    ctx: &Context<B>,
+    s: usize,
+    fields: impl Fn(usize, usize) -> (f64, f64, f64),
+) -> Result<Array1<f64>, RaccError> {
+    // `array_from_fn` walks the indices in order: `y` fastest, then `x`,
+    // then `k` (`fidx`), without a division per element.
+    let (mut k, mut x, mut y) = (0, 0, 0);
+    ctx.array_from_fn(Q * s * s, |_| {
+        let (rho, ux, uy) = fields(x, y);
+        let value = equilibrium(k, rho, ux, uy);
+        y += 1;
+        if y == s {
+            (x, y) = (x + 1, 0);
+            if x == s {
+                (k, x) = (k + 1, 0);
+            }
+        }
+        value
+    })
+}
+
 impl<'c, B: Backend> LbmSim<'c, B> {
     /// Build a simulation with every site initialized at the equilibrium of
-    /// per-site `(rho, ux, uy)` fields.
+    /// per-site `(rho, ux, uy)` fields (`fields` is called `2 Q` times per
+    /// site: once per direction of `f1` and of `f2`).
     pub fn new(
         ctx: &'c Context<B>,
         s: usize,
@@ -38,22 +64,13 @@ impl<'c, B: Backend> LbmSim<'c, B> {
     ) -> Result<Self, RaccError> {
         assert!(s >= 3, "grid must be at least 3x3");
         assert!(tau > 0.5, "tau must exceed 1/2");
-        let mut init = vec![0.0f64; Q * s * s];
-        for x in 0..s {
-            for y in 0..s {
-                let (rho, ux, uy) = fields(x, y);
-                for k in 0..Q {
-                    init[fidx(k, x, y, s)] = equilibrium(k, rho, ux, uy);
-                }
-            }
-        }
         Ok(LbmSim {
             ctx,
             s,
             tau,
             f: ctx.zeros(Q * s * s)?,
-            f1: ctx.array_from(&init)?,
-            f2: ctx.array_from(&init)?,
+            f1: equilibrium_lattice(ctx, s, &fields)?,
+            f2: equilibrium_lattice(ctx, s, &fields)?,
         })
     }
 
@@ -246,6 +263,34 @@ mod tests {
             refsim.step_periodic();
         }
         assert_eq!(sim.max_diff_vs(&refsim), 0.0);
+    }
+
+    #[test]
+    fn both_lattices_start_at_the_per_site_equilibrium_bit_for_bit() {
+        let ctx = Context::new(SerialBackend::new());
+        // Small and odd, so a wrong row or plane wrap shows.
+        let s = 7;
+        let fields = |x: usize, y: usize| (1.0 + 0.01 * (x as f64), 0.02 * (y as f64), -0.003);
+        let mut want = vec![0u64; Q * s * s];
+        for x in 0..s {
+            for y in 0..s {
+                let (rho, ux, uy) = fields(x, y);
+                for k in 0..Q {
+                    want[fidx(k, x, y, s)] = equilibrium(k, rho, ux, uy).to_bits();
+                }
+            }
+        }
+        let sim = LbmSim::new(&ctx, s, 0.8, fields).unwrap();
+        let bits = |a: &Array1<f64>| -> Vec<u64> {
+            ctx.to_host(a)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&sim.f1), want);
+        assert_eq!(bits(&sim.f2), want);
+        assert!(bits(&sim.f).iter().all(|&b| b == 0));
     }
 
     #[test]

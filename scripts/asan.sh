@@ -13,7 +13,10 @@
 # real blocks but has no host block, only a null base and a dangling
 # payload pointer, so a `Drop` that handed either to `dealloc` would free
 # memory the allocator never gave out — ASan's bad-free report, where a
-# plain run may corrupt the heap silently. Needs the nightly
+# plain run may corrupt the heap silently. A zeroed `RawStorage` block of
+# 2 MiB or more is an anonymous mapping of its own (`mmap`/`munmap`), outside
+# ASan's heap: ASan checks neither its bounds nor its lifetime there, and a
+# use after unmap is a SIGSEGV, not an ASan report. Needs the nightly
 # toolchain's ASan runtime; builds offline into
 # `target/x86_64-unknown-linux-gnu/`.
 set -euo pipefail
