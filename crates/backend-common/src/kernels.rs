@@ -458,20 +458,10 @@ mod tests {
     /// A 2D and a 3D thread tile.
     type Tiles = ((u32, u32), (u32, u32, u32));
 
-    /// A device without the sanitizer, whatever `RACC_SANITIZER` says.
-    fn plain(spec: DeviceSpec) -> Device {
-        unchecked(Device::new(spec))
-    }
-
-    /// [`plain`] over a pool of `threads` participants: how many there are
+    /// A device over a pool of `threads` participants: how many there are
     /// decides how the executor cuts a row of blocks into bands.
     fn plain_on(spec: DeviceSpec, threads: usize) -> Device {
-        unchecked(Device::with_pool(spec, Arc::new(ThreadPool::new(threads))))
-    }
-
-    fn unchecked(dev: Device) -> Device {
-        dev.set_sanitizer(false);
-        dev
+        Device::with_pool(spec, Arc::new(ThreadPool::new(threads)))
     }
 
     /// Bit pattern of a test scalar.
@@ -581,7 +571,7 @@ mod tests {
     #[test]
     fn reduce_kernels_equal_the_per_thread_form() {
         for (spec, _) in devices() {
-            let dev = plain(spec);
+            let dev = Device::new(spec);
             let block = (dev.spec().max_threads_per_block as usize).min(512);
             // One element; one short of a block, a block, one over; several
             // blocks and a tail (fewer partials than the fold's block);
@@ -698,7 +688,7 @@ mod tests {
         }
         // Reduce blocks of 64 and of 512.
         for spec in [profiles::test_device(), profiles::nvidia_a100()] {
-            let backend = SimBackend::new(Arc::new(plain(spec)), &Vendor::default());
+            let backend = SimBackend::new(Arc::new(Device::new(spec)), &Vendor::default());
             let extents = [
                 // Rows of one element, a few, one short of the larger
                 // block, the block, one over, four blocks.
@@ -885,7 +875,7 @@ mod tests {
             let seen = std::sync::Mutex::new(Vec::new());
             let record = |i, j, k| seen.lock().unwrap().push((i, j, k));
             let kernel = Cover { extent, f: &record };
-            let dev = plain(profiles::test_device());
+            let dev = Device::new(profiles::test_device());
             if per_thread {
                 dev.execute_grid_reference(cfg, &kernel);
             } else {
@@ -944,7 +934,7 @@ mod tests {
         let blocks = N.div_ceil(BLOCK);
         let tree = TreeShape::new(BLOCK);
         for (name, sanitize) in [("plain", false), ("simsan", true)] {
-            let dev = plain(profiles::test_device());
+            let dev = Device::new(profiles::test_device());
             dev.set_sanitizer(sanitize);
             let every_thread = |blocks: usize| {
                 if sanitize {

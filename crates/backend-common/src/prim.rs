@@ -780,9 +780,8 @@ mod tests {
     const BLOCKS: usize = 4;
     const SHIFT: u32 = 8;
 
-    /// A test device with the sanitizer on or off as `sanitize` says
-    /// (whatever `RACC_SANITIZER` says), set before anything is allocated
-    /// on it.
+    /// A test device with the sanitizer on or off as `sanitize` says, set
+    /// before anything is allocated on it.
     fn device(sanitize: bool) -> Device {
         let dev = Device::new(profiles::test_device());
         dev.set_sanitizer(sanitize);

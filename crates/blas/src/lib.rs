@@ -17,7 +17,7 @@
 //! [`fused`] adds hand-fused chains of the portable operations (AXPY+DOT,
 //! the CG α-update) — one construct each with the summed profile — used by
 //! the CG solver when the context's fusion knob
-//! (`racc::builder().fusion(true)` / `RACC_FUSION=1`) is on.
+//! (`racc::builder().fusion(true)`) is on.
 //!
 //! [`mod@reference`] holds plain serial implementations used as ground truth in
 //! tests.

@@ -96,11 +96,11 @@ impl<B: Backend> CgWorkspace<B> {
     /// two reductions, three vector updates, one copy-shaped update.
     /// Returns the updated residual norm.
     ///
-    /// When the context's fusion knob is on (`ContextBuilder::fusion` /
-    /// `RACC_FUSION=1`) the same iteration runs as three constructs
-    /// instead of six — [`LinearOperator::apply_dot`] folds the dot into
-    /// the matvec, [`racc_blas::fused::cg_update`] folds both AXPYs into
-    /// the second dot — with a bit-identical residual history.
+    /// When the context's fusion knob is on (`ContextBuilder::fusion`) the
+    /// same iteration runs as three constructs instead of six —
+    /// [`LinearOperator::apply_dot`] folds the dot into the matvec,
+    /// [`racc_blas::fused::cg_update`] folds both AXPYs into the second
+    /// dot — with a bit-identical residual history.
     pub fn iterate<Op: LinearOperator<B>>(&mut self, ctx: &Context<B>, op: &Op) -> f64 {
         if ctx.fusion_enabled() {
             return self.iterate_fused(ctx, op);

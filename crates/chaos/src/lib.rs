@@ -11,9 +11,7 @@
 //! * a [`ChaosEngine`] that the simulator consults at each injection point
 //!   ([`FaultSite`]) and that logs every injected [`FaultEvent`],
 //! * a [`RetryPolicy`] describing how the portability layer recovers from
-//!   transient faults (bounded attempts with exponential modeled backoff),
-//! * the [`truthy`] rule (and its [`env_flag`] helper) every `RACC_*`
-//!   flag shares: `RACC_FUSION`, `RACC_SANITIZER`, and `RACC_CHAOS`.
+//!   transient faults (bounded attempts with exponential modeled backoff).
 //!
 //! Everything here is deterministic by construction: the schedule depends
 //! only on the plan and the per-site operation counters, never on wall
@@ -193,7 +191,7 @@ impl FaultPlan {
         FaultPlan::Seeded { seed }
     }
 
-    /// Parses a plan from the `RACC_CHAOS` grammar.
+    /// Parses a plan from its text form.
     ///
     /// * a bare integer is a seed: `"42"` → `FaultPlan::seeded(42)`;
     /// * otherwise, semicolon- (or comma-) separated clauses
@@ -268,8 +266,8 @@ impl FaultPlan {
 
     /// Derive a decorrelated plan for one member of a pool (shard rank,
     /// server device) from this plan. Seeded plans get an independent
-    /// xorshift-mixed seed per `salt` — so a single `RACC_CHAOS=42` soaks
-    /// every device of a pool with *different* fault schedules while
+    /// xorshift-mixed seed per `salt` — so a single `FaultPlan::seeded(42)`
+    /// soaks every device of a pool with *different* fault schedules while
     /// staying fully reproducible. Script plans are explicit about which
     /// operations fail and pass through unchanged.
     pub fn for_member(&self, salt: u64) -> FaultPlan {
@@ -435,23 +433,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The one truthy rule every `RACC_*` flag shares: a value is **on** iff
-/// it is set to anything other than `""`, `"0"`, `"false"`, or `"off"`
-/// (match is exact after trimming; unset is off).
-pub fn truthy(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !matches!(v.trim(), "" | "0" | "false" | "off"),
-        None => false,
-    }
-}
-
-/// [`truthy`] of an environment variable (non-UTF-8 is off), for a flag
-/// read outside `racc_core::RuntimeConfig` (`RACC_SANITIZER`), so every
-/// knob agrees on what "on" means.
-pub fn env_flag(name: &str) -> bool {
-    truthy(std::env::var(name).ok().as_deref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,22 +555,5 @@ mod tests {
         assert_eq!(p.backoff_ns(2), 2_000);
         assert_eq!(p.backoff_ns(3), 4_000);
         assert_eq!(RetryPolicy::none().max_attempts, 1);
-    }
-
-    #[test]
-    fn env_flag_semantics() {
-        // Single test (not one per case) so the env mutations never race.
-        let name = "RACC_CHAOS_TEST_FLAG";
-        std::env::remove_var(name);
-        assert!(!env_flag(name), "unset is off");
-        for off in ["", "0", "false", "off", " 0 "] {
-            std::env::set_var(name, off);
-            assert!(!env_flag(name), "{off:?} must be off");
-        }
-        for on in ["1", "true", "on", "yes", "42"] {
-            std::env::set_var(name, on);
-            assert!(env_flag(name), "{on:?} must be on");
-        }
-        std::env::remove_var(name);
     }
 }

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use crate::array::{Array1, Array2, Array3};
 use crate::backend::{Backend, DeviceToken, Extent};
 use crate::buffer::RawStorage;
-use crate::config::RuntimeConfig;
 use crate::error::RaccError;
 use crate::profile::KernelProfile;
 use crate::scalar::{AccScalar, Numeric, ReduceOp, Sum};
@@ -73,30 +72,10 @@ impl<B: Backend> Context<B> {
     /// Wrap a backend in a context (no tracing, no sanitizer changes). Use
     /// [`Context::builder`] to configure observability at construction.
     pub fn new(backend: B) -> Self {
-        // Direct construction honors the environment knobs so harnesses
-        // (the CI `RACC_FUSION=1` and `RACC_CHAOS=<seed>` steps) reach
-        // every code path. The knobs a context consumes are parsed in one
-        // place — `racc_core::config` — exactly once per construction.
-        Self::with_config(backend, RuntimeConfig::from_env())
-    }
-
-    /// Construct from an already-parsed [`RuntimeConfig`]. `RACC_SANITIZER`
-    /// is not in it: the simulator devices honor that knob at device
-    /// creation, and builder overrides run before this point.
-    fn with_config(backend: B, config: RuntimeConfig) -> Self {
-        // Env-armed chaos always comes with the default retry policy: the
-        // env knob is a whole-suite soak, and without retries every
-        // transient fault would surface as a test failure.
-        if let Some(plan) = config.chaos {
-            let hooks = backend.instrument();
-            if hooks.set_chaos(plan) {
-                hooks.set_retry(racc_chaos::RetryPolicy::default());
-            }
-        }
         Context {
             backend,
             id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
-            fusion: config.fusion,
+            fusion: false,
             plan_cache: PlanCacheSlot::default(),
             shard: std::sync::Arc::new(ShardCounters::default()),
             serve: std::sync::Arc::new(ServeCounters::default()),
@@ -526,16 +505,15 @@ impl<B: Backend> Context<B> {
     }
 
     /// Whether fused fast paths are requested for this context (set by
-    /// [`ContextBuilder::fusion`] or the `RACC_FUSION` environment
-    /// variable). Advisory: consulted by `racc-fuse`, `racc-blas` and the
-    /// CG solver; the core constructs never change behavior.
+    /// [`ContextBuilder::fusion`]). Advisory: consulted by the CG solver;
+    /// the core constructs never change behavior.
     pub fn fusion_enabled(&self) -> bool {
         self.fusion
     }
 
     /// Every fault injected on this context's backend so far, in injection
-    /// order (see [`ContextBuilder::chaos`] / `RACC_CHAOS`). Empty when
-    /// chaos is unsupported or disarmed.
+    /// order (see [`ContextBuilder::chaos`]). Empty when chaos is
+    /// unsupported or disarmed.
     pub fn fault_log(&self) -> Vec<racc_chaos::FaultEvent> {
         self.backend.instrument().fault_log()
     }
@@ -596,9 +574,9 @@ impl<B: Backend> Context<B> {
 /// Everything [`ContextBuilder`] can set, as plain data: front ends that
 /// choose the backend at run time (`racc::ContextBuilder`) collect these
 /// before a backend exists and hand them over whole with
-/// [`ContextOptions::build`]. A `None` leaves the backend's (or the
-/// environment's) default in place; see the builder method of the same
-/// name for what each field does.
+/// [`ContextOptions::build`]. A `None` leaves the backend's default in
+/// place; see the builder method of the same name for what each field
+/// does.
 #[derive(Debug, Clone, Default)]
 pub struct ContextOptions {
     /// [`ContextBuilder::trace`].
@@ -609,7 +587,7 @@ pub struct ContextOptions {
     /// [`ContextBuilder::sanitizer`].
     pub sanitizer: Option<bool>,
     /// [`ContextBuilder::fusion`].
-    pub fusion: Option<bool>,
+    pub fusion: bool,
     /// [`ContextBuilder::chaos`].
     pub chaos: Option<racc_chaos::FaultPlan>,
     /// [`ContextBuilder::retry`].
@@ -622,19 +600,14 @@ impl ContextOptions {
         if let Some(enabled) = self.sanitizer {
             backend.instrument().set_sanitizer(enabled);
         }
-        #[allow(unused_mut)]
-        let mut ctx = Context::new(backend);
-        // After Context::new, so an explicit plan overrides the env-armed
-        // engine with a fresh one.
         if let Some(plan) = self.chaos {
-            ctx.backend.instrument().set_chaos(plan);
+            backend.instrument().set_chaos(plan);
         }
         if let Some(policy) = self.retry {
-            ctx.backend.instrument().set_retry(policy);
+            backend.instrument().set_retry(policy);
         }
-        if let Some(enabled) = self.fusion {
-            ctx.fusion = enabled;
-        }
+        let mut ctx = Context::new(backend);
+        ctx.fusion = self.fusion;
         #[cfg(feature = "trace")]
         if self.trace {
             let capacity = self.trace_capacity.unwrap_or(racc_trace::DEFAULT_CAPACITY);
@@ -687,8 +660,8 @@ impl<B: Backend> ContextBuilder<B> {
     /// Switch the backend's dynamic sanitizer (`simsan`) on or off:
     /// out-of-bounds, use-after-free, read-write race, barrier-divergence,
     /// and leak checking. Leaving it unset keeps the backend's default
-    /// (simulator back ends also honor `RACC_SANITIZER=1`). A documented
-    /// no-op on back ends without sanitizer support — see
+    /// (off on a fresh simulator device). A documented no-op on back ends
+    /// without sanitizer support — see
     /// [`Instrument::set_sanitizer`](crate::Instrument::set_sanitizer).
     pub fn sanitizer(mut self, enabled: bool) -> Self {
         self.options.sanitizer = Some(enabled);
@@ -696,18 +669,16 @@ impl<B: Backend> ContextBuilder<B> {
     }
 
     /// Request (or veto) the fused fast paths of the expression layer
-    /// (`racc-fuse`) and its users. Leaving it unset defers to the
-    /// `RACC_FUSION` environment variable; off by default.
+    /// (`racc-fuse`) and its users; off by default.
     pub fn fusion(mut self, enabled: bool) -> Self {
-        self.options.fusion = Some(enabled);
+        self.options.fusion = enabled;
         self
     }
 
     /// Arm deterministic fault injection (`racc-chaos`) on the backend
-    /// with `plan`. An explicit plan replaces whatever `RACC_CHAOS` armed
-    /// (fresh engine, fresh fault log) and does **not** imply a retry
-    /// policy — pair it with [`ContextBuilder::retry`] for recovery. A
-    /// documented no-op on back ends without injection support — see
+    /// with `plan`: a fresh engine with a fresh fault log. It does **not**
+    /// imply a retry policy — pair it with [`ContextBuilder::retry`] for
+    /// recovery. A documented no-op on back ends without injection support — see
     /// [`Instrument::set_chaos`](crate::Instrument::set_chaos).
     pub fn chaos(mut self, plan: racc_chaos::FaultPlan) -> Self {
         self.options.chaos = Some(plan);
@@ -717,8 +688,7 @@ impl<B: Backend> ContextBuilder<B> {
     /// Set the retry policy the backend applies to transient device faults
     /// (injected faults, out-of-memory): bounded attempts with exponential
     /// *modeled* backoff. Leaving it unset keeps the backend's default
-    /// (retries on when `RACC_CHAOS` armed the chaos engine, off
-    /// otherwise). No-op on back ends without retry support.
+    /// (no retries). No-op on back ends without retry support.
     pub fn retry(mut self, policy: racc_chaos::RetryPolicy) -> Self {
         self.options.retry = Some(policy);
         self

@@ -52,7 +52,6 @@
 mod array;
 mod backend;
 pub mod buffer;
-pub mod config;
 mod context;
 pub mod cpumodel;
 mod error;
@@ -68,7 +67,6 @@ mod views;
 
 pub use array::{Array1, Array2, Array3};
 pub use backend::{Backend, DeviceToken, Extent, Instrument};
-pub use config::RuntimeConfig;
 // Fault-injection vocabulary, re-exported so the portability layer and
 // applications can arm chaos without naming the substrate crate.
 pub use context::{Context, ContextBuilder, ContextOptions};
@@ -76,7 +74,7 @@ pub use cpumodel::CpuSpec;
 pub use error::RaccError;
 pub use profile::KernelProfile;
 pub use racc_chaos as chaos;
-pub use racc_chaos::{env_flag, FaultAction, FaultEvent, FaultPlan, FaultSite, RetryPolicy};
+pub use racc_chaos::{FaultAction, FaultEvent, FaultPlan, FaultSite, RetryPolicy};
 // The execution substrate, re-exported so backend crates can name
 // work-stealing types (`Instrument::steal_stats`) without a direct dependency.
 pub use racc_threadpool as threadpool;

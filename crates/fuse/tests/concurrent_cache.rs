@@ -57,10 +57,7 @@ const MEASURED: usize = 16;
 fn threads_share_one_plan_and_the_hit_path_never_allocates() {
     // This test asserts the chaos-OFF, sanitizer-OFF guarantees (each of
     // those layers allocates by design when armed; on the CPU the sanitizer
-    // is the race checker); keep it meaningful even when the suite runs
-    // under the CI's RACC_CHAOS / RACC_SANITIZER=1 / --features racecheck
-    // soak.
-    std::env::remove_var("RACC_CHAOS");
+    // is the race checker, which `--features racecheck` compiles in).
     let ctx = Context::builder(SerialBackend::new())
         .sanitizer(false)
         .build();

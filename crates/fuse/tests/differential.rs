@@ -18,8 +18,9 @@
 //! Each case runs three times per backend — compiled (`ctx.lazy()`, the
 //! plan-cache default), interpreted (`ctx.lazy().interpreted()`), and
 //! eager (`ctx.lazy().eager()`) — and compares every array's bytes and
-//! the reduction value via `to_bits`. The same tests must also hold under
-//! `--features racecheck` and `RACC_SANITIZER=1` (CI runs both).
+//! the reduction value via `to_bits`. One simulator runs a second time
+//! with simsan, the simulator's sanitizer, switched on; the same tests must
+//! also hold under `--features racecheck`, which CI runs.
 
 use proptest::prelude::*;
 use racc_core::{Array1, Backend, Context, SerialBackend, ThreadsBackend};
@@ -250,7 +251,8 @@ fn check_backend<B: Backend>(ctx: &Context<B>, spec: &Spec, sizes: &[usize]) {
     );
 }
 
-/// One case across all five backends.
+/// One case across all five backends, and once more on a sanitized
+/// simulator.
 fn check_all_backends(spec: &Spec, sizes: &[usize]) {
     check_backend(&Context::new(SerialBackend::new()), spec, sizes);
     check_backend(&Context::new(ThreadsBackend::with_threads(3)), spec, sizes);
@@ -269,6 +271,12 @@ fn check_all_backends(spec: &Spec, sizes: &[usize]) {
         spec,
         sizes,
     );
+    let sanitized = Context::builder(racc_backend_common::cuda_backend())
+        .sanitizer(true)
+        .build();
+    check_backend(&sanitized, spec, sizes);
+    let report = sanitized.stats().sanitizer.expect("simsan is on");
+    assert!(report.contains("no leaks"), "{report}");
 }
 
 proptest! {

@@ -102,7 +102,7 @@ impl Device {
             clock_ns: AtomicU64::new(0),
             used_bytes: Arc::new(AtomicUsize::new(0)),
             tracker: Arc::new(RaceTracker::new()),
-            sanitizer: Arc::new(Sanitizer::new(sanitizer::env_enabled())),
+            sanitizer: Arc::new(Sanitizer::new(false)),
             chaos_on: std::sync::atomic::AtomicBool::new(false),
             chaos: Mutex::new(None),
             op_log: Mutex::new(VecDeque::new()),
@@ -133,12 +133,12 @@ impl Device {
     }
 
     /// Enable or disable **simsan**, the device sanitizer (slow; tests and
-    /// debugging only). Also settable at device creation via
-    /// `RACC_SANITIZER=1`. It tracks every device-slice read and write
-    /// against the SIMT contract (phase-aware write-write and read-write
-    /// races, `racc_core::racecheck`), verifies barrier arrival in
-    /// cooperative kernels, instruments allocations with canaries and
-    /// live/freed state, and reports leaks — see [`Device::sanitizer_report`].
+    /// debugging only); a new device starts with it off. It tracks every
+    /// device-slice read and write against the SIMT contract (phase-aware
+    /// write-write and read-write races, `racc_core::racecheck`), verifies
+    /// barrier arrival in cooperative kernels, instruments allocations with
+    /// canaries and live/freed state, and reports leaks — see
+    /// [`Device::sanitizer_report`].
     ///
     /// Only buffers allocated (and slices created) while the sanitizer is
     /// on carry the full heap instrumentation.
@@ -165,9 +165,8 @@ impl Device {
 
     /// Arm deterministic fault injection with a fresh engine for `plan`:
     /// allocs, transfers, launches, and stream work consult the schedule
-    /// and fail / stall as it dictates. Also settable at context creation
-    /// via `RACC_CHAOS=<seed|spec>` (the portability layer reads the env;
-    /// raw devices stay chaos-free unless armed explicitly).
+    /// and fail / stall as it dictates. A new device runs chaos-free until
+    /// armed.
     pub fn set_chaos(&self, plan: FaultPlan) {
         *self.chaos.lock() = Some(Arc::new(ChaosEngine::new(plan)));
         self.chaos_on.store(true, Ordering::Release);
@@ -1159,7 +1158,6 @@ mod tests {
         for threads in [1, 2, 4] {
             let dev =
                 Device::with_pool(profiles::test_device(), Arc::new(ThreadPool::new(threads)));
-            dev.set_sanitizer(false);
             let kernel = Bands(Default::default());
             dev.launch_phased(cfg, KernelCost::default(), &kernel)
                 .unwrap();
@@ -1719,7 +1717,6 @@ mod sanitizer_tests {
     #[test]
     fn sanitizer_report_is_none_when_disabled() {
         let dev = small_device();
-        dev.set_sanitizer(false); // override RACC_SANITIZER if set
         assert!(dev.sanitizer_report().is_none());
         dev.set_sanitizer(true);
         let report = dev.sanitizer_report().unwrap();

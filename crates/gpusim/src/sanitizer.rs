@@ -1,9 +1,8 @@
 //! **simsan** — a `compute-sanitizer`/`cudaMemcheck`-style dynamic checker
 //! for the simulated device.
 //!
-//! Enabled per device via [`crate::Device::set_sanitizer`] (or the
-//! `RACC_SANITIZER=1` environment variable at device creation), the sanitizer
-//! runs five checks:
+//! Enabled per device via [`crate::Device::set_sanitizer`] (a device starts
+//! with it off), the sanitizer runs five checks:
 //!
 //! * **races** — every read and write through a device slice is recorded by
 //!   the device's `racc_core::racecheck::RaceTracker`, phase-aware: values
@@ -51,12 +50,6 @@ pub(crate) const CANARY_BYTES: usize = 64;
 
 /// Fill pattern for canary regions.
 pub(crate) const CANARY_PATTERN: u8 = 0xC5;
-
-/// Whether `RACC_SANITIZER` asks for the sanitizer at device creation
-/// (shared truthy semantics with `RACC_FUSION` and `RACC_CHAOS`).
-pub(crate) fn env_enabled() -> bool {
-    racc_chaos::env_flag("RACC_SANITIZER")
-}
 
 /// Per-allocation sanitizer metadata, shared between the allocation, the
 /// slices viewing it, and the device registry.
@@ -380,12 +373,6 @@ impl std::fmt::Display for SanitizerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_parsing_accepts_truthy_values() {
-        // Not set in the test environment by default; exercised indirectly.
-        let _ = env_enabled();
-    }
 
     #[test]
     fn arrivals_are_ignored_when_inactive() {

@@ -13,22 +13,13 @@ use racc_gpusim::{
     SharedMem, ThreadCtx, TreeShape,
 };
 
-/// A plain device: no sanitizer, whatever `RACC_SANITIZER` says (these
-/// tests are about the untracked executor unless they switch it on
-/// themselves).
-fn plain(spec: racc_gpusim::DeviceSpec) -> Device {
-    let dev = Device::new(spec);
-    dev.set_sanitizer(false);
-    dev
-}
-
-/// [`plain`] over a pool of one participant: blocks run inline, in order,
-/// for the tests that look at the order of calls.
+/// A device over a pool of one participant: blocks run inline, in order,
+/// for the tests that look at the order of calls. (A new device has the
+/// sanitizer off: these tests are about the untracked executor unless they
+/// switch it on themselves.)
 fn plain_in_order(spec: racc_gpusim::DeviceSpec) -> Device {
     let pool = std::sync::Arc::new(racc_threadpool::ThreadPool::new(1));
-    let dev = Device::with_pool(spec, pool);
-    dev.set_sanitizer(false);
-    dev
+    Device::with_pool(spec, pool)
 }
 
 /// Counts `phase()` entries per phase and records the highest linear thread
@@ -83,7 +74,7 @@ fn tree_declaration_visits_512_of_2560_per_block() {
     let cfg = LaunchConfig::new(blocks, 256u32).with_shared_mem(256 * 8);
     let kernel = Visits::new(tree.num_phases(), |p, _| tree.active_threads(p));
 
-    let dev = plain(profiles::nvidia_a100());
+    let dev = Device::new(profiles::nvidia_a100());
     dev.launch_phased(cfg, KernelCost::default(), &kernel)
         .unwrap();
     let counts = kernel.counts();
@@ -107,7 +98,7 @@ fn tracked_launches_visit_every_thread_of_every_phase() {
     let cfg = LaunchConfig::new(2u32, 64u32).with_shared_mem(64 * 8);
     let every = vec![2 * 64; tree.num_phases()];
 
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     dev.set_sanitizer(true);
     let kernel = Visits::new(tree.num_phases(), |p, _| tree.active_threads(p));
     dev.launch_phased(cfg, KernelCost::default(), &kernel)
@@ -185,14 +176,14 @@ fn plain_launches_hand_each_phase_to_run_phase_once_tracked_ones_never() {
 
     // Tracked: every thread of every phase through `phase()`, the block
     // form never entered.
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     dev.set_sanitizer(true);
     let (calls, visits) = launch(&dev);
     assert_eq!(calls, []);
     assert_eq!(visits, blocks * 16 * tree.num_phases());
 
     // So is the reference executor.
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     let kernel = BlockCalls {
         tree,
         block_calls: Default::default(),
@@ -233,7 +224,7 @@ fn the_stateless_single_phase_path_goes_through_run_phase_too() {
             self.calls.lock().unwrap().push(threads);
         }
     }
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     let kernel = OneCall {
         calls: Default::default(),
     };
@@ -248,7 +239,7 @@ fn the_stateless_single_phase_path_goes_through_run_phase_too() {
 
 #[test]
 fn zero_declaration_runs_no_thread() {
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     // Phase 1 declares nobody; phases 0 and 2 the whole block.
     let kernel = Visits::new(3, |p, n| if p == 1 { 0 } else { n });
     let cfg = LaunchConfig::new(4u32, 16u32).with_shared_mem(8);
@@ -259,7 +250,7 @@ fn zero_declaration_runs_no_thread() {
 
 #[test]
 fn oversized_declaration_is_clamped_to_the_block() {
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     let kernel = Visits::new(2, |_, n| 10 * n + 7);
     let cfg = LaunchConfig::new(3u32, Dim3::xy(8, 4)).with_shared_mem(8);
     dev.launch_phased(cfg, KernelCost::default(), &kernel)
@@ -270,7 +261,7 @@ fn oversized_declaration_is_clamped_to_the_block() {
 
 #[test]
 fn prefix_follows_x_fastest_linear_order_in_3d_blocks() {
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     // 4 x 2 x 2 block, prefix of 11: one full z-plane (8) plus 3 threads of
     // the next row — it ends mid-row.
     let kernel = Visits::new(2, |p, n| if p == 0 { n } else { 11 });
@@ -357,7 +348,7 @@ fn skipped_threads_states_are_still_constructed_and_dropped() {
             }
         }
     }
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     let out = dev.alloc::<u64>(48).unwrap();
     let kernel = Stateful {
         out: dev.slice_mut(&out).unwrap(),
@@ -419,7 +410,7 @@ fn sanitizer_catches_an_under_declared_device_write() {
     }
     let cfg = LaunchConfig::new(2u32, Dim3::xy(4, 2));
 
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     dev.set_sanitizer(true);
     let out = dev.alloc::<f64>(16).unwrap();
     let kernel = UnderDeclared {
@@ -439,7 +430,7 @@ fn sanitizer_catches_an_under_declared_device_write() {
 
     // What the wrong declaration does without the sanitizer: the cut-off
     // threads' work is silently missing, and the reference disagrees.
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     let (fast, oracle) = (dev.alloc::<f64>(16).unwrap(), dev.alloc::<f64>(16).unwrap());
     let mk = |buf: &racc_gpusim::DeviceBuffer<f64>| UnderDeclared {
         out: dev.slice_mut(buf).unwrap(),
@@ -474,7 +465,7 @@ fn sanitizer_catches_an_under_declared_barrier_arrival() {
             }
         }
     }
-    let dev = plain(profiles::test_device());
+    let dev = Device::new(profiles::test_device());
     dev.set_sanitizer(true);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         dev.launch_phased(

@@ -448,10 +448,9 @@ mod block_granular {
         prefix: usize,
         drop_last: bool,
     ) -> (Vec<u64>, Vec<u64>) {
-        // A plain device whatever `RACC_SANITIZER` says: a tracked launch
-        // never enters the block form this is about.
+        // A plain device: a tracked launch never enters the block form
+        // this is about.
         let dev = test_device();
-        dev.set_sanitizer(false);
         let n = data.len();
         let cfg = LaunchConfig::new(grid, block).with_shared_mem(block.count() * 8);
         let x = dev.alloc_from(data).unwrap();

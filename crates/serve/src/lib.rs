@@ -45,7 +45,7 @@
 //! * **Overlap** — each device's modeled H2D/compute/D2H pipeline overlaps
 //!   neighboring jobs' transfers and kernels, the same three-engine
 //!   accounting the stream/event machinery gives a single context.
-//! * **Graceful degradation** — faults injected by `RACC_CHAOS` (or real
+//! * **Graceful degradation** — faults injected by a fault plan (or real
 //!   backend errors, or panics) walk a ladder: retry per [`RetryPolicy`],
 //!   then a fallback context, then fail *that job only*. The pool is never
 //!   poisoned.

@@ -64,11 +64,11 @@ pub use racc_core::{
 /// [`ContextBuilder::chaos`] without naming the substrate crate. The
 /// module re-export [`chaos`] carries the rest (parse errors, rule
 /// types, seeded-rate constants).
-pub use racc_core::{env_flag, FaultAction, FaultEvent, FaultPlan, FaultSite, RetryPolicy};
+pub use racc_core::{FaultAction, FaultEvent, FaultPlan, FaultSite, RetryPolicy};
 
 /// The fault-injection substrate crate (`racc-chaos`), re-exported
 /// whole. See [`ContextBuilder::chaos`] / [`ContextBuilder::fallback`]
-/// for how contexts consume it, and `RACC_CHAOS` for the environment
+/// for how contexts consume it, and [`FaultPlan::parse`] for the script
 /// grammar (`<seed>` or `site:selector[:action];...`).
 pub use racc_core::chaos;
 pub use racc_prefs::{Preferences, Value, PREFS_FILE_NAME};
@@ -462,23 +462,21 @@ impl ContextBuilder {
 
     /// Toggle the backend's dynamic sanitizer (`simsan`): out-of-bounds,
     /// use-after-free, write-write and read-write race, barrier-divergence,
-    /// and leak checking. Simulator back ends also honor `RACC_SANITIZER=1`.
-    /// On the CPU back ends it is the process-global race checker of
-    /// `racc_core::racecheck`, and takes effect only with the `racecheck`
-    /// feature.
+    /// and leak checking. On the CPU back ends it is the process-global
+    /// race checker of `racc_core::racecheck`, and takes effect only with
+    /// the `racecheck` feature.
     pub fn sanitizer(mut self, enabled: bool) -> Self {
         self.options.sanitizer = Some(enabled);
         self
     }
 
     /// Toggle kernel fusion for libraries that consult the context's
-    /// fusion knob (the CG solver's fused iteration, `racc-blas` fused
-    /// chains). Defaults to the `RACC_FUSION` environment variable.
-    /// Fused execution is bit-identical to eager; the knob only changes
-    /// how many constructs are launched. See [`fuse`] for
-    /// the expression-graph engine itself.
+    /// fusion knob (the CG solver, whose fused iteration runs `racc-blas`'
+    /// fused chains). Off by default. Fused execution is bit-identical to
+    /// eager; the knob only changes how many constructs are launched. See
+    /// [`fuse`] for the expression-graph engine itself.
     pub fn fusion(mut self, enabled: bool) -> Self {
-        self.options.fusion = Some(enabled);
+        self.options.fusion = enabled;
         self
     }
 
@@ -486,8 +484,7 @@ impl ContextBuilder {
     /// backend: a seeded plan ([`FaultPlan::seeded`]) or an explicit
     /// script (`FaultPlan::parse("alloc:nth-3;h2d:every-100")`). Only the
     /// simulated GPU back ends have a driver surface to fault; on CPU
-    /// back ends the plan is ignored. An explicit plan overrides the
-    /// `RACC_CHAOS` environment variable.
+    /// back ends the plan is ignored.
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
         self.options.chaos = Some(plan);
         self
@@ -495,9 +492,7 @@ impl ContextBuilder {
 
     /// Retry policy for transient device faults (injected faults,
     /// simulated out-of-memory): bounded attempts with exponential
-    /// modeled backoff. Defaults to [`RetryPolicy::none`] unless chaos
-    /// was armed from the environment, which installs
-    /// [`RetryPolicy::default`].
+    /// modeled backoff. Defaults to [`RetryPolicy::none`].
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.options.retry = Some(policy);
         self
@@ -579,12 +574,7 @@ impl ContextBuilder {
             return (backend, None);
         }
         let hooks = backend.instrument();
-        let plan = self
-            .options
-            .chaos
-            .clone()
-            .or_else(|| racc_core::RuntimeConfig::from_env().chaos);
-        if let Some(plan) = plan {
+        if let Some(plan) = self.options.chaos.clone() {
             if hooks.set_chaos(plan) {
                 hooks.set_retry(self.options.retry.unwrap_or_default());
             }

@@ -5,14 +5,6 @@
 use racc::prelude::*;
 use racc::{FaultPlan, RetryPolicy};
 
-/// Serializes the tests that read or write `RACC_CHAOS`: the variable is
-/// process-global, and `Context` construction consults it.
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn env_guard() -> std::sync::MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// A mixed workload: allocations (with uploads), launches, and readbacks,
 /// so every injection site gets plenty of draws.
 fn chaos_workload(ctx: &Ctx) -> f64 {
@@ -33,7 +25,6 @@ fn chaos_workload(ctx: &Ctx) -> f64 {
 #[cfg(feature = "backend-cuda")]
 #[test]
 fn same_seed_gives_identical_fault_logs_and_results() {
-    let _env = env_guard();
     let run = || {
         let ctx = racc::builder()
             .backend("cudasim")
@@ -53,7 +44,6 @@ fn same_seed_gives_identical_fault_logs_and_results() {
 
 #[test]
 fn chaos_is_a_noop_on_cpu_backends() {
-    let _env = env_guard();
     let ctx = racc::builder()
         .backend("threads")
         .chaos(FaultPlan::seeded(3))
@@ -68,24 +58,6 @@ fn chaos_is_a_noop_on_cpu_backends() {
     );
 }
 
-#[cfg(feature = "backend-cuda")]
-#[test]
-fn env_armed_chaos_auto_installs_retries() {
-    use racc::FaultSite;
-    let _env = env_guard();
-    std::env::set_var("RACC_CHAOS", "h2d:every-5");
-    // Context construction is where the env is consulted; arming from the
-    // environment also installs the default retry policy so existing
-    // programs keep passing under the CI chaos soak.
-    let ctx = racc::context_for("cudasim").unwrap();
-    std::env::remove_var("RACC_CHAOS");
-    let acc = chaos_workload(&ctx);
-    assert!(acc > 0.0);
-    let log = ctx.fault_log();
-    assert!(!log.is_empty(), "every 5th upload must have been failed");
-    assert!(log.iter().all(|ev| ev.site == FaultSite::H2d));
-}
-
 /// The recovery criterion: CG on `cudasim` under a transient
 /// transfer-fault schedule, with retries, produces a residual history
 /// bit-identical to the fault-free run — faults are injected before the
@@ -97,10 +69,6 @@ fn cg_residual_history_is_bit_identical_under_transient_faults() {
     use racc_cg::solver::CgWorkspace;
     use racc_cg::tridiag::{DeviceTridiag, Tridiag};
 
-    let _env = env_guard();
-    // The CI chaos soak sets RACC_CHAOS for the whole suite; this test
-    // needs a genuinely clean baseline context.
-    std::env::remove_var("RACC_CHAOS");
     let history = |ctx: &Ctx| -> Vec<u64> {
         let n = 96usize;
         let a = Tridiag::diagonally_dominant(n);
@@ -140,7 +108,6 @@ fn cg_residual_history_is_bit_identical_under_transient_faults() {
 #[cfg(feature = "backend-cuda")]
 #[test]
 fn hard_device_failure_falls_back_to_threads() {
-    let _env = env_guard();
     let ctx = racc::builder()
         .backend("cudasim")
         .chaos(FaultPlan::parse("launch:always").unwrap())
@@ -184,7 +151,6 @@ fn hard_device_failure_falls_back_to_threads() {
 #[cfg(feature = "backend-cuda")]
 #[test]
 fn without_fallback_the_backend_is_kept() {
-    let _env = env_guard();
     let ctx = racc::builder()
         .backend("cudasim")
         .chaos(FaultPlan::parse("launch:always").unwrap())

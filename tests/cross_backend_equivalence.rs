@@ -1,15 +1,12 @@
 //! The portability contract, tested end to end: the same program text runs
-//! on every compiled-in back end and produces equivalent results.
+//! on every compiled-in back end and produces equivalent results — and on
+//! each back end the same bits plain, under simsan, fused and under chaos
+//! (`common::matrix`).
 
+mod common;
+
+use common::{across, matrix, Config};
 use racc::prelude::*;
-use racc::Ctx;
-
-fn contexts() -> Vec<Ctx> {
-    racc::available_backends()
-        .into_iter()
-        .map(|key| racc::context_for(key).expect("backend compiled in"))
-        .collect()
-}
 
 /// Results must agree across backends to floating-point tolerance (static
 /// schedules differ only in combine-tree shape).
@@ -27,9 +24,7 @@ fn assert_all_close(label: &str, values: &[(String, f64)]) {
 #[test]
 fn axpy_dot_pipeline_equivalent_everywhere() {
     let n = 40_000usize;
-    let mut dots = Vec::new();
-    let mut hosts: Vec<(String, Vec<f64>)> = Vec::new();
-    for ctx in contexts() {
+    let (dots, hosts): (Vec<_>, Vec<_>) = across(&matrix(), |ctx| {
         let x = ctx
             .array_from_fn(n, |i| ((i * 37) % 101) as f64 * 0.25)
             .unwrap();
@@ -42,9 +37,11 @@ fn axpy_dot_pipeline_equivalent_everywhere() {
         });
         let (xv, yv) = (x.view(), y.view());
         let d: f64 = ctx.parallel_reduce(n, &KernelProfile::dot(), move |i| xv.get(i) * yv.get(i));
-        dots.push((ctx.key().to_string(), d));
-        hosts.push((ctx.key().to_string(), ctx.to_host(&x).unwrap()));
-    }
+        (d, ctx.to_host(&x).unwrap())
+    })
+    .into_iter()
+    .map(|(key, (d, host))| ((key.clone(), d), (key, host)))
+    .unzip();
     assert_all_close("dot", &dots);
     // The element-wise AXPY results must be *identical* (same arithmetic,
     // no reduction-order freedom).
@@ -57,10 +54,7 @@ fn axpy_dot_pipeline_equivalent_everywhere() {
 #[test]
 fn two_d_and_three_d_constructs_equivalent() {
     let (m, n, l) = (24usize, 18usize, 12usize);
-    let mut sums2 = Vec::new();
-    let mut sums3 = Vec::new();
-    let mut maxes = Vec::new();
-    for ctx in contexts() {
+    let results = across(&matrix(), |ctx| {
         let a = ctx
             .array2_from_fn(m, n, |i, j| ((i * 7 + j * 13) % 29) as f64)
             .unwrap();
@@ -68,7 +62,6 @@ fn two_d_and_three_d_constructs_equivalent() {
         let s2: f64 = ctx.parallel_reduce_2d((m, n), &KernelProfile::dot(), move |i, j| {
             av.get(i, j) * 1.5
         });
-        sums2.push((ctx.key().to_string(), s2));
 
         let b = ctx.zeros3::<f64>(m, n, l).unwrap();
         let bv = b.view_mut();
@@ -79,18 +72,23 @@ fn two_d_and_three_d_constructs_equivalent() {
         let s3: f64 = ctx.parallel_reduce_3d((m, n, l), &KernelProfile::dot(), move |i, j, k| {
             bv.get(i, j, k)
         });
-        sums3.push((ctx.key().to_string(), s3));
 
         let av = a.view();
         let mx: f64 =
             ctx.parallel_reduce_2d_with((m, n), &KernelProfile::dot(), racc::Max, move |i, j| {
                 av.get(i, j)
             });
-        maxes.push((ctx.key().to_string(), mx));
-    }
-    assert_all_close("sum2d", &sums2);
-    assert_all_close("sum3d", &sums3);
-    assert_all_close("max2d", &maxes);
+        (s2, s3, mx)
+    });
+    let column = |pick: fn(&(f64, f64, f64)) -> f64| -> Vec<(String, f64)> {
+        results
+            .iter()
+            .map(|(key, r)| (key.clone(), pick(r)))
+            .collect()
+    };
+    assert_all_close("sum2d", &column(|r| r.0));
+    assert_all_close("sum3d", &column(|r| r.1));
+    assert_all_close("max2d", &column(|r| r.2));
 }
 
 #[test]
@@ -99,14 +97,13 @@ fn lbm_steps_equivalent_everywhere() {
     let s = 20usize;
     let tau = 0.8;
     let fields = |x: usize, y: usize| (1.0 + 0.01 * ((x * 5 + y) as f64).cos(), 0.015, -0.01);
-    let mut snapshots: Vec<(String, Vec<f64>)> = Vec::new();
-    for ctx in contexts() {
-        let mut sim = LbmSim::new(&ctx, s, tau, fields).unwrap();
+    let snapshots = across(&matrix(), |ctx| {
+        let mut sim = LbmSim::new(ctx, s, tau, fields).unwrap();
         for _ in 0..6 {
             sim.step();
         }
-        snapshots.push((ctx.key().to_string(), sim.distributions().unwrap()));
-    }
+        sim.distributions().unwrap()
+    });
     let first = &snapshots[0].1;
     for (key, snap) in &snapshots {
         let max_diff = snap
@@ -126,19 +123,17 @@ fn cg_converges_identically_everywhere() {
     let a = Tridiag::diagonally_dominant(n);
     let b_host: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) - 6.0).collect();
     let direct = a.thomas_solve(&b_host);
-    for ctx in contexts() {
-        let da = DeviceTridiag::upload(&ctx, &a).unwrap();
+    let solutions = across(&matrix(), |ctx| {
+        let da = DeviceTridiag::upload(ctx, &a).unwrap();
         let b = ctx.array_from(&b_host).unwrap();
-        let (result, ws) = solve(&ctx, &da, &b, 1e-10, 300).unwrap();
-        assert!(
-            result.converged,
-            "{}: residual {}",
-            ctx.key(),
-            result.residual
-        );
+        let (result, ws) = solve(ctx, &da, &b, 1e-10, 300).unwrap();
         let x = ctx.to_host(&ws.x).unwrap();
+        ((result.converged, result.iterations), result.residual, x)
+    });
+    for (key, ((converged, _), residual, x)) in solutions {
+        assert!(converged, "{key}: residual {residual}");
         for (got, want) in x.iter().zip(&direct) {
-            assert!((got - want).abs() < 1e-7, "{}: {got} vs {want}", ctx.key());
+            assert!((got - want).abs() < 1e-7, "{key}: {got} vs {want}");
         }
     }
 }
@@ -146,17 +141,65 @@ fn cg_converges_identically_everywhere() {
 #[test]
 fn gpu_backends_model_transfers_cpu_backends_do_not() {
     let n = 1 << 18;
-    for ctx in contexts() {
+    let modeled = across(&matrix(), |ctx| {
         ctx.reset_timeline();
         let arr = ctx.array_from(&vec![1.0f64; n]).unwrap();
         let _ = ctx.to_host(&arr).unwrap();
         let t = ctx.timeline();
-        if ctx.is_accelerator() {
-            assert!(t.h2d_bytes > 0, "{} must model H2D", ctx.key());
-            assert!(t.d2h_bytes > 0, "{} must model D2H", ctx.key());
-            assert!(t.modeled_ns > 0);
+        (
+            ctx.is_accelerator(),
+            (t.h2d_bytes, t.d2h_bytes),
+            t.modeled_ns > 0,
+        )
+    });
+    for (key, (accelerator, (h2d, d2h), timed)) in modeled {
+        if accelerator {
+            assert!(h2d > 0, "{key} must model H2D");
+            assert!(d2h > 0, "{key} must model D2H");
+            assert!(timed, "{key}");
         } else {
-            assert_eq!(t.modeled_ns, 0, "{} arrays are free", ctx.key());
+            assert!(!timed, "{key}: arrays are free");
         }
+    }
+}
+
+/// The matrix itself: every back end runs plain, fused and under chaos,
+/// every simulator under simsan too, and each configured cell really is
+/// configured. `--nocapture` prints the cells.
+#[test]
+fn the_matrix_covers_every_backend_in_every_configuration() {
+    let cells = matrix();
+    for cell in &cells {
+        println!("{}", cell.label());
+    }
+    for key in racc::available_backends() {
+        let row: Vec<&common::Cell> = cells.iter().filter(|c| c.backend == key).collect();
+        let want: &[Config] = if row[0].ctx.is_accelerator() {
+            &Config::ALL
+        } else {
+            &[Config::Plain, Config::Fusion, Config::Chaos]
+        };
+        assert_eq!(
+            row.iter().map(|c| c.config).collect::<Vec<_>>(),
+            want,
+            "{key}"
+        );
+    }
+    for cell in &cells {
+        let (ctx, who) = (&cell.ctx, cell.label());
+        assert_eq!(ctx.fusion_enabled(), cell.config == Config::Fusion, "{who}");
+        let sanitized = ctx.stats().sanitizer.is_some();
+        assert_eq!(sanitized, cell.config == Config::Simsan, "{who}");
+        let x = ctx.zeros::<f64>(64).unwrap();
+        for _ in 0..200 {
+            let xv = x.view_mut();
+            ctx.parallel_for(64, &KernelProfile::axpy(), move |i| {
+                xv.set(i, xv.get(i) + 1.0)
+            });
+        }
+        assert_eq!(ctx.to_host(&x).unwrap(), vec![200.0; 64], "{who}");
+        let faulted = !ctx.fault_log().is_empty();
+        let armed = cell.config == Config::Chaos && ctx.is_accelerator();
+        assert_eq!(faulted, armed, "{who}");
     }
 }

@@ -1,21 +1,19 @@
 //! Differential tests of the device primitives (`racc-prim`): every
 //! backend must reproduce the canonical serial reference **bitwise** —
 //! for `f64`, `f32`, and `u32` elements, for NaN payloads, for empty
-//! extents, and across repeated runs on the stealing threadpool. CI runs
-//! this suite again under `--features racecheck` and `RACC_SANITIZER=1`.
+//! extents, and across repeated runs on the stealing threadpool. Every
+//! back end runs in every cell of `common::matrix` — plain, under simsan,
+//! fused and under chaos — and each configured cell must match its plain
+//! cell bit for bit. CI runs this suite again under `--features racecheck`.
 
+mod common;
+
+use common::{across, matrix, matrix_for_case, Cell};
 use proptest::prelude::*;
 use racc::prelude::*;
 use racc::prim::reference;
-use racc::Ctx;
 use std::cell::RefCell;
-
-fn contexts() -> Vec<Ctx> {
-    racc::available_backends()
-        .into_iter()
-        .map(|key| racc::context_for(key).expect("backend compiled in"))
-        .collect()
-}
+use std::sync::atomic::AtomicUsize;
 
 /// The canonical inclusive/exclusive scan, collected on the host.
 fn reference_scan_f(data: &[f64], inclusive: bool) -> Vec<f64> {
@@ -57,30 +55,29 @@ const DUPLICATE_PALETTE: [u32; 6] = [
     u32::MAX,
 ];
 
-fn assert_histogram_matches_reference(keys: &[u32], bins: usize) {
+fn assert_histogram_matches_reference(cells: &[Cell], keys: &[u32], bins: usize) {
     let expect = reference_histogram(keys, bins);
-    for ctx in contexts() {
+    let got = across(cells, |ctx| {
         let k = ctx.array_from(keys).unwrap();
         let h = ctx.histogram(&k, bins).unwrap();
-        assert_eq!(
-            ctx.to_host(&h).unwrap(),
-            expect,
-            "{} (n = {}, bins = {bins})",
-            ctx.key(),
-            keys.len()
-        );
+        ctx.to_host(&h).unwrap()
+    });
+    for (key, got) in got {
+        assert_eq!(got, expect, "{key} (n = {}, bins = {bins})", keys.len());
     }
 }
 
-fn assert_sort_matches_reference(keys: &[u32]) {
+fn assert_sort_matches_reference(cells: &[Cell], keys: &[u32]) {
     let perm = reference_sort_permutation(keys);
     let values: Vec<f32> = (0..keys.len()).map(|i| i as f32 * 0.5).collect();
-    for ctx in contexts() {
+    let sorted = across(cells, |ctx| {
         let k = ctx.array_from(keys).unwrap();
         let v = ctx.array_from(&values).unwrap();
         let (sk, sv) = ctx.sort_by_key(&k, &v).unwrap();
-        let (hk, hv) = (ctx.to_host(&sk).unwrap(), ctx.to_host(&sv).unwrap());
-        let (key, n) = (ctx.key(), keys.len());
+        (ctx.to_host(&sk).unwrap(), ctx.to_host(&sv).unwrap())
+    });
+    for (key, (hk, hv)) in sorted {
+        let n = keys.len();
         for (rank, &orig) in perm.iter().enumerate() {
             assert_eq!(
                 hk[rank], keys[orig as usize],
@@ -95,6 +92,10 @@ fn assert_sort_matches_reference(keys: &[u32]) {
     }
 }
 
+/// The cases of each property below that run in every cell of the
+/// matrix; the rest run in the plain cells.
+const FULL_CASES: usize = 3;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -105,19 +106,22 @@ proptest! {
         data in prop::collection::vec(-1e6f64..1e6, 0..1500),
         inclusive in any::<bool>(),
     ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
         let expect = reference_scan_f(&data, inclusive);
-        for ctx in contexts() {
+        let scans = across(&matrix_for_case(&CASE, FULL_CASES), |ctx| {
             let x = ctx.array_from(&data).unwrap();
             let s = if inclusive {
                 ctx.inclusive_scan(&x).unwrap()
             } else {
                 ctx.exclusive_scan(&x).unwrap()
             };
-            let got = ctx.to_host(&s).unwrap();
+            ctx.to_host(&s).unwrap()
+        });
+        for (key, got) in scans {
             for i in 0..data.len() {
                 prop_assert_eq!(
                     got[i].to_bits(), expect[i].to_bits(),
-                    "{} differs at {} ({} vs {})", ctx.key(), i, got[i], expect[i]
+                    "{} differs at {} ({} vs {})", key, i, got[i], expect[i]
                 );
             }
         }
@@ -129,19 +133,22 @@ proptest! {
     fn scan_f32_matches_reference_everywhere(
         data in prop::collection::vec(-1e4f32..1e4, 0..1500),
     ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
         let expect = RefCell::new(vec![0.0f32; data.len()]);
         reference::scan_canonical(
             data.len(), true, &|i| data[i],
             &|i, v| expect.borrow_mut()[i] = v, Sum,
         );
         let expect = expect.into_inner();
-        for ctx in contexts() {
+        let scans = across(&matrix_for_case(&CASE, FULL_CASES), |ctx| {
             let x = ctx.array_from(&data).unwrap();
-            let got = ctx.to_host(&ctx.inclusive_scan(&x).unwrap()).unwrap();
+            ctx.to_host(&ctx.inclusive_scan(&x).unwrap()).unwrap()
+        });
+        for (key, got) in scans {
             for i in 0..data.len() {
                 prop_assert_eq!(
                     got[i].to_bits(), expect[i].to_bits(),
-                    "{} differs at {}", ctx.key(), i
+                    "{} differs at {}", key, i
                 );
             }
         }
@@ -154,7 +161,8 @@ proptest! {
         keys in prop::collection::vec(0u32..64, 0..5000),
         extra_bins in 0usize..8,
     ) {
-        assert_histogram_matches_reference(&keys, 64 + extra_bins);
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        assert_histogram_matches_reference(&matrix_for_case(&CASE, FULL_CASES), &keys, 64 + extra_bins);
     }
 
     /// sort_by_key (u32 keys, f32 values) applies the reference
@@ -173,7 +181,8 @@ proptest! {
                 .prop_map(|picks| picks.into_iter().map(|p| DUPLICATE_PALETTE[p]).collect()),
         ],
     ) {
-        assert_sort_matches_reference(&keys);
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        assert_sort_matches_reference(&matrix_for_case(&CASE, FULL_CASES), &keys);
     }
 
     /// Repeated runs on the work-stealing threadpool are bit-identical:
@@ -211,13 +220,13 @@ fn block_boundary_sizes_match_reference_everywhere() {
         let wide: Vec<u32> = (0..n as u32)
             .map(|i| i.wrapping_mul(2654435761).rotate_left(i % 32))
             .collect();
-        assert_sort_matches_reference(&wide);
+        assert_sort_matches_reference(&matrix(), &wide);
         let palette: Vec<u32> = (0..n).map(|i| DUPLICATE_PALETTE[(i * 7) % 6]).collect();
-        assert_sort_matches_reference(&palette);
+        assert_sort_matches_reference(&matrix(), &palette);
 
         let spread: Vec<u32> = wide.iter().map(|k| k % 97).collect();
-        assert_histogram_matches_reference(&spread, 97);
-        assert_histogram_matches_reference(&vec![5u32; n], 8);
+        assert_histogram_matches_reference(&matrix(), &spread, 97);
+        assert_histogram_matches_reference(&matrix(), &vec![5u32; n], 8);
     }
 }
 
@@ -273,7 +282,7 @@ fn nan_scans_bit_identical_everywhere() {
             );
         }
         let expect = expect.into_inner();
-        for ctx in contexts() {
+        let scans = across(&matrix(), |ctx| {
             let x = ctx.array_from(&data).unwrap();
             let s = match (inclusive, op_is_max) {
                 (true, true) => ctx.inclusive_scan_with(&x, Max),
@@ -282,13 +291,14 @@ fn nan_scans_bit_identical_everywhere() {
                 (false, false) => ctx.exclusive_scan_with(&x, Min),
             }
             .unwrap();
-            let got = ctx.to_host(&s).unwrap();
+            ctx.to_host(&s).unwrap()
+        });
+        for (key, got) in scans {
             for i in 0..data.len() {
                 assert_eq!(
                     got[i].to_bits(),
                     expect[i].to_bits(),
-                    "{} inclusive={inclusive} max={op_is_max} at {i}: {} vs {}",
-                    ctx.key(),
+                    "{key} inclusive={inclusive} max={op_is_max} at {i}: {} vs {}",
                     got[i],
                     expect[i]
                 );
@@ -304,17 +314,14 @@ fn nan_sum_scan_bit_identical_everywhere() {
     let mut data: Vec<f32> = (0..700).map(|i| (i % 13) as f32 * 0.25).collect();
     data[350] = f32::NAN;
     let expect = reference_scan_f32(&data);
-    for ctx in contexts() {
+    let scans = across(&matrix(), |ctx| {
         let x = ctx.array_from(&data).unwrap();
-        let got = ctx.to_host(&ctx.inclusive_scan(&x).unwrap()).unwrap();
+        ctx.to_host(&ctx.inclusive_scan(&x).unwrap()).unwrap()
+    });
+    for (key, got) in scans {
         assert!(got[349].is_finite() && got[350].is_nan() && got[699].is_nan());
         for i in 0..data.len() {
-            assert_eq!(
-                got[i].to_bits(),
-                expect[i].to_bits(),
-                "{} at {i}",
-                ctx.key()
-            );
+            assert_eq!(got[i].to_bits(), expect[i].to_bits(), "{key} at {i}");
         }
     }
 }
@@ -337,27 +344,33 @@ fn reference_scan_f32(data: &[f32]) -> Vec<f32> {
 /// backends.
 #[test]
 fn empty_extents_are_identities_everywhere() {
-    for ctx in contexts() {
-        let key = ctx.key().to_string();
+    let edges = across(&matrix(), |ctx| {
         let empty = ctx.array_from(&[] as &[f64]).unwrap();
-        assert_eq!(ctx.inclusive_scan(&empty).unwrap().len(), 0, "{key}");
-        assert_eq!(ctx.exclusive_scan(&empty).unwrap().len(), 0, "{key}");
-        assert_eq!(ctx.sort_permutation(&empty).unwrap().len(), 0, "{key}");
-
         let no_keys = ctx.array_from(&[] as &[u32]).unwrap();
+        let lengths = [
+            ctx.inclusive_scan(&empty).unwrap().len(),
+            ctx.exclusive_scan(&empty).unwrap().len(),
+            ctx.sort_permutation(&empty).unwrap().len(),
+            // Zero bins is legal too: an empty output, not an error.
+            ctx.histogram(&no_keys, 0).unwrap().len(),
+        ];
         let h = ctx.histogram(&no_keys, 6).unwrap();
-        assert_eq!(ctx.to_host(&h).unwrap(), vec![0u64; 6], "{key}");
-        // Zero bins is legal too: an empty output, not an error.
-        assert_eq!(ctx.histogram(&no_keys, 0).unwrap().len(), 0, "{key}");
-
         // Zero-width 2D/3D axes: reductions return the identity.
-        let s2: f64 = ctx.parallel_reduce_2d((0, 17), &KernelProfile::dot(), |_i, _j| 1.0);
-        assert_eq!(s2, 0.0, "{key} sum over (0, 17)");
-        let m2: f64 =
-            ctx.parallel_reduce_2d_with((9, 0), &KernelProfile::dot(), racc::Max, |_i, _j| 1.0);
-        assert_eq!(m2, f64::NEG_INFINITY, "{key} max over (9, 0)");
-        let s3: f64 = ctx.parallel_reduce_3d((4, 0, 4), &KernelProfile::dot(), |_i, _j, _k| 1.0);
-        assert_eq!(s3, 0.0, "{key} sum over (4, 0, 4)");
+        let reductions = [
+            ctx.parallel_reduce_2d((0, 17), &KernelProfile::dot(), |_i, _j| 1.0),
+            ctx.parallel_reduce_2d_with((9, 0), &KernelProfile::dot(), racc::Max, |_i, _j| 1.0),
+            ctx.parallel_reduce_3d((4, 0, 4), &KernelProfile::dot(), |_i, _j, _k| 1.0),
+        ];
+        (lengths, ctx.to_host(&h).unwrap(), reductions)
+    });
+    for (key, (lengths, h, reductions)) in edges {
+        assert_eq!(lengths, [0; 4], "{key}");
+        assert_eq!(h, vec![0u64; 6], "{key}");
+        assert_eq!(
+            reductions,
+            [0.0, f64::NEG_INFINITY, 0.0],
+            "{key}: sum over (0, 17), max over (9, 0), sum over (4, 0, 4)"
+        );
     }
 }
 
@@ -365,17 +378,19 @@ fn empty_extents_are_identities_everywhere() {
 /// offending index — deterministically, on every backend.
 #[test]
 fn histogram_bounds_error_everywhere() {
-    for ctx in contexts() {
+    let outcomes = across(&matrix(), |ctx| {
         let keys = ctx.array_from(&[0u32, 1, 7, 2, 9, 7]).unwrap();
-        match ctx.histogram(&keys, 4) {
-            Err(racc::PrimError::BinOutOfRange { index, bin, bins }) => {
-                assert_eq!((index, bin, bins), (2, 7, 4), "{}", ctx.key());
-            }
+        let err = match ctx.histogram(&keys, 4) {
+            Err(racc::PrimError::BinOutOfRange { index, bin, bins }) => [index, bin, bins],
             other => panic!("{}: expected BinOutOfRange, got {other:?}", ctx.key()),
-        }
+        };
         // The same keys with enough bins are fine.
         let h = ctx.histogram(&keys, 10).unwrap();
-        assert_eq!(ctx.to_host(&h).unwrap()[7], 2, "{}", ctx.key());
+        (err, ctx.to_host(&h).unwrap()[7])
+    });
+    for (key, (err, sevens)) in outcomes {
+        assert_eq!(err, [2, 7, 4], "{key}");
+        assert_eq!(sevens, 2, "{key}");
     }
 }
 

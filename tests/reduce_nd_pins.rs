@@ -9,7 +9,9 @@
 //! space column-major in one chain, `threads` folds each column (rank 2) or
 //! plane (rank 3) and then the partials in tile order, the simulators
 //! tree-reduce the column-major linearisation in 512-thread blocks. A
-//! refactor of who owns the traversal may not move one of them.
+//! refactor of who owns the traversal may not move one of them, nor may
+//! simsan, fusion or chaos (every cell of `common::cells` must match its
+//! plain cell).
 
 #![cfg(all(
     feature = "backend-cuda",
@@ -17,7 +19,11 @@
     feature = "backend-oneapi"
 ))]
 
+mod common;
+
+use common::{across, cells};
 use racc::prelude::*;
+use racc::Ctx;
 
 /// Magnitudes thirteen decades apart with mixed sign, from exactly rounded
 /// IEEE operations only: any reassociation of a sum shows in the bits, and
@@ -50,7 +56,7 @@ const SHAPES: [(usize, [usize; 3]); 6] = [
 /// `[Sum f64, Max f64, Sum f32, Max f32]` bits of one shape.
 type Bits = [u64; 4];
 
-fn reduce_bits<B: Backend>(ctx: &Context<B>, rank: usize, [m, n, l]: [usize; 3]) -> Bits {
+fn reduce_bits(ctx: &Ctx, rank: usize, [m, n, l]: [usize; 3]) -> Bits {
     let p = KernelProfile::dot();
     let lin = move |i: usize, j: usize, k: usize| (k * n + j) * m + i;
     if rank == 2 {
@@ -76,13 +82,26 @@ fn reduce_bits<B: Backend>(ctx: &Context<B>, rank: usize, [m, n, l]: [usize; 3])
     }
 }
 
-fn table<B: Backend>(ctx: &Context<B>) -> [Bits; 6] {
+fn table(ctx: &Ctx) -> [Bits; 6] {
     SHAPES.map(|(rank, dims)| reduce_bits(ctx, rank, dims))
 }
 
+/// One back end of a test: its label, how to build its context, and the
+/// table its plain cell must compute.
+type Row = (&'static str, fn() -> racc::ContextBuilder, [Bits; 6]);
+
 /// Compare every back end of one test before failing, printing what was
-/// computed in the form of the tables below.
-fn check(runs: &[(&str, [Bits; 6], [Bits; 6])]) {
+/// computed in the form of the tables below. Each row runs in every cell
+/// `common::cells` gives it; its plain cell is held to its table.
+fn check(rows: &[Row]) {
+    let runs: Vec<(String, [Bits; 6], [Bits; 6])> = rows
+        .iter()
+        .flat_map(|&(who, base, want)| {
+            across(&cells(who, base), table)
+                .into_iter()
+                .map(move |(who, got)| (who, got, want))
+        })
+        .collect();
     let moved: Vec<String> = runs
         .iter()
         .filter(|(_, got, want)| got != want)
@@ -254,24 +273,35 @@ const SIMULATORS: [Bits; 6] = [
 
 #[test]
 fn serial_bits() {
-    let ctx = Context::new(SerialBackend::new());
-    check(&[("serial", table(&ctx), SERIAL)]);
+    check(&[("serial", || racc::builder().backend("serial"), SERIAL)]);
 }
 
 #[test]
 fn threads_bits_with_one_and_four_workers() {
     // `Schedule::Static`, the default.
-    let run = |workers| table(&Context::new(ThreadsBackend::with_threads(workers)));
     check(&[
-        ("threads x1", run(1), THREADS_1),
-        ("threads x4", run(4), THREADS_4),
+        (
+            "threads x1",
+            || racc::builder().backend("threads").threads(1),
+            THREADS_1,
+        ),
+        (
+            "threads x4",
+            || racc::builder().backend("threads").threads(4),
+            THREADS_4,
+        ),
     ]);
 }
 
 #[test]
 fn simulator_bits_on_every_vendor() {
-    check(&["cudasim", "hipsim", "oneapisim"].map(|key| {
-        let ctx = racc::context_for(key).unwrap();
-        (key, table(&ctx), SIMULATORS)
-    }));
+    check(&[
+        ("cudasim", || racc::builder().backend("cudasim"), SIMULATORS),
+        ("hipsim", || racc::builder().backend("hipsim"), SIMULATORS),
+        (
+            "oneapisim",
+            || racc::builder().backend("oneapisim"),
+            SIMULATORS,
+        ),
+    ]);
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use racc::prelude::*;
-use racc::{Ctx, FaultPlan, Vendor};
+use racc::{Ctx, Vendor};
 use racc_gpusim::Device;
 
 /// Modeled nanoseconds of each pinned construct, in the order
@@ -69,16 +69,6 @@ const PINS: [VendorPin; 3] = [
         ],
     },
 ];
-
-/// A context with an explicit empty fault script: the CI chaos soak
-/// (`RACC_CHAOS=<seed>`) injects latency spikes, which are modeled time.
-fn pinned_ctx(key: &str) -> Ctx {
-    racc::builder()
-        .backend(key)
-        .chaos(FaultPlan::Script(Vec::new()))
-        .build()
-        .unwrap()
-}
 
 fn modeled(ctx: &Ctx, op: impl FnOnce()) -> u64 {
     ctx.reset_timeline();
@@ -133,7 +123,7 @@ fn measure(ctx: &Ctx) -> [u64; 11] {
 fn identity_and_modeled_costs_are_pinned_per_vendor() {
     for pin in &PINS {
         assert_eq!(pin.vendor.key, pin.key);
-        let ctx = pinned_ctx(pin.key);
+        let ctx = racc::context_for(pin.key).unwrap();
         assert_eq!(ctx.key(), pin.key);
         assert!(ctx.is_accelerator(), "{}", pin.key);
         let name = ctx.name();
@@ -151,7 +141,7 @@ fn identity_and_modeled_costs_are_pinned_per_vendor() {
 #[test]
 fn the_same_racc_code_runs_on_every_vendor() {
     for pin in &PINS {
-        let ctx = pinned_ctx(pin.key);
+        let ctx = racc::context_for(pin.key).unwrap();
 
         // AXPY then a sum through the front end.
         let n = 50_000usize;
