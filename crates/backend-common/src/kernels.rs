@@ -15,7 +15,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 
-use racc_core::{AccScalar, ReduceOp};
+use racc_core::{run_row, AccScalar, ReduceOp};
 use racc_gpusim::{
     BlockCtx, DeviceSlice, DeviceSliceMut, PhasedKernel, SharedMem, ThreadCtx, TreeShape, TreeStep,
 };
@@ -51,10 +51,11 @@ fn run_thread<K: PhasedKernel>(
 pub(crate) struct Cover<F> {
     /// Extent of the index space, padded with 1s past the rank.
     pub extent: [usize; 3],
-    /// The loop body, `f(i, j, k)`, held by value all the way down (the
-    /// rank adapters in `racc_core::Context` are `move` closures): behind a
-    /// reference, the body's own stores would force a reload of everything
-    /// it captures on every iteration.
+    /// The loop body, `f(i, j, k)`, held by value (the rank adapters in
+    /// `racc_core::Context` are `move` closures): behind a reference stored
+    /// here, the body's own stores would force a reload of everything it
+    /// captures on every iteration. `run_row` borrows it as an argument,
+    /// which the optimizer may assume nothing else writes.
     pub f: F,
 }
 
@@ -73,10 +74,10 @@ impl<F: Fn(usize, usize, usize) + Sync> Cover<F> {
             if j < n && k < l {
                 // The global index itself is the counter, clamped by `min`:
                 // `i < m` is then plain to the optimizer, which a local
-                // index offset by `i0` inside the body was not.
-                for i in i0 + xs.start as usize..(i0 + xs.end as usize + further).min(m) {
-                    (self.f)(i, j, k);
-                }
+                // index offset by `i0` inside the body was not. Untagged:
+                // the executor sets the locations its sanitizer checks.
+                let is = i0 + xs.start as usize..(i0 + xs.end as usize + further).min(m);
+                run_row(&self.f, is, j, k, None);
             }
         });
     }

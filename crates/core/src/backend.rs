@@ -20,6 +20,7 @@
 //! enum dispatch in the `racc` crate.
 
 use std::any::Any;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::RaccError;
@@ -94,6 +95,33 @@ impl Extent {
     /// True when some axis is empty, so no index exists.
     pub const fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Run `f(i, j, k)` for every `i` in `is` at fixed `(j, k)`: the one place
+/// a `parallel_for` body is called. Every back end walks the innermost axis
+/// of its construct through here — the serial loop once per `(j, k)`, the
+/// thread pool once per tile, column or `(j, plane)`, the simulator once
+/// per band row — so a body closure has a single call site, and LLVM's
+/// single-call-site bonus inlines it into this loop. With a call site in
+/// each back end's loop, the body stayed out of line and was called once
+/// per index. Never inlined itself, so the body is instantiated once,
+/// however many loops reach it.
+///
+/// `tag` is the linear index of `(0, j, k)` when the iterations run as the
+/// `racecheck` feature's CPU iterations (iteration `(i, j, k)` then runs at
+/// `tag + i`); `None` keeps the location the caller installed, as the
+/// simulator's executor sets one per simulated thread.
+#[inline(never)]
+pub fn run_row<F>(f: &F, is: Range<usize>, j: usize, k: usize, tag: Option<usize>)
+where
+    F: Fn(usize, usize, usize),
+{
+    for i in is {
+        if let Some(base) = tag {
+            crate::host::tag((base + i) as u64);
+        }
+        f(i, j, k);
     }
 }
 
@@ -217,7 +245,9 @@ pub trait Backend: Send + Sync + 'static {
     /// Model a download of `bytes` back to the host (`to_host`).
     fn on_download(&self, bytes: usize);
 
-    /// `parallel_for(extent, f)`: run `f` over every index of `extent`.
+    /// `parallel_for(extent, f)`: run `f` over every index of `extent`. The
+    /// back ends of this workspace call `f` only through [`run_row`] (see
+    /// there for why).
     fn parallel_for<F>(&self, extent: Extent, profile: &KernelProfile, f: F)
     where
         F: Fn(usize, usize, usize) + Sync;

@@ -66,7 +66,7 @@ mod timeline;
 mod views;
 
 pub use array::{Array1, Array2, Array3};
-pub use backend::{Backend, DeviceToken, Extent, Instrument};
+pub use backend::{run_row, Backend, DeviceToken, Extent, Instrument};
 // Fault-injection vocabulary, re-exported so the portability layer and
 // applications can arm chaos without naming the substrate crate.
 pub use context::{Context, ContextBuilder, ContextOptions};

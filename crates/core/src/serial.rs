@@ -4,7 +4,7 @@
 //! results define "correct" for the cross-backend equivalence tests, and its
 //! machine model is a single core of the paper's CPU.
 
-use crate::backend::{Backend, DeviceToken, Extent, Instrument};
+use crate::backend::{run_row, Backend, DeviceToken, Extent, Instrument};
 use crate::cpumodel::CpuSpec;
 use crate::error::RaccError;
 use crate::host::{Construct, Host};
@@ -93,10 +93,7 @@ impl Backend for SerialBackend {
         let [m, n, l] = extent.dims();
         for k in 0..l {
             for j in 0..n {
-                for i in 0..m {
-                    tag(extent.linear(i, j, k) as u64);
-                    f(i, j, k);
-                }
+                run_row(&f, 0..m, j, k, Some(extent.linear(0, j, k)));
             }
         }
         self.host.close(open, Construct::For(extent), profile);
@@ -165,6 +162,17 @@ mod tests {
             order.lock().push((i, j))
         });
         assert_eq!(*order.lock(), vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
+    }
+
+    #[test]
+    fn three_d_traversal_is_column_major() {
+        let b = SerialBackend::new();
+        let order = parking_lot::Mutex::new(Vec::new());
+        let extent = Extent::d3(3, 2, 2);
+        b.parallel_for(extent, &KernelProfile::unknown(), |i, j, k| {
+            order.lock().push(extent.linear(i, j, k))
+        });
+        assert_eq!(*order.lock(), (0..12).collect::<Vec<_>>());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use racc_threadpool::{Schedule, ThreadPool};
 
-use crate::backend::{Backend, DeviceToken, Extent, Instrument};
+use crate::backend::{run_row, Backend, DeviceToken, Extent, Instrument};
 use crate::cpumodel::CpuSpec;
 use crate::error::RaccError;
 use crate::host::{Construct, Host};
@@ -147,23 +147,17 @@ impl Backend for ThreadsBackend {
         let open = self.host.open();
         // The pool distributes the slowest axis of the rank — elements,
         // columns (the paper's coarse column-wise decomposition, §IV) or
-        // planes — and streams the faster ones inside each task.
+        // planes — and streams the faster ones inside each task, row by
+        // row over the task's whole range.
         let [m, n, l] = extent.dims();
+        let row = |j, k| run_row(&f, 0..m, j, k, Some(extent.linear(0, j, k)));
+        let (pool, schedule) = (&self.pool, self.schedule);
         match extent.rank() {
-            1 => self.pool.parallel_for(m, self.schedule, |i| {
-                tag(i as u64);
-                f(i, 0, 0);
+            1 => pool.parallel_for_ranges(m, schedule, |is| run_row(&f, is, 0, 0, Some(0))),
+            2 => pool.parallel_for_ranges(n, schedule, |js| js.for_each(|j| row(j, 0))),
+            _ => pool.parallel_for_ranges(l, schedule, |ks| {
+                ks.for_each(|k| (0..n).for_each(|j| row(j, k)))
             }),
-            2 => self.pool.parallel_for_2d(m, n, self.schedule, |i, j| {
-                tag(extent.linear(i, j, 0) as u64);
-                f(i, j, 0);
-            }),
-            _ => self
-                .pool
-                .parallel_for_3d(m, n, l, self.schedule, |i, j, k| {
-                    tag(extent.linear(i, j, k) as u64);
-                    f(i, j, k);
-                }),
         }
         self.host.close(open, Construct::For(extent), profile);
     }

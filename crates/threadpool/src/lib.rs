@@ -10,9 +10,10 @@
 //!   or more per participant, instead of the one-thread-per-element mapping
 //!   GPUs use.
 //! * **Column-wise 2D decomposition**: multidimensional arrays are
-//!   column-major (Julia layout), so the 2D `parallel_for` parallelizes the
-//!   *column* loop and keeps the row loop sequential inside each task — each
-//!   participant streams over contiguous memory.
+//!   column-major (Julia layout), so a 2D loop hands the pool its *column*
+//!   axis ([`ThreadPool::parallel_for_ranges`]) and keeps the row loop
+//!   sequential inside each task — each participant streams over contiguous
+//!   memory.
 //! * **Synchronous semantics**: every call returns only after all
 //!   participants are done (`Threads.@sync Threads.@threads`).
 //!

@@ -36,6 +36,7 @@
 //! launch's) until its tiles drain.
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -340,13 +341,26 @@ impl ThreadPool {
     where
         F: Fn(usize) + Sync,
     {
+        self.parallel_for_ranges(n, schedule, |is| is.for_each(&f));
+    }
+
+    /// [`ThreadPool::parallel_for`] by ranges: `f(range)` runs for disjoint
+    /// ranges that together cover `0..n` exactly once — the whole space on
+    /// one participant or one tile, else the elements of each executed
+    /// task's run of tiles. A caller that walks multi-dimensional spaces
+    /// hands the pool its slowest axis and loops the faster ones inside
+    /// `f`, one body call site for every rank.
+    pub fn parallel_for_ranges<F>(&self, n: usize, schedule: Schedule, f: F)
+    where
+        F: Fn(Range<usize>) + Sync,
+    {
         if n == 0 {
             return;
         }
         if self.shared.participants == 1 {
-            // Moved into a dedicated frame: sharing a body with the erased
-            // executors below (which take the closure's address) measurably
-            // blocks loop optimization.
+            // A dedicated frame: sharing a body with the erased executors
+            // below (which take the closure's address) measurably blocks
+            // loop optimization.
             return serial_for(n, f);
         }
         let tiling = Tiling::new(schedule, n, self.shared.participants);
@@ -455,37 +469,6 @@ impl ThreadPool {
                 .unwrap_or_else(|| Box::new("pool task panicked"));
             resume_unwind(payload);
         }
-    }
-
-    /// Column-wise 2D parallel loop: the `j` (column) loop is distributed,
-    /// the `i` (row) loop runs sequentially inside each task — matching the
-    /// coarse-grain column-major decomposition the paper describes for the
-    /// Base.Threads back end. Calls `f(i, j)` for every pair in
-    /// `0..m × 0..n`.
-    pub fn parallel_for_2d<F>(&self, m: usize, n: usize, schedule: Schedule, f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        self.parallel_for(n, schedule, |j| {
-            for i in 0..m {
-                f(i, j);
-            }
-        });
-    }
-
-    /// 3D parallel loop: the outermost `k` (plane) loop is distributed.
-    /// Calls `f(i, j, k)` for every triple in `0..m × 0..n × 0..l`.
-    pub fn parallel_for_3d<F>(&self, m: usize, n: usize, l: usize, schedule: Schedule, f: F)
-    where
-        F: Fn(usize, usize, usize) + Sync,
-    {
-        self.parallel_for(l, schedule, |k| {
-            for j in 0..n {
-                for i in 0..m {
-                    f(i, j, k);
-                }
-            }
-        });
     }
 
     /// Split a mutable slice into one contiguous block per participant and
@@ -845,28 +828,25 @@ struct ForData<F> {
     tiling: Tiling,
 }
 
-/// Tile-range executor for `parallel_for`: runs `f` over the element ranges
-/// of tiles `[t0, t1)`.
+/// Tile-range executor for `parallel_for_ranges`: runs `f` once over the
+/// elements of tiles `[t0, t1)`, which are contiguous.
 ///
 /// # Safety
 /// `data` must point to a live `ForData<F>` whose closure outlives the call.
-unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), t0: usize, t1: usize) {
+unsafe fn exec_for<F: Fn(Range<usize>) + Sync>(data: *const (), t0: usize, t1: usize) {
     let d = &*(data as *const ForData<F>);
-    let f = &*d.f;
-    for t in t0..t1 {
-        let (s, e) = d.tiling.tile_range(t);
-        for i in s..e {
-            f(i);
-        }
-    }
+    let (s, e) = d.tiling.elem_span(t0, t1);
+    (*d.f)(s..e);
 }
 
-/// Clean single-thread loop (see the call site for why it is separate).
+/// The single-participant or single-tile launch: the whole space as one
+/// range, in a frame of its own (see the call site). `f` is called here and
+/// in [`exec_for`] only; a caller that runs a kernel body inside `f` keeps
+/// that body's one call site below both (`racc_core::run_row`), so the
+/// body is inlined once and not into each executor.
 #[inline(never)]
-fn serial_for<F: Fn(usize)>(n: usize, f: F) {
-    for i in 0..n {
-        f(i);
-    }
+fn serial_for<F: Fn(Range<usize>)>(n: usize, f: F) {
+    f(0..n);
 }
 
 /// One per-worker chunk span: grid = participant index, dims/block = chunk
@@ -1002,12 +982,41 @@ mod tests {
     }
 
     #[test]
+    fn parallel_for_ranges_covers_once_in_whole_tiles() {
+        for (threads, sched) in [
+            (1, Schedule::Static),
+            (4, Schedule::Static),
+            (4, Schedule::Dynamic { chunk: 0 }),
+            (4, Schedule::Dynamic { chunk: 7 }),
+        ] {
+            let pool = ThreadPool::new(threads);
+            let n = 1000;
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let calls = AtomicUsize::new(0);
+            pool.parallel_for_ranges(n, sched, |is| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                is.for_each(|i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            // One call per executed task, never one per element.
+            let tiles = Tiling::new(sched, n, threads).tiles();
+            assert!(calls.load(Ordering::Relaxed) <= tiles, "{sched:?}");
+        }
+    }
+
+    #[test]
     fn parallel_for_2d_covers_grid_column_major() {
         let pool = ThreadPool::new(4);
         let (m, n) = (37, 53);
         let hits: Vec<AtomicUsize> = (0..m * n).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_2d(m, n, Schedule::Static, |i, j| {
-            hits[j * m + i].fetch_add(1, Ordering::Relaxed);
+        pool.parallel_for_ranges(n, Schedule::Static, |js| {
+            for j in js {
+                for i in 0..m {
+                    hits[j * m + i].fetch_add(1, Ordering::Relaxed);
+                }
+            }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
@@ -1017,8 +1026,14 @@ mod tests {
         let pool = ThreadPool::new(4);
         let (m, n, l) = (5, 7, 11);
         let hits: Vec<AtomicUsize> = (0..m * n * l).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_3d(m, n, l, Schedule::Static, |i, j, k| {
-            hits[(k * n + j) * m + i].fetch_add(1, Ordering::Relaxed);
+        pool.parallel_for_ranges(l, Schedule::Static, |ks| {
+            for k in ks {
+                for j in 0..n {
+                    for i in 0..m {
+                        hits[(k * n + j) * m + i].fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
@@ -1041,8 +1056,7 @@ mod tests {
     fn empty_ranges_are_noops() {
         let pool = ThreadPool::new(4);
         pool.parallel_for(0, Schedule::Static, |_| panic!("must not run"));
-        pool.parallel_for_2d(0, 10, Schedule::Static, |_, _| panic!("must not run"));
-        pool.parallel_for_2d(10, 0, Schedule::Static, |_, _| panic!("must not run"));
+        pool.parallel_for_ranges(0, Schedule::Static, |_| panic!("must not run"));
         let mut empty: Vec<u8> = Vec::new();
         pool.parallel_for_slices(&mut empty, |_, _| panic!("must not run"));
     }

@@ -237,8 +237,10 @@ impl ThreadPool {
         })
     }
 
-    /// 2D reduction over `0..m × 0..n`, distributed column-wise like
-    /// [`ThreadPool::parallel_for_2d`].
+    /// 2D reduction over `0..m × 0..n`, distributed column-wise: the `j`
+    /// (column) loop is distributed, each column folds inside one task —
+    /// the coarse-grain column-major decomposition the paper describes for
+    /// the Base.Threads back end.
     pub fn parallel_reduce_2d<T, F, C>(
         &self,
         m: usize,
@@ -271,8 +273,8 @@ impl ThreadPool {
         )
     }
 
-    /// 3D reduction over `0..m × 0..n × 0..l`, distributed over planes like
-    /// [`ThreadPool::parallel_for_3d`].
+    /// 3D reduction over `0..m × 0..n × 0..l`, distributed over the
+    /// outermost `k` (plane) loop.
     #[allow(clippy::too_many_arguments)]
     pub fn parallel_reduce_3d<T, F, C>(
         &self,

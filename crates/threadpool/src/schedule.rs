@@ -128,9 +128,8 @@ impl Tiling {
         }
     }
 
-    /// The contiguous element span covered by tiles `[t0, t1)`. Used by the
-    /// trace path (and tests) to label executed ranges in element units.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
+    /// The contiguous element span covered by tiles `[t0, t1)`: what a
+    /// `parallel_for` task runs, and how the trace path labels it.
     pub(crate) fn elem_span(self, t0: usize, t1: usize) -> (usize, usize) {
         debug_assert!(t0 < t1);
         (self.tile_range(t0).0, self.tile_range(t1 - 1).1)

@@ -54,8 +54,12 @@ proptest! {
     fn two_d_covers(m in 0usize..80, n in 0usize..80, threads in 1usize..5) {
         let pool = ThreadPool::new(threads);
         let hits: Vec<AtomicUsize> = (0..m * n).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_2d(m, n, Schedule::Static, |i, j| {
-            hits[j * m + i].fetch_add(1, Ordering::Relaxed);
+        pool.parallel_for_ranges(n, Schedule::Static, |js| {
+            for j in js {
+                for i in 0..m {
+                    hits[j * m + i].fetch_add(1, Ordering::Relaxed);
+                }
+            }
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }

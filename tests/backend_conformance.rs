@@ -13,7 +13,9 @@ use racc_threadpool::Schedule;
 
 /// Ranks 1 to 3, with a 0 and a 1 on each axis, sizes on both sides of the
 /// simulators' block and tile edges, and enough elements for every worker
-/// of a pool to get several tiles.
+/// of a pool to get several tiles. The last three 3D extents cut a row, a
+/// band or a tile short on each axis in turn: every back end walks the
+/// innermost axis by row ranges, and these are their ragged ends.
 fn extents() -> Vec<Extent> {
     let d1 = [0, 1, 63, 64, 65, 1000, 2049, 10_000].map(Extent::d1);
     let d2 = [
@@ -37,6 +39,9 @@ fn extents() -> Vec<Extent> {
         (8, 8, 4),
         (9, 10, 11),
         (5, 6, 7),
+        (5, 3, 7),
+        (17, 1, 1),
+        (1, 9, 2),
     ]
     .map(|(m, n, l)| Extent::d3(m, n, l));
     d1.into_iter().chain(d2).chain(d3).collect()

@@ -69,6 +69,34 @@ fn racecheck_catches_seeded_races_and_passes_clean_kernels() {
         .unwrap_or_default();
     assert!(msg.contains("read-write race"), "{msg}");
 
+    // Rank 3 on both CPU back ends: the disjoint sweep is clean, and two
+    // iterations in different rows, columns and planes writing one element
+    // race.
+    for key in ["serial", "threads"] {
+        let cpu = racc::context_for(key).unwrap();
+        racecheck::set_enabled(true);
+        let dims = (5, 3, 7);
+        let f = cpu.zeros3::<f64>(dims.0, dims.1, dims.2).unwrap();
+        let fv = f.view_mut();
+        cpu.parallel_for_3d(dims, &KernelProfile::unknown(), move |i, j, k| {
+            fv.set(i, j, k, (i + j + k) as f64);
+        });
+        let fv = f.view_mut();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            cpu.parallel_for_3d(dims, &KernelProfile::unknown(), move |i, j, k| {
+                if (i, j, k) == (1, 2, 3) || (i, j, k) == (4, 0, 6) {
+                    fv.set(2, 1, 5, 1.0);
+                }
+            });
+        }));
+        let payload = result.expect_err("rank-3 race must be detected");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("racecheck"), "{key}: {msg}");
+    }
+
     // The LBM kernel's writes are disjoint by construction: must pass.
     racecheck::set_enabled(true);
     let mut sim = racc_lbm::portable::LbmSim::uniform(&ctx, 12, 0.8, 1.0, 0.01, 0.0).unwrap();
