@@ -3,9 +3,11 @@
 //! one modeled launch and one span per primitive, however many pool
 //! launches it takes.
 //!
-//! `SerialBackend` runs the [`reference`] itself — it *is* what the other
-//! back ends are pinned against. `ThreadsBackend` runs the same fixed tiles
-//! on its pool.
+//! `SerialBackend` runs the [`reference`] scan and histogram itself — they
+//! *are* what the other back ends are pinned against. `ThreadsBackend` runs
+//! the same fixed tiles on its pool. Both sort with one stable LSD radix
+//! ([`radix_sort_pairs`]), `serial` as one tile and `threads` over tiles on
+//! its pool; the reference's comparison sort is its specification.
 
 use racc_core::host::{tag, Host, Open};
 use racc_core::{AccScalar, KernelProfile, ReduceOp, SerialBackend, ThreadsBackend};
@@ -20,6 +22,20 @@ use crate::PrimBackend;
 fn cpu_tile_width(n: usize) -> usize {
     const MAX_TILES: usize = 1024;
     PRIM_TILE.max(n.div_ceil(MAX_TILES))
+}
+
+/// Radix-sort tile width on `threads`: sixteen `cpu_tile_width` tiles. A
+/// radix tile owns 256 digit counters per pass, so at `PRIM_TILE` wide the
+/// count matrix would hold one cell per key and cost as much as the keys.
+#[inline]
+fn radix_tile_width(n: usize) -> usize {
+    16 * cpu_tile_width(n)
+}
+
+/// Element range of tile `t` of `w`-wide tiles over `n` elements.
+#[inline]
+fn tile_range(t: usize, w: usize, n: usize) -> std::ops::Range<usize> {
+    t * w..((t + 1) * w).min(n)
 }
 
 /// A fixed-size slot vector writable from many threads, where the caller
@@ -80,6 +96,211 @@ fn tagged<R>(f: impl Fn(usize) -> R) -> impl Fn(usize) -> R {
     }
 }
 
+/// `write`, telling the race checker first which output it is about to
+/// write.
+#[inline]
+fn tagged_write<T>(write: impl Fn(usize, T)) -> impl Fn(usize, T) {
+    move |i, v| {
+        tag(i as u64);
+        write(i, v)
+    }
+}
+
+/// How a CPU back end runs the tiles of one phase: in order on the caller,
+/// or spread over its pool.
+trait RunTiles {
+    fn run_tiles(&self, tiles: usize, f: impl Fn(usize) + Sync);
+}
+
+impl RunTiles for SerialBackend {
+    #[inline]
+    fn run_tiles(&self, tiles: usize, f: impl Fn(usize) + Sync) {
+        (0..tiles).for_each(f)
+    }
+}
+
+impl RunTiles for ThreadsBackend {
+    #[inline]
+    fn run_tiles(&self, tiles: usize, f: impl Fn(usize) + Sync) {
+        self.pool().parallel_for(tiles, self.schedule(), f)
+    }
+}
+
+/// Digits of the radix sort: one byte per pass.
+const RADIX: usize = 256;
+
+/// Index type of the radix sort's scratch: `u32` while `n` fits, so the
+/// keys and the two index buffers take 16 B per element. Only values up to
+/// `n` are stored, so `new` never truncates.
+trait RadixIndex: Copy + Send + Sync {
+    fn new(i: usize) -> Self;
+    fn index(self) -> usize;
+}
+
+impl RadixIndex for u32 {
+    #[inline]
+    fn new(i: usize) -> Self {
+        i as u32
+    }
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl RadixIndex for usize {
+    #[inline]
+    fn new(i: usize) -> Self {
+        i
+    }
+    #[inline]
+    fn index(self) -> usize {
+        self
+    }
+}
+
+/// The sort both CPU back ends run: a stable LSD radix-256 sort of
+/// `key(0..n)` over `w`-wide tiles, which reports the permutation through
+/// `write(rank, original_index)`. Every key is read once; a byte in which no
+/// two keys differ costs no pass, so 13-bit keys take two passes and equal
+/// keys none. A pass counts digits per tile, scans the counts to bases
+/// ordered by digit then tile, and scatters each tile's indices stably; the
+/// last pass scatters straight into `write`. The stable permutation is
+/// unique, so tile width and worker count cannot change it.
+fn radix_sort_pairs<R, F, W>(n: usize, key_bits: u32, w: usize, run: &R, key: &F, write: &W)
+where
+    R: RunTiles,
+    F: Fn(usize) -> u64 + Sync,
+    W: Fn(usize, usize) + Sync,
+{
+    if u32::try_from(n).is_ok() {
+        radix_sort::<u32, _, _, _>(n, key_bits, w, run, key, write)
+    } else {
+        radix_sort::<usize, _, _, _>(n, key_bits, w, run, key, write)
+    }
+}
+
+fn radix_sort<I, R, F, W>(n: usize, key_bits: u32, w: usize, run: &R, key: &F, write: &W)
+where
+    I: RadixIndex,
+    R: RunTiles,
+    F: Fn(usize) -> u64 + Sync,
+    W: Fn(usize, usize) + Sync,
+{
+    if n == 0 {
+        return;
+    }
+    let tiles = n.div_ceil(w);
+    // Read every key once, OR-ing and AND-ing each tile's keys together.
+    let keys = SlotVec::new(n, 0u64);
+    let masks = SlotVec::new(tiles, (0u64, 0u64));
+    run.run_tiles(tiles, |t| {
+        let range = tile_range(t, w, n);
+        // SAFETY: tiles are disjoint ranges, and each tile runs once.
+        let slots = unsafe { keys.slice_mut(range.start, range.end) };
+        let (mut or, mut and) = (0, u64::MAX);
+        for (slot, i) in slots.iter_mut().zip(range) {
+            tag(i as u64);
+            let k = key(i);
+            *slot = k;
+            or |= k;
+            and &= k;
+        }
+        masks.set(t, (or, and));
+    });
+    let (or, and) = masks
+        .into_vec()
+        .into_iter()
+        .fold((0, u64::MAX), |(or, and), (o, a)| (or | o, and & a));
+    debug_assert!(
+        key_bits >= u64::BITS || or >> key_bits == 0,
+        "a sort key has a bit set at or above key_bits = {key_bits}"
+    );
+    let keys = keys.into_vec();
+    // A byte is sorted on only if some two keys differ in it.
+    let varying = or ^ and;
+    let shifts: Vec<u32> = (0..u64::BITS)
+        .step_by(8)
+        .filter(|&s| (varying >> s) & 0xFF != 0)
+        .collect();
+    let emit = |rank: usize, i: usize| {
+        tag(rank as u64);
+        write(rank, i)
+    };
+    let Some((&last, rest)) = shifts.split_last() else {
+        // Every key is equal: the identity is the stable order.
+        run.run_tiles(tiles, |t| tile_range(t, w, n).for_each(|i| emit(i, i)));
+        return;
+    };
+    let pass = Pass {
+        keys: &keys,
+        w,
+        tiles,
+        counts: SlotVec::new(RADIX * tiles, I::new(0)),
+    };
+    // Ping-pong index buffers, allocated only for the passes that need them.
+    let bufs = [1, 2].map(|p| SlotVec::new(if rest.len() >= p { n } else { 0 }, I::new(0)));
+    for (p, &shift) in rest.iter().enumerate() {
+        let dst = &bufs[p % 2];
+        let put = |rank: usize, i: usize| dst.set(rank, I::new(i));
+        match p {
+            0 => pass.run(run, shift, |j| j, put),
+            _ => pass.run(run, shift, |j| bufs[(p - 1) % 2].get(j).index(), put),
+        }
+    }
+    match rest.len() {
+        0 => pass.run(run, last, |j| j, emit),
+        p => pass.run(run, last, |j| bufs[(p - 1) % 2].get(j).index(), emit),
+    }
+}
+
+/// What every pass of one radix sort shares: the keys in input order and
+/// the digit-major count matrix (`counts[digit * tiles + tile]`).
+struct Pass<'a, I> {
+    keys: &'a [u64],
+    w: usize,
+    tiles: usize,
+    counts: SlotVec<I>,
+}
+
+impl<I: RadixIndex> Pass<'_, I> {
+    /// One stable pass on the byte at `shift`: element `src(j)` sits at
+    /// position `j` before the pass and goes to `put(rank, src(j))`.
+    fn run<R: RunTiles>(
+        &self,
+        run: &R,
+        shift: u32,
+        src: impl Fn(usize) -> usize + Sync,
+        put: impl Fn(usize, usize) + Sync,
+    ) {
+        let (n, w, tiles) = (self.keys.len(), self.w, self.tiles);
+        let digit = |i: usize| (self.keys[i] >> shift) as usize & (RADIX - 1);
+        run.run_tiles(tiles, |t| {
+            let mut count = [0usize; RADIX];
+            tile_range(t, w, n).for_each(|j| count[digit(src(j))] += 1);
+            for (d, &c) in count.iter().enumerate() {
+                self.counts.set(d * tiles + t, I::new(c));
+            }
+        });
+        let mut base = 0;
+        for cell in 0..RADIX * tiles {
+            let c = self.counts.get(cell).index();
+            self.counts.set(cell, I::new(base));
+            base += c;
+        }
+        run.run_tiles(tiles, |t| {
+            let mut next: [usize; RADIX] =
+                std::array::from_fn(|d| self.counts.get(d * tiles + t).index());
+            for j in tile_range(t, w, n) {
+                let i = src(j);
+                let d = digit(i);
+                put(next[d], i);
+                next[d] += 1;
+            }
+        });
+    }
+}
+
 /// One modeled launch over `visits` element visits, on the `Prim` lane.
 #[inline]
 fn close(host: &Host, open: Open, visits: usize, dims: [usize; 3], profile: &KernelProfile) {
@@ -107,7 +328,9 @@ fn close_histogram(host: &Host, open: Open, n: usize, bins: usize, profile: &Ker
     close(host, open, n + bins, [n, bins, 1], profile);
 }
 
-/// A comparison sort: `n log2 n` element visits.
+/// Charged as a comparison sort, `n log2 n` element visits, though both
+/// CPU back ends run a radix sort: the charge is kept so that modeled times
+/// stay where they are pinned (EXPERIMENTS.md "Known deviations").
 #[inline]
 fn close_sort(host: &Host, open: Open, n: usize, key_bits: u32, profile: &KernelProfile) {
     let log_n = (usize::BITS - n.max(1).leading_zeros()) as usize;
@@ -148,7 +371,7 @@ impl PrimBackend for SerialBackend {
         W: Fn(usize, u64) + Sync,
     {
         let open = self.host().open();
-        reference::histogram_canonical(n, bins, &tagged(&key), &write);
+        reference::histogram_canonical(n, bins, &tagged(&key), &tagged_write(&write));
         close_histogram(self.host(), open, n, bins, profile);
     }
 
@@ -164,7 +387,7 @@ impl PrimBackend for SerialBackend {
         W: Fn(usize, usize) + Sync,
     {
         let open = self.host().open();
-        reference::sort_pairs_canonical(n, &tagged(&key), &write);
+        radix_sort_pairs(n, key_bits, n.max(1), self, &key, &write);
         close_sort(self.host(), open, n, key_bits, profile);
     }
 }
@@ -220,8 +443,7 @@ impl PrimBackend for ThreadsBackend {
         let counts = SlotVec::new(tiles * bins, 0u64);
         self.pool().parallel_for(tiles, self.schedule(), |t| {
             let row = unsafe { counts.slice_mut(t * bins, (t + 1) * bins) };
-            let (start, end) = (t * w, ((t + 1) * w).min(n));
-            for i in start..end {
+            for i in tile_range(t, w, n) {
                 tag(i as u64);
                 row[key(i)] += 1;
             }
@@ -249,53 +471,7 @@ impl PrimBackend for ThreadsBackend {
         W: Fn(usize, usize) + Sync,
     {
         let open = self.host().open();
-        // Tiled merge sort over (bits, index) pairs: tile-local sorts in
-        // parallel, then deterministic pairwise merge rounds with fixed run
-        // boundaries. Ties break toward the smaller original index, so the
-        // result is the unique stable order — identical to the canonical
-        // reference regardless of thread count or stealing.
-        let w = cpu_tile_width(n);
-        let tiles = n.div_ceil(w);
-        let a = SlotVec::new(n, (0u64, 0u64));
-        let b = SlotVec::new(n, (0u64, 0u64));
-        self.pool().parallel_for(tiles, self.schedule(), |t| {
-            let (start, end) = (t * w, ((t + 1) * w).min(n));
-            let run = unsafe { a.slice_mut(start, end) };
-            for (off, slot) in run.iter_mut().enumerate() {
-                let i = start + off;
-                tag(i as u64);
-                *slot = (key(i), i as u64);
-            }
-            run.sort_unstable();
-        });
-        let (mut src, mut dst) = (&a, &b);
-        let mut width = w;
-        while width < n {
-            let pairs = n.div_ceil(2 * width);
-            self.pool().parallel_for(pairs, self.schedule(), |p| {
-                let lo = p * 2 * width;
-                let mid = (lo + width).min(n);
-                let hi = (lo + 2 * width).min(n);
-                let out = unsafe { dst.slice_mut(lo, hi) };
-                let (mut i, mut j) = (lo, mid);
-                for slot in out.iter_mut() {
-                    let take_left = j >= hi || (i < mid && src.get(i) <= src.get(j));
-                    if take_left {
-                        *slot = src.get(i);
-                        i += 1;
-                    } else {
-                        *slot = src.get(j);
-                        j += 1;
-                    }
-                }
-            });
-            std::mem::swap(&mut src, &mut dst);
-            width *= 2;
-        }
-        self.pool().parallel_for(n, self.schedule(), |rank| {
-            tag(rank as u64);
-            write(rank, src.get(rank).1 as usize);
-        });
+        radix_sort_pairs(n, key_bits, radix_tile_width(n), self, &key, &write);
         close_sort(self.host(), open, n, key_bits, profile);
     }
 }

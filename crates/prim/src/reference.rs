@@ -27,7 +27,9 @@
 //! * **Sort** is a stable ascending sort of `(key_bits, original_index)`
 //!   pairs: ties between equal keys break toward the smaller original
 //!   index, which makes the output permutation unique — so every backend
-//!   (LSD radix on the simulators, tiled merge on threads) agrees exactly.
+//!   agrees exactly. Every back end runs an LSD radix sort (the CPU back
+//!   ends skip the bytes in which no two keys differ); the comparison sort
+//!   here is the specification the radix sorts are tested against.
 
 use racc_core::{AccScalar, ReduceOp};
 
@@ -169,7 +171,8 @@ where
 
 /// The canonical stable sort of `(key_bits, index)` pairs: ascending by
 /// bits, ties toward the smaller original index. `write(rank, index)` is
-/// called once per rank in `0..n`.
+/// called once per rank in `0..n`. No back end runs it: it is the oracle
+/// the back ends' radix sorts are tested against.
 pub fn sort_pairs_canonical<F, W>(n: usize, key: &F, write: &W)
 where
     F: Fn(usize) -> u64,

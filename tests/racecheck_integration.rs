@@ -97,6 +97,12 @@ fn racecheck_catches_seeded_races_and_passes_clean_kernels() {
         assert!(msg.contains("racecheck"), "{key}: {msg}");
     }
 
+    // A sort whose `write` stores every rank into element 0 races on both
+    // CPU back ends: each write runs as the rank it reports, not as the
+    // last key read. `sort_by_key`'s own writes stay clean.
+    sort_writes_race_by_rank(Context::new(racc_core::SerialBackend::new()));
+    sort_writes_race_by_rank(Context::new(racc_core::ThreadsBackend::new()));
+
     // The LBM kernel's writes are disjoint by construction: must pass.
     racecheck::set_enabled(true);
     let mut sim = racc_lbm::portable::LbmSim::uniform(&ctx, 12, 0.8, 1.0, 0.01, 0.0).unwrap();
@@ -110,4 +116,31 @@ fn racecheck_catches_seeded_races_and_passes_clean_kernels() {
     ctx.parallel_for(16, &KernelProfile::unknown(), move |_i| {
         dv.set(0, 3.0);
     });
+}
+
+fn sort_writes_race_by_rank<B: racc::prim::PrimBackend>(ctx: Context<B>) {
+    racecheck::set_enabled(true);
+    let key = ctx.backend().key();
+    let keys = ctx.array_from_fn(300, |i| ((i * 37) % 101) as u32).unwrap();
+    let values = ctx.array_from_fn(300, |i| i as f64).unwrap();
+    let (sk, _) = ctx.sort_by_key(&keys, &values).unwrap();
+    assert_eq!(ctx.to_host(&sk).unwrap()[299], 100, "{key}");
+
+    let out = ctx.zeros::<u64>(300).unwrap();
+    let (kv, ov) = (keys.view(), out.view_mut());
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        ctx.backend().prim_sort_pairs(
+            300,
+            32,
+            &KernelProfile::unknown(),
+            move |i| kv.get(i) as u64,
+            move |rank, _| ov.set(0, rank as u64),
+        );
+    }));
+    let payload = result.expect_err("every rank writing element 0 must race");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(msg.contains("racecheck"), "{key}: {msg}");
 }
