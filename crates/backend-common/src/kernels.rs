@@ -22,7 +22,7 @@ use racc_gpusim::{
 
 /// `phase()` of a kernel whose one body is its `run_phase`: the unit range
 /// of the thread behind `ctx`.
-fn run_thread<K: PhasedKernel>(
+pub(crate) fn run_thread<K: PhasedKernel>(
     kernel: &K,
     phase: usize,
     ctx: &ThreadCtx,

@@ -25,6 +25,18 @@
 //! * `Scatter`: loads its block's 256 bases into a running counter and
 //!   writes each key and index to `base[digit]++`.
 //!
+//! The sort's element-wise kernels are not leader sweeps but block forms:
+//! `SortInit` (stores each key and index, and folds the keys' OR and AND)
+//! and `Emit` (reports the permutation) each launch as an [`Elementwise`]
+//! kernel, whose [`PhasedKernel::run_phase`] and [`PhasedKernel::run_band`]
+//! are one counted loop over a block's or a band's elements and whose
+//! `phase()` is that loop over one element. The OR
+//! and AND name the bytes in which some two keys differ; a pass over any
+//! other byte is the identity permutation, so it launches three `Idle`
+//! kernels in place of its count, digit scan and scatter — same config,
+//! cost and phase count, nothing executed — and leaves the ping-pong
+//! buffers where they were.
+//!
 //! Race-free without atomics: each output cell has one writer per launch
 //! (a block's own row or bins, or a destination the bases make unique),
 //! and a barrier orders each sweep before the next. Blocks ascend and the
@@ -36,11 +48,14 @@
 //! cost — so `tests/prim_oplog.rs` and `tests/vendor_pins.rs` hold to the
 //! last digit.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use racc_core::{AccScalar, KernelProfile, ReduceOp};
 use racc_gpusim::perf::KernelCost;
 use racc_gpusim::{
-    DeviceSlice, DeviceSliceMut, LaunchConfig, LeaderPhases, PhasedKernel, SharedMem, SinglePhase,
-    ThreadCtx,
+    BlockCtx, DeviceSlice, DeviceSliceMut, LaunchConfig, LeaderPhases, PhasedKernel, SharedMem,
+    SinglePhase, ThreadCtx,
 };
 
 #[cfg(feature = "trace")]
@@ -51,6 +66,7 @@ use racc_core::Timeline;
 use racc_prim::reference::{self as prim, PRIM_TILE};
 use racc_prim::PrimBackend;
 
+use crate::kernels::run_thread;
 use crate::SimBackend;
 
 /// Base-2 digit width of the radix sort (one byte per pass): 256 counters
@@ -346,31 +362,97 @@ where
     }
 }
 
-/// Sort kernel 0: materialize `(key_bits, original_index)` into the device
-/// ping-pong buffers.
-struct SortInit<'a, F> {
-    n: usize,
-    key: &'a F,
-    keys: DeviceSliceMut<u64>,
-    idx: DeviceSliceMut<u64>,
+/// The elements of a 1D launch's threads `threads` of the block `first`,
+/// continued through the `blocks - 1` blocks to its right (`blocks >= 1`,
+/// and whole blocks only when `blocks > 1`), clamped to `n`: thread `t` of
+/// block `b` owns element `b * block + t`.
+#[inline]
+fn elements(first: &BlockCtx, blocks: usize, threads: Range<usize>, n: usize) -> Range<usize> {
+    let origin = first.origin().0;
+    let further = (blocks - 1) * first.block_dim.x as usize;
+    (origin + threads.start).min(n)..(origin + threads.end + further).min(n)
 }
 
-impl<F> PhasedKernel for SortInit<'_, F>
-where
-    F: Fn(usize) -> u64 + Sync,
-{
+/// A one-phase 1D kernel whose threads each own one element of `0..len()`
+/// and whose whole body is [`sweep`](ElementSweep::sweep).
+trait ElementSweep: Sync {
+    /// Elements in the launch.
+    fn len(&self) -> usize;
+
+    /// The work of the elements `elements`, in order.
+    fn sweep(&self, elements: Range<usize>);
+}
+
+/// An [`ElementSweep`] as a kernel: the plain executor hands it a band of
+/// blocks or a block's prefix as one counted loop, and `phase()` is that
+/// loop over one element.
+struct Elementwise<S>(S);
+
+impl<S: ElementSweep> PhasedKernel for Elementwise<S> {
     type State = ();
 
     fn num_phases(&self) -> usize {
         1
     }
 
-    fn phase(&self, _phase: usize, ctx: &ThreadCtx, _state: &mut (), _shared: &SharedMem) {
-        let i = ctx.global_id_x();
-        if i < self.n {
-            self.keys.set(i, (self.key)(i));
-            self.idx.set(i, i as u64);
+    fn phase(&self, phase: usize, ctx: &ThreadCtx, state: &mut (), shared: &SharedMem) {
+        run_thread(self, phase, ctx, state, shared);
+    }
+
+    fn run_phase(
+        &self,
+        _phase: usize,
+        block: &BlockCtx,
+        threads: Range<usize>,
+        _states: &mut [()],
+        _shared: &SharedMem,
+    ) {
+        self.0.sweep(elements(block, 1, threads, self.0.len()));
+    }
+
+    fn run_band(&self, first: &BlockCtx, blocks: usize) {
+        let threads = 0..first.block_dim.count();
+        self.0.sweep(elements(first, blocks, threads, self.0.len()));
+    }
+}
+
+/// Sort kernel 0: materialize `(key_bits, original_index)` into the device
+/// ping-pong buffers, and fold every key into the sort call's OR and AND —
+/// the bytes where the two differ are the only ones a pass has to reorder.
+/// As an [`Elementwise`] kernel it folds once per band on a plain launch
+/// and once per element under the sanitizer.
+struct SortInit<'a, F> {
+    n: usize,
+    key: &'a F,
+    keys: DeviceSliceMut<u64>,
+    idx: DeviceSliceMut<u64>,
+    or: &'a AtomicU64,
+    and: &'a AtomicU64,
+}
+
+impl<F> ElementSweep for SortInit<'_, F>
+where
+    F: Fn(usize) -> u64 + Sync,
+{
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn sweep(&self, elements: Range<usize>) {
+        if elements.is_empty() {
+            return;
         }
+        let (mut or, mut and) = (0, u64::MAX);
+        for i in elements {
+            let key = (self.key)(i);
+            self.keys.set(i, key);
+            self.idx.set(i, i as u64);
+            or |= key;
+            and &= key;
+        }
+        self.or.fetch_or(or, Ordering::Relaxed);
+        self.and.fetch_and(and, Ordering::Relaxed);
     }
 }
 
@@ -450,7 +532,61 @@ impl PhasedKernel for Scatter {
     }
 }
 
+/// Sort kernel 4: report the permutation, rank by rank, from the index
+/// buffer the last executed pass wrote.
+struct Emit<'a, W> {
+    n: usize,
+    idx: DeviceSlice<u64>,
+    write: &'a W,
+}
+
+impl<W> ElementSweep for Emit<'_, W>
+where
+    W: Fn(usize, usize) + Sync,
+{
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn sweep(&self, ranks: Range<usize>) {
+        for rank in ranks {
+            (self.write)(rank, self.idx.get(rank) as usize);
+        }
+    }
+}
+
+/// What a radix pass over a byte every key shares launches in place of each
+/// of its count, digit-scan and scatter kernels: the same phase count under
+/// the same config and cost — so validation, fault injection and the charge
+/// are the pass's own — and no thread with anything to do. Such a pass is
+/// the identity permutation on any device.
+struct Idle {
+    phases: usize,
+}
+
+impl PhasedKernel for Idle {
+    type State = ();
+
+    fn num_phases(&self) -> usize {
+        self.phases
+    }
+
+    fn active_threads(&self, _phase: usize, _block_threads: usize) -> usize {
+        0
+    }
+
+    fn phase(&self, _phase: usize, _ctx: &ThreadCtx, _state: &mut (), _shared: &SharedMem) {}
+}
+
 impl SimBackend {
+    /// One primitive kernel launch on the backend's device under the retry
+    /// policy; its modeled ns.
+    fn launch_prim<K: PhasedKernel>(&self, cfg: LaunchConfig, cost: KernelCost, kernel: &K) -> u64 {
+        let device = self.device();
+        Self::unwrap_launch(self.with_retry("launch", || device.launch_phased(cfg, cost, kernel)))
+    }
+
     /// Charge one primitive's summed kernel time (scaled by the vendor's
     /// `reduce_time_factor`, plus the portability-layer overhead) and record
     /// its `Prim` span, mirroring `reduce_linear`'s accounting shape.
@@ -517,9 +653,7 @@ impl PrimBackend for SimBackend {
             totals: device.slice_mut(&totals).expect("own buffer"),
         };
         let cfg1 = LaunchConfig::linear(tiles, block as u32).with_shared_mem(block * elem);
-        let ns1 = Self::unwrap_launch(self.with_retry("launch", || {
-            device.launch_phased(cfg1, scaled_cost(profile, PRIM_TILE), &k1)
-        }));
+        let ns1 = self.launch_prim(cfg1, scaled_cost(profile, PRIM_TILE), &k1);
 
         // Kernel 2: the sequential cross-tile chain (one thread).
         let k2 = ScanTotals {
@@ -528,13 +662,11 @@ impl PrimBackend for SimBackend {
             totals: device.slice(&totals).expect("own buffer"),
             offsets: device.slice_mut(&offsets).expect("own buffer"),
         };
-        let ns2 = Self::unwrap_launch(self.with_retry("launch", || {
-            device.launch_phased(
-                LaunchConfig::new(1u32, 1u32),
-                KernelCost::memory_bound((2 * tiles * elem) as f64, 0.0),
-                &k2,
-            )
-        }));
+        let ns2 = self.launch_prim(
+            LaunchConfig::new(1u32, 1u32),
+            KernelCost::memory_bound((2 * tiles * elem) as f64, 0.0),
+            &k2,
+        );
 
         // Kernel 3: the output pass (re-fold + combine + write).
         let k3 = TileWrite {
@@ -547,9 +679,7 @@ impl PrimBackend for SimBackend {
             offsets: device.slice(&offsets).expect("own buffer"),
         };
         let cfg3 = LaunchConfig::linear(tiles, block as u32);
-        let ns3 = Self::unwrap_launch(self.with_retry("launch", || {
-            device.launch_phased(cfg3, scaled_cost(profile, 2 * PRIM_TILE), &k3)
-        }));
+        let ns3 = self.launch_prim(cfg3, scaled_cost(profile, 2 * PRIM_TILE), &k3);
 
         self.finish_prim(
             profile,
@@ -578,9 +708,7 @@ impl PrimBackend for SimBackend {
                 }
             });
             let cfg = LaunchConfig::linear(bins, self.block_1d(bins));
-            let ns = Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(cfg, Self::cost_from_profile(profile), &zero)
-            }));
+            let ns = self.launch_prim(cfg, Self::cost_from_profile(profile), &zero);
             self.finish_prim(
                 profile,
                 [0, bins as u64, 1],
@@ -610,9 +738,7 @@ impl PrimBackend for SimBackend {
                 scratch: device.slice_mut(&scratch).expect("own buffer"),
             };
             let cfg1 = LaunchConfig::linear(n, block as u32).with_shared_mem(shared_bytes);
-            Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(cfg1, scaled_cost(profile, block), &k1)
-            }))
+            self.launch_prim(cfg1, scaled_cost(profile, block), &k1)
         } else {
             let k1 = BlockHistogramGlobal {
                 n,
@@ -622,9 +748,7 @@ impl PrimBackend for SimBackend {
                 scratch: device.slice_mut(&scratch).expect("own buffer"),
             };
             let cfg1 = LaunchConfig::linear(n, block as u32);
-            Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(cfg1, scaled_cost(profile, 2 * block), &k1)
-            }))
+            self.launch_prim(cfg1, scaled_cost(profile, 2 * block), &k1)
         };
 
         // Kernel 2: each bin-block's leader adds the rows, in block order.
@@ -636,9 +760,7 @@ impl PrimBackend for SimBackend {
             scratch: device.slice(&scratch).expect("own buffer"),
             write: &write,
         };
-        let ns2 = Self::unwrap_launch(self.with_retry("launch", || {
-            device.launch_phased(cfg2, scaled_cost(profile, blocks), &k2)
-        }));
+        let ns2 = self.launch_prim(cfg2, scaled_cost(profile, blocks), &k2);
 
         self.finish_prim(
             profile,
@@ -679,26 +801,44 @@ impl PrimBackend for SimBackend {
         let counts = alloc_u64(blocks * RADIX, "counts");
         let bases = alloc_u64(blocks * RADIX, "bases");
 
-        let mut total_ns = 0u64;
-        let k0 = SortInit {
+        let (or, and) = (AtomicU64::new(0), AtomicU64::new(u64::MAX));
+        let k0 = Elementwise(SortInit {
             n,
             key: &key,
             keys: device.slice_mut(&keys_a).expect("own buffer"),
             idx: device.slice_mut(&idx_a).expect("own buffer"),
-        };
+            or: &or,
+            and: &and,
+        });
         let cfg_n = LaunchConfig::linear(n, block as u32);
-        total_ns += Self::unwrap_launch(self.with_retry("launch", || {
-            device.launch_phased(cfg_n, Self::cost_from_profile(profile), &k0)
-        }));
+        let mut total_ns = self.launch_prim(cfg_n, Self::cost_from_profile(profile), &k0);
+        let (or, and) = (or.into_inner(), and.into_inner());
+        debug_assert!(
+            key_bits >= u64::BITS || or >> key_bits == 0,
+            "a sort key has a bit set at or above key_bits = {key_bits}"
+        );
 
+        // Count and scatter keep their calibrated `block`-elements-per-
+        // thread charge (module docs), whatever the host sweep costs. The
+        // count is the shared-memory histogram over 256 digit bins.
         let cfg_count = cfg_n.with_shared_mem(RADIX * std::mem::size_of::<u64>());
+        let pass_cost = scaled_cost(profile, block);
+        let cfg_scan = LaunchConfig::new(1u32, 1u32);
+        let scan_cost = KernelCost::memory_bound((2 * blocks * RADIX * 8) as f64, 0.0);
         let buffers = [(&keys_a, &idx_a), (&keys_b, &idx_b)];
+        // The pair holding the current order: it flips on each pass that runs.
+        let mut live = 0;
         for pass in 0..passes {
-            let (src, dst) = (buffers[pass % 2], buffers[(pass + 1) % 2]);
             let shift = (pass * 8) as u32;
-            // Count and scatter keep their calibrated `block`-elements-per-
-            // thread charge (module docs), whatever the host sweep costs.
-            // The count is the shared-memory histogram over 256 digit bins.
+            if digit(or ^ and, shift) == 0 {
+                // Every key shares this byte: charged, not run.
+                total_ns += self.launch_prim(cfg_count, pass_cost, &Idle { phases: 2 });
+                total_ns += self.launch_prim(cfg_scan, scan_cost, &Idle { phases: 1 });
+                total_ns += self.launch_prim(cfg_n, pass_cost, &Idle { phases: 1 });
+                continue;
+            }
+            let (src, dst) = (buffers[live], buffers[1 - live]);
+            live = 1 - live;
             let keys = device.slice(src.0).expect("own buffer");
             let digit_of = |i: usize| digit(keys.get(i), shift);
             let k1 = BlockHistogram {
@@ -708,22 +848,14 @@ impl PrimBackend for SimBackend {
                 key: &digit_of,
                 scratch: device.slice_mut(&counts).expect("own buffer"),
             };
-            total_ns += Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(cfg_count, scaled_cost(profile, block), &k1)
-            }));
+            total_ns += self.launch_prim(cfg_count, pass_cost, &k1);
 
             let k2 = ScanDigits {
                 blocks,
                 counts: device.slice(&counts).expect("own buffer"),
                 bases: device.slice_mut(&bases).expect("own buffer"),
             };
-            total_ns += Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(
-                    LaunchConfig::new(1u32, 1u32),
-                    KernelCost::memory_bound((2 * blocks * RADIX * 8) as f64, 0.0),
-                    &k2,
-                )
-            }));
+            total_ns += self.launch_prim(cfg_scan, scan_cost, &k2);
 
             let k3 = Scatter {
                 n,
@@ -735,23 +867,15 @@ impl PrimBackend for SimBackend {
                 keys_dst: device.slice_mut(dst.0).expect("own buffer"),
                 idx_dst: device.slice_mut(dst.1).expect("own buffer"),
             };
-            total_ns += Self::unwrap_launch(self.with_retry("launch", || {
-                device.launch_phased(cfg_n, scaled_cost(profile, block), &k3)
-            }));
+            total_ns += self.launch_prim(cfg_n, pass_cost, &k3);
         }
 
-        // The sorted run lives in whichever buffer the last pass wrote.
-        let final_idx = buffers[passes % 2].1;
-        let idx = device.slice(final_idx).expect("own buffer");
-        let emit = SinglePhase(|t: &ThreadCtx| {
-            let rank = t.global_id_x();
-            if rank < n {
-                write(rank, idx.get(rank) as usize);
-            }
+        let emit = Elementwise(Emit {
+            n,
+            idx: device.slice(buffers[live].1).expect("own buffer"),
+            write: &write,
         });
-        total_ns += Self::unwrap_launch(self.with_retry("launch", || {
-            device.launch_phased(cfg_n, Self::cost_from_profile(profile), &emit)
-        }));
+        total_ns += self.launch_prim(cfg_n, Self::cost_from_profile(profile), &emit);
 
         self.finish_prim(
             profile,
@@ -768,11 +892,15 @@ mod tests {
     //! test device: outputs against a host loop, idempotence under a
     //! repeated launch (what a retry does), and the visits the executor
     //! makes — one thread per block in every phase on a plain launch, the
-    //! whole block under the sanitizer.
+    //! whole block under the sanitizer. The sort's element-wise kernels
+    //! (`SortInit`, `Emit`) run their block forms on a plain launch, bit for
+    //! bit what `Device::execute_grid_reference` gets from their `phase()`.
 
     use super::*;
     use racc_gpusim::{profiles, Device};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use racc_threadpool::ThreadPool;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     const N: usize = 200;
     const BLOCK: usize = 64;
@@ -1011,5 +1139,215 @@ mod tests {
         };
         let cfg = LaunchConfig::linear(N, BLOCK as u32).with_shared_mem(bins * 8);
         let _ = dev.launch_phased(cfg, KernelCost::default(), &kernel);
+    }
+
+    /// Sizes around the test device's 64-thread block, and eleven blocks
+    /// less 17 — which a two-participant pool cuts into several bands and a
+    /// short last one.
+    const RAGGED: [usize; 7] = [1, 63, 64, 65, N, 640, 11 * BLOCK - 17];
+
+    /// A plain test device whose pool has `threads` participants: how many
+    /// there are decides how the executor cuts a row of blocks into bands.
+    fn plain_on(threads: usize) -> Device {
+        Device::with_pool(profiles::test_device(), Arc::new(ThreadPool::new(threads)))
+    }
+
+    fn init_key(i: usize) -> u64 {
+        (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20
+    }
+
+    /// Launch `kernel` over `n` elements on `dev` by the plain executor, or
+    /// by the reference one if `reference`.
+    fn launch_over<K: PhasedKernel>(dev: &Device, n: usize, kernel: &K, reference: bool) {
+        let cfg = LaunchConfig::linear(n, n.min(BLOCK) as u32);
+        if reference {
+            dev.execute_grid_reference(cfg, kernel);
+        } else {
+            dev.launch_phased(cfg, KernelCost::default(), kernel)
+                .unwrap();
+        }
+    }
+
+    /// `SortInit` over `n` elements on `dev`, by the plain executor or the
+    /// reference one: the key and index buffers, the OR and the AND.
+    fn run_sort_init(dev: &Device, n: usize, reference: bool) -> (Vec<u64>, Vec<u64>, u64, u64) {
+        let keys = dev.alloc::<u64>(n).unwrap();
+        let idx = dev.alloc::<u64>(n).unwrap();
+        let (or, and) = (AtomicU64::new(0), AtomicU64::new(u64::MAX));
+        let kernel = Elementwise(SortInit {
+            n,
+            key: &init_key,
+            keys: dev.slice_mut(&keys).unwrap(),
+            idx: dev.slice_mut(&idx).unwrap(),
+            or: &or,
+            and: &and,
+        });
+        launch_over(dev, n, &kernel, reference);
+        (
+            dev.read_vec(&keys).unwrap(),
+            dev.read_vec(&idx).unwrap(),
+            or.into_inner(),
+            and.into_inner(),
+        )
+    }
+
+    /// `Emit` over `n` ranks on `dev`, by the plain executor or the
+    /// reference one: what `write` received per rank, and how often.
+    fn run_emit(dev: &Device, n: usize, reference: bool) -> Vec<(u64, usize)> {
+        let host: Vec<u64> = (0..n as u64).map(|r| (r * 7 + 3) % n as u64).collect();
+        let idx = dev.alloc_from(&host).unwrap();
+        let got: Vec<(AtomicU64, AtomicUsize)> = (0..n)
+            .map(|_| (AtomicU64::new(u64::MAX), AtomicUsize::new(0)))
+            .collect();
+        let write = |rank: usize, i: usize| {
+            got[rank].0.store(i as u64, Ordering::Relaxed);
+            got[rank].1.fetch_add(1, Ordering::Relaxed);
+        };
+        let kernel = Elementwise(Emit {
+            n,
+            idx: dev.slice(&idx).unwrap(),
+            write: &write,
+        });
+        launch_over(dev, n, &kernel, reference);
+        got.into_iter()
+            .map(|(i, calls)| (i.into_inner(), calls.into_inner()))
+            .collect()
+    }
+
+    #[test]
+    fn sort_init_and_emit_block_forms_equal_the_reference_executor() {
+        for threads in [1, 2] {
+            let dev = plain_on(threads);
+            for n in RAGGED {
+                let what = format!("n = {n}, {threads} participants");
+                let init = run_sort_init(&dev, n, false);
+                assert_eq!(init, run_sort_init(&dev, n, true), "SortInit, {what}");
+                let keys: Vec<u64> = (0..n).map(init_key).collect();
+                assert_eq!(init.0, keys, "SortInit keys, {what}");
+                assert_eq!(init.1, (0..n as u64).collect::<Vec<_>>(), "{what}");
+                assert_eq!(init.2, keys.iter().fold(0, |a, k| a | k), "OR, {what}");
+                assert_eq!(init.3, keys.iter().fold(!0, |a, k| a & k), "AND, {what}");
+
+                let emitted = run_emit(&dev, n, false);
+                assert_eq!(emitted, run_emit(&dev, n, true), "Emit, {what}");
+                assert!(emitted.iter().all(|&(_, calls)| calls == 1), "{what}");
+            }
+        }
+    }
+
+    /// Counts `phase()` entries; the block forms are the wrapped kernel's.
+    struct CountThreadVisits<K> {
+        kernel: K,
+        visits: AtomicUsize,
+    }
+
+    impl<K: PhasedKernel> PhasedKernel for CountThreadVisits<K> {
+        type State = K::State;
+        fn num_phases(&self) -> usize {
+            self.kernel.num_phases()
+        }
+        fn active_threads(&self, phase: usize, block_threads: usize) -> usize {
+            self.kernel.active_threads(phase, block_threads)
+        }
+        fn phase(&self, phase: usize, ctx: &ThreadCtx, state: &mut K::State, shared: &SharedMem) {
+            self.visits.fetch_add(1, Ordering::Relaxed);
+            self.kernel.phase(phase, ctx, state, shared)
+        }
+        fn run_phase(
+            &self,
+            phase: usize,
+            block: &BlockCtx,
+            threads: Range<usize>,
+            states: &mut [K::State],
+            shared: &SharedMem,
+        ) {
+            self.kernel.run_phase(phase, block, threads, states, shared)
+        }
+        fn run_band(&self, first: &BlockCtx, blocks: usize) {
+            self.kernel.run_band(first, blocks)
+        }
+    }
+
+    /// How many `phase()` calls a launch of `kernel` over `N` elements made.
+    fn thread_visits<K: PhasedKernel>(dev: &Device, shared_bytes: usize, kernel: K) -> usize {
+        let counted = CountThreadVisits {
+            kernel,
+            visits: AtomicUsize::new(0),
+        };
+        let cfg = LaunchConfig::linear(N, BLOCK as u32).with_shared_mem(shared_bytes);
+        dev.launch_phased(cfg, KernelCost::default(), &counted)
+            .unwrap();
+        counted.visits.into_inner()
+    }
+
+    #[test]
+    fn sort_init_emit_and_idle_visit_no_thread_plain_every_thread_sanitized() {
+        for sanitize in [false, true] {
+            let dev = device(sanitize);
+            let every_thread = |phases: usize| {
+                if sanitize {
+                    phases * BLOCKS * BLOCK
+                } else {
+                    0
+                }
+            };
+            let keys = dev.alloc::<u64>(N).unwrap();
+            let idx = dev.alloc::<u64>(N).unwrap();
+            let (or, and) = (AtomicU64::new(0), AtomicU64::new(u64::MAX));
+            let init = Elementwise(SortInit {
+                n: N,
+                key: &init_key,
+                keys: dev.slice_mut(&keys).unwrap(),
+                idx: dev.slice_mut(&idx).unwrap(),
+                or: &or,
+                and: &and,
+            });
+            assert_eq!(thread_visits(&dev, 0, init), every_thread(1), "SortInit");
+            assert_ne!(or.into_inner() ^ and.into_inner(), 0, "the keys vary");
+
+            let write = |_: usize, _: usize| {};
+            let emit = Elementwise(Emit {
+                n: N,
+                idx: dev.slice(&idx).unwrap(),
+                write: &write,
+            });
+            assert_eq!(thread_visits(&dev, 0, emit), every_thread(1), "Emit");
+
+            // The stand-ins for a skipped pass: the count's shape (two
+            // phases, shared memory) and the scatter's.
+            let count = Idle { phases: 2 };
+            assert_eq!(
+                thread_visits(&dev, RADIX * 8, count),
+                every_thread(2),
+                "Idle count"
+            );
+            let scatter = Idle { phases: 1 };
+            assert_eq!(
+                thread_visits(&dev, 0, scatter),
+                every_thread(1),
+                "Idle scatter"
+            );
+        }
+    }
+
+    /// The `cudasim` twin of `racc-prim`'s `keys_wider_than_key_bits_are_caught`
+    /// (that crate sits below the simulator): a key with a bit at or above
+    /// `key_bits` would be missorted by passes sized from `key_bits`, so
+    /// debug builds stop on it with the CPU paths' message.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn simulated_keys_wider_than_key_bits_are_caught() {
+        let keys = [3u64, 1 << 13, 5];
+        let result = std::panic::catch_unwind(|| {
+            let dev = Arc::new(Device::new(profiles::nvidia_a100()));
+            let backend = SimBackend::new(dev, &crate::CUDA);
+            backend.prim_sort_pairs(3, 13, &racc_prim::SORT_PROFILE, |i| keys[i], |_, _| {});
+        });
+        let payload = result.expect_err("a 14-bit key under key_bits = 13 must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("key_bits = 13"), "cudasim: {msg}");
     }
 }

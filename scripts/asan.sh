@@ -7,7 +7,9 @@
 # where the block was meant, or a write past a skewed payload or past the
 # cells, is what ASan reports and `cargo test` does not. The primitives'
 # leader sweeps (`prim`) run under it too: each walks a whole block's span
-# through shared memory and device slices. The `heap` filter also runs the
+# through shared memory and device slices; so do the sort's init and emit
+# band walks (`SortInit`, `Emit`: one counted loop over a block's or a
+# band's elements through device slices). The `heap` filter also runs the
 # device reservations' tests (`Device::reserve`, what every portable array
 # on a simulator holds): a reservation shares `Allocation`'s `Drop` with
 # real blocks but has no host block, only a null base and a dangling

@@ -12,6 +12,7 @@ use common::{across, matrix, matrix_for_case, Cell};
 use proptest::prelude::*;
 use racc::prelude::*;
 use racc::prim::reference;
+use racc::SortKey;
 use std::cell::RefCell;
 use std::sync::atomic::AtomicUsize;
 
@@ -249,6 +250,172 @@ fn simulated_histogram_calls_its_key_once_per_element() {
             .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), n as u64, "n = {n}");
         assert_eq!(ctx.to_host(&h).unwrap().iter().sum::<u64>(), n as u64);
+    }
+}
+
+/// The complexity pin of the sort: a simulated sort calls its key closure
+/// exactly once per element — the kernel that stores the keys also finds
+/// the bytes that vary, so no second host sweep over `key` can come back.
+#[cfg(feature = "backend-cuda")]
+#[test]
+fn simulated_sort_calls_its_key_once_per_element() {
+    use racc::prim::{PrimBackend, SORT_PROFILE};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    for sanitize in [false, true] {
+        let ctx = racc::builder()
+            .backend("cudasim")
+            .sanitizer(sanitize)
+            .build()
+            .unwrap();
+        for n in [1000usize, 1024, 5000] {
+            let calls = AtomicU64::new(0);
+            let written = AtomicU64::new(0);
+            ctx.backend().prim_sort_pairs(
+                n,
+                u32::BITS,
+                &SORT_PROFILE,
+                |i| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    (i as u64 * 2654435761) % 8192
+                },
+                |_, _| {
+                    written.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            let what = format!("n = {n}, sanitize {sanitize}");
+            assert_eq!(calls.load(Ordering::Relaxed), n as u64, "{what}");
+            assert_eq!(written.load(Ordering::Relaxed), n as u64, "{what}");
+        }
+    }
+}
+
+/// Sizes around a 1024-thread block, and one past 128 of them.
+const SHAPE_SIZES: [usize; 5] = [1, 1023, 1024, 1025, 131_072 + 517];
+
+/// splitmix64 of `i`: the varying part of a key shape.
+fn mix(i: usize) -> u64 {
+    let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `sort_by_key` with `f32` values on every cell of `cells`, against the
+/// reference permutation, checking each cell against its plain one.
+fn assert_sorts_match_reference<K>(cells: &[common::Cell], keys: &[K], what: &str)
+where
+    K: SortKey + common::Bits + std::fmt::Debug + PartialEq,
+{
+    let out = RefCell::new(vec![usize::MAX; keys.len()]);
+    reference::sort_pairs_canonical(keys.len(), &|i| keys[i].sort_bits(), &|rank, i| {
+        out.borrow_mut()[rank] = i
+    });
+    let perm = out.into_inner();
+    let values: Vec<f32> = (0..keys.len()).map(|i| i as f32 * 0.5).collect();
+    let sorted = across(cells, |ctx| {
+        let k = ctx.array_from(keys).unwrap();
+        let v = ctx.array_from(&values).unwrap();
+        let (sk, sv) = ctx.sort_by_key(&k, &v).unwrap();
+        (ctx.to_host(&sk).unwrap(), ctx.to_host(&sv).unwrap())
+    });
+    let want_keys: Vec<K> = perm.iter().map(|&i| keys[i]).collect();
+    let want_values: Vec<u32> = perm.iter().map(|&i| values[i].to_bits()).collect();
+    for (key, (hk, hv)) in sorted {
+        let n = keys.len();
+        assert!(hk == want_keys, "{key}: {what}, n = {n}: keys");
+        let hv: Vec<u32> = hv.iter().map(|v| v.to_bits()).collect();
+        assert!(hv == want_values, "{key}: {what}, n = {n}: values");
+    }
+}
+
+/// The simulator cells of the matrix that `keep` admits, fusion left out
+/// (it does not reach the primitives).
+fn simulator_cells(keep: impl Fn(&Cell) -> bool) -> Vec<Cell> {
+    let mut cells = matrix();
+    cells.retain(|cell| {
+        cell.ctx.is_accelerator() && cell.config != common::Config::Fusion && keep(cell)
+    });
+    cells
+}
+
+/// Key shapes that decide which radix passes a simulator executes — none
+/// (all keys equal), one over byte 1 (the result in the second buffer),
+/// one over the top byte of a `u32`, two (13-bit keys), all four or all
+/// eight — on every simulator cell (plain, simsan, chaos), against the
+/// reference. At the largest size, where one sanitized sort costs 1–9 s in
+/// a debug build, simsan runs the one-pass shape on `cudasim` only: the
+/// other shapes skip and flip buffers there as they do at 1 025 elements.
+#[test]
+fn simulated_sorts_match_reference_on_every_key_shape() {
+    let every_cell = simulator_cells(|_| true);
+    let unsanitized = simulator_cells(|cell| cell.config != common::Config::Simsan);
+    let one_sanitized =
+        simulator_cells(|cell| cell.config != common::Config::Simsan || cell.backend == "cudasim");
+    for n in SHAPE_SIZES {
+        let cells = |what: &str| match (n > 1025, what) {
+            (false, _) => &every_cell,
+            (true, "byte 1 varies") => &one_sanitized,
+            (true, _) => &unsanitized,
+        };
+        let shapes: [(&str, Vec<u32>); 5] = [
+            ("all equal", vec![0x5A3C_0F81; n]),
+            (
+                "byte 1 varies",
+                (0..n)
+                    .map(|i| 0xAB00_00CD | (mix(i) as u32 & 0xFF00))
+                    .collect(),
+            ),
+            (
+                "top byte varies",
+                (0..n)
+                    .map(|i| 0x0012_3456 | (mix(i) as u32 & 0xFF00_0000))
+                    .collect(),
+            ),
+            ("13 bits", (0..n).map(|i| mix(i) as u32 & 0x1FFF).collect()),
+            ("32 bits", (0..n).map(|i| mix(i) as u32).collect()),
+        ];
+        for (what, keys) in shapes {
+            assert_sorts_match_reference(cells(what), &keys, what);
+        }
+        let wide: Vec<u64> = (0..n).map(mix).collect();
+        assert_sorts_match_reference(cells("64 bits"), &wide, "64 bits");
+    }
+}
+
+/// A pass over a byte every key shares is charged as if it ran: at equal
+/// `n`, a sort of all-equal keys logs exactly the device operations — kind,
+/// bytes, threads and modeled ns — of a sort of full-width keys.
+#[cfg(feature = "backend-cuda")]
+#[test]
+fn skipped_passes_are_charged_like_executed_ones() {
+    use racc_gpusim::{profiles, Device};
+    use std::sync::Arc;
+    fn sort_log<K: SortKey>(keys: &[K]) -> Vec<(racc_gpusim::OpKind, u64, u64, u64)> {
+        let dev = Arc::new(Device::new(profiles::nvidia_a100()));
+        let ctx = racc::builder()
+            .backend("cudasim")
+            .device(Arc::clone(&dev))
+            .build()
+            .unwrap();
+        let k = ctx.array_from(keys).unwrap();
+        let v = ctx.array_from_fn(keys.len(), |i| i as f64).unwrap();
+        ctx.sort_by_key(&k, &v).unwrap();
+        dev.op_log()
+            .iter()
+            .map(|r| (r.kind, r.bytes, r.threads, r.modeled_ns))
+            .collect()
+    }
+    for n in [1025usize, 131_072 + 517] {
+        let full32 = sort_log(&(0..n).map(|i| mix(i) as u32).collect::<Vec<_>>());
+        assert_eq!(sort_log(&vec![7u32; n]), full32, "u32, n = {n}");
+        // Init, emit, and count + digit scan + scatter for each of 4 bytes.
+        let kernels = full32
+            .iter()
+            .filter(|r| r.0 == racc_gpusim::OpKind::Kernel)
+            .count();
+        assert_eq!(kernels, 2 + 3 * 4, "u32, n = {n}");
+        let full64 = sort_log(&(0..n).map(mix).collect::<Vec<_>>());
+        assert_eq!(sort_log(&vec![u64::MAX; n]), full64, "u64, n = {n}");
     }
 }
 
