@@ -1,7 +1,6 @@
-//! Pipelined distributed CG as a [`ShardApp`]: the tridiagonal system of
-//! `examples/distributed_cg.rs`, tiled so that every reduction is
-//! bit-identical at any shard count and the one-scalar matvec halos
-//! overlap the interior sweep.
+//! Pipelined distributed CG as a [`ShardApp`]: the HPCCG tridiagonal
+//! system, tiled so that every reduction is bit-identical at any shard
+//! count and the one-scalar matvec halos overlap the interior sweep.
 //!
 //! Determinism is the whole design:
 //!

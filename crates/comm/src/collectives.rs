@@ -1,182 +1,41 @@
-//! Collective operations over the world, built on point-to-point sends and
-//! the shared barrier.
+//! The one collective: a sum allreduce, built on point-to-point sends.
 //!
-//! Reductions reuse the front end's [`racc_core::ReduceOp`] monoids, so the
-//! same `Sum`/`Max`/`Min` values work in kernels and across ranks. All
-//! collectives use simple rank-0-rooted fan-in/fan-out (latency O(P));
-//! message counts are asserted in tests, not modeled in time — the comm
-//! substrate is functional, unlike the clocked device simulator.
+//! It fans in to rank 0 in rank order and fans the total back out (latency
+//! O(P)), so the result is deterministic for floats. It returns
+//! `Result<_, CommError>`: a peer that died mid-collective (its rank body
+//! returned early or panicked) surfaces as [`CommError::Disconnected`] at
+//! the survivors rather than poisoning the world with a panic.
 //!
-//! Every collective returns `Result<_, CommError>`: a peer that died
-//! mid-collective (its rank body returned early or panicked) surfaces as
-//! [`CommError::Disconnected`] at the survivors rather than poisoning the
-//! world with a panic. Misuse (a non-root rank passing a scatter payload)
-//! is still a panic — that is a programming error, not a fault.
-//!
-//! Every *internal* receive — the fan-in legs at the root as much as the
+//! Every internal receive — the fan-in legs at the root as much as the
 //! fan-out legs at the leaves — goes through the rank's collective
 //! timeout ([`Rank::set_collective_timeout`]). A rank can die *between*
-//! stages (e.g. after contributing to an allreduce but before the
-//! broadcast), and its buffered messages keep the channel readable for the
-//! legs it already ran; only the timeout bounds the legs it never reached.
+//! stages (after contributing to the fan-in but before the fan-out), and
+//! its buffered messages keep the channel readable for the legs it already
+//! ran; only the timeout bounds the legs it never reached.
 
-use racc_core::{AccScalar, ReduceOp, Sum};
+use std::ops::Add;
 
 use crate::world::{CommError, Rank};
 
 impl Rank {
-    /// Reduce `value` across all ranks with `op`; every rank receives the
-    /// result (allreduce). Combination order is rank order, so results are
-    /// deterministic.
-    pub fn allreduce<T, O>(&self, value: T, op: O) -> Result<T, CommError>
-    where
-        T: AccScalar,
-        O: ReduceOp<T>,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.trace_start();
-        // Fan-in to rank 0 in rank order, then broadcast.
-        let total = if self.rank() == 0 {
-            let mut acc = value;
-            for peer in 1..self.size() {
-                let v: T = self.recv_collective(peer)?;
-                acc = op.combine(acc, v);
-            }
-            acc
-        } else {
-            self.send(0, value)?;
-            op.identity()
-        };
-        let out = self.broadcast_value(total)?;
-        #[cfg(feature = "trace")]
-        self.record_collective("allreduce", std::mem::size_of::<T>() as u64, t0);
-        Ok(out)
-    }
-
-    /// Sum `value` across ranks (the common case: distributed dot products).
+    /// Sum `value` across all ranks; every rank receives the total. The
+    /// terms are added in rank order, so the result is deterministic.
     pub fn allreduce_sum<T>(&self, value: T) -> Result<T, CommError>
     where
-        T: racc_core::Numeric,
+        T: Copy + Add<Output = T> + Send + 'static,
     {
-        self.allreduce(value, Sum)
-    }
-
-    /// Broadcast rank 0's `value` to every rank; returns it everywhere.
-    pub fn broadcast<T>(&self, value: T) -> Result<T, CommError>
-    where
-        T: AccScalar,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.trace_start();
-        let out = self.broadcast_value(value)?;
-        #[cfg(feature = "trace")]
-        self.record_collective("broadcast", std::mem::size_of::<T>() as u64, t0);
-        Ok(out)
-    }
-
-    /// Broadcast body, shared with `allreduce` so a traced allreduce records
-    /// one span, not a nested broadcast span too.
-    fn broadcast_value<T>(&self, value: T) -> Result<T, CommError>
-    where
-        T: AccScalar,
-    {
-        if self.rank() == 0 {
-            for peer in 1..self.size() {
-                self.send(peer, value)?;
-            }
-            Ok(value)
-        } else {
-            self.recv_collective(0)
+        if self.rank() != 0 {
+            self.send(0, value)?;
+            return self.recv_timeout(0, self.collective_timeout());
         }
-    }
-
-    /// Gather every rank's vector to rank 0 (in rank order); other ranks
-    /// get `Ok(None)`.
-    pub fn gather<T>(&self, local: Vec<T>) -> Result<Option<Vec<Vec<T>>>, CommError>
-    where
-        T: Send + 'static,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.trace_start();
-        #[cfg(feature = "trace")]
-        let bytes = (local.len() * std::mem::size_of::<T>()) as u64;
-        let out = if self.rank() == 0 {
-            let mut all = Vec::with_capacity(self.size());
-            all.push(local);
-            for peer in 1..self.size() {
-                all.push(self.recv_collective(peer)?);
-            }
-            Some(all)
-        } else {
-            self.send(0, local)?;
-            None
-        };
-        #[cfg(feature = "trace")]
-        self.record_collective("gather", bytes, t0);
-        Ok(out)
-    }
-
-    /// Every rank receives the concatenation of all ranks' vectors in rank
-    /// order (allgather).
-    pub fn allgather<T>(&self, local: Vec<T>) -> Result<Vec<T>, CommError>
-    where
-        T: Clone + Send + 'static,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.trace_start();
-        #[cfg(feature = "trace")]
-        let bytes = (local.len() * std::mem::size_of::<T>()) as u64;
-        let out = if self.rank() == 0 {
-            let mut all: Vec<T> = local;
-            for peer in 1..self.size() {
-                let chunk: Vec<T> = self.recv_collective(peer)?;
-                all.extend(chunk);
-            }
-            for peer in 1..self.size() {
-                self.send(peer, all.clone())?;
-            }
-            all
-        } else {
-            self.send(0, local)?;
-            self.recv_collective(0)?
-        };
-        #[cfg(feature = "trace")]
-        self.record_collective("allgather", bytes, t0);
-        Ok(out)
-    }
-
-    /// Split `data` (on rank 0) into contiguous near-equal chunks, one per
-    /// rank (scatter). Other ranks pass `None`.
-    pub fn scatter<T>(&self, data: Option<Vec<T>>) -> Result<Vec<T>, CommError>
-    where
-        T: Clone + Send + 'static,
-    {
-        #[cfg(feature = "trace")]
-        let t0 = self.trace_start();
-        let out = if self.rank() == 0 {
-            let data = data.expect("rank 0 provides the scatter payload");
-            let n = data.len();
-            let p = self.size();
-            let block = |who: usize| {
-                let base = n / p;
-                let rem = n % p;
-                let start = who * base + who.min(rem);
-                let len = base + usize::from(who < rem);
-                (start, start + len)
-            };
-            for peer in 1..p {
-                let (s, e) = block(peer);
-                self.send(peer, data[s..e].to_vec())?;
-            }
-            let (s, e) = block(0);
-            data[s..e].to_vec()
-        } else {
-            assert!(data.is_none(), "only rank 0 provides the scatter payload");
-            self.recv_collective(0)?
-        };
-        #[cfg(feature = "trace")]
-        self.record_collective("scatter", (out.len() * std::mem::size_of::<T>()) as u64, t0);
-        Ok(out)
+        let mut total = value;
+        for peer in 1..self.size() {
+            total = total + self.recv_timeout::<T>(peer, self.collective_timeout())?;
+        }
+        for peer in 1..self.size() {
+            self.send(peer, total)?;
+        }
+        Ok(total)
     }
 }
 
@@ -184,119 +43,22 @@ impl Rank {
 mod tests {
 
     use crate::world::{CommError, World};
-    use racc_core::{Max, Min};
 
     #[test]
-    fn allreduce_sum_and_extrema() {
-        let results = World::run(5, |c| {
-            let v = (c.rank() + 1) as i64;
-            (
-                c.allreduce_sum(v).unwrap(),
-                c.allreduce(v, Max).unwrap(),
-                c.allreduce(v, Min).unwrap(),
-            )
-        });
-        for (sum, max, min) in results {
-            assert_eq!(sum, 15);
-            assert_eq!(max, 5);
-            assert_eq!(min, 1);
-        }
+    fn allreduce_sum_sums_and_folds_in_rank_order() {
+        let ints = World::run(5, |c| c.allreduce_sum((c.rank() + 1) as i64).unwrap());
+        assert!(ints.iter().all(|&s| s == 15));
+
+        let term = |r: usize| 0.1f64 * (r as f64 + 1.0);
+        let folded = (1..4).fold(term(0), |acc, r| acc + term(r));
+        let floats = World::run(4, move |c| c.allreduce_sum(term(c.rank())).unwrap());
+        assert!(floats.iter().all(|s| s.to_bits() == folded.to_bits()));
     }
 
     #[test]
-    fn allreduce_is_deterministic_for_floats() {
-        let a = World::run(4, |c| {
-            c.allreduce_sum(0.1f64 * (c.rank() as f64 + 1.0)).unwrap()
-        });
-        let b = World::run(4, |c| {
-            c.allreduce_sum(0.1f64 * (c.rank() as f64 + 1.0)).unwrap()
-        });
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert!(a.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()));
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let results = World::run(4, |c| {
-            let v = if c.rank() == 0 { 42u32 } else { 0 };
-            c.broadcast(v).unwrap()
-        });
-        assert!(results.iter().all(|&v| v == 42));
-    }
-
-    #[test]
-    fn gather_and_allgather_preserve_rank_order() {
-        let gathered = World::run(3, |c| {
-            let local = vec![c.rank() as u8; c.rank() + 1];
-            c.gather(local).unwrap()
-        });
-        let root = gathered[0].as_ref().unwrap();
-        assert_eq!(root.len(), 3);
-        assert_eq!(root[0], vec![0u8]);
-        assert_eq!(root[2], vec![2u8, 2, 2]);
-        assert!(gathered[1].is_none());
-
-        let all = World::run(3, |c| c.allgather(vec![c.rank() as u8]).unwrap());
-        assert!(all.iter().all(|v| v == &vec![0u8, 1, 2]));
-    }
-
-    #[test]
-    fn scatter_partitions_contiguously() {
-        let chunks = World::run(3, |c| {
-            let payload = if c.rank() == 0 {
-                Some((0..10u32).collect::<Vec<_>>())
-            } else {
-                None
-            };
-            c.scatter(payload).unwrap()
-        });
-        assert_eq!(chunks[0], vec![0, 1, 2, 3]);
-        assert_eq!(chunks[1], vec![4, 5, 6]);
-        assert_eq!(chunks[2], vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn scatter_handles_indivisible_payloads() {
-        // 7 elements over 4 ranks: the remainder spreads over the first
-        // ranks ([2, 2, 2, 1]) and concatenating the chunks in rank order
-        // reconstructs the payload exactly.
-        let chunks = World::run(4, |c| {
-            let payload = if c.rank() == 0 {
-                Some((0..7i32).collect::<Vec<_>>())
-            } else {
-                None
-            };
-            c.scatter(payload).unwrap()
-        });
-        assert_eq!(
-            chunks.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![2, 2, 2, 1]
-        );
-        assert_eq!(chunks.concat(), (0..7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn world_of_one_runs_every_collective() {
-        // Degenerate world: no peers, so every collective is the identity
-        // and must not attempt any channel traffic.
-        let results = World::run(1, |c| {
-            let sum = c.allreduce_sum(2.5f64)?;
-            let max = c.allreduce(7i64, Max)?;
-            let bc = c.broadcast(42u32)?;
-            let gathered = c.gather(vec![1u8, 2])?;
-            let all = c.allgather(vec![3u16, 4])?;
-            let chunk = c.scatter(Some(vec![5i32, 6, 7]))?;
-            Ok::<_, CommError>((sum, max, bc, gathered, all, chunk))
-        });
-        let (sum, max, bc, gathered, all, chunk) = results[0].clone().unwrap();
-        assert_eq!(sum, 2.5);
-        assert_eq!(max, 7);
-        assert_eq!(bc, 42);
-        assert_eq!(gathered, Some(vec![vec![1u8, 2]]));
-        assert_eq!(all, vec![3u16, 4]);
-        assert_eq!(chunk, vec![5i32, 6, 7]);
+    fn world_of_one_allreduces_without_traffic() {
+        let results = World::run(1, |c| c.allreduce_sum(2.5f64));
+        assert_eq!(results, vec![Ok(2.5)]);
     }
 
     #[test]
@@ -319,15 +81,15 @@ mod tests {
     fn rank_death_between_allreduce_stages_is_detected_not_hung() {
         use std::time::Duration;
         // Rank 2 contributes to the fan-in leg and then dies *between* the
-        // allreduce stages, before its broadcast leg. Rank 1 waits until the
+        // allreduce stages, before its fan-out leg. Rank 1 waits until the
         // death is observable (its probe of rank 2 disconnects) so the
-        // outcome is deterministic: the root combines rank 2's buffered
-        // contribution, then surfaces `Disconnected` on the dead broadcast
+        // outcome is deterministic: the root adds rank 2's buffered
+        // contribution, then surfaces `Disconnected` on the dead fan-out
         // leg. Nobody blocks forever.
         let results = World::run(3, |c| {
             if c.rank() == 2 {
                 c.send(0, 2.0f64).unwrap(); // fan-in leg only
-                return None; // dies before the broadcast leg
+                return None; // dies before the fan-out leg
             }
             if c.rank() == 1 {
                 // Blocks until rank 2's channels drop, i.e. it is dead.
@@ -337,7 +99,7 @@ mod tests {
             Some(c.allreduce_sum(c.rank() as f64))
         });
         assert_eq!(results[0], Some(Err(CommError::Disconnected)));
-        // The root sends the broadcast legs in rank order, so rank 1 already
+        // The root sends the fan-out legs in rank order, so rank 1 already
         // has the total by the time the dead leg errors the root out.
         assert_eq!(results[1], Some(Ok(3.0)));
         assert_eq!(results[2], None);
@@ -348,9 +110,9 @@ mod tests {
         use std::time::{Duration, Instant};
         // Rank 2 holds its channels open (alive) but never enters the
         // collective — the shape of a rank wedged in recovery or stalled
-        // under fault injection. Before the timeout fix the root blocked
-        // forever in its fan-in `recv`; now every internal receive honors
-        // the collective timeout.
+        // under fault injection. Every internal receive honors the
+        // collective timeout, so neither the root's fan-in nor the leaf's
+        // fan-out blocks forever.
         let t0 = Instant::now();
         let results = World::run(3, |c| {
             if c.rank() == 2 {

@@ -1,16 +1,14 @@
 //! # racc-comm
 //!
-//! A small message-passing substrate: SPMD ranks with typed point-to-point
-//! sends and the standard collectives — the analog of the `MPI.jl`
-//! dependency in JACC's ecosystem (the paper's §II lists `MPI.jl` /
-//! `Distributed.jl` as how Julia codes scale out, and its future work names
-//! distributed-memory configurations).
+//! The transport `racc-shard` runs on: SPMD ranks with typed point-to-point
+//! sends, receive deadlines, a barrier and a sum allreduce — the part of the
+//! `MPI.jl` programming model (the paper's §II names `MPI.jl` as how Julia
+//! codes scale out) that RACC's sharded runner needs.
 //!
 //! Ranks are OS threads inside one process; channels replace the network.
-//! That keeps the programming model exactly MPI-shaped (SPMD `run`,
-//! `send`/`recv`, `barrier`, `allreduce`, `broadcast`, `gather`) while
-//! remaining a deterministic, test-friendly substrate — the same
-//! substitution philosophy as the GPU simulator.
+//! Messages between a fixed (sender, receiver) pair are FIFO, and a rank
+//! that dies surfaces at its peers as [`CommError::Disconnected`] rather
+//! than a hang — the same substitution philosophy as the GPU simulator.
 //!
 //! ```
 //! use racc_comm::World;

@@ -1,7 +1,9 @@
-//! The SPMD world: rank spawning and point-to-point messaging.
+//! The SPMD world: rank spawning, point-to-point messaging and the
+//! barrier.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
@@ -44,14 +46,54 @@ impl std::error::Error for CommError {}
 
 type Payload = Box<dyn Any + Send>;
 
-/// The per-rank recorder handle. Aliased to `()` when the `trace` feature is
-/// off so `Rank` construction has one field list either way (Rust has no
-/// `cfg` on call-site arguments).
-#[cfg(feature = "trace")]
-pub(crate) type TraceHandle = Option<Arc<racc_core::trace::TraceRecorder>>;
-/// The per-rank recorder handle (tracing compiled out).
-#[cfg(not(feature = "trace"))]
-pub(crate) type TraceHandle = ();
+/// The world barrier. Unlike `std::sync::Barrier` it learns when a rank
+/// terminates (its [`Rank`] drops, on return or unwind), so a wait that
+/// can never complete fails instead of hanging. It shares no channel with
+/// the ranks' messages, which keep their per-pair FIFO order across it.
+struct WorldBarrier {
+    size: usize,
+    /// Arrivals over every barrier so far (barrier `b` completes at
+    /// arrival `(b + 1) * size`), and the first rank that terminated.
+    state: Mutex<(usize, Option<usize>)>,
+    turn: Condvar,
+}
+
+impl WorldBarrier {
+    /// Every update below leaves the state valid, so a poisoned lock (a
+    /// rank panicked elsewhere while holding it) is still usable.
+    fn lock(&self) -> MutexGuard<'_, (usize, Option<usize>)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait until every rank has arrived; `Err(rank)` once `rank` has
+    /// terminated, since it can never arrive.
+    fn wait(&self) -> Result<(), usize> {
+        let mut state = self.lock();
+        if let Some(dead) = state.1 {
+            return Err(dead);
+        }
+        let complete = (state.0 / self.size + 1) * self.size;
+        state.0 += 1;
+        if state.0 == complete {
+            self.turn.notify_all();
+        }
+        while state.0 < complete {
+            if let Some(dead) = state.1 {
+                return Err(dead);
+            }
+            state = self
+                .turn
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        Ok(())
+    }
+
+    fn depart(&self, rank: usize) {
+        self.lock().1.get_or_insert(rank);
+        self.turn.notify_all();
+    }
+}
 
 /// Default bound on how long a collective waits on any single internal
 /// receive before giving up with [`CommError::Timeout`]. Generous: rank
@@ -74,15 +116,18 @@ pub struct Rank {
     /// `senders[p]` sends to rank p; entry for self unused.
     senders: Vec<Sender<Payload>>,
     /// Per-receive deadline (in milliseconds) applied to every internal
-    /// receive inside the collectives, so a rank dying mid-collective
-    /// surfaces as an error at the survivors instead of hanging them.
+    /// receive of `allreduce_sum`, so a rank dying mid-collective surfaces
+    /// as an error at the survivors instead of hanging them.
     collective_timeout_ms: std::sync::atomic::AtomicU64,
-    /// Shared barrier for collectives.
-    pub(crate) barrier: Arc<std::sync::Barrier>,
-    /// Span recorder for collective operations, if the world was launched
-    /// with [`World::run_traced`]. Unread (it is `()`) without the feature.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    pub(crate) recorder: TraceHandle,
+    barrier: Arc<WorldBarrier>,
+}
+
+impl Drop for Rank {
+    /// The rank's body has returned or is unwinding: it will reach no
+    /// further barrier.
+    fn drop(&mut self) {
+        self.barrier.depart(self.rank);
+    }
 }
 
 impl Rank {
@@ -169,58 +214,18 @@ impl Rank {
             .store(ms, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Internal receive used by every collective stage: `recv_timeout` with
-    /// the rank's collective deadline, so a peer that died (or wedged)
-    /// mid-collective surfaces as `Disconnected`/`Timeout` instead of
-    /// blocking this rank forever.
-    pub(crate) fn recv_collective<T: Send + 'static>(&self, peer: usize) -> Result<T, CommError> {
-        self.recv_timeout(peer, self.collective_timeout())
-    }
-
-    /// Paired exchange with `peer`: send `value`, receive theirs. Safe in
-    /// both orders because sends are buffered.
-    pub fn exchange<T: Send + 'static>(&self, peer: usize, value: T) -> Result<T, CommError> {
-        self.send(peer, value)?;
-        self.recv(peer)
-    }
-
     /// Block until every rank has reached this barrier.
+    ///
+    /// # Panics
+    ///
+    /// If a rank has terminated (returned or panicked) without reaching
+    /// it: that barrier can never complete.
     pub fn barrier(&self) {
-        self.barrier.wait();
-    }
-
-    /// Start a wall-clock measurement if a recorder is attached and enabled.
-    #[cfg(feature = "trace")]
-    pub(crate) fn trace_start(&self) -> Option<std::time::Instant> {
-        match &self.recorder {
-            Some(r) if r.is_enabled() => Some(std::time::Instant::now()),
-            _ => None,
-        }
-    }
-
-    /// Deposit one collective span: `bytes` is this rank's contribution
-    /// payload, grid/block carry (rank, world size).
-    #[cfg(feature = "trace")]
-    pub(crate) fn record_collective(
-        &self,
-        name: &'static str,
-        bytes: u64,
-        started: Option<std::time::Instant>,
-    ) {
-        if let Some(r) = &self.recorder {
-            if r.is_enabled() {
-                r.record(
-                    racc_core::trace::Span::new(
-                        "comm",
-                        racc_core::trace::ConstructKind::Collective,
-                        name,
-                    )
-                    .dims(self.size as u64, 1, 1)
-                    .geometry(self.rank as u64, self.size as u64)
-                    .payload(bytes)
-                    .real_since(started),
-                );
-            }
+        if let Err(dead) = self.barrier.wait() {
+            panic!(
+                "Rank::barrier on rank {}: rank {dead} has terminated and can never arrive",
+                self.rank
+            );
         }
     }
 }
@@ -230,32 +235,9 @@ pub struct World;
 
 impl World {
     /// Run `body` on `size` ranks concurrently; returns each rank's result
-    /// in rank order. Panics in any rank propagate after all ranks joined
-    /// or disconnected.
+    /// in rank order. Ranks are joined in rank order, and the first one
+    /// that panicked re-raises its panic here.
     pub fn run<T, F>(size: usize, body: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(&Rank) -> T + Send + Sync + 'static,
-    {
-        Self::run_inner(size, Default::default(), body)
-    }
-
-    /// Like [`World::run`], but every collective operation deposits one span
-    /// into `recorder` (backend key `"comm"`, kind `Collective`).
-    #[cfg(feature = "trace")]
-    pub fn run_traced<T, F>(
-        size: usize,
-        recorder: Arc<racc_core::trace::TraceRecorder>,
-        body: F,
-    ) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(&Rank) -> T + Send + Sync + 'static,
-    {
-        Self::run_inner(size, Some(recorder), body)
-    }
-
-    fn run_inner<T, F>(size: usize, recorder: TraceHandle, body: F) -> Vec<T>
     where
         T: Send + 'static,
         F: Fn(&Rank) -> T + Send + Sync + 'static,
@@ -276,7 +258,11 @@ impl World {
             }
             senders.push(row);
         }
-        let barrier = Arc::new(std::sync::Barrier::new(size));
+        let barrier = Arc::new(WorldBarrier {
+            size,
+            state: Mutex::new((0, None)),
+            turn: Condvar::new(),
+        });
         let body = Arc::new(body);
 
         let mut handles = Vec::with_capacity(size);
@@ -295,7 +281,6 @@ impl World {
                     DEFAULT_COLLECTIVE_TIMEOUT.as_millis() as u64,
                 ),
                 barrier: Arc::clone(&barrier),
-                recorder: recorder.clone(),
             };
             let body = Arc::clone(&body);
             handles.push(
@@ -307,7 +292,7 @@ impl World {
         }
         handles
             .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
+            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
             .collect()
     }
 }
@@ -346,8 +331,10 @@ mod tests {
     #[test]
     fn pairwise_exchange_is_deadlock_free() {
         let results = World::run(6, |c| {
+            // Both partners send first: sends are buffered.
             let partner = c.rank() ^ 1; // 0<->1, 2<->3, 4<->5
-            c.exchange(partner, c.rank() * 10).unwrap()
+            c.send(partner, c.rank() * 10).unwrap();
+            c.recv::<usize>(partner).unwrap()
         });
         assert_eq!(results, vec![10, 0, 30, 20, 50, 40]);
     }
@@ -451,6 +438,28 @@ mod tests {
             c.rank() + 100
         });
         assert_eq!(r, vec![100]);
+    }
+
+    #[test]
+    fn barrier_with_a_terminated_rank_panics_instead_of_hanging() {
+        use std::time::{Duration, Instant};
+        let t0 = Instant::now();
+        let outcome = std::panic::catch_unwind(|| {
+            World::run(3, |c| {
+                if c.rank() < 2 {
+                    c.barrier();
+                }
+            })
+        });
+        let panic = outcome.expect_err("World::run must panic");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("the barrier's panic message");
+        assert!(
+            message.contains("Rank::barrier") && message.contains("rank 2 has terminated"),
+            "{message}"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

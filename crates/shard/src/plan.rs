@@ -115,10 +115,10 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Split `extent` slabs over `count` shards with near-equal contiguous
-    /// blocks (the remainder spreads over the first shards, matching
-    /// `racc-comm`'s scatter). Panics if any shard would own fewer slabs
-    /// than the halo radius — clamp `count` with [`ShardPlan::max_count`]
-    /// first.
+    /// blocks: each owns `extent / count` slabs, and the first
+    /// `extent % count` shards one more. Panics if any shard would own
+    /// fewer slabs than the halo radius — clamp `count` with
+    /// [`ShardPlan::max_count`] first.
     pub fn split(extent: usize, count: usize, radius: usize, topology: Topology) -> ShardPlan {
         assert!(count >= 1, "at least one shard");
         assert!(extent >= count, "more shards than slabs");

@@ -48,7 +48,7 @@
 //! recovery, and re-broadcasts — so the signal chains around the ring
 //! without any rank polling non-neighbors in the steady state. Every
 //! receive anywhere in the protocol is timeout-guarded; the runner never
-//! calls the world barrier, which would deadlock on a dead rank.
+//! calls the world barrier, which panics once a rank has died.
 //!
 //! Recovery is reshard-and-replay: survivors exchange `Recover` messages
 //! (which also flush stale in-flight traffic, thanks to per-pair FIFO

@@ -14,7 +14,7 @@
 use crate::json::escape;
 use crate::{ConstructKind, Span};
 
-/// Lane assignment within a process: kernels, reductions, transfers, comm.
+/// Lane assignment within a process: kernels, reductions, transfers, prims, ….
 const fn lane(kind: ConstructKind) -> (u32, &'static str) {
     match kind {
         ConstructKind::For1d | ConstructKind::For2d | ConstructKind::For3d => (0, "kernels"),
@@ -22,7 +22,7 @@ const fn lane(kind: ConstructKind) -> (u32, &'static str) {
             (1, "reductions")
         }
         ConstructKind::Alloc | ConstructKind::H2d | ConstructKind::D2h => (2, "memory"),
-        ConstructKind::Collective => (3, "collectives"),
+        ConstructKind::Prim => (3, "prims"),
         ConstructKind::WorkerChunk => (4, "workers"),
         ConstructKind::Sanitizer => (5, "sanitizer"),
         ConstructKind::Fused => (6, "fused"),
@@ -32,7 +32,6 @@ const fn lane(kind: ConstructKind) -> (u32, &'static str) {
         ConstructKind::Shard => (10, "shards"),
         ConstructKind::Halo => (11, "halos"),
         ConstructKind::Serve => (12, "serve"),
-        ConstructKind::Prim => (13, "prims"),
     }
 }
 

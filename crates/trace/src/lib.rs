@@ -58,8 +58,6 @@ pub enum ConstructKind {
     H2d,
     /// Device-to-host transfer (`bytes` is the payload).
     D2h,
-    /// A `racc-comm` collective operation.
-    Collective,
     /// One worker's chunk of a CPU `parallel_for` (threadpool detail lane).
     WorkerChunk,
     /// A sanitizer (`simsan`) report snapshot: `dims.0` is allocations
@@ -115,7 +113,7 @@ impl ConstructKind {
 
     /// Every kind, in declaration order. Kept next to the enum; the
     /// `all_kinds_listed_exactly_once` test below pins exhaustiveness.
-    pub const ALL: [ConstructKind; 20] = [
+    pub const ALL: [ConstructKind; 19] = [
         ConstructKind::For1d,
         ConstructKind::For2d,
         ConstructKind::For3d,
@@ -125,7 +123,6 @@ impl ConstructKind {
         ConstructKind::Alloc,
         ConstructKind::H2d,
         ConstructKind::D2h,
-        ConstructKind::Collective,
         ConstructKind::WorkerChunk,
         ConstructKind::Sanitizer,
         ConstructKind::Fused,
@@ -149,7 +146,6 @@ impl ConstructKind {
             ConstructKind::Alloc => "alloc",
             ConstructKind::H2d => "h2d",
             ConstructKind::D2h => "d2h",
-            ConstructKind::Collective => "collective",
             ConstructKind::WorkerChunk => "chunk",
             ConstructKind::Sanitizer => "sanitizer",
             ConstructKind::Fused => "fused",
@@ -189,7 +185,7 @@ pub struct Span {
     /// Global record index (assigned by the recorder; dense, increasing).
     pub seq: u64,
     /// Backend key that executed the construct (`"serial"`, `"cudasim"`,
-    /// ...; `"comm"` for collectives, `"threadpool"` for worker chunks).
+    /// ...; `"threadpool"` for worker chunks).
     pub backend: &'static str,
     /// Construct kind.
     pub kind: ConstructKind,
@@ -207,13 +203,13 @@ pub struct Span {
     pub flops_per_iter: f64,
     /// Total profile bytes per iteration (read + written).
     pub bytes_per_iter: f64,
-    /// Payload bytes for `Alloc`/`H2d`/`D2h`/`Collective` spans.
+    /// Payload bytes for `Alloc`/`H2d`/`D2h` spans.
     pub bytes: u64,
     /// Modeled duration, quantized exactly like the backend `Timeline`
     /// charge, so per-span sums reconcile with `TimelineSnapshot`.
     pub modeled_ns: u64,
     /// Measured wall-clock duration where real execution happens (CPU
-    /// backends, collectives, worker chunks); 0 on simulated-GPU spans.
+    /// backends, worker chunks); 0 on simulated-GPU spans.
     pub real_ns: u64,
 }
 

@@ -75,6 +75,28 @@ fn sharded_lbm_and_cg_are_bit_identical_across_device_counts() {
     assert_eq!(cg(1), cg(2), "CG 2 devices vs 1");
 }
 
+/// Constructs on a simulated GPU per rank, then a cross-rank sum: every
+/// dot of the sharded CG is a kernel on each rank's `cudasim` whose
+/// partials meet in the handle's allgather, and three simulated GPUs solve
+/// bit for bit what one serial device solves.
+#[cfg(feature = "backend-cuda")]
+#[test]
+fn sharded_cg_on_simulated_gpus_matches_one_serial_device() {
+    let cg = |devices, key| {
+        run_sharded(
+            Arc::new(PipelinedCg {
+                tiles: 8,
+                tile: 12,
+                steps: 15,
+            }),
+            ShardOptions::devices(devices),
+            backend_factory(key),
+        )
+        .field
+    };
+    assert_eq!(cg(3, "cudasim"), cg(1, "serial"));
+}
+
 /// A rank killed mid-step by injected launch faults is detected by the
 /// survivors, who reshard the domain, replay from the last checkpoint,
 /// and finish with the exact bits of the fault-free run.

@@ -185,35 +185,3 @@ fn chrome_export_is_valid_json_for_all_backends() {
         assert!(out.contains(key), "missing group {key}");
     }
 }
-
-#[test]
-fn collectives_record_spans_under_run_traced() {
-    use std::sync::Arc;
-
-    let recorder = Arc::new(racc::trace::TraceRecorder::new(1024));
-    let size = 4usize;
-    let sums = racc_comm::World::run_traced(size, Arc::clone(&recorder), |rank| {
-        let local = vec![rank.rank() as f64; 8];
-        let total = rank.allreduce_sum(rank.rank() as f64).unwrap();
-        let gathered = rank.allgather(local).unwrap();
-        total + gathered.len() as f64
-    });
-    assert_eq!(sums.len(), size);
-
-    let spans = recorder.spans();
-    let allreduce = spans.iter().filter(|s| s.name == "allreduce").count();
-    let allgather = spans.iter().filter(|s| s.name == "allgather").count();
-    assert_eq!(allreduce, size, "one allreduce span per rank");
-    assert_eq!(allgather, size, "one allgather span per rank");
-    assert!(spans
-        .iter()
-        .all(|s| s.backend == "comm" && s.kind == ConstructKind::Collective));
-    // Geometry carries (rank, world size); every rank must appear.
-    let mut ranks: Vec<u64> = spans
-        .iter()
-        .filter(|s| s.name == "allreduce")
-        .map(|s| s.grid)
-        .collect();
-    ranks.sort_unstable();
-    assert_eq!(ranks, vec![0, 1, 2, 3]);
-}
