@@ -32,6 +32,7 @@ mod vendors;
 
 use std::sync::Arc;
 
+use racc_core::trace::{ConstructKind, Span};
 use racc_core::{
     AccScalar, Backend, DeviceToken, Extent, Instrument, KernelProfile, RaccError, ReduceOp,
     Timeline,
@@ -41,9 +42,6 @@ use racc_gpusim::{
     Device, DeviceSpec, FaultEvent, FaultPlan, FaultSite, LaunchConfig, RetryPolicy, SimError,
     SinglePhase, ThreadCtx, TreeShape,
 };
-
-#[cfg(feature = "trace")]
-use racc_core::trace::{ConstructKind, Span};
 
 use kernels::{BlockReduceMap, Cover, FinalReduce, Linear, MapRun, RowWise};
 pub use vendors::{cuda_backend, hip_backend, oneapi_backend, CUDA, HIP, ONEAPI};
@@ -179,7 +177,7 @@ impl SimBackend {
     #[cold]
     fn retry_slow<R>(
         &self,
-        _site: &'static str,
+        site: &'static str,
         mut err: SimError,
         attempt: impl Fn() -> Result<R, SimError>,
     ) -> Result<R, SimError> {
@@ -192,9 +190,8 @@ impl SimBackend {
             // span carries the identical quantized charge so per-span sums
             // still reconcile with the timeline.
             self.timeline.add_ns(backoff);
-            #[cfg(feature = "trace")]
             self.timeline.record_span(|| {
-                Span::new(self.vendor.key, ConstructKind::Fault, _site)
+                Span::new(self.vendor.key, ConstructKind::Fault, site)
                     .dims(retry_no as u64, 0, 0)
                     .modeled(Timeline::quantize(backoff))
             });
@@ -209,7 +206,6 @@ impl SimBackend {
     /// One `parallel_for` span, mirroring the adjacent `charge_launch` so
     /// per-span modeled sums reconcile with the timeline. `real_ns` stays 0:
     /// wall time of the simulation is meaningless here.
-    #[cfg(feature = "trace")]
     fn record_for_span(
         &self,
         rank: usize,
@@ -245,7 +241,6 @@ impl SimBackend {
         O: ReduceOp<T>,
     {
         let total = extent.len();
-        #[cfg(feature = "trace")]
         let (reduce_kind, dims) = (
             if profile.fused {
                 ConstructKind::Fused
@@ -257,7 +252,6 @@ impl SimBackend {
         if total == 0 {
             self.timeline
                 .charge_reduction(self.vendor.racc_launch_extra_ns);
-            #[cfg(feature = "trace")]
             self.timeline.record_span(|| {
                 Span::new(self.vendor.key, reduce_kind, profile.name)
                     .dims(dims[0], dims[1], dims[2])
@@ -320,23 +314,20 @@ impl SimBackend {
             + self.vendor.racc_launch_extra_ns;
         self.timeline.charge_reduction(reduce_ns);
         self.timeline.charge_d2h(elem as u64, 0.0);
-        #[cfg(feature = "trace")]
-        {
-            // One span for the whole two-kernel sequence, one for the scalar
-            // readback — matching the two timeline charges above.
-            self.timeline.record_span(|| {
-                Span::new(self.vendor.key, reduce_kind, profile.name)
-                    .dims(dims[0], dims[1], dims[2])
-                    .geometry(blocks as u64, block as u64)
-                    .profile(profile.flops_per_iter, profile.bytes_per_iter())
-                    .modeled(Timeline::quantize(reduce_ns))
-            });
-            self.timeline.record_span(|| {
-                Span::new(self.vendor.key, ConstructKind::D2h, "reduce_result")
-                    .dims(0, 0, 0)
-                    .payload(elem as u64)
-            });
-        }
+        // One span for the whole two-kernel sequence, one for the scalar
+        // readback — matching the two timeline charges above.
+        self.timeline.record_span(|| {
+            Span::new(self.vendor.key, reduce_kind, profile.name)
+                .dims(dims[0], dims[1], dims[2])
+                .geometry(blocks as u64, block as u64)
+                .profile(profile.flops_per_iter, profile.bytes_per_iter())
+                .modeled(Timeline::quantize(reduce_ns))
+        });
+        self.timeline.record_span(|| {
+            Span::new(self.vendor.key, ConstructKind::D2h, "reduce_result")
+                .dims(0, 0, 0)
+                .payload(elem as u64)
+        });
         result
     }
 }
@@ -349,7 +340,6 @@ impl Instrument for SimBackend {
 
     fn sanitizer_report(&self) -> Option<String> {
         let report = self.device.sanitizer_report()?;
-        #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
             Span::new(self.vendor.key, ConstructKind::Sanitizer, "sancheck")
                 .dims(report.allocations_tracked, 0, 0)
@@ -420,7 +410,6 @@ impl Backend for SimBackend {
         let token = self
             .with_retry("alloc", || self.device.reserve(bytes))
             .map_err(|e| RaccError::Allocation(e.to_string()))?;
-        #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
             Span::new(self.vendor.key, ConstructKind::Alloc, "alloc")
                 .dims(0, 0, 0)
@@ -436,7 +425,6 @@ impl Backend for SimBackend {
             self.device
                 .charge(racc_gpusim::OpKind::H2D, bytes as u64, 0, ns);
             self.timeline.charge_h2d(bytes as u64, ns);
-            #[cfg(feature = "trace")]
             self.timeline.record_span(|| {
                 Span::new(self.vendor.key, ConstructKind::H2d, "upload")
                     .dims(0, 0, 0)
@@ -460,7 +448,6 @@ impl Backend for SimBackend {
         self.device
             .charge(racc_gpusim::OpKind::D2H, bytes as u64, 0, ns);
         self.timeline.charge_d2h(bytes as u64, ns);
-        #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
             Span::new(self.vendor.key, ConstructKind::D2h, "download")
                 .dims(0, 0, 0)
@@ -477,7 +464,6 @@ impl Backend for SimBackend {
         // An empty index space is charged the portability overhead alone.
         if extent.is_empty() {
             self.timeline.charge_launch(extra_ns);
-            #[cfg(feature = "trace")]
             self.record_for_span(extent.rank(), profile, [0, 0, 0], None, extra_ns);
             return;
         }
@@ -506,7 +492,6 @@ impl Backend for SimBackend {
         }));
         let total_ns = ns as f64 + extra_ns;
         self.timeline.charge_launch(total_ns);
-        #[cfg(feature = "trace")]
         self.record_for_span(
             extent.rank(),
             profile,

@@ -51,17 +51,13 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use racc_core::{AccScalar, KernelProfile, ReduceOp};
+use racc_core::trace::{ConstructKind, Span};
+use racc_core::{AccScalar, KernelProfile, ReduceOp, Timeline};
 use racc_gpusim::perf::KernelCost;
 use racc_gpusim::{
     BlockCtx, DeviceSlice, DeviceSliceMut, LaunchConfig, LeaderPhases, PhasedKernel, SharedMem,
     SinglePhase, ThreadCtx,
 };
-
-#[cfg(feature = "trace")]
-use racc_core::trace::{ConstructKind, Span};
-#[cfg(feature = "trace")]
-use racc_core::Timeline;
 
 use racc_prim::reference::{self as prim, PRIM_TILE};
 use racc_prim::PrimBackend;
@@ -592,19 +588,18 @@ impl SimBackend {
     /// its `Prim` span, mirroring `reduce_linear`'s accounting shape.
     fn finish_prim(
         &self,
-        _profile: &KernelProfile,
-        _dims: [u64; 3],
-        _geometry: (u64, u64),
+        profile: &KernelProfile,
+        dims: [u64; 3],
+        geometry: (u64, u64),
         kernels_ns: f64,
     ) {
         let total = kernels_ns * self.vendor.reduce_time_factor + self.vendor.racc_launch_extra_ns;
         self.timeline.charge_launch(total);
-        #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
-            Span::new(self.vendor.key, ConstructKind::Prim, _profile.name)
-                .dims(_dims[0], _dims[1], _dims[2])
-                .geometry(_geometry.0, _geometry.1)
-                .profile(_profile.flops_per_iter, _profile.bytes_per_iter())
+            Span::new(self.vendor.key, ConstructKind::Prim, profile.name)
+                .dims(dims[0], dims[1], dims[2])
+                .geometry(geometry.0, geometry.1)
+                .profile(profile.flops_per_iter, profile.bytes_per_iter())
                 .modeled(Timeline::quantize(total))
         });
     }

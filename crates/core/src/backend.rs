@@ -134,8 +134,7 @@ where
 pub trait Instrument {
     /// Hand the span recorder to execution engines below the back end (the
     /// thread pool's per-worker chunk spans). The context has already
-    /// installed it into the back end's [`Timeline`].
-    #[cfg(feature = "trace")]
+    /// installs it into the back end's [`Timeline`].
     fn attach_tracer(&self, _recorder: &Arc<racc_trace::TraceRecorder>) {}
 
     /// Enable or disable the backend's dynamic sanitizer (`simsan`):

@@ -1,8 +1,6 @@
 //! The front-end context: array creation + the two constructs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(feature = "trace")]
 use std::sync::Arc;
 
 use crate::array::{Array1, Array2, Array3};
@@ -54,9 +52,6 @@ pub struct Context<B: Backend> {
     /// scans/histograms/sorts run on this context; all zero (and hidden
     /// from `stats()`) otherwise.
     prim: std::sync::Arc<PrimCounters>,
-    /// The span recorder attached at build time (see [`Context::builder`]).
-    #[cfg(feature = "trace")]
-    tracer: Option<Arc<racc_trace::TraceRecorder>>,
 }
 
 impl<B: Backend> std::fmt::Debug for Context<B> {
@@ -80,8 +75,6 @@ impl<B: Backend> Context<B> {
             shard: std::sync::Arc::new(ShardCounters::default()),
             serve: std::sync::Arc::new(ServeCounters::default()),
             prim: std::sync::Arc::new(PrimCounters::default()),
-            #[cfg(feature = "trace")]
-            tracer: None,
         }
     }
 
@@ -492,16 +485,15 @@ impl<B: Backend> Context<B> {
         self.backend.timeline().reset();
     }
 
-    /// The span recorder attached at build time, if any.
-    #[cfg(feature = "trace")]
+    /// The span recorder attached at build time, if any: the one installed
+    /// in the backend's [`Timeline`](crate::Timeline).
     pub fn tracer(&self) -> Option<&Arc<racc_trace::TraceRecorder>> {
-        self.tracer.as_ref()
+        self.backend.timeline().tracer()
     }
 
     /// All spans recorded so far (empty when no recorder is attached).
-    #[cfg(feature = "trace")]
     pub fn trace_spans(&self) -> Vec<racc_trace::Span> {
-        self.tracer.as_ref().map(|r| r.spans()).unwrap_or_default()
+        self.tracer().map(|r| r.spans()).unwrap_or_default()
     }
 
     /// Whether fused fast paths are requested for this context (set by
@@ -606,28 +598,23 @@ impl ContextOptions {
         if let Some(policy) = self.retry {
             backend.instrument().set_retry(policy);
         }
-        let mut ctx = Context::new(backend);
-        ctx.fusion = self.fusion;
-        #[cfg(feature = "trace")]
         if self.trace {
             let capacity = self.trace_capacity.unwrap_or(racc_trace::DEFAULT_CAPACITY);
             let recorder = Arc::new(racc_trace::TraceRecorder::new(capacity));
             // One span per construct from the timeline, and whatever the
             // engines below the back end add (the pool's worker chunks).
-            ctx.backend.timeline().install_tracer(Arc::clone(&recorder));
-            ctx.backend.instrument().attach_tracer(&recorder);
-            ctx.tracer = Some(recorder);
+            backend.instrument().attach_tracer(&recorder);
+            backend.timeline().install_tracer(recorder);
         }
+        let mut ctx = Context::new(backend);
+        ctx.fusion = self.fusion;
         ctx
     }
 }
 
 /// Builder for a [`Context`] with construction-time observability options.
-/// Obtained from [`Context::builder`]; `build()` is infallible.
-///
-/// Options behind cargo features degrade to documented no-ops when the
-/// feature is off, so application code using the builder compiles under any
-/// feature set.
+/// Obtained from [`Context::builder`]; `build()` is infallible. Every
+/// option is a run-time choice: none depends on a cargo feature.
 pub struct ContextBuilder<B: Backend> {
     backend: B,
     options: ContextOptions,
@@ -642,8 +629,8 @@ impl<B: Backend> ContextBuilder<B> {
     }
 
     /// Attach a span recorder to the backend so every construct deposits
-    /// one `racc-trace` span. No-op unless the `trace` feature is compiled
-    /// in.
+    /// one `racc-trace` span. Off by default; while off, each construct
+    /// pays one load and a branch for it.
     pub fn trace(mut self, enabled: bool) -> Self {
         self.options.trace = enabled;
         self

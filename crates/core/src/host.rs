@@ -17,21 +17,19 @@ use crate::error::RaccError;
 use crate::profile::KernelProfile;
 use crate::racecheck;
 use crate::timeline::Timeline;
+use racc_trace::{ConstructKind, Span};
 
 /// The CPU a back end models and the clock it charges.
 pub struct Host {
     pub(crate) key: &'static str,
     /// Participants a construct is spread over; only spans report it.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     workers: usize,
     pub(crate) cpu: CpuSpec,
     pub(crate) timeline: Timeline,
 }
 
-/// A construct in flight, from [`Host::open`] to its close. Zero-sized
-/// without the `trace` feature.
+/// A construct in flight, from [`Host::open`] to its close.
 pub struct Open {
-    #[cfg(feature = "trace")]
     started: Option<std::time::Instant>,
 }
 
@@ -55,8 +53,7 @@ pub(crate) enum Construct {
     Launch {
         visits: usize,
         dims: [usize; 3],
-        #[cfg(feature = "trace")]
-        kind: racc_trace::ConstructKind,
+        kind: ConstructKind,
     },
 }
 
@@ -74,7 +71,6 @@ impl Host {
     #[inline]
     pub fn open(&self) -> Open {
         let open = Open {
-            #[cfg(feature = "trace")]
             started: self.timeline.trace_start(),
         };
         racecheck::begin_launch();
@@ -83,32 +79,12 @@ impl Host {
 
     /// Close a construct that is neither `parallel_for` nor
     /// `parallel_reduce`: the model charges one launch over `visits`
-    /// element visits, and the span — a 1D `parallel_for` one unless
-    /// [`Host::close_launch_as`] names its kind — reports `dims`.
+    /// element visits, and the span, reported as `kind`, carries `dims`.
     #[inline]
     pub fn close_launch(
         &self,
         open: Open,
-        visits: usize,
-        dims: [usize; 3],
-        profile: &KernelProfile,
-    ) {
-        let what = Construct::Launch {
-            visits,
-            dims,
-            #[cfg(feature = "trace")]
-            kind: racc_trace::ConstructKind::For1d,
-        };
-        self.close(open, what, profile);
-    }
-
-    /// [`Host::close_launch`] with the span reported as `kind`.
-    #[cfg(feature = "trace")]
-    #[inline]
-    pub fn close_launch_as(
-        &self,
-        open: Open,
-        kind: racc_trace::ConstructKind,
+        kind: ConstructKind,
         visits: usize,
         dims: [usize; 3],
         profile: &KernelProfile,
@@ -117,7 +93,6 @@ impl Host {
     }
 
     #[inline]
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     pub(crate) fn close(&self, open: Open, what: Construct, profile: &KernelProfile) {
         racecheck::end_launch();
         let (visits, dims) = match what {
@@ -135,9 +110,7 @@ impl Host {
         };
         // One span per construct: the charge quantized as the timeline
         // quantized it, and the measured wall-clock duration.
-        #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
-            use racc_trace::ConstructKind;
             let kind = match what {
                 // Fused launches keep the construct's execution path but
                 // land on the dedicated `fused` trace lane (see `racc-fuse`).
@@ -148,7 +121,7 @@ impl Host {
             };
             let dims = dims.map(|d| d as u64);
             let (workers, iters) = (self.workers as u64, dims.iter().product::<u64>());
-            racc_trace::Span::new(self.key, kind, profile.name)
+            Span::new(self.key, kind, profile.name)
                 .dims(dims[0], dims[1], dims[2])
                 .geometry(workers, iters.div_ceil(workers.max(1)))
                 .profile(profile.flops_per_iter, profile.bytes_per_iter())
@@ -160,11 +133,9 @@ impl Host {
     /// Host memory is the array's storage (the paper: "when using
     /// Base.Threads as the back end, using JACC.Array is not necessary"):
     /// no transfer, no token, one `Alloc` span.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     pub(crate) fn on_alloc(&self, bytes: usize) -> Result<DeviceToken, RaccError> {
-        #[cfg(feature = "trace")]
         self.timeline.record_span(|| {
-            racc_trace::Span::new(self.key, racc_trace::ConstructKind::Alloc, "alloc")
+            Span::new(self.key, ConstructKind::Alloc, "alloc")
                 .dims(0, 0, 0)
                 .payload(bytes as u64)
         });

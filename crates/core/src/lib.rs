@@ -90,9 +90,7 @@ pub use timeline::{Timeline, TimelineSnapshot};
 pub use views::{View1, View2, View3, ViewMut1, ViewMut2, ViewMut3};
 
 /// The span-recording crate, re-exported so backends and applications built
-/// on `racc-core` use one coherent `racc-trace` version (enable the `trace`
-/// feature).
-#[cfg(feature = "trace")]
+/// on `racc-core` use one coherent `racc-trace` version.
 pub use racc_trace as trace;
 
 /// Convenience glob import for application code.

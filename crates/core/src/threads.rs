@@ -94,7 +94,6 @@ impl ThreadsBackend {
 
 impl Instrument for ThreadsBackend {
     /// Per-worker chunk spans come from inside the pool.
-    #[cfg(feature = "trace")]
     fn attach_tracer(&self, recorder: &Arc<racc_trace::TraceRecorder>) {
         self.pool.install_tracer(Arc::clone(recorder));
     }

@@ -1,13 +1,9 @@
 //! Modeled-time accounting per backend.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(feature = "trace")]
 use std::sync::{Arc, OnceLock};
-#[cfg(feature = "trace")]
 use std::time::Instant;
 
-#[cfg(feature = "trace")]
 use racc_trace::{Span, TraceRecorder};
 
 /// Accumulates the modeled nanoseconds and operation counts of a backend.
@@ -23,7 +19,6 @@ pub struct Timeline {
     d2h_bytes: AtomicU64,
     /// Span recorder, installed at most once per backend instance
     /// (by the context, when it is built with tracing on).
-    #[cfg(feature = "trace")]
     tracer: OnceLock<Arc<TraceRecorder>>,
 }
 
@@ -113,10 +108,9 @@ impl Timeline {
     }
 }
 
-/// Span-recording support, compiled in with the `trace` feature. When the
-/// feature is off, none of this exists and backends' emission sites compile
-/// out with it.
-#[cfg(feature = "trace")]
+/// Span recording. Every build has it; a context built without
+/// [`ContextBuilder::trace`](crate::ContextBuilder::trace) installs no
+/// recorder, and then each emission site costs one load and a branch.
 impl Timeline {
     /// Install the span recorder. At most one recorder per timeline; later
     /// calls are ignored (first installer wins).

@@ -384,11 +384,9 @@ impl<'c, B: Backend> Lazy<'c, B> {
         let program = match cache.lookup(hash, &s.key, name) {
             Some(program) => program,
             None => {
-                #[cfg(feature = "trace")]
                 let t0 = ctx.tracer().map(|_| std::time::Instant::now());
                 let groups = plan::plan(&s.stmts, &s.barriers, terminal, false);
                 let program = Arc::new(compile::compile_program(s, &groups, name));
-                #[cfg(feature = "trace")]
                 if let Some(recorder) = ctx.tracer() {
                     use racc_core::trace::{ConstructKind, Span};
                     recorder.record(

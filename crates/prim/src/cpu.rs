@@ -10,6 +10,7 @@
 //! its pool; the reference's comparison sort is its specification.
 
 use racc_core::host::{tag, Host, Open};
+use racc_core::trace::ConstructKind;
 use racc_core::{AccScalar, KernelProfile, ReduceOp, SerialBackend, ThreadsBackend};
 
 use crate::reference::{self, PRIM_TILE};
@@ -301,31 +302,16 @@ impl<I: RadixIndex> Pass<'_, I> {
     }
 }
 
-/// One modeled launch over `visits` element visits, on the `Prim` lane.
-#[inline]
-fn close(host: &Host, open: Open, visits: usize, dims: [usize; 3], profile: &KernelProfile) {
-    #[cfg(feature = "trace")]
-    host.close_launch_as(
-        open,
-        racc_core::trace::ConstructKind::Prim,
-        visits,
-        dims,
-        profile,
-    );
-    #[cfg(not(feature = "trace"))]
-    host.close_launch(open, visits, dims, profile);
-}
-
 /// A scan sweeps the data twice: tile totals, then the output pass.
 #[inline]
 fn close_scan(host: &Host, open: Open, n: usize, profile: &KernelProfile) {
-    close(host, open, 2 * n, [n, 1, 1], profile);
+    host.close_launch(open, ConstructKind::Prim, 2 * n, [n, 1, 1], profile);
 }
 
 /// A histogram visits every element and writes every bin.
 #[inline]
 fn close_histogram(host: &Host, open: Open, n: usize, bins: usize, profile: &KernelProfile) {
-    close(host, open, n + bins, [n, bins, 1], profile);
+    host.close_launch(open, ConstructKind::Prim, n + bins, [n, bins, 1], profile);
 }
 
 /// Charged as a comparison sort, `n log2 n` element visits, though both
@@ -334,9 +320,9 @@ fn close_histogram(host: &Host, open: Open, n: usize, bins: usize, profile: &Ker
 #[inline]
 fn close_sort(host: &Host, open: Open, n: usize, key_bits: u32, profile: &KernelProfile) {
     let log_n = (usize::BITS - n.max(1).leading_zeros()) as usize;
-    close(
-        host,
+    host.close_launch(
         open,
+        ConstructKind::Prim,
         n * log_n.max(1),
         [n, key_bits as usize, 1],
         profile,

@@ -52,9 +52,9 @@
 //!
 //! Observability: [`Server::stats`] returns a [`ServerSnapshot`] (pool
 //! totals plus per-tenant queue depths); each pool context's own
-//! `ctx.stats().serve` carries its share of the same counters; with the
-//! `trace` feature each dispatched job records a `serve` span into the
-//! context's chrome-trace lane.
+//! `ctx.stats().serve` carries its share of the same counters; on a traced
+//! context each dispatched job records a `serve` span into the context's
+//! chrome-trace lane.
 
 mod engine;
 mod error;

@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
+use racc_core::trace::{ConstructKind, Span};
 use racc_core::{Backend, Context, RaccError, RetryPolicy, ServeStats};
 use racc_prefs::{Preferences, TenantPrefs};
 
@@ -804,10 +805,7 @@ impl<B: Backend> Dispatcher<B> {
             fell_back,
             batch,
         };
-        #[cfg(feature = "trace")]
         self.record_span(device, ndev, job.tenant, &report);
-        #[cfg(not(feature = "trace"))]
-        let _ = ndev;
         match outcome {
             Ok(out) => {
                 bump(&self.shared.counters.completed);
@@ -902,21 +900,16 @@ impl<B: Backend> Dispatcher<B> {
         )
     }
 
-    #[cfg(feature = "trace")]
     fn record_span(&self, device: usize, ndev: usize, tenant: usize, report: &JobReport) {
         let ctx = &self.ctxs[device];
         if let Some(recorder) = ctx.tracer() {
             if recorder.is_enabled() {
                 recorder.record(
-                    racc_core::trace::Span::new(
-                        ctx.key(),
-                        racc_core::trace::ConstructKind::Serve,
-                        "job",
-                    )
-                    .dims(report.id, tenant as u64, report.batch as u64)
-                    .geometry(device as u64, ndev as u64)
-                    .payload(report.queue_delay_ns())
-                    .modeled(report.latency_ns()),
+                    Span::new(ctx.key(), ConstructKind::Serve, "job")
+                        .dims(report.id, tenant as u64, report.batch as u64)
+                        .geometry(device as u64, ndev as u64)
+                        .payload(report.queue_delay_ns())
+                        .modeled(report.latency_ns()),
                 );
             }
         }

@@ -64,6 +64,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use racc_comm::{CommError, Rank, World};
+use racc_core::trace::{ConstructKind, Span};
 use racc_core::{Backend, Context, ShardCounters, ShardStats};
 
 use crate::plan::{Shard, ShardPlan, Topology};
@@ -669,7 +670,6 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         self.counters
             .steps
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(feature = "trace")]
         self.record_step_spans(charged, exchange_ns);
 
         let result = if let Some(data) = dump {
@@ -685,49 +685,35 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         Ok(result)
     }
 
-    #[cfg(feature = "trace")]
     fn record_step_spans(&self, charged_ns: u64, exchange_ns: u64) {
         if let Some(recorder) = self.ctx.tracer() {
             if recorder.is_enabled() {
                 recorder.record(
-                    racc_core::trace::Span::new(
-                        self.ctx.key(),
-                        racc_core::trace::ConstructKind::Shard,
-                        "step",
-                    )
-                    .dims(self.step, self.my_index as u64, self.epoch as u64)
-                    .geometry(self.my_world_rank() as u64, self.plan.count() as u64)
-                    .modeled(charged_ns),
+                    Span::new(self.ctx.key(), ConstructKind::Shard, "step")
+                        .dims(self.step, self.my_index as u64, self.epoch as u64)
+                        .geometry(self.my_world_rank() as u64, self.plan.count() as u64)
+                        .modeled(charged_ns),
                 );
                 if self.step_halo_bytes > 0 {
                     recorder.record(
-                        racc_core::trace::Span::new(
-                            self.ctx.key(),
-                            racc_core::trace::ConstructKind::Halo,
-                            "exchange",
-                        )
-                        .dims(self.step, self.my_index as u64, self.epoch as u64)
-                        .geometry(self.my_world_rank() as u64, self.plan.count() as u64)
-                        .payload(self.step_halo_bytes)
-                        .modeled(exchange_ns),
+                        Span::new(self.ctx.key(), ConstructKind::Halo, "exchange")
+                            .dims(self.step, self.my_index as u64, self.epoch as u64)
+                            .geometry(self.my_world_rank() as u64, self.plan.count() as u64)
+                            .payload(self.step_halo_bytes)
+                            .modeled(exchange_ns),
                     );
                 }
             }
         }
     }
 
-    #[cfg(feature = "trace")]
     fn record_reshard_span(&self) {
         if let Some(recorder) = self.ctx.tracer() {
             if recorder.is_enabled() {
                 recorder.record(
-                    racc_core::trace::Span::new(
-                        self.ctx.key(),
-                        racc_core::trace::ConstructKind::Shard,
-                        "reshard",
-                    )
-                    .dims(self.step, self.my_index as u64, self.epoch as u64)
-                    .geometry(self.my_world_rank() as u64, self.plan.count() as u64),
+                    Span::new(self.ctx.key(), ConstructKind::Shard, "reshard")
+                        .dims(self.step, self.my_index as u64, self.epoch as u64)
+                        .geometry(self.my_world_rank() as u64, self.plan.count() as u64),
                 );
             }
         }
@@ -884,7 +870,6 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         self.counters
             .reshards
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(feature = "trace")]
         self.record_reshard_span();
         replay_step
     }

@@ -44,6 +44,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
+use racc_trace::{ConstructKind, Span, TraceRecorder};
 
 use crate::latch::CountLatch;
 use crate::schedule::{static_block, Schedule, Tiling};
@@ -194,8 +195,7 @@ pub struct ThreadPool {
     /// Optional span recorder; when installed and enabled, launches deposit
     /// one `WorkerChunk` span per executed leaf range and one `Steal` span
     /// per successful steal.
-    #[cfg(feature = "trace")]
-    recorder: OnceLock<std::sync::Arc<racc_trace::TraceRecorder>>,
+    recorder: OnceLock<Arc<TraceRecorder>>,
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -255,7 +255,6 @@ impl ThreadPool {
         Ok(ThreadPool {
             shared,
             handles,
-            #[cfg(feature = "trace")]
             recorder: OnceLock::new(),
         })
     }
@@ -263,8 +262,7 @@ impl ThreadPool {
     /// Install a span recorder (first installer wins). Subsequent launches
     /// emit one `WorkerChunk` span per executed leaf range plus one `Steal`
     /// span per successful steal while the recorder is enabled.
-    #[cfg(feature = "trace")]
-    pub fn install_tracer(&self, recorder: std::sync::Arc<racc_trace::TraceRecorder>) {
+    pub fn install_tracer(&self, recorder: Arc<TraceRecorder>) {
         let _ = self.recorder.set(recorder);
     }
 
@@ -402,12 +400,11 @@ impl ThreadPool {
         let tiles = tiling.tiles();
         debug_assert!(tiles > 0);
         debug_assert!(self.shared.participants > 1);
-        #[cfg(feature = "trace")]
-        let rec: *const racc_trace::TraceRecorder = self
+        let rec: *const TraceRecorder = self
             .recorder
             .get()
             .filter(|r| r.is_enabled())
-            .map_or(std::ptr::null(), std::sync::Arc::as_ptr);
+            .map_or(std::ptr::null(), Arc::as_ptr);
         let header = LaunchHeader {
             exec,
             data,
@@ -416,7 +413,6 @@ impl ThreadPool {
             latch: CountLatch::new(0),
             poisoned: AtomicBool::new(false),
             payload: Mutex::new(None),
-            #[cfg(feature = "trace")]
             rec,
         };
         let shared = &*self.shared;
@@ -518,7 +514,6 @@ struct LaunchHeader {
     exec: unsafe fn(*const (), usize, usize),
     data: *const (),
     /// Read only by the trace path (element spans of executed tile ranges).
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     tiling: Tiling,
     tiles_left: AtomicUsize,
     /// Counts outstanding woken workers, *not* tasks: incremented before
@@ -528,8 +523,7 @@ struct LaunchHeader {
     /// Set on the first panic; remaining tasks drain without executing.
     poisoned: AtomicBool,
     payload: Mutex<Option<Box<dyn Any + Send>>>,
-    #[cfg(feature = "trace")]
-    rec: *const racc_trace::TraceRecorder,
+    rec: *const TraceRecorder,
 }
 
 impl LaunchHeader {
@@ -664,7 +658,6 @@ fn find_task(
                 Steal::Success(w) => {
                     let task = Task::from_words(w);
                     shared.counters[stat].stolen.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(feature = "trace")]
                     record_steal(&task, stat, v);
                     return Some(task);
                 }
@@ -717,14 +710,12 @@ fn run_task(shared: &PoolShared, me: Option<usize>, stat: usize, task: Task) {
     if pushed {
         maybe_wake(shared, header, stat);
     }
-    #[cfg(feature = "trace")]
     let t_start = (!header.rec.is_null()).then(std::time::Instant::now);
     // SAFETY: exec's contract (run_tiled) covers any disjoint tile range.
     let result = catch_unwind(AssertUnwindSafe(|| unsafe {
         (header.exec)(header.data, lo, hi)
     }));
     counters.executed.fetch_add(1, Ordering::Relaxed);
-    #[cfg(feature = "trace")]
     if !header.rec.is_null() {
         let (s, e) = header.tiling.elem_span(lo, hi);
         // SAFETY: the recorder Arc is owned by the pool, which outlives the
@@ -805,7 +796,6 @@ fn maybe_wake(shared: &PoolShared, header: &LaunchHeader, stat: usize) {
 /// One `Steal` span: dims = stolen tile count, geometry = (thief, victim).
 /// Zero duration — it marks the handoff, not the execution (the executed
 /// range gets its own `WorkerChunk` span).
-#[cfg(feature = "trace")]
 fn record_steal(task: &Task, thief: usize, victim: usize) {
     // SAFETY: the task was just taken from a live deque, so its launch still
     // has outstanding tiles and the header is alive.
@@ -816,7 +806,7 @@ fn record_steal(task: &Task, thief: usize, victim: usize) {
     let tiles = (task.t1 - task.t0) as u64;
     // SAFETY: recorder outlives the launch (owned by the pool).
     unsafe { &*header.rec }.record(
-        racc_trace::Span::new("threadpool", racc_trace::ConstructKind::Steal, "steal")
+        Span::new("threadpool", ConstructKind::Steal, "steal")
             .dims(tiles, 1, 1)
             .geometry(thief as u64, victim as u64),
     );
@@ -852,16 +842,11 @@ fn serial_for<F: Fn(Range<usize>)>(n: usize, f: F) {
 /// One per-worker chunk span: grid = participant index, dims/block = chunk
 /// length. Modeled time stays 0 — the owning backend's construct span carries
 /// the modeled charge; these only expose real load balance.
-#[cfg(feature = "trace")]
-fn chunk_span(who: usize, start: usize, end: usize) -> racc_trace::Span {
+fn chunk_span(who: usize, start: usize, end: usize) -> Span {
     let len = (end - start) as u64;
-    racc_trace::Span::new(
-        "threadpool",
-        racc_trace::ConstructKind::WorkerChunk,
-        "chunk",
-    )
-    .dims(len, 1, 1)
-    .geometry(who as u64, len)
+    Span::new("threadpool", ConstructKind::WorkerChunk, "chunk")
+        .dims(len, 1, 1)
+        .geometry(who as u64, len)
 }
 
 /// Raw pointer wrapper that may cross threads; all dereferences are guarded

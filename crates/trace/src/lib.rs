@@ -11,13 +11,14 @@
 //!
 //! ## Cost model
 //!
-//! Recording is wait-free for writers: one `fetch_add` to claim a slot plus
-//! two release stores around a plain 96-byte write. There is **no**
-//! allocation, locking, or formatting on the hot path; all rendering happens
-//! in the sinks. When a recorder is present but disabled
-//! ([`TraceRecorder::set_enabled`]), `record` is a single relaxed load and a
-//! branch. When the `trace` cargo feature of `racc-core` is off, the
-//! emission call sites compile out entirely.
+//! Recording is wait-free for writers: one `fetch_add` to claim a slot, the
+//! odd stamp and a release fence, a plain 96-byte write, and the even stamp
+//! (a release store). There is **no** allocation, locking, or formatting on
+//! the hot path; all rendering happens in the sinks. When a recorder is
+//! present but disabled ([`TraceRecorder::set_enabled`]), `record` is a
+//! single relaxed load and a branch. The emission call sites are in every
+//! build of `racc-core`; a context built without tracing installs no
+//! recorder, and each site then costs one load and a branch.
 //!
 //! ## Consistency
 //!
@@ -28,7 +29,7 @@
 //! the slot. Readers are intended to run after the traced region quiesces.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 pub mod chrome;
@@ -356,7 +357,12 @@ impl TraceRecorder {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         span.seq = seq;
         let slot = &self.slots[(seq & self.mask) as usize];
-        slot.stamp.store(2 * seq + 1, Ordering::Release);
+        slot.stamp.store(2 * seq + 1, Ordering::Relaxed);
+        // The span write below must not move above the odd stamp: a reader
+        // that sees any of it then also sees the odd stamp on its re-check
+        // (this fence pairs with the reader's acquire fence; Boehm, "Can
+        // seqlocks get along with programming language memory models?").
+        fence(Ordering::Release);
         // SAFETY: the odd stamp marks the write in progress; readers skip
         // the slot until the matching even stamp is published below.
         unsafe {
@@ -395,7 +401,10 @@ impl TraceRecorder {
                 }
                 // SAFETY: stamp re-validation below rejects torn copies.
                 let span = unsafe { *slot.span.get() };
-                if slot.stamp.load(Ordering::Acquire) == before {
+                // The copy above must not move below the re-check (pairs with
+                // the writer's release fence after its odd stamp).
+                fence(Ordering::Acquire);
+                if slot.stamp.load(Ordering::Relaxed) == before {
                     if span.seq < head {
                         out.push(span);
                     }

@@ -80,7 +80,6 @@ pub use racc_core::RaccError as Error;
 
 /// The span-recording crate (`racc-trace`), re-exported for sink access
 /// (chrome traces, kernel summaries). See [`ContextBuilder::trace`].
-#[cfg(feature = "trace")]
 pub use racc_core::trace;
 
 /// The lazy expression-graph and kernel-fusion engine (`racc-fuse`):
@@ -152,7 +151,7 @@ pub use racc_backend_common::{SimBackend, Vendor};
 /// | [`Backend`], [`AnyBackend`], [`SerialBackend`], [`ThreadsBackend`] | back ends |
 /// | [`RaccError`] / [`Error`] | the unified error type |
 /// | [`TimelineSnapshot`] | modeled-clock counters |
-/// | `TraceRecorder`, `Span` | span recording (`trace` feature) |
+/// | `TraceRecorder`, `Span` | span recording ([`ContextBuilder::trace`]) |
 ///
 /// [`builder`]: crate::builder
 /// [`default_context`]: crate::default_context
@@ -173,7 +172,6 @@ pub mod prelude {
     pub use racc_fuse::{lit, load, Expr, Lazy, LazyExt, ReduceKind};
     pub use racc_prim::{PrimError, PrimExt, SortKey};
 
-    #[cfg(feature = "trace")]
     pub use racc_core::trace::{Span, TraceRecorder};
 }
 
@@ -446,8 +444,8 @@ impl ContextBuilder {
     }
 
     /// Record one span per construct into a `TraceRecorder`, retrievable
-    /// via `Context::tracer()` / `Context::trace_spans()`. No-op unless
-    /// the `trace` feature is compiled in.
+    /// via `Context::tracer()` / `Context::trace_spans()`. Off by default;
+    /// while off, each construct pays one load and a branch for it.
     pub fn trace(mut self, enabled: bool) -> Self {
         self.options.trace = enabled;
         self
@@ -598,11 +596,9 @@ impl ContextBuilder {
 /// Surface a fallback decision inside the replacement context's trace:
 /// one `Fault` span per fault observed during the failed probe, then a
 /// `fallback` marker span (all with zero modeled time, so timeline/span
-/// reconciliation is unaffected). Without the `trace` feature the stderr
-/// diagnostic printed by the probe is the only report.
-#[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+/// reconciliation is unaffected). On a context built without tracing the
+/// stderr diagnostic printed by the probe is the only report.
 fn report_degradation(ctx: &Ctx, faults: &[FaultEvent]) {
-    #[cfg(feature = "trace")]
     if let Some(rec) = ctx.tracer() {
         for ev in faults {
             rec.record(
@@ -806,7 +802,6 @@ mod tests {
             assert_eq!(stats.faults.injected > 0, sim, "{key}: fault stats");
             assert_eq!(stats.steal.is_some(), key != "serial", "{key}: steal stats");
             // The pool below `threads` received the recorder.
-            #[cfg(feature = "trace")]
             assert_eq!(
                 ctx.trace_spans()
                     .iter()

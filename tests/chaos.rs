@@ -127,22 +127,19 @@ fn hard_device_failure_falls_back_to_threads() {
 
     // The probe's injected faults and the fallback decision are visible
     // in the trace.
-    #[cfg(feature = "trace")]
-    {
-        let spans = ctx.trace_spans();
-        let faults: Vec<_> = spans
-            .iter()
-            .filter(|s| s.kind == racc::trace::ConstructKind::Fault)
-            .collect();
-        assert!(
-            faults.iter().any(|s| s.name == "launch"),
-            "probe faults must be reported"
-        );
-        assert!(
-            faults.iter().any(|s| s.name == "fallback"),
-            "the fallback itself must be reported"
-        );
-    }
+    let spans = ctx.trace_spans();
+    let faults: Vec<_> = spans
+        .iter()
+        .filter(|s| s.kind == racc::trace::ConstructKind::Fault)
+        .collect();
+    assert!(
+        faults.iter().any(|s| s.name == "launch"),
+        "probe faults must be reported"
+    );
+    assert!(
+        faults.iter().any(|s| s.name == "fallback"),
+        "the fallback itself must be reported"
+    );
 }
 
 /// Without `fallback`, the same hard failure surfaces as an error from

@@ -642,7 +642,6 @@ fn prims_survive_fixed_seed_chaos() {
 
 /// `ConstructKind::Prim` spans land on the trace, and `ctx.stats()`
 /// reports the primitive counters on every backend.
-#[cfg(feature = "trace")]
 #[test]
 fn prim_spans_and_stats_surface_everywhere() {
     use racc::trace::ConstructKind;

@@ -166,7 +166,6 @@ fn sharded_heat3d_scales_on_four_devices_and_overlap_pays() {
 }
 
 /// Shard steps and halo exchanges land on their own trace lanes.
-#[cfg(feature = "trace")]
 #[test]
 fn shard_steps_and_halos_record_trace_spans() {
     use racc::trace::ConstructKind;

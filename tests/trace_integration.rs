@@ -2,7 +2,6 @@
 //! every backend, the recorder's spans must reconcile exactly with the
 //! backend's [`TimelineSnapshot`] counters — same launch/reduction counts,
 //! same transfer byte totals, same modeled nanoseconds.
-#![cfg(feature = "trace")]
 
 use racc::prelude::*;
 use racc::trace::{json, total_modeled_ns, ConstructKind};
