@@ -1,9 +1,9 @@
 //! The three vendors of the paper, each one `const` [`Vendor`] — the
 //! analogs of JACC's CUDA.jl, AMDGPU.jl and oneAPI.jl back ends (Figs. 6
-//! and 7). Always compiled; which keys a build *offers* is decided by the
-//! `racc` crate's `backend-*` features. To share a device with
-//! vendor-flavored code (device-specific kernels and RACC constructs then
-//! accumulate on one clock), use `SimBackend::new(cuda.device_arc(), &CUDA)`.
+//! and 7). Always compiled, and every build of the `racc` crate offers all
+//! three keys. To share a device with vendor-flavored code
+//! (device-specific kernels and RACC constructs then accumulate on one
+//! clock), use `SimBackend::new(cuda.device_arc(), &CUDA)`.
 
 use racc_gpusim::profiles;
 

@@ -43,7 +43,7 @@ impl Arch {
 
     /// Build a RACC context on this architecture.
     pub fn context(&self) -> Context<racc::AnyBackend> {
-        racc::context_for(self.backend_key()).expect("backend compiled in")
+        racc::context_for(self.backend_key()).expect("known backend key")
     }
 }
 

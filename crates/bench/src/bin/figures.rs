@@ -13,7 +13,9 @@
 //!
 //! `trace <experiment>` decomposes one experiment launch-by-launch on all
 //! four architectures: per-kernel roofline summaries on stdout, and a
-//! combined chrome://tracing JSON under `results/`. `sancheck <experiment>`
+//! combined chrome://tracing JSON written to `results/trace_<experiment>.json`
+//! (wall-clock timestamps, so a new file each run; gitignored, not
+//! tracked). `sancheck <experiment>`
 //! runs it under the simulator's sanitizer and prints each report.
 //!
 //! Times are **modeled nanoseconds** from the analytic machine models (see
@@ -168,7 +170,7 @@ fn sancheck(experiment: &str) {
             .backend(arch.backend_key())
             .sanitizer(true)
             .build()
-            .expect("backend compiled in");
+            .expect("known backend key");
         traced_workload(&ctx, experiment, false);
         println!("\n=== sancheck: {experiment} on {} ===", arch.label());
         match ctx.stats().sanitizer {
@@ -192,7 +194,7 @@ fn trace_experiment(experiment: &str, full: bool) {
             .trace(true)
             .trace_capacity(1 << 16)
             .build()
-            .expect("backend compiled in");
+            .expect("known backend key");
         traced_workload(&ctx, experiment, full);
 
         let spans = ctx.trace_spans();

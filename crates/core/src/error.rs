@@ -6,7 +6,7 @@ pub enum RaccError {
     /// The backend could not satisfy an allocation (e.g. simulated device
     /// out of memory).
     Allocation(String),
-    /// A requested backend is not compiled in or not recognized.
+    /// A requested backend is not recognized.
     BackendUnavailable(String),
     /// An array from one context was passed to another.
     WrongContext {

@@ -40,7 +40,7 @@ mod writer;
 
 pub use error::{ParseError, PrefsError};
 pub use parser::parse_document;
-pub use store::{Preferences, PREFS_ENV_PREFIX, PREFS_FILE_NAME};
+pub use store::{Preferences, PREFS_FILE_NAME};
 pub use tenant::{TenantPrefs, TENANT_TABLE_PREFIX};
 pub use value::Value;
 pub use writer::write_document;

@@ -12,11 +12,6 @@ use crate::writer::write_document;
 /// Default file name, the analog of Julia's `LocalPreferences.toml`.
 pub const PREFS_FILE_NAME: &str = "RaccPreferences.toml";
 
-/// Prefix for environment-variable overrides. A preference `[racc].backend`
-/// can be overridden with `RACC_PREF_RACC_BACKEND=...`; the dedicated
-/// `RACC_BACKEND` shortcut is handled by the front end itself.
-pub const PREFS_ENV_PREFIX: &str = "RACC_PREF_";
-
 /// An in-memory preferences document, optionally bound to a backing file.
 ///
 /// Structure is two-level, like `LocalPreferences.toml`: named tables (one
@@ -109,19 +104,9 @@ impl Preferences {
         old
     }
 
-    /// Look up `[table].key`, consulting the `RACC_PREF_<TABLE>_<KEY>`
-    /// environment override first (parsed as a bare string value).
+    /// Look up `[table].key` in the document.
     pub fn get(&self, table: &str, key: &str) -> Option<&Value> {
         self.tables.get(table)?.get(key)
-    }
-
-    /// Look up with the environment override applied. Environment values are
-    /// returned as owned strings since they are not part of the document.
-    pub fn get_with_env(&self, table: &str, key: &str) -> Option<Value> {
-        if let Some(v) = env_override(table, key) {
-            return Some(Value::String(v));
-        }
-        self.get(table, key).cloned()
     }
 
     /// Typed accessor: string.
@@ -177,27 +162,6 @@ impl Preferences {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-fn env_override(table: &str, key: &str) -> Option<String> {
-    let name = format!(
-        "{PREFS_ENV_PREFIX}{}_{}",
-        sanitize_env(table),
-        sanitize_env(key)
-    );
-    std::env::var(name).ok()
-}
-
-fn sanitize_env(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_uppercase()
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -268,28 +232,5 @@ mod tests {
         let err = p.require_str("racc", "backend").unwrap_err();
         assert!(err.to_string().contains("expected string"));
         assert!(p.require_str("racc", "missing").unwrap().is_none());
-    }
-
-    #[test]
-    fn env_override_wins() {
-        let table = "envtest";
-        let key = format!("k{}", std::process::id());
-        let var = format!(
-            "{PREFS_ENV_PREFIX}{}_{}",
-            sanitize_env(table),
-            sanitize_env(&key)
-        );
-        let mut p = Preferences::new();
-        p.set(table, &key, "from-file");
-        std::env::set_var(&var, "from-env");
-        assert_eq!(
-            p.get_with_env(table, &key),
-            Some(Value::String("from-env".into()))
-        );
-        std::env::remove_var(&var);
-        assert_eq!(
-            p.get_with_env(table, &key),
-            Some(Value::String("from-file".into()))
-        );
     }
 }

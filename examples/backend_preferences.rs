@@ -26,7 +26,7 @@ fn main() {
     std::env::remove_var(racc::BACKEND_ENV);
     println!(
         "preferred key (from file): {}",
-        racc::preferred_backend_key()
+        racc::preferred_backend_key().expect("preferences file parses")
     );
     let ctx = racc::default_context();
     println!("default context: {}", ctx.name());
@@ -38,7 +38,7 @@ fn main() {
     println!(
         "preferred key (with {}=hipsim): {}",
         racc::BACKEND_ENV,
-        racc::preferred_backend_key()
+        racc::preferred_backend_key().expect("preferences file parses")
     );
     let ctx = racc::default_context();
     println!("default context: {}", ctx.name());

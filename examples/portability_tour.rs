@@ -1,5 +1,5 @@
 //! Performance portability in one screen: the *same* kernel closures run on
-//! every compiled-in back end; results agree bit-for-bit (static schedules)
+//! every back end; results agree bit-for-bit (static schedules)
 //! and the modeled clocks show each architecture's character.
 //!
 //! ```text

@@ -24,9 +24,11 @@
 //! Back-end selection mirrors JACC's `Preferences.jl` flow: the default
 //! context consults the `RACC_BACKEND` environment variable, then the
 //! `[racc] backend = "..."` preference in `RaccPreferences.toml` (current
-//! directory), and falls back to `threads`. The GPU back ends are optional
-//! cargo features (all on by default), mirroring JACC's Julia v1.9 weak
-//! dependencies.
+//! directory), and falls back to `threads`. Every build offers all five
+//! keys: JACC makes its vendor back ends Julia v1.9 weak dependencies
+//! because CUDA.jl, AMDGPU.jl and oneAPI.jl are heavy vendor packages, while
+//! RACC's three vendors are constants run by one in-tree simulator, with
+//! nothing to leave out.
 //!
 //! ```
 //! use racc::prelude::*;
@@ -120,19 +122,9 @@ pub use racc_serve::{ServeJob, Server, ServerOptions, TenantConfig};
 pub use racc_prim as prim;
 pub use racc_prim::{PrimError, PrimExt, SortKey};
 
-#[cfg(feature = "backend-cuda")]
-pub use racc_backend_common::{cuda_backend, CUDA};
-#[cfg(feature = "backend-hip")]
-pub use racc_backend_common::{hip_backend, HIP};
-#[cfg(feature = "backend-oneapi")]
-pub use racc_backend_common::{oneapi_backend, ONEAPI};
+pub use racc_backend_common::{cuda_backend, hip_backend, oneapi_backend, CUDA, HIP, ONEAPI};
 /// The simulated-GPU back end and the vendor description it launches by;
-/// one type for all three vendors. Present when any `backend-*` feature is.
-#[cfg(any(
-    feature = "backend-cuda",
-    feature = "backend-hip",
-    feature = "backend-oneapi"
-))]
+/// one type for all three vendors.
 pub use racc_backend_common::{SimBackend, Vendor};
 
 /// Convenience prelude: the curated surface application code typically
@@ -178,9 +170,9 @@ pub mod prelude {
 /// Environment variable overriding the preferred backend key.
 pub const BACKEND_ENV: &str = "RACC_BACKEND";
 
-/// The runtime-selected backend: enum dispatch over every compiled-in
-/// back end (the generic [`Backend`] methods stay monomorphized; only one
-/// `match` separates the front end from the chosen implementation).
+/// The runtime-selected backend: enum dispatch over every back end (the
+/// generic [`Backend`] methods stay monomorphized; only one `match`
+/// separates the front end from the chosen implementation).
 pub enum AnyBackend {
     /// Single-core reference backend.
     Serial(SerialBackend),
@@ -189,11 +181,6 @@ pub enum AnyBackend {
     /// Simulated GPU back end of whichever vendor the key named: `cudasim`,
     /// `hipsim` and `oneapisim` differ in the [`Vendor`] the value carries,
     /// not in type, so a kernel closure is instantiated once for all three.
-    #[cfg(any(
-        feature = "backend-cuda",
-        feature = "backend-hip",
-        feature = "backend-oneapi"
-    ))]
     Sim(SimBackend),
 }
 
@@ -202,11 +189,6 @@ macro_rules! dispatch {
         match $self {
             AnyBackend::Serial($b) => $e,
             AnyBackend::Threads($b) => $e,
-            #[cfg(any(
-                feature = "backend-cuda",
-                feature = "backend-hip",
-                feature = "backend-oneapi"
-            ))]
             AnyBackend::Sim($b) => $e,
         }
     };
@@ -293,11 +275,6 @@ pub type Ctx = Context<AnyBackend>;
 enum BackendKind {
     Serial,
     Threads,
-    #[cfg(any(
-        feature = "backend-cuda",
-        feature = "backend-hip",
-        feature = "backend-oneapi"
-    ))]
     Sim(&'static Vendor),
 }
 
@@ -310,8 +287,7 @@ struct BackendEntry {
     kind: BackendKind,
 }
 
-/// Every back end compiled into this build — the one place a key is
-/// mapped to an implementation.
+/// Every back end — the one place a key is mapped to an implementation.
 const BACKENDS: &[BackendEntry] = &[
     BackendEntry {
         key: "serial",
@@ -323,19 +299,16 @@ const BACKENDS: &[BackendEntry] = &[
         aliases: &["cpu"],
         kind: BackendKind::Threads,
     },
-    #[cfg(feature = "backend-cuda")]
     BackendEntry {
         key: CUDA.key,
         aliases: &["cuda", "nvidia"],
         kind: BackendKind::Sim(&CUDA),
     },
-    #[cfg(feature = "backend-hip")]
     BackendEntry {
         key: HIP.key,
         aliases: &["hip", "amdgpu", "amd"],
         kind: BackendKind::Sim(&HIP),
     },
-    #[cfg(feature = "backend-oneapi")]
     BackendEntry {
         key: ONEAPI.key,
         aliases: &["oneapi", "intel"],
@@ -356,7 +329,7 @@ fn resolve(key: &str) -> Result<&'static BackendEntry, RaccError> {
         .ok_or_else(|| RaccError::BackendUnavailable(key.to_ascii_lowercase()))
 }
 
-/// Keys of all back ends compiled into this build.
+/// Keys of all back ends, in table order.
 pub fn available_backends() -> Vec<&'static str> {
     BACKENDS.iter().map(|entry| entry.key).collect()
 }
@@ -389,7 +362,8 @@ pub fn builder() -> ContextBuilder {
 /// Without [`backend`](ContextBuilder::backend) the key is resolved the
 /// same way as [`default_context`]: `RACC_BACKEND`, then
 /// `RaccPreferences.toml`, then `"threads"` — but unlike
-/// [`default_context`] an unavailable key is an error, not a fallback.
+/// [`default_context`] an unavailable key or a broken preferences file is
+/// an error, not a fallback.
 ///
 /// Knobs that do not apply to the selected backend
 /// ([`threads`](ContextBuilder::threads) off the CPU,
@@ -399,11 +373,6 @@ pub fn builder() -> ContextBuilder {
 pub struct ContextBuilder {
     key: Option<String>,
     threads: Option<usize>,
-    #[cfg(any(
-        feature = "backend-cuda",
-        feature = "backend-hip",
-        feature = "backend-oneapi"
-    ))]
     device: Option<std::sync::Arc<racc_gpusim::Device>>,
     /// The knobs `racc_core::ContextBuilder` owns, handed over whole.
     options: racc_core::ContextOptions,
@@ -433,11 +402,6 @@ impl ContextBuilder {
     /// Override the simulated device profile for a GPU backend (e.g. a
     /// custom `racc_gpusim::Device` instead of the stock A100/MI100/Max
     /// 1550). Selecting a CPU backend alongside this makes `build` fail.
-    #[cfg(any(
-        feature = "backend-cuda",
-        feature = "backend-hip",
-        feature = "backend-oneapi"
-    ))]
     pub fn device(mut self, device: std::sync::Arc<racc_gpusim::Device>) -> Self {
         self.device = Some(device);
         self
@@ -524,7 +488,7 @@ impl ContextBuilder {
     fn construct(&self) -> Result<AnyBackend, RaccError> {
         let entry = match &self.key {
             Some(key) => resolve(key)?,
-            None => resolve(&preferred_backend_key())?,
+            None => resolve(&preferred_backend_key()?)?,
         };
         if self.threads.is_some() && !matches!(entry.kind, BackendKind::Threads) {
             return Err(RaccError::InvalidConfig(format!(
@@ -532,11 +496,6 @@ impl ContextBuilder {
                 entry.key
             )));
         }
-        #[cfg(any(
-            feature = "backend-cuda",
-            feature = "backend-hip",
-            feature = "backend-oneapi"
-        ))]
         if self.device.is_some() && !matches!(entry.kind, BackendKind::Sim(_)) {
             return Err(RaccError::InvalidConfig(format!(
                 "device profile override only applies to simulated GPU back ends, not {:?}",
@@ -549,11 +508,6 @@ impl ContextBuilder {
                 Some(n) => ThreadsBackend::with_threads(n),
                 None => ThreadsBackend::new(),
             }),
-            #[cfg(any(
-                feature = "backend-cuda",
-                feature = "backend-hip",
-                feature = "backend-oneapi"
-            ))]
             BackendKind::Sim(vendor) => AnyBackend::Sim(match &self.device {
                 Some(device) => SimBackend::new(device.clone(), vendor),
                 None => SimBackend::stock(vendor),
@@ -626,31 +580,30 @@ pub fn backend_for(key: &str) -> Result<AnyBackend, RaccError> {
 /// env var, then the `[racc] backend` preference in `RaccPreferences.toml`
 /// (current directory), then `"threads"` — mirroring JACC's
 /// `Preferences.jl` selection with `Base.Threads` as the default back end.
-pub fn preferred_backend_key() -> String {
+///
+/// A preferences file that does not parse, or whose `backend` is not a
+/// string, is an [`RaccError::InvalidConfig`] naming the file and the line
+/// or the type found — never a silent `"threads"`.
+pub fn preferred_backend_key() -> Result<String, RaccError> {
     if let Ok(key) = std::env::var(BACKEND_ENV) {
         if !key.trim().is_empty() {
-            return key.trim().to_owned();
+            return Ok(key.trim().to_owned());
         }
     }
-    if let Ok(prefs) = Preferences::load(PREFS_FILE_NAME) {
-        if let Some(key) = prefs.get_str("racc", "backend") {
-            return key.to_owned();
-        }
-    }
-    "threads".to_owned()
+    let invalid = |e| RaccError::InvalidConfig(format!("{PREFS_FILE_NAME}: {e}"));
+    let prefs = Preferences::load(PREFS_FILE_NAME).map_err(invalid)?;
+    let key = prefs.require_str("racc", "backend").map_err(invalid)?;
+    Ok(key.unwrap_or("threads").to_owned())
 }
 
 /// Build the preference-selected context. Falls back to `threads` (with a
-/// diagnostic on stderr) when the preferred key is not compiled in.
+/// diagnostic on stderr) when the preferred key is unknown or the
+/// preferences file is broken.
 pub fn default_context() -> Ctx {
-    let key = preferred_backend_key();
-    match builder().backend(key.as_str()).build() {
-        Ok(ctx) => ctx,
-        Err(_) => {
-            eprintln!("racc: backend {key:?} unavailable, falling back to \"threads\"");
-            context_for("threads").expect("threads backend always available")
-        }
-    }
+    builder().build().unwrap_or_else(|err| {
+        eprintln!("racc: {err}; falling back to \"threads\"");
+        context_for("threads").expect("threads backend always available")
+    })
 }
 
 /// The process-wide shared context (lazy; selected once from preferences).
@@ -689,11 +642,8 @@ mod tests {
     #[test]
     fn aliases_resolve() {
         assert_eq!(context_for("cpu").unwrap().key(), "threads");
-        #[cfg(feature = "backend-cuda")]
         assert_eq!(context_for("CUDA").unwrap().key(), "cudasim");
-        #[cfg(feature = "backend-hip")]
         assert_eq!(context_for("amdgpu").unwrap().key(), "hipsim");
-        #[cfg(feature = "backend-oneapi")]
         assert_eq!(context_for("intel").unwrap().key(), "oneapisim");
     }
 
@@ -703,11 +653,8 @@ mod tests {
         let promised: &[(&str, &[&str])] = &[
             ("serial", &[]),
             ("threads", &["cpu"]),
-            #[cfg(feature = "backend-cuda")]
             ("cudasim", &["cuda", "nvidia"]),
-            #[cfg(feature = "backend-hip")]
             ("hipsim", &["hip", "amdgpu", "amd"]),
-            #[cfg(feature = "backend-oneapi")]
             ("oneapisim", &["oneapi", "intel"]),
         ];
         assert_eq!(BACKENDS.len(), promised.len());

@@ -121,11 +121,6 @@ fn threads_conforms_with_one_and_four_workers_static_and_dynamic() {
     }
 }
 
-#[cfg(any(
-    feature = "backend-cuda",
-    feature = "backend-hip",
-    feature = "backend-oneapi"
-))]
 #[test]
 fn simulators_conform_on_the_test_device_and_the_a100() {
     use racc::{SimBackend, Vendor};
@@ -285,19 +280,10 @@ fn prims_conform_on_every_back_end_bare_and_wrapped() {
     prims_conform(&AnyBackend::Serial(SerialBackend::new()));
     prims_conform(&ThreadsBackend::with_threads(4));
     prims_conform(&AnyBackend::Threads(ThreadsBackend::with_threads(4)));
-    #[cfg(feature = "backend-cuda")]
-    {
-        prims_conform(&racc::cuda_backend());
-        prims_conform(&AnyBackend::Sim(racc::cuda_backend()));
-    }
-    #[cfg(feature = "backend-hip")]
-    {
-        prims_conform(&racc::hip_backend());
-        prims_conform(&AnyBackend::Sim(racc::hip_backend()));
-    }
-    #[cfg(feature = "backend-oneapi")]
-    {
-        prims_conform(&racc::oneapi_backend());
-        prims_conform(&AnyBackend::Sim(racc::oneapi_backend()));
-    }
+    prims_conform(&racc::cuda_backend());
+    prims_conform(&AnyBackend::Sim(racc::cuda_backend()));
+    prims_conform(&racc::hip_backend());
+    prims_conform(&AnyBackend::Sim(racc::hip_backend()));
+    prims_conform(&racc::oneapi_backend());
+    prims_conform(&AnyBackend::Sim(racc::oneapi_backend()));
 }

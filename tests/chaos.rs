@@ -22,7 +22,6 @@ fn chaos_workload(ctx: &Ctx) -> f64 {
     acc
 }
 
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn same_seed_gives_identical_fault_logs_and_results() {
     let run = || {
@@ -62,7 +61,6 @@ fn chaos_is_a_noop_on_cpu_backends() {
 /// transfer-fault schedule, with retries, produces a residual history
 /// bit-identical to the fault-free run — faults are injected before the
 /// operation's side effects, so a retried operation replays exactly.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn cg_residual_history_is_bit_identical_under_transient_faults() {
     use racc::FaultSite;
@@ -105,7 +103,6 @@ fn cg_residual_history_is_bit_identical_under_transient_faults() {
 /// launch fails, beyond what retries can absorb) falls back to `threads`
 /// when requested, still computes correct results, and reports the
 /// observed faults plus a `fallback` marker as trace spans.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn hard_device_failure_falls_back_to_threads() {
     let ctx = racc::builder()
@@ -145,7 +142,6 @@ fn hard_device_failure_falls_back_to_threads() {
 /// Without `fallback`, the same hard failure surfaces as an error from
 /// the construct (the retry policy exhausts) rather than silently
 /// degrading — the context keeps the backend the caller asked for.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn without_fallback_the_backend_is_kept() {
     let ctx = racc::builder()

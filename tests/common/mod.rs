@@ -1,8 +1,7 @@
 //! The back end × configuration matrix the integration tests share.
 //!
-//! Every compiled-in back end runs plain, and again in each configuration
-//! that may change how it works but must not change one bit of what it
-//! computes:
+//! Every back end runs plain, and again in each configuration that may
+//! change how it works but must not change one bit of what it computes:
 //!
 //! * `simsan` — the simulators' sanitizer (`.sanitizer(true)`): every
 //!   device access tracked, barriers checked, canaries swept. Simulators
@@ -81,7 +80,7 @@ impl Cell {
 /// The row of one back end: `base` builds its context, plain first, then
 /// every configuration that applies to it.
 pub fn cells(backend: &str, base: impl Fn() -> ContextBuilder) -> Vec<Cell> {
-    let plain = base().build().expect("back end compiled in");
+    let plain = base().build().expect("known backend key");
     let accelerator = plain.is_accelerator();
     let mut row = vec![Cell {
         backend: backend.to_string(),
@@ -95,13 +94,13 @@ pub fn cells(backend: &str, base: impl Fn() -> ContextBuilder) -> Vec<Cell> {
         row.push(Cell {
             backend: backend.to_string(),
             config,
-            ctx: config.apply(base()).build().expect("back end compiled in"),
+            ctx: config.apply(base()).build().expect("known backend key"),
         });
     }
     row
 }
 
-/// Every compiled-in back end's row, in `racc::available_backends` order.
+/// Every back end's row, in `racc::available_backends` order.
 pub fn matrix() -> Vec<Cell> {
     racc::available_backends()
         .into_iter()

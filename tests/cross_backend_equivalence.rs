@@ -1,5 +1,5 @@
 //! The portability contract, tested end to end: the same program text runs
-//! on every compiled-in back end and produces equivalent results — and on
+//! on every back end and produces equivalent results — and on
 //! each back end the same bits plain, under simsan, fused and under chaos
 //! (`common::matrix`).
 

@@ -5,7 +5,6 @@
 /// The LBM shear-wave experiment on a simulated GPU must reproduce the
 /// analytic BGK viscosity, proving streaming + collision survive the whole
 /// portability stack (not just the serial reference).
-#[cfg(feature = "backend-hip")]
 #[test]
 fn lbm_viscosity_on_simulated_gpu() {
     use racc_lbm::lattice::viscosity;
@@ -68,7 +67,6 @@ fn lbm_interior_long_run_is_stable() {
 /// Full CG solve on the simulated Intel GPU against the Thomas direct
 /// solution, including the modeled-cost sanity that more iterations cost
 /// more modeled time.
-#[cfg(feature = "backend-oneapi")]
 #[test]
 fn cg_full_solve_on_simulated_intel_gpu() {
     use racc_cg::solver::solve;
@@ -103,7 +101,6 @@ fn cg_full_solve_on_simulated_intel_gpu() {
 
 /// The CSR substrate end to end: build a 2D Laplacian, solve with CG on a
 /// simulated A100, verify against the constructed solution.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn minife_like_laplacian_on_simulated_a100() {
     use racc_cg::csr::{Csr, DeviceCsr};
@@ -128,7 +125,6 @@ fn minife_like_laplacian_on_simulated_a100() {
 
 /// Device-specific and portable paths agree numerically on the full BLAS
 /// suite (one vendor spot-check through the public crates).
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn vendor_and_portable_blas_agree() {
     let n = 30_000usize;

@@ -3,7 +3,6 @@
 
 use racc::prelude::*;
 
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn simulated_device_oom_is_a_clean_error() {
     // A CUDA backend over a deliberately small device (64 MiB) so the OOM

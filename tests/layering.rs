@@ -231,7 +231,7 @@ const CORE_NAMES_ALLOWED: [(&str, &str, &str, &str); 9] = [
 /// The knob budget: rows of the README's `RACC_*` table. It may only go
 /// down — a change that adds an environment variable raises it in the same
 /// diff, where a reviewer sees it.
-const KNOBS_MAX: usize = 3;
+const KNOBS_MAX: usize = 2;
 
 /// The code of a source line: what precedes a `//` comment. (No string in
 /// `racc-core` contains `//`.)
@@ -292,8 +292,8 @@ fn env_literals(text: &str, into: &mut BTreeSet<String>) {
 
 #[test]
 fn the_readme_table_lists_exactly_the_variables_the_sources_read() {
-    // First column of the table's rows: `RACC_PREF_<TABLE>_<KEY>` reads
-    // as the prefix the source holds, `RACC_PREF_`.
+    // A row's name is its first column: `RACC_`, then the capitals and
+    // underscores up to the closing backtick.
     let readme = read(&root().join("README.md"));
     let rows: Vec<&str> = readme
         .lines()

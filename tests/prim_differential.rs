@@ -235,7 +235,6 @@ fn block_boundary_sizes_match_reference_everywhere() {
 /// once per element, however many blocks the elements span (the rescan
 /// kernels this replaced called it `n × block` times). A count, not a
 /// timing, so it cannot flake.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn simulated_histogram_calls_its_key_once_per_element() {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -256,7 +255,6 @@ fn simulated_histogram_calls_its_key_once_per_element() {
 /// The complexity pin of the sort: a simulated sort calls its key closure
 /// exactly once per element — the kernel that stores the keys also finds
 /// the bytes that vary, so no second host sweep over `key` can come back.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn simulated_sort_calls_its_key_once_per_element() {
     use racc::prim::{PrimBackend, SORT_PROFILE};
@@ -385,7 +383,6 @@ fn simulated_sorts_match_reference_on_every_key_shape() {
 /// A pass over a byte every key shares is charged as if it ran: at equal
 /// `n`, a sort of all-equal keys logs exactly the device operations — kind,
 /// bytes, threads and modeled ns — of a sort of full-width keys.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn skipped_passes_are_charged_like_executed_ones() {
     use racc_gpusim::{profiles, Device};
@@ -565,7 +562,6 @@ fn histogram_bounds_error_everywhere() {
 /// out-of-range key dies in the simulator's device bounds checks (what
 /// simsan reports), while the guarded wrapper returns the typed error
 /// without ever launching.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn simsan_catches_unchecked_out_of_range_histogram() {
     let ctx = racc::builder()
@@ -619,11 +615,7 @@ fn simsan_catches_unchecked_out_of_range_histogram() {
 fn prims_survive_fixed_seed_chaos() {
     let data: Vec<f32> = (0..5000).map(|i| ((i * 37) % 151) as f32 * 0.125).collect();
     let expect = reference_scan_f32(&data);
-    let simulators = ["cudasim", "hipsim", "oneapisim"];
-    for key in simulators
-        .into_iter()
-        .filter(|key| racc::available_backends().contains(key))
-    {
+    for key in ["cudasim", "hipsim", "oneapisim"] {
         let ctx = racc::builder()
             .backend(key)
             .chaos(racc::FaultPlan::parse("launch:every-7;alloc:every-9").unwrap())

@@ -13,12 +13,6 @@
 //! simsan, fusion or chaos (every cell of `common::cells` must match its
 //! plain cell).
 
-#![cfg(all(
-    feature = "backend-cuda",
-    feature = "backend-hip",
-    feature = "backend-oneapi"
-))]
-
 mod common;
 
 use common::{across, cells};

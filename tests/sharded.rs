@@ -79,7 +79,6 @@ fn sharded_lbm_and_cg_are_bit_identical_across_device_counts() {
 /// dot of the sharded CG is a kernel on each rank's `cudasim` whose
 /// partials meet in the handle's allgather, and three simulated GPUs solve
 /// bit for bit what one serial device solves.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn sharded_cg_on_simulated_gpus_matches_one_serial_device() {
     let cg = |devices, key| {
@@ -100,7 +99,6 @@ fn sharded_cg_on_simulated_gpus_matches_one_serial_device() {
 /// A rank killed mid-step by injected launch faults is detected by the
 /// survivors, who reshard the domain, replay from the last checkpoint,
 /// and finish with the exact bits of the fault-free run.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn chaos_rank_death_recovers_bit_identically() {
     use racc::{FaultPlan, RetryPolicy};
@@ -136,7 +134,6 @@ fn chaos_rank_death_recovers_bit_identically() {
 /// is worth at least 1.0× (it reads 2.58× and 1.62×), and the field is the
 /// one-device field bit for bit. Smaller grids are halo-bound: the speedup
 /// reads 1.715× at n = 128 and 0.855× at n = 96.
-#[cfg(feature = "backend-cuda")]
 #[test]
 fn sharded_heat3d_scales_on_four_devices_and_overlap_pays() {
     let run = |devices: usize, overlap: bool| {

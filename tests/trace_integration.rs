@@ -11,7 +11,7 @@ fn traced(key: &str) -> Ctx {
         .backend(key)
         .trace(true)
         .build()
-        .expect("backend compiled in")
+        .expect("known backend key")
 }
 
 /// A workload touching every construct family: transfers (alloc/upload and

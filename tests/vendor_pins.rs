@@ -8,12 +8,6 @@
 //! vendors became data (PR 12, `2f3beae`); a refactor of who owns the
 //! parameters may not move one of them.
 
-#![cfg(all(
-    feature = "backend-cuda",
-    feature = "backend-hip",
-    feature = "backend-oneapi"
-))]
-
 use std::sync::Arc;
 
 use racc::prelude::*;
