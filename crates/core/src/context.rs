@@ -10,8 +10,7 @@ use crate::error::RaccError;
 use crate::profile::KernelProfile;
 use crate::scalar::{AccScalar, Numeric, ReduceOp, Sum};
 use crate::stats::{
-    fold_faults, snapshot_plan_cache, snapshot_prim, snapshot_serve, snapshot_shard, PlanCacheSlot,
-    PrimCounters, RuntimeStats, ServeCounters, ShardCounters,
+    fold_faults, snapshot_plan_cache, snapshot_prim, PlanCacheSlot, PrimCounters, RuntimeStats,
 };
 use crate::timeline::TimelineSnapshot;
 
@@ -40,14 +39,6 @@ pub struct Context<B: Backend> {
     /// Home of the fused-plan cache: counters and the type-erased
     /// cell `racc-fuse` parks its cache in (see [`crate::stats`]).
     plan_cache: PlanCacheSlot,
-    /// Counters the sharded multi-device runner (`racc-shard`) bumps when
-    /// it drives this context; all zero (and hidden from `stats()`)
-    /// otherwise.
-    shard: std::sync::Arc<ShardCounters>,
-    /// Counters the multi-tenant serving layer (`racc-serve`) bumps when
-    /// this context is a member of a server's device pool; all zero (and
-    /// hidden from `stats()`) otherwise.
-    serve: std::sync::Arc<ServeCounters>,
     /// Counters the device-primitives layer (`racc-prim`) bumps when its
     /// scans/histograms/sorts run on this context; all zero (and hidden
     /// from `stats()`) otherwise.
@@ -72,8 +63,6 @@ impl<B: Backend> Context<B> {
             id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
             fusion: false,
             plan_cache: PlanCacheSlot::default(),
-            shard: std::sync::Arc::new(ShardCounters::default()),
-            serve: std::sync::Arc::new(ServeCounters::default()),
             prim: std::sync::Arc::new(PrimCounters::default()),
         }
     }
@@ -523,27 +512,8 @@ impl<B: Backend> Context<B> {
             faults: fold_faults(&hooks.fault_log()),
             sanitizer: hooks.sanitizer_report(),
             steal: hooks.steal_stats(),
-            shard: snapshot_shard(&self.shard),
-            serve: snapshot_serve(&self.serve),
             prim: snapshot_prim(&self.prim),
         }
-    }
-
-    /// The shard-runner counters of this context. Public for `racc-shard`,
-    /// which bumps them while driving the context as one device of a
-    /// sharded run; application code wants [`Context::stats`] instead.
-    #[doc(hidden)]
-    pub fn shard_counters(&self) -> &std::sync::Arc<ShardCounters> {
-        &self.shard
-    }
-
-    /// The serving-layer counters of this context. Public for
-    /// `racc-serve`, which bumps them while dispatching jobs onto this
-    /// context as one device of a server pool; application code wants
-    /// [`Context::stats`] instead.
-    #[doc(hidden)]
-    pub fn serve_counters(&self) -> &std::sync::Arc<ServeCounters> {
-        &self.serve
     }
 
     /// The device-primitive counters of this context. Public for

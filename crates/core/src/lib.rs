@@ -81,10 +81,7 @@ pub use racc_threadpool as threadpool;
 pub use racc_threadpool::{StealCounters, StealStats};
 pub use scalar::{AccScalar, Max, Min, Numeric, Prod, ReduceOp, Sum};
 pub use serial::SerialBackend;
-pub use stats::{
-    FaultStats, PlanCacheStats, PrimCounters, PrimStats, RuntimeStats, ServeCounters, ServeStats,
-    ShardCounters, ShardStats,
-};
+pub use stats::{FaultStats, PlanCacheStats, PrimCounters, PrimStats, RuntimeStats};
 pub use threads::ThreadsBackend;
 pub use timeline::{Timeline, TimelineSnapshot};
 pub use views::{View1, View2, View3, ViewMut1, ViewMut2, ViewMut3};

@@ -98,123 +98,6 @@ pub struct FaultStats {
     pub delayed: u64,
 }
 
-/// Shared counters of the sharded multi-device runner (`racc-shard`).
-/// The shard runner increments the counters of the per-rank context it
-/// drives; [`Context::stats`](crate::Context::stats) reads them. Lives in
-/// core for the same reason as [`PlanCacheCounters`]: `ctx.stats()` must
-/// report them without a dependency edge from core to the shard layer.
-#[derive(Debug, Default)]
-pub struct ShardCounters {
-    /// Completed sharded steps (committed, not counting replays).
-    pub steps: AtomicU64,
-    /// Halo exchanges completed (both sides of one step count once).
-    pub halo_exchanges: AtomicU64,
-    /// Ghost bytes moved by halo exchanges, both directions.
-    pub halo_bytes: AtomicU64,
-    /// Interior-phase kernel launches.
-    pub interior_launches: AtomicU64,
-    /// Boundary-phase kernel launches.
-    pub boundary_launches: AtomicU64,
-    /// Replicated checkpoints taken.
-    pub checkpoints: AtomicU64,
-    /// Reshard events survived (a peer died; the domain was re-split).
-    pub reshards: AtomicU64,
-    /// Steps replayed from a checkpoint after a reshard.
-    pub replayed_steps: AtomicU64,
-    /// Status heartbeats sent to ring neighbours (2 per step per rank at
-    /// N >= 3 ranks, vs the N-1 of the old all-to-all exchange).
-    pub heartbeats: AtomicU64,
-}
-
-/// Sharded-execution snapshot inside [`RuntimeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Committed sharded steps.
-    pub steps: u64,
-    /// Completed halo exchanges.
-    pub halo_exchanges: u64,
-    /// Ghost bytes moved, both directions.
-    pub halo_bytes: u64,
-    /// Interior-phase launches.
-    pub interior_launches: u64,
-    /// Boundary-phase launches.
-    pub boundary_launches: u64,
-    /// Replicated checkpoints taken.
-    pub checkpoints: u64,
-    /// Reshard events survived.
-    pub reshards: u64,
-    /// Steps replayed after reshards.
-    pub replayed_steps: u64,
-    /// Ring-heartbeat status messages sent.
-    pub heartbeats: u64,
-}
-
-impl ShardStats {
-    /// True when the context never ran under the shard runner.
-    pub fn is_empty(&self) -> bool {
-        *self == ShardStats::default()
-    }
-}
-
-/// Shared counters of the multi-tenant serving layer (`racc-serve`). The
-/// server bumps the counters of every pool context it dispatches onto (and
-/// a pool-wide aggregate of its own); [`Context::stats`](crate::Context::stats)
-/// reads them. Lives in core for the same reason as [`ShardCounters`]:
-/// `ctx.stats()` must report them without a dependency edge from core to
-/// the serving layer.
-#[derive(Debug, Default)]
-pub struct ServeCounters {
-    /// Jobs accepted past admission control.
-    pub admitted: AtomicU64,
-    /// Jobs shed at admission (tenant or global queue full).
-    pub rejected: AtomicU64,
-    /// Jobs that ran to completion and resolved their handle with `Ok`.
-    pub completed: AtomicU64,
-    /// Jobs that exhausted the degradation ladder and resolved with `Err`.
-    pub failed: AtomicU64,
-    /// Dispatch groups launched (a batch of 1 still counts).
-    pub batches: AtomicU64,
-    /// Jobs that rode a batch of size >= 2.
-    pub batched_jobs: AtomicU64,
-    /// Extra attempts spent retrying faulted jobs on their primary context.
-    pub retried: AtomicU64,
-    /// Jobs that had to fall back to the spare context to complete.
-    pub fallbacks: AtomicU64,
-    /// Scheduler passes that skipped an otherwise-ready tenant because its
-    /// modeled in-flight cap was reached (weighted fairness held it back).
-    pub preempted: AtomicU64,
-}
-
-/// Serving-layer snapshot inside [`RuntimeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Jobs accepted past admission control.
-    pub admitted: u64,
-    /// Jobs shed at admission.
-    pub rejected: u64,
-    /// Jobs completed with `Ok`.
-    pub completed: u64,
-    /// Jobs failed after the full degradation ladder.
-    pub failed: u64,
-    /// Dispatch groups launched.
-    pub batches: u64,
-    /// Jobs that rode a batch of size >= 2.
-    pub batched_jobs: u64,
-    /// Extra retry attempts.
-    pub retried: u64,
-    /// Jobs completed on the fallback context.
-    pub fallbacks: u64,
-    /// Tenant-cap scheduler skips.
-    pub preempted: u64,
-}
-
-impl ServeStats {
-    /// True when the context never served under `racc-serve`.
-    pub fn is_empty(&self) -> bool {
-        *self == ServeStats::default()
-    }
-}
-
 /// Device-primitive counters (`racc-prim`), bumped through
 /// [`Context::prim_counters`](crate::Context::prim_counters) by the
 /// primitives layer. Lives in core so [`RuntimeStats`] can report it
@@ -266,13 +149,6 @@ pub struct RuntimeStats {
     /// (tasks executed/stolen/injected, splits, wakes, parks). `None` on
     /// back ends without a work-stealing engine.
     pub steal: Option<racc_threadpool::StealStats>,
-    /// Sharded multi-device counters (`racc-shard`): steps, halo traffic,
-    /// checkpoints, reshards. `None` when this context never ran under the
-    /// shard runner.
-    pub shard: Option<ShardStats>,
-    /// Multi-tenant serving counters (`racc-serve`): admission, batching,
-    /// retries, fallbacks. `None` when this context never served jobs.
-    pub serve: Option<ServeStats>,
     /// Device-primitive counters (`racc-prim`): scans, histograms, sorts.
     /// `None` when this context never ran a primitive.
     pub prim: Option<PrimStats>,
@@ -302,33 +178,6 @@ impl std::fmt::Display for RuntimeStats {
         if let Some(steal) = &self.steal {
             write!(f, "; {steal}")?;
         }
-        if let Some(sh) = &self.shard {
-            write!(
-                f,
-                "; shard: {} steps, {} halos ({} B), {} ckpts, {} reshards ({} replayed)",
-                sh.steps,
-                sh.halo_exchanges,
-                sh.halo_bytes,
-                sh.checkpoints,
-                sh.reshards,
-                sh.replayed_steps
-            )?;
-        }
-        if let Some(sv) = &self.serve {
-            write!(
-                f,
-                "; serve: {} admitted ({} rejected), {} done / {} failed, {} batches ({} co-batched), {} retried, {} fell back, {} preempted",
-                sv.admitted,
-                sv.rejected,
-                sv.completed,
-                sv.failed,
-                sv.batches,
-                sv.batched_jobs,
-                sv.retried,
-                sv.fallbacks,
-                sv.preempted
-            )?;
-        }
         if let Some(pr) = &self.prim {
             write!(
                 f,
@@ -347,44 +196,6 @@ pub(crate) fn snapshot_plan_cache(slot: &PlanCacheSlot) -> PlanCacheStats {
         hits: c.hits.load(Ordering::Relaxed),
         misses: c.misses.load(Ordering::Relaxed),
         evictions: c.evictions.load(Ordering::Relaxed),
-    }
-}
-
-pub(crate) fn snapshot_shard(counters: &ShardCounters) -> Option<ShardStats> {
-    let snap = ShardStats {
-        steps: counters.steps.load(Ordering::Relaxed),
-        halo_exchanges: counters.halo_exchanges.load(Ordering::Relaxed),
-        halo_bytes: counters.halo_bytes.load(Ordering::Relaxed),
-        interior_launches: counters.interior_launches.load(Ordering::Relaxed),
-        boundary_launches: counters.boundary_launches.load(Ordering::Relaxed),
-        checkpoints: counters.checkpoints.load(Ordering::Relaxed),
-        reshards: counters.reshards.load(Ordering::Relaxed),
-        replayed_steps: counters.replayed_steps.load(Ordering::Relaxed),
-        heartbeats: counters.heartbeats.load(Ordering::Relaxed),
-    };
-    if snap.is_empty() {
-        None
-    } else {
-        Some(snap)
-    }
-}
-
-pub(crate) fn snapshot_serve(counters: &ServeCounters) -> Option<ServeStats> {
-    let snap = ServeStats {
-        admitted: counters.admitted.load(Ordering::Relaxed),
-        rejected: counters.rejected.load(Ordering::Relaxed),
-        completed: counters.completed.load(Ordering::Relaxed),
-        failed: counters.failed.load(Ordering::Relaxed),
-        batches: counters.batches.load(Ordering::Relaxed),
-        batched_jobs: counters.batched_jobs.load(Ordering::Relaxed),
-        retried: counters.retried.load(Ordering::Relaxed),
-        fallbacks: counters.fallbacks.load(Ordering::Relaxed),
-        preempted: counters.preempted.load(Ordering::Relaxed),
-    };
-    if snap.is_empty() {
-        None
-    } else {
-        Some(snap)
     }
 }
 
@@ -472,8 +283,6 @@ mod tests {
             faults: FaultStats::default(),
             sanitizer: None,
             steal: None,
-            shard: None,
-            serve: None,
             prim: None,
         };
         let line = stats.to_string();
@@ -492,28 +301,6 @@ mod tests {
             },
             faults: FaultStats::default(),
             sanitizer: None,
-            shard: Some(ShardStats {
-                steps: 12,
-                halo_exchanges: 24,
-                halo_bytes: 4096,
-                interior_launches: 12,
-                boundary_launches: 12,
-                checkpoints: 3,
-                reshards: 1,
-                replayed_steps: 4,
-                heartbeats: 24,
-            }),
-            serve: Some(ServeStats {
-                admitted: 40,
-                rejected: 2,
-                completed: 39,
-                failed: 1,
-                batches: 11,
-                batched_jobs: 30,
-                retried: 3,
-                fallbacks: 1,
-                preempted: 5,
-            }),
             steal: Some(racc_threadpool::StealStats {
                 participants: vec![racc_threadpool::StealCounters {
                     executed: 10,
@@ -537,14 +324,6 @@ mod tests {
             line.contains("prim: 4 scans, 2 histograms, 1 sorts (7000 elems)"),
             "{line}"
         );
-        assert!(
-            line.contains("shard: 12 steps, 24 halos (4096 B), 3 ckpts, 1 reshards (4 replayed)"),
-            "{line}"
-        );
-        assert!(
-            line.contains("serve: 40 admitted (2 rejected), 39 done / 1 failed"),
-            "{line}"
-        );
         assert!(!line.contains('\n'));
     }
 
@@ -557,30 +336,6 @@ mod tests {
         let snap = snapshot_prim(&counters).expect("counters moved");
         assert_eq!(snap.scans, 2);
         assert_eq!(snap.elements, 512);
-        assert!(!snap.is_empty());
-    }
-
-    #[test]
-    fn serve_snapshot_is_none_until_any_counter_moves() {
-        let counters = ServeCounters::default();
-        assert!(snapshot_serve(&counters).is_none());
-        counters.admitted.fetch_add(5, Ordering::Relaxed);
-        counters.rejected.fetch_add(1, Ordering::Relaxed);
-        let snap = snapshot_serve(&counters).expect("counters moved");
-        assert_eq!(snap.admitted, 5);
-        assert_eq!(snap.rejected, 1);
-        assert!(!snap.is_empty());
-    }
-
-    #[test]
-    fn shard_snapshot_is_none_until_any_counter_moves() {
-        let counters = ShardCounters::default();
-        assert!(snapshot_shard(&counters).is_none());
-        counters.steps.fetch_add(2, Ordering::Relaxed);
-        counters.halo_bytes.fetch_add(128, Ordering::Relaxed);
-        let snap = snapshot_shard(&counters).expect("counters moved");
-        assert_eq!(snap.steps, 2);
-        assert_eq!(snap.halo_bytes, 128);
         assert!(!snap.is_empty());
     }
 }

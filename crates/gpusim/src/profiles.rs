@@ -33,7 +33,6 @@ pub fn nvidia_a100() -> DeviceSpec {
         max_block_dim_x: 1024,
         max_block_dim_y: 1024,
         max_block_dim_z: 64,
-        max_blocks_per_cu: 32,
         shared_mem_per_block: 163 * 1024,
         memory_bytes: 40 * (1 << 30),
         mem_bw_bytes_per_sec: 1555e9,
@@ -58,7 +57,6 @@ pub fn amd_mi100() -> DeviceSpec {
         max_block_dim_x: 1024,
         max_block_dim_y: 1024,
         max_block_dim_z: 1024,
-        max_blocks_per_cu: 16,
         shared_mem_per_block: 64 * 1024,
         memory_bytes: 32 * (1 << 30),
         mem_bw_bytes_per_sec: 1228e9,
@@ -83,7 +81,6 @@ pub fn intel_max1550() -> DeviceSpec {
         max_block_dim_x: 1024,
         max_block_dim_y: 1024,
         max_block_dim_z: 1024,
-        max_blocks_per_cu: 16,
         shared_mem_per_block: 128 * 1024,
         memory_bytes: 64 * (1 << 30),
         mem_bw_bytes_per_sec: 3277e9,
@@ -109,7 +106,6 @@ pub fn test_device() -> DeviceSpec {
         max_block_dim_x: 64,
         max_block_dim_y: 64,
         max_block_dim_z: 8,
-        max_blocks_per_cu: 4,
         shared_mem_per_block: 4 * 1024,
         memory_bytes: 16 * (1 << 20),
         mem_bw_bytes_per_sec: 100e9,

@@ -26,8 +26,6 @@ pub struct DeviceSpec {
     pub max_block_dim_y: u32,
     /// Maximum extent of the z dimension of a block.
     pub max_block_dim_z: u32,
-    /// Maximum number of resident blocks per compute unit.
-    pub max_blocks_per_cu: u32,
     /// Shared-memory (LDS/SLM) bytes available per block.
     pub shared_mem_per_block: usize,
     /// Device memory capacity in bytes.
@@ -126,11 +124,6 @@ impl DeviceSpec {
     /// Host link bandwidth in bytes/ns.
     pub fn link_bw_bytes_per_ns(&self) -> f64 {
         self.link_bw_bytes_per_sec / 1e9
-    }
-
-    /// Maximum number of simultaneously resident blocks on the device.
-    pub fn resident_blocks(&self) -> u64 {
-        self.compute_units as u64 * self.max_blocks_per_cu as u64
     }
 }
 

@@ -51,10 +51,9 @@
 //!   poisoned.
 //!
 //! Observability: [`Server::stats`] returns a [`ServerSnapshot`] (pool
-//! totals plus per-tenant queue depths); each pool context's own
-//! `ctx.stats().serve` carries its share of the same counters; on a traced
-//! context each dispatched job records a `serve` span into the context's
-//! chrome-trace lane.
+//! totals plus per-tenant queue depths), the server's only job counters;
+//! on a traced context each dispatched job records a `serve` span into the
+//! context's chrome-trace lane.
 
 mod engine;
 mod error;
@@ -63,7 +62,7 @@ mod server;
 
 pub use error::ServeError;
 pub use job::{job_fn, Completed, FnJob, JobCtx, JobHandle, JobReport, ServeJob};
-pub use server::{Server, ServerOptions, ServerSnapshot, TenantConfig, TenantSnapshot};
+pub use server::{ServeStats, Server, ServerOptions, ServerSnapshot, TenantConfig, TenantSnapshot};
 
 // Re-exported so servers can be configured without a direct racc-core dep.
-pub use racc_core::{RetryPolicy, ServeStats};
+pub use racc_core::RetryPolicy;

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use racc_core::trace::{ConstructKind, Span};
-use racc_core::{Backend, Context, RaccError, RetryPolicy, ServeStats};
+use racc_core::{Backend, Context, RaccError, RetryPolicy};
 use racc_prefs::{Preferences, TenantPrefs};
 
 use crate::engine::Engine;
@@ -105,8 +105,6 @@ pub struct ServerOptions {
     /// Whether the factory is asked for one extra, last-resort context
     /// (index `devices`) that jobs fall back to after exhausting retries.
     pub fallback: bool,
-    /// Config for tenants not named in [`ServerOptions::tenants`].
-    pub default_tenant: TenantConfig,
     /// Pre-registered tenants (others auto-register on first submit).
     pub tenants: Vec<(String, TenantConfig)>,
     /// Start held: stage submissions but process nothing until
@@ -126,7 +124,6 @@ impl Default for ServerOptions {
             overlap: true,
             retry: RetryPolicy::none(),
             fallback: false,
-            default_tenant: TenantConfig::default(),
             tenants: Vec::new(),
             hold: false,
         }
@@ -170,12 +167,6 @@ impl ServerOptions {
         self
     }
 
-    /// Set the config applied to tenants not explicitly registered.
-    pub fn tenant_defaults(mut self, cfg: TenantConfig) -> Self {
-        self.default_tenant = cfg;
-        self
-    }
-
     /// Pre-register one tenant.
     pub fn tenant(mut self, name: &str, cfg: TenantConfig) -> Self {
         match self.tenants.iter_mut().find(|(n, _)| n == name) {
@@ -192,10 +183,10 @@ impl ServerOptions {
     }
 
     /// Register every `[tenant.<name>]` table from a preferences store,
-    /// each overlaying the default tenant config.
+    /// each overlaying [`TenantConfig::default`].
     pub fn with_prefs(mut self, prefs: &Preferences) -> Self {
         for (name, tp) in prefs.tenants() {
-            let cfg = self.default_tenant.with_prefs(&tp);
+            let cfg = TenantConfig::default().with_prefs(&tp);
             self = self.tenant(&name, cfg);
         }
         self
@@ -218,23 +209,62 @@ struct TenantEntry {
     shared: Arc<TenantShared>,
 }
 
+/// Pool-wide job counters: the dispatcher bumps them, [`Server::stats`]
+/// snapshots them into [`ServeStats`].
+#[derive(Debug, Default)]
+struct ServeCounters {
+    admitted: AtomicU64,
+    rejected: AtomicU64,
+    completed: AtomicU64,
+    failed: AtomicU64,
+    batches: AtomicU64,
+    batched_jobs: AtomicU64,
+    retried: AtomicU64,
+    fallbacks: AtomicU64,
+    preempted: AtomicU64,
+}
+
+/// Pool-wide serving counters, the `totals` of a [`ServerSnapshot`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeStats {
+    /// Jobs accepted past admission control.
+    pub admitted: u64,
+    /// Jobs shed at admission (tenant or global queue full).
+    pub rejected: u64,
+    /// Jobs that ran to completion and resolved their handle with `Ok`.
+    pub completed: u64,
+    /// Jobs that exhausted the degradation ladder and resolved with `Err`.
+    pub failed: u64,
+    /// Dispatch groups launched (a batch of 1 still counts).
+    pub batches: u64,
+    /// Jobs that rode a batch of size >= 2.
+    pub batched_jobs: u64,
+    /// Extra attempts spent retrying faulted jobs on their primary context.
+    pub retried: u64,
+    /// Jobs that had to fall back to the spare context to complete.
+    pub fallbacks: u64,
+    /// Scheduler passes that skipped an otherwise-ready tenant because its
+    /// modeled in-flight cap was reached (weighted fairness held it back).
+    pub preempted: u64,
+}
+
 /// State shared between the client-side [`Server`] handle and the
 /// dispatcher thread.
 struct Shared {
-    counters: racc_core::ServeCounters,
+    counters: ServeCounters,
     tenants: Mutex<Vec<TenantEntry>>,
     makespan_ns: AtomicU64,
 }
 
 impl Shared {
-    fn tenant_index(&self, name: &str, default_cfg: &TenantConfig) -> usize {
+    fn tenant_index(&self, name: &str) -> usize {
         let mut reg = self.tenants.lock().unwrap();
         if let Some(i) = reg.iter().position(|e| e.name == name) {
             return i;
         }
         reg.push(TenantEntry {
             name: name.to_string(),
-            cfg: *default_cfg,
+            cfg: TenantConfig::default(),
             shared: Arc::new(TenantShared::default()),
         });
         reg.len() - 1
@@ -261,12 +291,10 @@ pub struct TenantSnapshot {
 }
 
 /// A point-in-time view of the server: pool-wide [`ServeStats`] totals plus
-/// per-tenant queue depths — the `ctx.stats()`-style snapshot of the
-/// serving layer.
+/// per-tenant queue depths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerSnapshot {
-    /// Pool-wide totals (the same shape `ctx.stats().serve` reports per
-    /// pool context).
+    /// Pool-wide totals.
     pub totals: ServeStats,
     /// Per-tenant registration order view.
     pub tenants: Vec<TenantSnapshot>,
@@ -326,7 +354,6 @@ pub struct Server<B: Backend> {
     tx: Sender<Ctl<B>>,
     join: Option<std::thread::JoinHandle<()>>,
     shared: Arc<Shared>,
-    default_tenant: TenantConfig,
     devices: usize,
     next_id: AtomicU64,
 }
@@ -345,7 +372,7 @@ impl<B: Backend> Server<B> {
         let ctxs: Vec<Context<B>> = (0..devices).map(&mut factory).collect();
         let fallback = options.fallback.then(|| factory(devices));
         let shared = Arc::new(Shared {
-            counters: racc_core::ServeCounters::default(),
+            counters: ServeCounters::default(),
             tenants: Mutex::new(
                 options
                     .tenants
@@ -385,7 +412,6 @@ impl<B: Backend> Server<B> {
             tx,
             join: Some(join),
             shared,
-            default_tenant: options.default_tenant,
             devices,
             next_id: AtomicU64::new(1),
         }
@@ -423,7 +449,7 @@ impl<B: Backend> Server<B> {
         job: J,
     ) -> JobHandle<J::Output> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let tenant_idx = self.shared.tenant_index(tenant, &self.default_tenant);
+        let tenant_idx = self.shared.tenant_index(tenant);
         let shape = job.shape();
         let (tx, rx) = unbounded();
         let run: RunFn<B> = Box::new(move |jc: &JobCtx<'_, B>| {
@@ -563,10 +589,6 @@ struct Dispatcher<B: Backend> {
 
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
-}
-
-fn add(counter: &AtomicU64, n: u64) {
-    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 impl<B: Backend> Dispatcher<B> {
@@ -767,13 +789,11 @@ impl<B: Backend> Dispatcher<B> {
 
         let batch_size = batch.len();
         bump(&self.shared.counters.batches);
-        bump(&self.ctxs[device].serve_counters().batches);
         if batch_size >= 2 {
-            add(&self.shared.counters.batched_jobs, batch_size as u64);
-            add(
-                &self.ctxs[device].serve_counters().batched_jobs,
-                batch_size as u64,
-            );
+            self.shared
+                .counters
+                .batched_jobs
+                .fetch_add(batch_size as u64, Ordering::Relaxed);
         }
 
         for job in batch {
@@ -810,13 +830,11 @@ impl<B: Backend> Dispatcher<B> {
             Ok(out) => {
                 bump(&self.shared.counters.completed);
                 bump(&self.tenants[job.tenant].shared.completed);
-                bump(&self.ctxs[device].serve_counters().completed);
                 (job.resolve)(Ok((out, report)));
             }
             Err(error) => {
                 bump(&self.shared.counters.failed);
                 bump(&self.tenants[job.tenant].shared.failed);
-                bump(&self.ctxs[device].serve_counters().failed);
                 let tenant = self.tenants[job.tenant].name.clone();
                 (job.resolve)(Err(ServeError::JobFailed {
                     tenant,
@@ -864,7 +882,6 @@ impl<B: Backend> Dispatcher<B> {
             if attempts < self.retry.max_attempts {
                 extra_ns += self.retry.backoff_ns(attempts);
                 bump(&self.shared.counters.retried);
-                bump(&ctx.serve_counters().retried);
             }
         }
         if let Some(fb) = &self.fallback {
@@ -875,7 +892,6 @@ impl<B: Backend> Dispatcher<B> {
                     let mut phases = jc.phases();
                     phases.compute += extra_ns;
                     bump(&self.shared.counters.fallbacks);
-                    bump(&ctx.serve_counters().fallbacks);
                     return (Ok(out), phases, attempts, true);
                 }
                 Ok(Err(e)) => {

@@ -27,4 +27,5 @@ pub mod runner;
 pub use plan::{Shard, ShardPlan, Topology};
 pub use runner::{
     run_sharded, RankReport, ShardApp, ShardError, ShardHandle, ShardOptions, ShardOutcome,
+    ShardStats,
 };

@@ -65,7 +65,7 @@ use std::time::Duration;
 
 use racc_comm::{CommError, Rank, World};
 use racc_core::trace::{ConstructKind, Span};
-use racc_core::{Backend, Context, ShardCounters, ShardStats};
+use racc_core::{Backend, Context};
 
 use crate::plan::{Shard, ShardPlan, Topology};
 
@@ -266,7 +266,9 @@ pub struct ShardHandle<'a, B: Backend> {
     overlap: bool,
     step_timeout: Duration,
     recover_timeout: Duration,
-    counters: Arc<ShardCounters>,
+    /// This rank's counters. One handle lives across every epoch of the
+    /// rank's run, so they cover reshards and replays too.
+    stats: ShardStats,
     /// `Recover` messages consumed while expecting something else:
     /// `world rank -> (epoch, ckpt_step)`. An entry implies that peer's
     /// queue is drained up to (and including) its `Recover`.
@@ -368,9 +370,7 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         let t0 = self.ctx.modeled_ns();
         let out = f(self.ctx);
         self.interior_ns += self.ctx.modeled_ns() - t0;
-        self.counters
-            .interior_launches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.interior_launches += 1;
         out
     }
 
@@ -449,12 +449,8 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
             }
         }
         if shard.lo_neighbor().is_some() || shard.hi_neighbor().is_some() {
-            self.counters
-                .halo_exchanges
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.counters
-                .halo_bytes
-                .fetch_add(self.step_halo_bytes, std::sync::atomic::Ordering::Relaxed);
+            self.stats.halo_exchanges += 1;
+            self.stats.halo_bytes += self.step_halo_bytes;
         }
         let [lo, hi] = out;
         Ok((lo, hi))
@@ -466,9 +462,7 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         let t0 = self.ctx.modeled_ns();
         let out = f(self.ctx);
         self.boundary_ns += self.ctx.modeled_ns() - t0;
-        self.counters
-            .boundary_launches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.boundary_launches += 1;
         out
     }
 
@@ -667,16 +661,12 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
             total_ns
         };
         self.shard_clock_ns += charged;
-        self.counters
-            .steps
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.steps += 1;
         self.record_step_spans(charged, exchange_ns);
 
         let result = if let Some(data) = dump {
             let parts = self.exchange_ckpt(data)?;
-            self.counters
-                .checkpoints
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.stats.checkpoints += 1;
             Some(Arc::new(assemble(&parts)))
         } else {
             self.exchange_status()?;
@@ -759,9 +749,7 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
                 },
             )?;
         }
-        self.counters
-            .heartbeats
-            .fetch_add(peers.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        self.stats.heartbeats += peers.len() as u64;
         for &peer in &peers {
             self.expect_status(peer)?;
         }
@@ -867,12 +855,34 @@ impl<'a, B: Backend> ShardHandle<'a, B> {
         self.self_halo_lo = None;
         self.self_halo_hi = None;
         self.pending_halos.clear();
-        self.counters
-            .reshards
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.reshards += 1;
         self.record_reshard_span();
         replay_step
     }
+}
+
+/// One rank's counters of a sharded run, reported in [`RankReport`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Committed sharded steps (replays not counted).
+    pub steps: u64,
+    /// Completed halo exchanges (both sides of one step count once).
+    pub halo_exchanges: u64,
+    /// Ghost bytes moved by halo exchanges, both directions.
+    pub halo_bytes: u64,
+    /// Interior-phase launches.
+    pub interior_launches: u64,
+    /// Boundary-phase launches.
+    pub boundary_launches: u64,
+    /// Replicated checkpoints taken.
+    pub checkpoints: u64,
+    /// Reshard events survived (a peer died; the domain was re-split).
+    pub reshards: u64,
+    /// Steps replayed from a checkpoint after a reshard.
+    pub replayed_steps: u64,
+    /// Status heartbeats sent to ring neighbours (2 per step at N >= 3
+    /// ranks).
+    pub heartbeats: u64,
 }
 
 /// What one rank reports after a sharded run.
@@ -886,7 +896,7 @@ pub struct RankReport {
     /// Raw serialized modeled time of the rank's context (every launch
     /// and transfer, no overlap credit).
     pub modeled_ns: u64,
-    /// Shard counters of the rank's context (`ctx.stats().shard`).
+    /// The rank's shard counters, over every epoch of its run.
     pub stats: ShardStats,
     /// Recovery epoch the rank finished in (0 = no reshard happened).
     pub epochs: u32,
@@ -1014,7 +1024,7 @@ where
         overlap: opts.overlap,
         step_timeout: opts.step_timeout,
         recover_timeout: opts.recover_timeout,
-        counters: Arc::clone(ctx.shard_counters()),
+        stats: ShardStats::default(),
         recover_seen: BTreeMap::new(),
         self_halo_lo: None,
         self_halo_hi: None,
@@ -1051,7 +1061,7 @@ where
                         rank: rank.rank(),
                         shard_clock_ns: handle.shard_clock_ns,
                         modeled_ns: ctx.modeled_ns(),
-                        stats: ctx.stats().shard.unwrap_or_default(),
+                        stats: handle.stats,
                         epochs: handle.epoch,
                     };
                     return RankResult::Done { parts, report };
@@ -1109,10 +1119,7 @@ where
         *step, replay_step,
         "survivors agreed on a checkpoint this rank no longer holds"
     );
-    handle.counters.replayed_steps.fetch_add(
-        current_step.saturating_sub(replay_step),
-        std::sync::atomic::Ordering::Relaxed,
-    );
+    handle.stats.replayed_steps += current_step.saturating_sub(replay_step);
     *state = app.init(ctx, handle.shard(), snapshot);
     replay_step
 }

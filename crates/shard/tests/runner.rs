@@ -206,9 +206,12 @@ fn overlap_shortens_the_modeled_makespan_but_not_the_values() {
         on.makespan_ns(),
         off.makespan_ns()
     );
-    // Counters: every rank stepped and exchanged.
+    // Counters: every rank stepped and exchanged, and `Diffuse::step`
+    // runs one interior and one boundary phase per step.
     for report in on.reports.iter().flatten() {
         assert_eq!(report.stats.steps, 8);
+        assert_eq!(report.stats.interior_launches, 8);
+        assert_eq!(report.stats.boundary_launches, 8);
         assert_eq!(report.stats.halo_exchanges, 8);
         assert!(report.stats.halo_bytes > 0);
         assert_eq!(report.stats.reshards, 0);
